@@ -1,20 +1,14 @@
-"""Generalized backward recursion on scenario trees.
+"""Backward recursion on scenario trees.
 
-Two problem modes:
-
-* stage-additive: each node at stage t carries a cost g_t(x_{t-1}, x_t);
-  the sweep computes per-node value functions of the previous decision.
-* general: each leaf carries a cost of the whole decision path x_0..x_T
-  (capped at total dimension 6; this mode exists to validate the
-  stage-additive drivers, not to scale).
+Costs are stage-additive: each node at stage t carries a cost
+g_t(x_{t-1}, x_t), and the sweep computes per-node value functions of the
+previous decision.
 
 At every node the sweep records the pre-minimization function, the value
 function after minimizing the node's own block, the minimizer map, and the
 lineality basis of the flat directions.  Unbounded or one-sided recession
 cones abort the sweep with the offending node attached.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,54 +18,34 @@ from .errors import (Infeasible, NonLinearRecession, NotPerp, SolverError,
 from .extensive import FlatProgram, Term, solve_extensive
 from .tree import perp_check
 
-GENERAL_DIM_CAP = 6
-
 
 class StageProblem:
-    """Problem data bound to a tree: costs plus per-stage decision dims."""
+    """Problem data bound to a tree: stage costs plus per-stage decision dims.
 
-    def __init__(self, tree, dims, mode="stage_additive", node_costs=None, leaf_fns=None):
+    `mode` must be "stage_additive", the only problem mode.
+    """
+
+    def __init__(self, tree, dims, mode="stage_additive", node_costs=None):
+        if mode != "stage_additive":
+            raise ValidationError(f"unknown mode {mode!r}")
         self.tree = tree
         self.dims = list(dims)
-        self.mode = mode
         if len(self.dims) != tree.T + 1:
             raise ValidationError("need one decision dimension per stage")
-        if mode == "stage_additive":
-            self.node_costs = dict(node_costs)
-            for nid, fn in self.node_costs.items():
-                t = tree.stage(nid)
-                want = self._prev_dim(t) + self.dims[t]
-                if fn.dim != want:
-                    raise ValidationError(
-                        f"cost at node {nid!r} has dim {fn.dim}, expected {want}")
-            for t in range(tree.T + 1):
-                for nid in tree.stage_nodes[t]:
-                    if nid not in self.node_costs:
-                        raise ValidationError(f"missing stage cost at node {nid!r}")
-        elif mode == "general":
-            total = sum(self.dims)
-            if total > GENERAL_DIM_CAP:
+        self.node_costs = dict(node_costs)
+        for nid, fn in self.node_costs.items():
+            t = tree.stage(nid)
+            want = self._prev_dim(t) + self.dims[t]
+            if fn.dim != want:
                 raise ValidationError(
-                    f"general mode capped at total dimension {GENERAL_DIM_CAP}")
-            from .convexfn import Polyhedral, Quadratic
-            self.leaf_fns = dict(leaf_fns)
-            for nid in tree.leaves():
-                if nid not in self.leaf_fns:
-                    raise ValidationError(f"missing objective at leaf {nid!r}")
-                if self.leaf_fns[nid].dim != total:
-                    raise ValidationError(f"objective at leaf {nid!r} has wrong dimension")
-                if not isinstance(self.leaf_fns[nid], (Quadratic, Polyhedral)):
-                    raise ValidationError(
-                        "general mode supports quadratic or polyhedral objectives")
-        else:
-            raise ValidationError(f"unknown mode {mode!r}")
+                    f"cost at node {nid!r} has dim {fn.dim}, expected {want}")
+        for t in range(tree.T + 1):
+            for nid in tree.stage_nodes[t]:
+                if nid not in self.node_costs:
+                    raise ValidationError(f"missing stage cost at node {nid!r}")
 
     def _prev_dim(self, t):
         return self.dims[t - 1] if t > 0 else 0
-
-    def cum_dim(self, t):
-        """Total decision dimension of stages 0..t."""
-        return sum(self.dims[:t + 1])
 
 
 class BellmanSolution:
@@ -99,13 +73,6 @@ class Policy:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def _stage_map(nodes, fn, threads):
-    if threads and threads > 1 and len(nodes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return dict(zip(nodes, ex.map(fn, nodes)))
-    return {nid: fn(nid) for nid in nodes}
-
-
 def _minimize_block(fn, over, nid):
     try:
         return partial_min(fn, over=over)
@@ -113,44 +80,27 @@ def _minimize_block(fn, over, nid):
         raise type(exc)(str(exc), node=nid) from exc
 
 
-def solve_be(problem, threads=1):
+def solve_be(problem):
     """Backward sweep; returns a BellmanSolution with per-node records."""
     tree = problem.tree
     records = {}
-    if problem.mode == "stage_additive":
-        for t in range(tree.T, -1, -1):
-            def work(nid, t=t):
-                base = problem.node_costs[nid]
-                prev = problem._prev_dim(t)
-                own = problem.dims[t]
-                kids = tree.children[nid]
-                tail = None
-                fn = base
-                if kids:
-                    lift = np.zeros((own, prev + own))
-                    lift[:, prev:] = np.eye(own)
-                    tail = cond_expect_fn(
-                        [(float(tree.nodes[k].prob), records[k]["post"]) for k in kids])
-                    fn = base.add(tail.precompose(lift, np.zeros(own)))
-                pm = _minimize_block(fn, own, nid)
-                return {"pre": fn, "post": pm.fn, "selector": pm.selector,
-                        "N": pm.lineality, "tail": tail, "stage": t}
-            records.update(_stage_map(tree.stage_nodes[t], work, threads))
-        value = records[tree.root]["post"].eval(np.zeros(0))
-    else:
-        for t in range(tree.T, -1, -1):
-            def work(nid, t=t):
-                if t == tree.T:
-                    fn = problem.leaf_fns[nid]
-                else:
-                    fn = cond_expect_fn(
-                        [(float(tree.nodes[k].prob), records[k]["post"])
-                         for k in tree.children[nid]])
-                pm = _minimize_block(fn, problem.dims[t], nid)
-                return {"pre": fn, "post": pm.fn, "selector": pm.selector,
-                        "N": pm.lineality, "tail": None, "stage": t}
-            records.update(_stage_map(tree.stage_nodes[t], work, threads))
-        value = records[tree.root]["post"].eval(np.zeros(0))
+    for t in range(tree.T, -1, -1):
+        prev = problem._prev_dim(t)
+        own = problem.dims[t]
+        lift = np.zeros((own, prev + own))
+        lift[:, prev:] = np.eye(own)
+        for nid in tree.stage_nodes[t]:
+            fn = problem.node_costs[nid]
+            kids = tree.children[nid]
+            tail = None
+            if kids:
+                tail = cond_expect_fn(
+                    [(float(tree.nodes[k].prob), records[k]["post"]) for k in kids])
+                fn = fn.add(tail.precompose(lift, np.zeros(own)))
+            pm = _minimize_block(fn, own, nid)
+            records[nid] = {"pre": fn, "post": pm.fn, "selector": pm.selector,
+                            "N": pm.lineality, "tail": tail, "stage": t}
+    value = records[tree.root]["post"].eval(np.zeros(0))
     if value == Inf:
         raise Infeasible("problem is infeasible", node=tree.root)
     return BellmanSolution(problem, records, float(value))
@@ -167,32 +117,19 @@ def build_flat(problem, upto=None, tails=None):
             blocks[nid] = (off, problem.dims[t])
             off += problem.dims[t]
     terms = []
-    if problem.mode == "stage_additive":
-        for t in range(T + 1):
-            for nid in tree.stage_nodes[t]:
-                idx = []
-                if t > 0:
-                    poff, pw = blocks[tree.parent(nid)]
-                    idx.extend(range(poff, poff + pw))
-                o, w = blocks[nid]
-                idx.extend(range(o, o + w))
-                terms.append(Term(float(tree.prob(nid)), problem.node_costs[nid], idx))
-        if tails:
-            for nid, fn in tails.items():
-                o, w = blocks[nid]
-                terms.append(Term(float(tree.prob(nid)), fn, list(range(o, o + w))))
-    else:
-        frontier = tree.stage_nodes[T]
-        source = tails if tails is not None else (
-            {nid: problem.leaf_fns[nid] for nid in frontier} if T == tree.T else None)
-        if source is None:
-            raise ValidationError("general-mode truncation needs frontier functions")
-        for nid in frontier:
+    for t in range(T + 1):
+        for nid in tree.stage_nodes[t]:
             idx = []
-            for anc in tree.path(nid):
-                o, w = blocks[anc]
-                idx.extend(range(o, o + w))
-            terms.append(Term(float(tree.prob(nid)), source[nid], idx))
+            if t > 0:
+                poff, pw = blocks[tree.parent(nid)]
+                idx.extend(range(poff, poff + pw))
+            o, w = blocks[nid]
+            idx.extend(range(o, o + w))
+            terms.append(Term(float(tree.prob(nid)), problem.node_costs[nid], idx))
+    if tails:
+        for nid, fn in tails.items():
+            o, w = blocks[nid]
+            terms.append(Term(float(tree.prob(nid)), fn, list(range(o, o + w))))
     return FlatProgram(off, terms, blocks)
 
 
@@ -207,15 +144,12 @@ def optimum_value(sol, t):
     tree = problem.tree
     if t == tree.T:
         fp = build_flat(problem)
-    elif problem.mode == "stage_additive":
+    else:
         tails = {}
         for nid in tree.stage_nodes[t]:
             kids = tree.children[nid]
             tails[nid] = cond_expect_fn(
                 [(float(tree.nodes[k].prob), sol.records[k]["post"]) for k in kids])
-        fp = build_flat(problem, upto=t, tails=tails)
-    else:
-        tails = {nid: sol.records[nid]["pre"] for nid in tree.stage_nodes[t]}
         fp = build_flat(problem, upto=t, tails=tails)
     value, _, _ = solve_extensive(fp)
     return value
@@ -228,19 +162,11 @@ def extract_policy(sol):
     decisions = {}
     residuals = {}
 
-    def prefix(nid):
-        if problem.mode == "stage_additive":
-            par = tree.parent(nid)
-            return decisions[par] if par is not None else np.zeros(0)
-        par = tree.parent(nid)
-        if par is None:
-            return np.zeros(0)
-        return np.concatenate([decisions[a] for a in tree.path(par)])
-
     for t in range(tree.T + 1):
         for nid in tree.stage_nodes[t]:
             rec = sol.records[nid]
-            pre = prefix(nid)
+            par = tree.parent(nid)
+            pre = decisions[par] if par is not None else np.zeros(0)
             x = rec["selector"](pre)
             decisions[nid] = x
             full = np.concatenate([pre, x])
@@ -252,18 +178,12 @@ def extract_policy(sol):
 
 def verify_optimality(policy, sol, tol=1e-8):
     """Nodewise argmin test of a policy against a solved recursion."""
-    problem = sol.problem
-    tree = problem.tree
+    tree = sol.problem.tree
     for t in range(tree.T + 1):
         for nid in tree.stage_nodes[t]:
             rec = sol.records[nid]
-            if problem.mode == "stage_additive":
-                par = tree.parent(nid)
-                pre = policy.decisions[par] if par is not None else np.zeros(0)
-            else:
-                par = tree.parent(nid)
-                pre = (np.concatenate([policy.decisions[a] for a in tree.path(par)])
-                       if par is not None else np.zeros(0))
+            par = tree.parent(nid)
+            pre = policy.decisions[par] if par is not None else np.zeros(0)
             full = np.concatenate([pre, policy.decisions[nid]])
             gap = rec["pre"].eval(full) - rec["post"].eval(pre)
             if not np.isfinite(gap) or gap > tol:
@@ -280,27 +200,18 @@ def _tilt_vectors(problem, v):
         cur = tilts[nid]
         tilts[nid] = vec if cur is None else cur + vec
 
-    if problem.mode == "stage_additive":
-        for t, (stage, per_node) in v.entries.items():
-            nt = problem.dims[t]
-            for nid in tree.stage_nodes[stage]:
-                val = per_node[nid]
-                prev = problem._prev_dim(stage)
-                own = problem.dims[stage]
-                w = np.zeros(prev + own)
-                if stage == t:
-                    w[prev:prev + nt] = -val
-                else:  # stage == t + 1: v_t multiplies the parent-slot block
-                    w[:nt] = -val
-                bump(nid, w)
-    else:
-        offs = np.cumsum([0] + problem.dims)
-        for leaf in tree.leaves():
-            path = tree.path(leaf)
-            w = np.zeros(problem.cum_dim(tree.T))
-            for t, (stage, per_node) in v.entries.items():
-                w[offs[t]:offs[t] + problem.dims[t]] -= per_node[path[stage]]
-            bump(leaf, w)
+    for t, (stage, per_node) in v.entries.items():
+        nt = problem.dims[t]
+        for nid in tree.stage_nodes[stage]:
+            val = per_node[nid]
+            prev = problem._prev_dim(stage)
+            own = problem.dims[stage]
+            w = np.zeros(prev + own)
+            if stage == t:
+                w[prev:prev + nt] = -val
+            else:  # stage == t + 1: v_t multiplies the parent-slot block
+                w[:nt] = -val
+            bump(nid, w)
     return tilts
 
 
@@ -309,18 +220,11 @@ def tilt_by_p(problem, v, tol=1e-12):
     if not perp_check(v, tol=tol):
         raise NotPerp("tilt process fails E_t[v_t] = 0")
     tilts = _tilt_vectors(problem, v)
-    tree = problem.tree
-    if problem.mode == "stage_additive":
-        costs = {}
-        for nid, fn in problem.node_costs.items():
-            w = tilts[nid]
-            costs[nid] = fn if w is None else fn.tilt(w)
-        return StageProblem(tree, problem.dims, "stage_additive", node_costs=costs)
-    fns = {}
-    for nid, fn in problem.leaf_fns.items():
+    costs = {}
+    for nid, fn in problem.node_costs.items():
         w = tilts[nid]
-        fns[nid] = fn if w is None else fn.tilt(w)
-    return StageProblem(tree, problem.dims, "general", leaf_fns=fns)
+        costs[nid] = fn if w is None else fn.tilt(w)
+    return StageProblem(problem.tree, problem.dims, node_costs=costs)
 
 
 class AssumptionReport:
@@ -340,12 +244,8 @@ class AssumptionReport:
 
 
 def _recession_problem(problem):
-    tree = problem.tree
-    if problem.mode == "stage_additive":
-        costs = {nid: recession(fn).fn for nid, fn in problem.node_costs.items()}
-        return StageProblem(tree, problem.dims, "stage_additive", node_costs=costs)
-    fns = {nid: recession(fn).fn for nid, fn in problem.leaf_fns.items()}
-    return StageProblem(tree, problem.dims, "general", leaf_fns=fns)
+    costs = {nid: recession(fn).fn for nid, fn in problem.node_costs.items()}
+    return StageProblem(problem.tree, problem.dims, node_costs=costs)
 
 
 def check_assumptions(problem, v=None, eps=0.1):
@@ -360,9 +260,7 @@ def check_assumptions(problem, v=None, eps=0.1):
 
     certificates = {}
     lower_ok = True
-    cost_nodes = (problem.node_costs if problem.mode == "stage_additive"
-                  else problem.leaf_fns)
-    for nid, fn in cost_nodes.items():
+    for nid, fn in problem.node_costs.items():
         w = tilts[nid]
         # tilt vectors store -p; the certificate is m >= f*(lambda p)
         p = np.zeros(fn.dim) if w is None else -w

@@ -8,7 +8,6 @@ is bit-identical across repeated runs with the same config and seed.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,15 +27,6 @@ from .lagrange import lp_recursion
 from .stopping import markov_check, optimal_stop, snell
 from .tree import AdaptedProcess, is_markov
 from .bellman import build_flat
-
-
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("STOCH_BELLMAN_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _emit(args, report, policy_rows=None):
@@ -81,7 +71,7 @@ def _load_problem(path):
 
 def cmd_solve(args):
     tree, problem = _load_problem(args.input)
-    sol = solve_be(problem, threads=_threads(args))
+    sol = solve_be(problem)
     policy = extract_policy(sol)
     assum = check_assumptions(problem)
     report = {
@@ -97,7 +87,7 @@ def cmd_solve(args):
 
 def cmd_oracle(args):
     tree, problem = _load_problem(args.input)
-    sol = solve_be(problem, threads=_threads(args))
+    sol = solve_be(problem)
     fp = build_flat(problem)
     ext_value, _, info = solve_extensive(fp)
     delta = abs(sol.value - ext_value)
@@ -177,7 +167,7 @@ def cmd_lagrange(args):
         if "C" in node.data:
             entry["C"] = node.data["C"]
         data[nid] = entry
-    vv = lp_recursion(tree, d, data, threads=_threads(args))
+    vv = lp_recursion(tree, d, data)
     from .lagrange import lagrange_policy
     policy = lagrange_policy(vv)
     report = {"value": vv.value,
@@ -288,7 +278,6 @@ def build_parser():
     common.add_argument("--format", choices=("text", "csv", "structured"), default="text")
     common.add_argument("--tol", type=float, default=1e-8)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None)
     ap = argparse.ArgumentParser(prog="stochbellman",
                                  description="convex multistage solvers on scenario trees")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -55,6 +55,13 @@ def _range_basis(A, rcond=1e-10):
     return vt[:rank].T
 
 
+def _affine_as_polyhedral(f):
+    """A Quadratic with Q == 0 as a one-piece Polyhedral; each equality row
+    becomes a pair of opposite inequality rows."""
+    return Polyhedral(f.q.reshape(1, -1), [f.c],
+                      np.vstack([f.A, -f.A]), np.concatenate([f.b, -f.b]))
+
+
 class AffineSelector:
     """Minimizer map x -> F x + g produced by quadratic partial minimization."""
 
@@ -192,6 +199,8 @@ class Quadratic(ConvexFn):
             return Quadratic(self.Q + other.Q, self.q + other.q, self.c + other.c,
                              np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]),
                              check_psd=self.psd and other.psd)
+        if isinstance(other, Polyhedral) and not np.any(self.Q):
+            return _affine_as_polyhedral(self).add(other)
         if isinstance(other, (Polyhedral, EvalSum)):
             return EvalSum([self]).add(other)
         raise BackendClash(f"cannot add {type(other).__name__} to Quadratic")
@@ -264,15 +273,6 @@ class Polyhedral(ConvexFn):
     def affine(a, b=0.0):
         a = np.asarray(a, dtype=float).ravel()
         return Polyhedral(a.reshape(1, -1), [b])
-
-    @staticmethod
-    def box_indicator(lo, hi):
-        lo = np.asarray(lo, dtype=float).ravel()
-        hi = np.asarray(hi, dtype=float).ravel()
-        d = lo.size
-        C = np.vstack([np.eye(d), -np.eye(d)])
-        rhs = np.concatenate([hi, -lo])
-        return Polyhedral(np.zeros((1, d)), [0.0], C, rhs)
 
     def eval(self, x):
         x = np.asarray(x, dtype=float).ravel()
@@ -351,6 +351,8 @@ class Polyhedral(ConvexFn):
                     keep = self._box_dominated(pa, pb, *box)
                     pa, pb = pa[keep], pb[keep]
             return Polyhedral(pa, pb, C, d)
+        if isinstance(other, Quadratic) and not np.any(other.Q):
+            return self.add(_affine_as_polyhedral(other))
         if isinstance(other, (Quadratic, EvalSum)):
             return EvalSum([self]).add(other)
         raise BackendClash(f"cannot add {type(other).__name__} to Polyhedral")
@@ -416,11 +418,6 @@ class Sampled1D(ConvexFn):
             slopes = np.diff(self.values) / gaps
             if np.any(np.diff(slopes) < -SLOPE_TOL * (1.0 + np.max(np.abs(slopes)))):
                 raise ValidationError("secant slopes must be nondecreasing")
-
-    @staticmethod
-    def from_callable(f, lo, hi, n):
-        grid = np.linspace(lo, hi, n)
-        return Sampled1D(grid, [f(g) for g in grid])
 
     def eval(self, x):
         x = float(np.asarray(x, dtype=float).ravel()[0]) if np.ndim(x) else float(x)

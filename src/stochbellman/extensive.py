@@ -12,6 +12,7 @@ the block structure.  Three solve paths:
 
 import numpy as np
 
+from . import numeric
 from .convexfn import Inf, Polyhedral, Quadratic
 from .errors import (DimensionMismatch, Infeasible, IterationLimit, Unbounded,
                      ValidationError)
@@ -72,12 +73,6 @@ class FlatProgram:
             if width:
                 z[off:off + width] = np.asarray(decisions[nid], dtype=float).ravel()
         return z
-
-    def unpack(self, z):
-        out = {}
-        for nid, (off, width) in self.blocks.items():
-            out[nid] = np.asarray(z[off:off + width], dtype=float)
-        return out
 
 
 def flatten(problem, upto=None, tails=None):
@@ -168,75 +163,13 @@ def _solve_polyhedral(fp):
 
 def _line_min(fp, z, j, span):
     """Golden-section minimization of the coordinate-j restriction."""
-    phi = 1.6180339887498949
 
     def f(a):
         z[j] = a
         return fp.eval(z)
 
-    a0 = z[j]
-    f0 = f(a0)
-    # expand a finite bracket around a0
-    step = max(span, 1e-6)
-    lo, hi = a0, a0
-    flo, fhi = f0, f0
-    s = step
-    while True:
-        cand = a0 - s
-        fc = f(cand)
-        if fc == Inf:
-            # shrink toward a0 to find the feasible edge
-            left, right = cand, lo
-            for _ in range(60):
-                mid = 0.5 * (left + right)
-                if f(mid) == Inf:
-                    left = mid
-                else:
-                    right = mid
-            lo, flo = right, f(right)
-            break
-        lo, flo = cand, fc
-        if fc >= f0 or s > 1e12:
-            break
-        s *= 2.0
-    s = step
-    while True:
-        cand = a0 + s
-        fc = f(cand)
-        if fc == Inf:
-            left, right = hi, cand
-            for _ in range(60):
-                mid = 0.5 * (left + right)
-                if f(mid) == Inf:
-                    right = mid
-                else:
-                    left = mid
-            hi, fhi = left, f(left)
-            break
-        hi, fhi = cand, fc
-        if fc >= f0 or s > 1e12:
-            break
-        s *= 2.0
-    a, b = lo, hi
-    c = b - (b - a) / phi
-    d = a + (b - a) / phi
-    fc_, fd_ = f(c), f(d)
-    while abs(b - a) > 1e-12 * (1.0 + abs(a) + abs(b)):
-        if fc_ <= fd_:
-            b, d, fd_ = d, c, fc_
-            c = b - (b - a) / phi
-            fc_ = f(c)
-        else:
-            a, c, fc_ = c, d, fd_
-            d = a + (b - a) / phi
-            fd_ = f(d)
-    best = 0.5 * (a + b)
-    fb = f(best)
-    if f0 < fb:
-        z[j] = a0
-        return f0
-    z[j] = best
-    return fb
+    z[j], val = numeric.golden_min(f, z[j], span=span, diverge=1e12)
+    return val
 
 
 def _solve_coordinate_descent(fp, start=None):

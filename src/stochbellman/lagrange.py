@@ -78,11 +78,11 @@ class ValueV:
         return self.solution.records[nid]["post"]
 
 
-def solve_lagrange(instance, threads=1):
+def solve_lagrange(instance):
     """Backward sweep; raises with the offending node on unbounded or
     one-sided recession cones."""
     sp = instance.as_stage_problem()
-    sol = solve_be(sp, threads=threads)
+    sol = solve_be(sp)
     return ValueV(instance, sol)
 
 
@@ -129,12 +129,12 @@ def lp_costs(tree, d, data):
     return costs
 
 
-def lp_recursion(tree, d, data, threads=1):
+def lp_recursion(tree, d, data):
     """Linear stochastic program in block form; returns the solved ValueV.
 
     Raises Infeasible with the first node whose stage constraints are empty
     (or the root, when only the joint system fails), Unbounded or
-    NonLinearRecession as in the general sweep.
+    NonLinearRecession from the backward sweep (solve_be).
     """
     instance = LagrangeInstance(tree, d, lp_costs(tree, d, data))
     sp = instance.as_stage_problem()
@@ -142,7 +142,7 @@ def lp_recursion(tree, d, data, threads=1):
         for nid in tree.stage_nodes[t]:
             if _empty_polyhedron(sp.node_costs[nid]):
                 raise Infeasible("stage constraints are empty", node=nid)
-    sol = solve_be(sp, threads=threads)
+    sol = solve_be(sp)
     return ValueV(instance, sol)
 
 

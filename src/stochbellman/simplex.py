@@ -8,7 +8,7 @@ the dense tableau is deliberate, no sparsity, no external solver.
 
 import numpy as np
 
-from .errors import Infeasible, IterationLimit, Unbounded
+from .errors import IterationLimit
 
 _PIVOT_EPS = 1e-9
 _FEAS_EPS = 1e-8
@@ -146,12 +146,3 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000):
             full[basis[i]] = T2[i, -1]
     x = full[:n] - full[n:2 * n]
     return LPResult(x, float(c @ x), "optimal")
-
-
-def require_optimal(res, context=""):
-    """Convert a non-optimal LPResult into the matching exception."""
-    if res.status == "optimal":
-        return res
-    if res.status == "unbounded":
-        raise Unbounded(f"LP unbounded {context}".strip())
-    raise Infeasible(f"LP infeasible {context}".strip())

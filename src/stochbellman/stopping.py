@@ -3,7 +3,7 @@
 The value recursion folds the never-stop convention (reward 0 after the
 horizon) into the terminal layer, so the envelope dominates the positive
 part of the reward.  The relaxation route runs the generic backward engine
-on the polyhedral mass-allocation integrand over the unit simplex and must
+on stage-additive polyhedral costs of the cumulative stopped mass and must
 reproduce the same value; rule enumeration is the brute-force oracle.
 """
 
@@ -154,23 +154,22 @@ def enumerate_stopping_times(tree, node_cap=ENUM_NODE_CAP, rule_cap=ENUM_RULE_CA
 
 
 def ros_as_bellman(R):
-    """Run the generic engine on the relaxed mass-allocation integrand.
+    """Run the generic engine on the relaxed stopping problem.
 
-    Decision x_t in [0, 1 - sum of earlier mass]; the integrand is the
-    single affine piece -sum_t R_t x_t on the simplex.  Returns
+    The decision at a stage-t node is the cumulative mass y_t stopped by
+    stage t.  The root costs -R_0 y_0 on 0 <= y_0 <= 1; every later node
+    costs -R_t (y_t - y_{t-1}) on y_{t-1} <= y_t <= 1.  Returns
     (BellmanSolution, value) with value on the maximization scale.
     """
     tree = R.tree
-    T = tree.T
-    n = T + 1
-    leaf_fns = {}
-    for leaf in tree.leaves():
-        path = tree.path(leaf)
-        grad = -np.array([float(R[nid]) for nid in path])
-        C = np.vstack([-np.eye(n), np.ones((1, n))])
-        d = np.concatenate([np.zeros(n), [1.0]])
-        leaf_fns[leaf] = Polyhedral(grad.reshape(1, -1), [0.0], C, d)
-    problem = StageProblem(tree, [1] * n, "general", leaf_fns=leaf_fns)
+    costs = {}
+    for nid in tree.nodes:
+        r = float(R[nid])
+        if tree.parent(nid) is None:
+            costs[nid] = Polyhedral([[-r]], [0.0], [[-1.0], [1.0]], [0.0, 1.0])
+        else:
+            costs[nid] = Polyhedral([[r, -r]], [0.0], [[1.0, -1.0], [0.0, 1.0]], [0.0, 1.0])
+    problem = StageProblem(tree, [1] * (tree.T + 1), "stage_additive", node_costs=costs)
     sol = solve_be(problem)
     return sol, -sol.value
 
@@ -178,22 +177,20 @@ def ros_as_bellman(R):
 def ros_value_fn_probe(sol, R, S, nid, x_hist):
     """Closed-form value of the recorded stage function at a history point.
 
-    The recorded function at a stage-t node should equal
-    sum_{s<=t} [-R_s x_s + indicator(x_s >= 0)]
-    - E_t[S_{t+1}] (1 - sum x_s) + indicator(1 - sum x_s >= 0).
+    With y the cumulative sums of the masses x_hist = (x_0..x_t), the
+    recorded function at a stage-t node should equal
+    -R_t (y_t - y_{t-1}) - E_t[S_{t+1}] (1 - y_t) on y_{t-1} <= y_t <= 1
+    (y_{-1} = 0 at the root), and +inf elsewhere.
     Returns (recorded, closed_form).
     """
-    tree = R.tree
-    path = tree.path(nid)
-    x_hist = np.asarray(x_hist, dtype=float)
-    cont = continuation_value(R, S, nid)
-    rem = 1.0 - float(np.sum(x_hist))
-    if np.any(x_hist < 0) or rem < 0:
-        closed = float("inf")
+    y = np.cumsum(np.asarray(x_hist, dtype=float))
+    prev = y[-2] if y.size > 1 else 0.0
+    if prev <= y[-1] <= 1.0:
+        closed = -float(R[nid]) * (y[-1] - prev)
+        closed -= continuation_value(R, S, nid) * (1.0 - y[-1])
     else:
-        closed = -float(sum(float(R[pid]) * x_hist[s] for s, pid in enumerate(path)))
-        closed -= cont * rem
-    recorded = sol.records[nid]["pre"].eval(x_hist)
+        closed = float("inf")
+    recorded = sol.records[nid]["pre"].eval(y[-2:])
     return recorded, closed
 
 

@@ -198,13 +198,6 @@ class AdaptedProcess:
     def at_stage(self, s):
         return {nid: self.values[nid] for nid in self.tree.stage_nodes[s]}
 
-    @staticmethod
-    def from_stage_map(tree, stage_values):
-        vals = {}
-        for s, per_node in stage_values.items():
-            vals.update(per_node)
-        return AdaptedProcess(tree, vals)
-
 
 def cond_expect_scalar(proc, target_stage, source_stage=None):
     """Conditional expectation of a single-stage process down to target_stage.

@@ -16,15 +16,8 @@ from stochbellman.tree import (AdaptedProcess, PerpProcess,
 from helpers import binary_tree, chain_tree
 
 
-def tracking_general():
-    tree = binary_tree()
-    leaf_fns = {"a": Quadratic([[2.0]], [0.0], 0.0),
-                "b": Quadratic([[2.0]], [-4.0], 4.0)}
-    return StageProblem(tree, [1, 0], "general", leaf_fns=leaf_fns)
-
-
 def test_solve_be_tracking_instance():
-    sol = solve_be(tracking_general())
+    sol = solve_be(tracking_stage_problem())
     assert sol.value == pytest.approx(1.0, abs=1e-12)
     h0 = sol.records["r"]["pre"]
     # h_0(x) = x^2 - 2x + 2
@@ -45,9 +38,10 @@ def test_solve_be_deterministic_chain_separable():
 def always_up_shortfall_problem():
     tree = binary_tree()
     # shortfall max(-x dS, 0) with dS in {1, 2}: long positions are free money
-    leaf_fns = {"a": Polyhedral([[-1.0], [0.0]], [0.0, 0.0]),
-                "b": Polyhedral([[-2.0], [0.0]], [0.0, 0.0])}
-    return StageProblem(tree, [1, 0], "general", leaf_fns=leaf_fns)
+    costs = {"r": Polyhedral.affine([0.0]),
+             "a": Polyhedral([[-1.0], [0.0]], [0.0, 0.0]),
+             "b": Polyhedral([[-2.0], [0.0]], [0.0, 0.0])}
+    return StageProblem(tree, [1, 0], "stage_additive", node_costs=costs)
 
 
 def test_solve_be_arbitrage_trips_nonlinear_recession():
@@ -57,15 +51,15 @@ def test_solve_be_arbitrage_trips_nonlinear_recession():
 
 
 def test_optimum_value_all_stages():
-    sol = solve_be(tracking_general())
+    sol = solve_be(tracking_stage_problem())
     assert optimum_value(sol, 0) == pytest.approx(1.0, abs=1e-10)
     assert optimum_value(sol, 1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_optimum_value_single_node():
     tree = validate_tree([{"id": "r", "parent": None, "prob": 1.0, "stage": 0}])
-    p = StageProblem(tree, [1], "general",
-                     leaf_fns={"r": Quadratic([[2.0]], [-2.0], 3.0)})
+    p = StageProblem(tree, [1], "stage_additive",
+                     node_costs={"r": Quadratic([[2.0]], [-2.0], 3.0)})
     sol = solve_be(p)
     assert optimum_value(sol, 0) == pytest.approx(2.0, abs=1e-10)
     assert sol.value == pytest.approx(2.0, abs=1e-10)
@@ -88,7 +82,7 @@ def test_optimum_value_matches_extensive():
 
 
 def test_extract_policy_tracking():
-    sol = solve_be(tracking_general())
+    sol = solve_be(tracking_stage_problem())
     pol = extract_policy(sol)
     assert pol.decisions["r"][0] == pytest.approx(1.0, abs=1e-10)
     assert pol.value == pytest.approx(sol.value, abs=1e-8)
@@ -99,15 +93,15 @@ def test_extract_policy_free_coordinate_zeroed():
     tree = validate_tree([{"id": "r", "parent": None, "prob": 1.0, "stage": 0}])
     Q = np.zeros((2, 2))
     Q[0, 0] = 2.0
-    p = StageProblem(tree, [2], "general",
-                     leaf_fns={"r": Quadratic(Q, [-2.0, 0.0])})
+    p = StageProblem(tree, [2], "stage_additive",
+                     node_costs={"r": Quadratic(Q, [-2.0, 0.0])})
     pol = extract_policy(solve_be(p))
     assert pol.decisions["r"][0] == pytest.approx(1.0, abs=1e-10)
     assert pol.decisions["r"][1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_verify_optimality_accepts_and_rejects():
-    sol = solve_be(tracking_general())
+    sol = solve_be(tracking_stage_problem())
     pol = extract_policy(sol)
     assert verify_optimality(pol, sol, 1e-8)
     pol.decisions["r"] = pol.decisions["r"] + 0.1
@@ -250,9 +244,9 @@ def test_tower_collapse_of_deterministic_stages():
 
 
 def test_solution_records_satisfy_recursion_structure():
-    # pre-min at an interior node equals the branch-weighted sum of the
-    # children's post-min functions (general mode)
-    sol = solve_be(tracking_general())
+    # pre-min at the root (zero own cost) equals the branch-weighted sum of
+    # the children's post-min functions
+    sol = solve_be(tracking_stage_problem())
     tree = sol.problem.tree
     rec = sol.records["r"]
     for x in (-1.0, 0.3, 2.0):
@@ -261,20 +255,9 @@ def test_solution_records_satisfy_recursion_structure():
         assert rec["pre"].eval([x]) == pytest.approx(expected, abs=1e-12)
     # leaf pre-min functions are the supplied terminal integrands
     for leaf in tree.leaves():
-        fn = sol.problem.leaf_fns[leaf]
+        fn = sol.problem.node_costs[leaf]
         for x in (-1.0, 0.3, 2.0):
             assert sol.records[leaf]["pre"].eval([x]) == fn.eval([x])
-
-
-def test_threads_produce_identical_solutions():
-    inst = quadratic_lagrange_instance(61, T=3, d=2)
-    sp = inst.as_stage_problem()
-    s1 = solve_be(sp, threads=1)
-    s2 = solve_be(sp, threads=4)
-    assert s1.value == s2.value
-    p1, p2 = extract_policy(s1), extract_policy(s2)
-    for nid in sp.tree.nodes:
-        assert np.array_equal(p1.decisions[nid], p2.decisions[nid])
 
 
 def test_random_polyhedral_instances_match_simplex(rng):

@@ -105,10 +105,9 @@ def test_enumeration_max_matches_snell():
 
 
 def test_ros_matches_snell_value():
-    for seed in (0, 1, 2):
-        tree, R = reward_tree(seed, T=3)
-        if tree.T > 4:
-            continue
+    cases = [reward_tree(seed, T=3) for seed in (0, 1, 2)]
+    cases += [markov_reward_tree(3, T=7), markov_reward_tree(3, T=9)]
+    for tree, R in cases:
         sol, val = ros_as_bellman(R)
         S = snell(R)
         assert val == pytest.approx(S[tree.root], abs=1e-10)
