@@ -5,14 +5,14 @@ from .bellman import (StageProblem, BellmanSolution, Policy, check_assumptions,
                       verify_optimality)
 from .control import (ControlSystem, RiccatiData, independence_reduction,
                       q_factors, riccati, solve_oc)
-from .convexfn import (ConvexFn, LinealitySpace, Polyhedral, Quadratic,
-                       RecessionFn, Sampled1D, combine, cond_expect_fn,
-                       fm_project, lineality_space, partial_min, recession)
+from .convexfn import (ConvexFn, Polyhedral, Quadratic, Sampled1D,
+                       cond_expect_fn, lineality_space, partial_min, recession)
 from .extensive import FlatProgram, flatten, solve_extensive
 from .hedging import (MarketModel, ae_estimate, exp_utility, na_check,
                       solve_alm)
 from .lagrange import (LagrangeInstance, check_lagrange_bounds, lp_recursion,
                        solve_lagrange)
+from .polyhedra import fm_project
 from .stopping import (StoppingTime, enumerate_stopping_times, markov_check,
                        optimal_stop, ros_as_bellman, snell)
 from .tree import (AdaptedProcess, PerpProcess, ScenarioTree,

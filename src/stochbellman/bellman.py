@@ -7,14 +7,16 @@ previous decision.
 At every node the sweep records the pre-minimization function, the value
 function after minimizing the node's own block, the minimizer map, and the
 lineality basis of the flat directions.  Unbounded or one-sided recession
-cones abort the sweep with the offending node attached.
+cones abort the sweep with the offending node attached, and so does a
+continuation that no single backend can add to the node's cost
+(BackendClash).
 """
 
 import numpy as np
 
 from .convexfn import (Inf, cond_expect_fn, partial_min, recession)
-from .errors import (Infeasible, NonLinearRecession, NotPerp, SolverError,
-                     UnboundedBelow, ValidationError)
+from .errors import (BackendClash, Infeasible, NonLinearRecession, NotPerp,
+                     SolverError, UnboundedBelow, ValidationError)
 from .extensive import FlatProgram, Term, solve_extensive
 from .tree import perp_check
 
@@ -54,12 +56,6 @@ class BellmanSolution:
         self.records = records  # node id -> dict(pre, post, selector, N, tail)
         self.value = value
 
-    def value_fn(self, nid):
-        return self.records[nid]["pre"]
-
-    def lineality(self, nid):
-        return self.records[nid]["N"]
-
 
 class Policy:
     def __init__(self, problem, decisions, residuals, value):
@@ -94,9 +90,12 @@ def solve_be(problem):
             kids = tree.children[nid]
             tail = None
             if kids:
-                tail = cond_expect_fn(
-                    [(float(tree.nodes[k].prob), records[k]["post"]) for k in kids])
-                fn = fn.add(tail.precompose(lift, np.zeros(own)))
+                try:
+                    tail = cond_expect_fn(
+                        [(float(tree.nodes[k].prob), records[k]["post"]) for k in kids])
+                    fn = fn.add(tail.precompose(lift, np.zeros(own)))
+                except BackendClash as exc:
+                    raise BackendClash(f"{exc} (node {nid})") from exc
             pm = _minimize_block(fn, own, nid)
             records[nid] = {"pre": fn, "post": pm.fn, "selector": pm.selector,
                             "N": pm.lineality, "tail": tail, "stage": t}
@@ -244,7 +243,7 @@ class AssumptionReport:
 
 
 def _recession_problem(problem):
-    costs = {nid: recession(fn).fn for nid, fn in problem.node_costs.items()}
+    costs = {nid: recession(fn) for nid, fn in problem.node_costs.items()}
     return StageProblem(problem.tree, problem.dims, node_costs=costs)
 
 

@@ -62,10 +62,9 @@ class ControlSolution:
     selector, lineality basis of the flat control directions, and the
     composed continuation I at non-root nodes."""
 
-    def __init__(self, sys, records, grid=None):
+    def __init__(self, sys, records):
         self.sys = sys
         self.records = records
-        self.grid = grid
 
     def J(self, nid):
         return self.records[nid]["J"]
@@ -158,7 +157,6 @@ def _solve_oc_grid(sys, costs, grid):
                 return total
 
             vals = np.empty(grid.size)
-            args = {}
             feasible_any = False
             for i, X in enumerate(grid):
                 def f(U, X=X):
@@ -170,10 +168,9 @@ def _solve_oc_grid(sys, costs, grid):
                         continue
                     # table values need far less argmin precision than the
                     # selector path (value error is quadratic in it)
-                    U, val = coordinate_descent(f, U0, span=1.0,
+                    _, val = coordinate_descent(f, U0, span=1.0,
                                                 width_tol=1e-9, refine=False)
                     vals[i] = val
-                    args[float(X)] = U
                     feasible_any = True
                 except SolverError as exc:
                     raise type(exc)(str(exc), node=nid) from exc
@@ -191,9 +188,8 @@ def _solve_oc_grid(sys, costs, grid):
                 return U
 
             records[nid] = {"Q": None, "J": table, "selector": selector,
-                            "N": np.zeros((sys.M, 0)), "I": None,
-                            "argmins": args}
-    return ControlSolution(sys, records, grid=grid)
+                            "N": np.zeros((sys.M, 0)), "I": None}
+    return ControlSolution(sys, records)
 
 
 def q_factors(solution):

@@ -11,7 +11,10 @@ Three backends are closed under the operations the backward recursion needs:
 
 Values are floats with +inf for points outside the effective domain; -inf
 never occurs because every backend tracks its domain explicitly.  All
-instances are immutable; operations return new objects.
+instances are immutable; operations return new objects.  A sum stays in one
+backend: an affine Quadratic joins a Polyhedral as one piece, and any other
+cross-backend sum raises BackendClash.  Recession functions are backend
+objects and lineality spaces are orthonormal basis arrays.
 """
 
 from collections import namedtuple
@@ -84,30 +87,17 @@ class LPSelector:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float).ravel()
-        fn, k = self._fn, self._n_keep
-        d2 = fn.dim - k
-        # variables (u, tau): minimize tau
-        cols = d2 + 1
-        A_ub, b_ub = [], []
-        for a, b in zip(fn.pieces_a, fn.pieces_b):
-            row = np.zeros(cols)
-            row[:d2] = a[k:]
-            row[-1] = -1.0
-            A_ub.append(row)
-            b_ub.append(-(a[:k] @ x) - b)
-        for crow, cd in zip(fn.C, fn.d):
-            row = np.zeros(cols)
-            row[:d2] = crow[k:]
-            A_ub.append(row)
-            b_ub.append(cd - crow[:k] @ x)
-        cost = np.zeros(cols)
+        k = self._n_keep
+        # variables (u, tau): minimize tau over the epigraph slice at x
+        G, h = self._fn.epigraph()
+        cost = np.zeros(G.shape[1] - k)
         cost[-1] = 1.0
-        res = solve_lp(cost, A_ub, b_ub)
+        res = solve_lp(cost, G[:, k:], h - G[:, :k] @ x)
         if res.status == "unbounded":
             raise UnboundedBelow("selector LP unbounded")
         if res.status == "infeasible":
             raise ValidationError("selector LP infeasible at given point")
-        u = res.x[:d2]
+        u = res.x[:-1]
         if self._lin.size:
             u = u - self._lin @ (self._lin.T @ u)
         return u
@@ -201,8 +191,6 @@ class Quadratic(ConvexFn):
                              check_psd=self.psd and other.psd)
         if isinstance(other, Polyhedral) and not np.any(self.Q):
             return _affine_as_polyhedral(self).add(other)
-        if isinstance(other, (Polyhedral, EvalSum)):
-            return EvalSum([self]).add(other)
         raise BackendClash(f"cannot add {type(other).__name__} to Quadratic")
 
     def tilt(self, v):
@@ -233,8 +221,8 @@ class Quadratic(ConvexFn):
         V = _range_basis(self.Q)
         rows = np.vstack([self.A, V.T]) if V.size else self.A
         rhs = np.zeros(rows.shape[0])
-        return RecessionFn(Quadratic(np.zeros((self.dim, self.dim)), self.q, 0.0, rows, rhs,
-                                     check_psd=False))
+        return Quadratic(np.zeros((self.dim, self.dim)), self.q, 0.0, rows, rhs,
+                         check_psd=False)
 
     def conjugate(self, v):
         v = np.asarray(v, dtype=float).ravel()
@@ -284,57 +272,15 @@ class Polyhedral(ConvexFn):
                 return Inf
         return float(np.max(self.pieces_a @ x + self.pieces_b))
 
-    def _pruned(self, pa, pb):
-        keyed = {}
-        for a, b in zip(pa, pb):
-            key = tuple(np.round(a, 12))
-            if key not in keyed or b > keyed[key][1]:
-                keyed[key] = (a, b)
-        rows = list(keyed.values())
-        return np.array([r for r, _ in rows]), np.array([v for _, v in rows])
-
-    @staticmethod
-    def _box_bounds(C, d):
-        """Per-coordinate bounds implied by unit rows of the domain, if all
-        coordinates are bounded both ways; None otherwise."""
-        dim = C.shape[1]
-        lo = np.full(dim, -np.inf)
-        hi = np.full(dim, np.inf)
-        for row, rhs in zip(C, d):
-            nz = np.nonzero(np.abs(row) > 1e-13)[0]
-            if nz.size != 1:
-                continue
-            j = nz[0]
-            if row[j] > 0:
-                hi[j] = min(hi[j], rhs / row[j])
-            else:
-                lo[j] = max(lo[j], rhs / row[j])
-        if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)):
-            return None
-        return lo, hi
-
-    @staticmethod
-    def _box_dominated(pa, pb, lo, hi):
-        """Mask of pieces lying below some other piece on the whole box
-        (interval bound, no LP)."""
-        center = 0.5 * (lo + hi)
-        radius = 0.5 * (hi - lo)
-        k = pa.shape[0]
-        keep = np.ones(k, dtype=bool)
-        vals_c = pa @ center + pb
-        order = np.argsort(-vals_c)  # high pieces first as dominators
-        for j in order:
-            if not keep[j]:
-                continue
-            cand = np.nonzero(keep)[0]
-            cand = cand[cand != j]
-            if cand.size == 0:
-                break
-            da = pa[cand] - pa[j][None, :]
-            db = pb[cand] - pb[j]
-            worst = np.abs(da) @ radius + da @ center + db
-            keep[cand[worst <= -1e-12]] = False
-        return keep
+    def epigraph(self):
+        """Inequality system (G, h) of the epigraph over (x, tau): one row
+        a.x - tau <= -b per piece, then one row c.x <= d per domain row."""
+        n = self.pieces_a.shape[0]
+        G = np.zeros((n + self.C.shape[0], self.dim + 1))
+        G[:n, :-1] = self.pieces_a
+        G[:n, -1] = -1.0
+        G[n:, :-1] = self.C
+        return G, np.concatenate([-self.pieces_b, self.d])
 
     def add(self, other):
         if isinstance(other, Polyhedral):
@@ -342,19 +288,11 @@ class Polyhedral(ConvexFn):
                 raise DimensionMismatch("dimension mismatch in add")
             pa = (self.pieces_a[:, None, :] + other.pieces_a[None, :, :]).reshape(-1, self.dim)
             pb = (self.pieces_b[:, None] + other.pieces_b[None, :]).reshape(-1)
-            pa, pb = self._pruned(pa, pb)
             C = np.vstack([self.C, other.C])
             d = np.concatenate([self.d, other.d])
-            if pa.shape[0] > 32:
-                box = self._box_bounds(C, d)
-                if box is not None:
-                    keep = self._box_dominated(pa, pb, *box)
-                    pa, pb = pa[keep], pb[keep]
-            return Polyhedral(pa, pb, C, d)
+            return Polyhedral(*_prune_pieces(pa, pb, C, d), C, d)
         if isinstance(other, Quadratic) and not np.any(other.Q):
             return self.add(_affine_as_polyhedral(other))
-        if isinstance(other, (Quadratic, EvalSum)):
-            return EvalSum([self]).add(other)
         raise BackendClash(f"cannot add {type(other).__name__} to Polyhedral")
 
     def tilt(self, v):
@@ -378,23 +316,13 @@ class Polyhedral(ConvexFn):
         return Polyhedral(pa, pb, C2, d2)
 
     def recession(self):
-        return RecessionFn(Polyhedral(self.pieces_a, np.zeros_like(self.pieces_b),
-                                      self.C, np.zeros_like(self.d)))
+        return Polyhedral(self.pieces_a, np.zeros_like(self.pieces_b),
+                          self.C, np.zeros_like(self.d))
 
     def conjugate(self, v):
         v = np.asarray(v, dtype=float).ravel()
         # min (tau - v.x) over the epigraph
-        cols = self.dim + 1
-        cost = np.concatenate([-v, [1.0]])
-        A_ub = []
-        b_ub = []
-        for a, b in zip(self.pieces_a, self.pieces_b):
-            A_ub.append(np.concatenate([a, [-1.0]]))
-            b_ub.append(-b)
-        for crow, cd in zip(self.C, self.d):
-            A_ub.append(np.concatenate([crow, [0.0]]))
-            b_ub.append(cd)
-        res = solve_lp(cost, A_ub, b_ub)
+        res = solve_lp(np.concatenate([-v, [1.0]]), *self.epigraph())
         if res.status == "unbounded":
             return Inf
         if res.status == "infeasible":
@@ -458,95 +386,58 @@ class Sampled1D(ConvexFn):
 
     def recession(self):
         # bounded domain: horizon function is the indicator of {0}
-        return RecessionFn(Sampled1D([0.0], [0.0]))
+        return Sampled1D([0.0], [0.0])
 
     def conjugate(self, v):
         v = float(np.asarray(v, dtype=float).ravel()[0]) if np.ndim(v) else float(v)
         return float(np.max(v * self.knots - self.values))
 
 
-class EvalSum(ConvexFn):
-    """Evaluation-only sum of mixed backends.
+def _prune_pieces(pa, pb, C, d):
+    """Pieces of max_i (pa_i.x + pb_i) on {Cx <= d} worth keeping.
 
-    Supports eval/add/tilt/scale; partial minimization is rejected, so this
-    wrapper cannot enter a backward recursion (the recursion drivers require
-    a single backend throughout).
+    Of pieces with equal gradients only the highest survives.  Above 32
+    pieces, when unit rows of C bound every coordinate both ways, pieces
+    lying below another piece on the whole box are dropped (interval
+    bound, no LP).
     """
-
-    def __init__(self, parts):
-        if not parts:
-            raise ValidationError("empty sum")
-        self.parts = list(parts)
-        self.dim = parts[0].dim
-        if any(p.dim != self.dim for p in parts):
-            raise DimensionMismatch("mixed dimensions in sum")
-
-    def eval(self, x):
-        total = 0.0
-        for p in self.parts:
-            v = p.eval(x)
-            if v == Inf:
-                return Inf
-            total += v
-        return total
-
-    def add(self, other):
-        if isinstance(other, EvalSum):
-            return EvalSum(self.parts + other.parts)
-        return EvalSum(self.parts + [other])
-
-    def tilt(self, v):
-        return EvalSum([self.parts[0].tilt(v)] + self.parts[1:])
-
-    def scale(self, alpha):
-        return EvalSum([p.scale(alpha) for p in self.parts])
-
-    def recession(self):
-        return RecessionFn(EvalSum([p.recession().fn for p in self.parts]))
-
-
-class RecessionFn:
-    """Positively homogeneous horizon function wrapping a backend instance."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.dim = fn.dim
-
-    def eval(self, d):
-        return self.fn.eval(d)
-
-    __call__ = eval
-
-
-class LinealitySpace:
-    """Orthonormal basis of {d : f(d) <= 0 and f(-d) <= 0} for a horizon fn."""
-
-    def __init__(self, basis):
-        basis = np.asarray(basis, dtype=float)
-        if basis.ndim == 1:
-            basis = basis.reshape(-1, 1) if basis.size else basis.reshape(0, 0)
-        self.basis = basis
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-    def project_off(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        if self.basis.size == 0:
-            return x
-        return x - self.basis @ (self.basis.T @ x)
-
-
-def combine(f, g=None, op="add", v=None, alpha=None):
-    """Spec-level dispatcher: op in {add, tilt, scale}."""
-    if op == "add":
-        return f.add(g)
-    if op == "tilt":
-        return f.tilt(v)
-    if op == "scale":
-        return f.scale(alpha)
-    raise ValidationError(f"unknown op {op!r}")
+    keyed = {}
+    for a, b in zip(pa, pb):
+        key = tuple(np.round(a, 12))
+        if key not in keyed or b > keyed[key][1]:
+            keyed[key] = (a, b)
+    pa = np.array([a for a, _ in keyed.values()])
+    pb = np.array([b for _, b in keyed.values()])
+    if pa.shape[0] <= 32:
+        return pa, pb
+    lo = np.full(pa.shape[1], -np.inf)
+    hi = np.full(pa.shape[1], np.inf)
+    for row, rhs in zip(C, d):
+        nz = np.nonzero(np.abs(row) > 1e-13)[0]
+        if nz.size != 1:
+            continue
+        j = nz[0]
+        if row[j] > 0:
+            hi[j] = min(hi[j], rhs / row[j])
+        else:
+            lo[j] = max(lo[j], rhs / row[j])
+    if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)):
+        return pa, pb
+    center = 0.5 * (lo + hi)
+    radius = 0.5 * (hi - lo)
+    keep = np.ones(pa.shape[0], dtype=bool)
+    for j in np.argsort(-(pa @ center + pb)):  # high pieces first as dominators
+        if not keep[j]:
+            continue
+        cand = np.nonzero(keep)[0]
+        cand = cand[cand != j]
+        if cand.size == 0:
+            break
+        da = pa[cand] - pa[j][None, :]
+        db = pb[cand] - pb[j]
+        worst = np.abs(da) @ radius + da @ center + db
+        keep[cand[worst <= -1e-12]] = False
+    return pa[keep], pb[keep]
 
 
 def cond_expect_fn(children, tol=1e-12):
@@ -570,22 +461,21 @@ def cond_expect_fn(children, tol=1e-12):
 
 
 def recession(f):
-    """Horizon function of f (per-backend closed form)."""
+    """Horizon function of f (per-backend closed form), itself a backend
+    object of the same kind as f."""
     return f.recession()
 
 
-def lineality_space(rec):
-    """Lineality space of a horizon function, as an orthonormal basis."""
-    fn = rec.fn if isinstance(rec, RecessionFn) else rec
+def lineality_space(fn):
+    """Lineality space {d : fn(d) <= 0 and fn(-d) <= 0} of a horizon
+    function, as an orthonormal basis array with one column per direction."""
     if isinstance(fn, Quadratic):
-        rows = np.vstack([fn.A, _range_basis(fn.Q).T, fn.q.reshape(1, -1)])
-        return LinealitySpace(_null_basis(rows))
+        return _null_basis(np.vstack([fn.A, _range_basis(fn.Q).T, fn.q.reshape(1, -1)]))
     if isinstance(fn, Polyhedral):
-        rows = np.vstack([fn.C, fn.pieces_a])
-        return LinealitySpace(_null_basis(rows))
+        return _null_basis(np.vstack([fn.C, fn.pieces_a]))
     if isinstance(fn, Sampled1D):
         # sampled domains are bounded, so only the zero direction is flat
-        return LinealitySpace(np.zeros((1, 0)))
+        return np.zeros((1, 0))
     raise BackendClash(f"no lineality rule for {type(fn).__name__}")
 
 
@@ -641,25 +531,15 @@ def _polyhedral_cone_checks(f, keep):
     b_ub = np.concatenate([np.zeros(rows.shape[0]), np.ones(2 * d2)])
     res = solve_lp(rows.sum(axis=0), A_ub, b_ub)
     if res.status == "optimal" and res.value < -_LIN_TOL:
-        # some admissible direction leaves a row strictly negative
-        piece_rows = f.pieces_a[:, keep:]
-        dom_rows = f.C[:, keep:]
-        nt = piece_rows.shape[0]
-        cols = d2 + 1
-        A2, b2 = [], []
-        for r in piece_rows:
-            A2.append(np.concatenate([r, [-1.0]]))
-            b2.append(0.0)
-        for r in dom_rows:
-            A2.append(np.concatenate([r, [0.0]]))
-            b2.append(0.0)
-        for r in np.vstack([np.eye(d2), -np.eye(d2)]):
-            A2.append(np.concatenate([r, [0.0]]))
-            b2.append(1.0)
-        cost = np.zeros(cols)
+        # some admissible direction leaves a row strictly negative: minimize
+        # tau over the recession epigraph in the u block, within the box
+        G = f.epigraph()[0][:, keep:]
+        A2 = np.vstack([G, np.hstack([box, np.zeros((2 * d2, 1))])])
+        b2 = np.concatenate([np.zeros(G.shape[0]), np.ones(2 * d2)])
+        cost = np.zeros(d2 + 1)
         cost[-1] = 1.0
         res2 = solve_lp(cost, A2, b2)
-        if res2.status == "optimal" and res2.value < -_LIN_TOL and nt:
+        if res2.status == "optimal" and res2.value < -_LIN_TOL:
             raise UnboundedBelow("strictly negative recession direction in minimized block")
         raise NonLinearRecession("zero-cost recession directions form a one-sided cone")
     return _null_basis(rows)
@@ -669,17 +549,8 @@ def _polyhedral_partial_min(f, keep):
     d2 = f.dim - keep
     K = _polyhedral_cone_checks(f, keep)
     # epigraph over column order (x, tau, u); eliminate trailing u block
-    npieces = f.pieces_a.shape[0]
-    ndom = f.C.shape[0]
-    G = np.zeros((npieces + ndom, f.dim + 1))
-    h = np.zeros(npieces + ndom)
-    G[:npieces, :keep] = f.pieces_a[:, :keep]
-    G[:npieces, keep] = -1.0
-    G[:npieces, keep + 1:] = f.pieces_a[:, keep:]
-    h[:npieces] = -f.pieces_b
-    G[npieces:, :keep] = f.C[:, :keep]
-    G[npieces:, keep + 1:] = f.C[:, keep:]
-    h[npieces:] = f.d
+    G, h = f.epigraph()
+    G = np.hstack([G[:, :keep], G[:, -1:], G[:, keep:-1]])
     Gp, hp = polyhedra.fm_project(G, h, d2)
     pieces_a, pieces_b, dom_C, dom_d = [], [], [], []
     for row, rhs in zip(Gp, hp):
@@ -696,16 +567,9 @@ def _polyhedral_partial_min(f, keep):
         # objective unbounded only if a tau-row vanished; with the cone checks
         # passed this means f is an indicator: value 0 on the projected domain
         pieces_a, pieces_b = [np.zeros(keep)], [0.0]
-    pieces_a = np.array(pieces_a)
-    pieces_b = np.array(pieces_b)
     dom_C = np.array(dom_C) if dom_C else np.zeros((0, keep))
     dom_d = np.array(dom_d) if dom_d else np.zeros(0)
-    if pieces_a.shape[0] > 32 and keep:
-        box = Polyhedral._box_bounds(dom_C, dom_d)
-        if box is not None:
-            mask = Polyhedral._box_dominated(pieces_a, pieces_b, *box)
-            pieces_a, pieces_b = pieces_a[mask], pieces_b[mask]
-    out = Polyhedral(pieces_a, pieces_b, dom_C, dom_d)
+    out = Polyhedral(*_prune_pieces(pieces_a, pieces_b, dom_C, dom_d), dom_C, dom_d)
     lin = K if K.size else np.zeros((d2, 0))
     return PartialMin(out, LPSelector(f, keep, lin), lin)
 
@@ -729,7 +593,3 @@ def partial_min(f, over):
         return _polyhedral_partial_min(f, keep)
     raise BackendClash(f"partial_min unsupported for {type(f).__name__}")
 
-
-def fm_project(G, h, n_eliminate, row_cap=polyhedra.DEFAULT_ROW_CAP):
-    """Polyhedral projection (re-export; see polyhedra module)."""
-    return polyhedra.fm_project(G, h, n_eliminate, row_cap=row_cap)

@@ -141,18 +141,13 @@ def _solve_polyhedral(fp):
         if term.M is not None:
             fn = fn.precompose(term.M, term.t)
         cost[n + j] = term.weight
-        for a, b in zip(fn.pieces_a, fn.pieces_b):
-            row = np.zeros(n + m)
-            row[term.idx] = a
-            row[n + j] = -1.0
-            A_ub.append(row)
-            b_ub.append(-b)
-        for crow, d in zip(fn.C, fn.d):
-            row = np.zeros(n + m)
-            row[term.idx] = crow
-            A_ub.append(row)
-            b_ub.append(d)
-    res = solve_lp(cost, A_ub, b_ub)
+        G, h = fn.epigraph()
+        rows = np.zeros((G.shape[0], n + m))
+        rows[:, term.idx] = G[:, :-1]
+        rows[:, n + j] = G[:, -1]
+        A_ub.append(rows)
+        b_ub.append(h)
+    res = solve_lp(cost, np.vstack(A_ub), np.concatenate(b_ub))
     if res.status == "unbounded":
         raise Unbounded("epigraph LP is unbounded")
     if res.status == "infeasible":

@@ -207,7 +207,7 @@ def check_lagrange_bounds(instance, v=None, y=None, eps=0.1):
                         ok = False
             certificates[nid] = rows
     lin_ok, detail = True, ""
-    rec_costs = {nid: recession(fn).fn for nid, fn in instance.costs.items()}
+    rec_costs = {nid: recession(fn) for nid, fn in instance.costs.items()}
     try:
         solve_lagrange(LagrangeInstance(tree, d, rec_costs))
     except (UnboundedBelow, NonLinearRecession) as exc:

@@ -31,30 +31,50 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _bland_solve(T, basis, ncols, max_iter):
-    """Run phase iterations on tableau T (last row = objective, last col = rhs)."""
+def _bland_solve(T, basis, ncols, max_iter, bounded=False):
+    """Run phase iterations on tableau T (last row = objective, last col = rhs).
+
+    With `bounded` (phase 1, whose objective cannot drop below zero) a
+    candidate column without a pivot row is passed over rather than reported
+    as unbounded, since its reduced cost is rounding noise; the phase then
+    ends with status "passed" instead of "optimal".
+    """
     m = T.shape[0] - 1
+    status = "optimal"
     for _ in range(max_iter):
         # entering: smallest index with reduced cost < -eps (minimization tableau)
-        col = -1
-        for j in range(ncols):
-            if T[m, j] < -_PIVOT_EPS:
-                col = j
+        for col in range(ncols):
+            if T[m, col] >= -_PIVOT_EPS:
+                continue
+            # ratio test, Bland tie-break on basis index
+            row, best = -1, np.inf
+            for i in range(m):
+                a = T[i, col]
+                if a > _PIVOT_EPS:
+                    ratio = T[i, -1] / a
+                    if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and (row < 0 or basis[i] < basis[row])):
+                        best, row = ratio, i
+            if row >= 0:
                 break
-        if col < 0:
-            return "optimal"
-        # ratio test, Bland tie-break on basis index
-        row, best = -1, np.inf
-        for i in range(m):
-            a = T[i, col]
-            if a > _PIVOT_EPS:
-                ratio = T[i, -1] / a
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and (row < 0 or basis[i] < basis[row])):
-                    best, row = ratio, i
-        if row < 0:
-            return "unbounded"
+            if not bounded:
+                return "unbounded"
+            status = "passed"
+        else:
+            return status
         _pivot(T, basis, row, col)
     raise IterationLimit("simplex iteration limit reached")
+
+
+def _refine(T, B, b):
+    """Recompute the basic values T[:-1, -1] = B^-1 b from the original rows.
+
+    Returns False, leaving T as it is, when the basis matrix is singular.
+    """
+    try:
+        T[:-1, -1] = np.linalg.solve(B, b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000):
@@ -115,9 +135,19 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000):
     T[m, ncore:ncore + m] = 1.0
     for i in range(m):
         T[m] -= T[i]
-    status = _bland_solve(T, basis, ncore + m, max_iter)
-    if status != "optimal" or T[m, -1] < -_FEAS_EPS:
-        return LPResult(None, None, "infeasible")
+    status = _bland_solve(T, basis, ncore + m, max_iter, bounded=True)
+    refined = status != "optimal" or T[m, -1] < -_FEAS_EPS
+    if refined:
+        # The tableau's verdict is infeasible, but pivots on entries near
+        # 1e-8 leave rounding error of 1e-8 and more: judge again on basic
+        # values recomputed from the original rows, counting artificials and
+        # values below zero.
+        AI = np.hstack([A, np.eye(m)])
+        if not _refine(T, AI[:, basis], b):
+            return LPResult(None, None, "infeasible")
+        T[m, -1] = -sum(abs(v) if k >= ncore else max(-v, 0.0) for k, v in zip(basis, T[:m, -1]))
+        if T[m, -1] < -_FEAS_EPS:
+            return LPResult(None, None, "infeasible")
 
     # drive leftover artificials out of the basis where possible
     for i in range(m):
@@ -137,6 +167,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000):
         if basis[i] < ncore and abs(cost[basis[i]]) > 0:
             T2[m] -= cost[basis[i]] * T2[i]
     status = _bland_solve(T2, basis, ncore, max_iter)
+    if refined and status == "optimal":
+        _refine(T2, AI[:, basis], b)
     if status == "unbounded":
         return LPResult(None, None, "unbounded")
 

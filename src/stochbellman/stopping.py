@@ -47,9 +47,10 @@ class StoppingTime:
         return out
 
     def value(self, R):
-        """E R_tau; never stopping contributes the zero convention."""
+        """E R_tau; never stopping contributes the zero convention.  The sum
+        runs in tree order, so the result does not depend on string hashing."""
         return float(sum(float(self.tree.prob(nid)) * float(R[nid])
-                         for nid in self.stop_nodes))
+                         for nid in self.tree.nodes if nid in self.stop_nodes))
 
 
 def snell(R):

@@ -53,10 +53,6 @@ def fn_from_record(rec):
     raise ValidationError(f"unknown function record kind {kind!r}")
 
 
-def is_fn_record(entry):
-    return isinstance(entry, dict) and "kind" in entry
-
-
 def load_tree(path_or_file):
     """Parse a tree file; returns (ScenarioTree, document dict)."""
     if hasattr(path_or_file, "read"):

@@ -311,8 +311,8 @@ def test_criterion_6_conditional_expectation_laws():
             qs.append(Quadratic(basis @ diag @ basis.T, rng.standard_normal(2)))
         pr = float(p1)
         left = recession(cond_expect_fn([(pr, qs[0]), (1 - pr, qs[1])]))
-        right = cond_expect_fn([(pr, recession(qs[0]).fn),
-                                (1 - pr, recession(qs[1]).fn)])
+        right = cond_expect_fn([(pr, recession(qs[0])),
+                                (1 - pr, recession(qs[1]))])
         for _ in range(3):
             dvec = rng.standard_normal(2)
             a, b = left.eval(dvec), right.eval(dvec)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +168,35 @@ def test_lagrange_subcommand(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert "value" in doc and "policy" in doc
+
+
+def test_mixed_backend_sum_exits_2(tmp_path, capsys):
+    # the root sums a strictly convex quadratic child value with a
+    # polyhedral one, which no single backend represents
+    costs = {"r": Quadratic(np.zeros((1, 1)), np.zeros(1)),
+             "a": Quadratic(2.0 * np.eye(2), np.zeros(2)),          # x^2 + u^2
+             "b": Polyhedral([[1.0, 1.0], [-1.0, -1.0]], [0.0, 0.0])}  # |x + u|
+    overrides = {nid: {"cost": treeio.fn_to_record(fn)} for nid, fn in costs.items()}
+    path = tmp_path / "mixed.json"
+    treeio.save_tree(binary_tree(), path, extra={"dims": [1, 1]}, data_overrides=overrides)
+    for command in ("solve", "oracle", "check"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2, (command, err)
+        assert "(node r)" in err, (command, err)
+
+
+def test_stop_output_independent_of_hash_seed(tmp_path, capsys):
+    path = tmp_path / "rw.json"
+    run(capsys, "gen", "--kind", "reward", "--seed", "3", "--out", str(path))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from stochbellman.cli import main; sys.exit(main())",
+             "stop", "--input", str(path), "--format", "structured"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1

@@ -68,3 +68,44 @@ def test_degenerate_cycling_guard():
     res = solve_lp(c, A, b)
     assert res.status == "optimal"
     assert res.value == pytest.approx(-0.05, abs=1e-9)
+
+
+@pytest.mark.parametrize("slope", [1e-8, 5e-9])
+def test_tiny_slope_epigraph_is_feasible(slope):
+    # min tau s.t. slope*x <= tau, 1 - 2.5x <= tau, -2 <= x <= -1: optimum
+    # 3.5 at x = -1; a pivot on the tiny entry read this LP as infeasible
+    res = solve_lp([0.0, 1.0], [[slope, -1.0], [-2.5, -1.0], [1.0, 0.0], [-1.0, 0.0]],
+                   [0.0, -1.0, -1.0, 2.0])
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(3.5, abs=1e-9)
+
+
+def test_phase_one_noise_column_is_not_unbounded():
+    # min max(0, 1.19e-7 x, 1 - 4.5x) on [0, 1]: phase 1 met a reduced cost
+    # of -3e-9 in a column with no pivot row and called the LP infeasible
+    res = solve_lp([0.0, 1.0],
+                   [[0.0, -1.0], [1.192092896e-07, -1.0], [-4.5, -1.0], [1.0, 0.0], [-1.0, 0.0]],
+                   [0.0, 0.0, -1.0, 1.0, 0.0])
+    assert res.status == "optimal"
+    # the 1.19e-7 x and 1 - 4.5x pieces cross at the minimum
+    assert res.value == pytest.approx(1.192092896e-07 / (4.5 + 1.192092896e-07), abs=1e-12)
+
+
+def test_tiny_pivot_row_is_not_passed_over():
+    # min -x s.t. 5e-8 x <= 0 (and x <= 1e6): optimum 0 at x = 0; the row
+    # with the tiny entry limits x and must take the pivot
+    res = solve_lp([-1.0], [[5e-8]], [0.0])
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(0.0, abs=1e-12)
+    res = solve_lp([-1.0], [[5e-8], [1.0]], [0.0, 1e6])
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(0.0, abs=1e-12)
+    res = solve_lp([0.0], A_eq=[[5e-8]], b_eq=[1.0])
+    assert res.status == "optimal"
+    assert res.x[0] * 5e-8 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_small_infeasibility_with_large_rhs():
+    # x <= 1e6 and x >= 1e6 + 1e-3 cannot both hold
+    res = solve_lp([0.0], [[1.0], [-1.0]], [1e6, -1e6 - 1e-3])
+    assert res.status == "infeasible"
