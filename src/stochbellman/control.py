@@ -6,18 +6,18 @@ functions J (state only) and cost-to-go compositions I, built by affine
 precomposition, so the optimal control depends on the past only through
 the current state.
 
-Two drivers: a symbolic one for quadratic/polyhedral stage costs, and a
-gridded one (state dimension 1) that represents J on a sampled wealth grid
-with numeric inner minimization - that path is inexact by design.
+The sweep is symbolic: quadratic/polyhedral stage costs stay in their
+backend.  Sampled wealth tables are built by the hedging layer, which
+knows their cost structure (hedging.solve_alm); their records carry no
+symbolic Q factor.
 """
 
 import numpy as np
 
 from .bellman import StageProblem
-from .convexfn import (Inf, Polyhedral, Quadratic, Sampled1D, partial_min)
+from .convexfn import Inf, Polyhedral, Quadratic, partial_min
 from .errors import (DimensionMismatch, NonLinearRecession, SingularRiccati,
-                     SolverError, UnboundedBelow, ValidationError)
-from .numeric import coordinate_descent
+                     UnboundedBelow, ValidationError)
 
 RICCATI_NOTE = (
     "K recursion uses the full Schur-complement cross term S2 S3^{-1} S2^T "
@@ -60,7 +60,8 @@ class ControlSystem:
 class ControlSolution:
     """Per-node records: Q (pre-min over (X,U)), J (post-min over X),
     selector, lineality basis of the flat control directions, and the
-    composed continuation I at non-root nodes."""
+    composed continuation I at non-root nodes.  A wealth-grid hedge
+    (hedging.solve_alm) keeps J, selector and Q = None only."""
 
     def __init__(self, sys, records):
         self.sys = sys
@@ -83,15 +84,11 @@ def _minimize_controls(fn, M, nid):
         raise type(exc)(str(exc), node=nid) from exc
 
 
-def solve_oc(sys, costs, grid=None):
+def solve_oc(sys, costs):
     """Backward sweep producing per-node value functions.
 
-    costs maps every node to a ConvexFn over (X, U).  With grid given
-    (N = 1 only), J is carried as a sampled table on that grid and the
-    inner minimization runs numerically.
+    costs maps every node to a ConvexFn over (X, U).
     """
-    if grid is not None:
-        return _solve_oc_grid(sys, costs, np.asarray(grid, dtype=float))
     tree = sys.tree
     records = {}
     for t in range(tree.T, -1, -1):
@@ -110,94 +107,12 @@ def solve_oc(sys, costs, grid=None):
     return ControlSolution(sys, records)
 
 
-def _convexify(knots, values):
-    """Greatest convex minorant at the knots (repairs solver noise)."""
-    x = np.asarray(knots, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        return v
-    hull = [0]
-    for i in range(1, v.size):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            # keep b only if it lies below the chord a -> i
-            if (v[b] - v[a]) * (x[i] - x[a]) <= (v[i] - v[a]) * (x[b] - x[a]):
-                break
-            hull.pop()
-        hull.append(i)
-    return np.interp(x, x[hull], v[hull])
-
-
-def _solve_oc_grid(sys, costs, grid):
-    if sys.N != 1:
-        raise ValidationError("gridded driver supports a scalar state only")
-    tree = sys.tree
-    records = {}
-    for t in range(tree.T, -1, -1):
-        for nid in tree.stage_nodes[t]:
-            cost = costs[nid]
-            kids = tree.children[nid]
-            kid_data = [(float(tree.nodes[k].prob),
-                         1.0 + sys.A[k][0, 0], sys.B[k][0], float(sys.W[k][0]),
-                         records[k]["J"]) for k in kids]
-            zbuf = np.empty(1 + sys.M)
-
-            def objective(X, U, cost=cost, kid_data=kid_data, zbuf=zbuf):
-                zbuf[0] = X
-                zbuf[1:] = U
-                total = cost.eval(zbuf)
-                if total == Inf:
-                    return Inf
-                for p, ia, brow, w, Jtab in kid_data:
-                    Xk = ia * X + brow @ U + w
-                    kn = Jtab.knots
-                    if Xk < kn[0] - 1e-12 or Xk > kn[-1] + 1e-12:
-                        return Inf
-                    total += p * float(np.interp(Xk, kn, Jtab.values))
-                return total
-
-            vals = np.empty(grid.size)
-            feasible_any = False
-            for i, X in enumerate(grid):
-                def f(U, X=X):
-                    return objective(X, np.asarray(U, dtype=float))
-                try:
-                    U0 = np.zeros(sys.M)
-                    if f(U0) == Inf:
-                        vals[i] = Inf
-                        continue
-                    # table values need far less argmin precision than the
-                    # selector path (value error is quadratic in it)
-                    _, val = coordinate_descent(f, U0, span=1.0,
-                                                width_tol=1e-9, refine=False)
-                    vals[i] = val
-                    feasible_any = True
-                except SolverError as exc:
-                    raise type(exc)(str(exc), node=nid) from exc
-            if not feasible_any:
-                raise SolverError("no feasible wealth level on the grid", node=nid)
-            finite = np.isfinite(vals)
-            knots = grid[finite]
-            table = Sampled1D(knots, _convexify(knots, vals[finite]))
-
-            def selector(X, nid=nid, kids=kids, cost=cost):
-                X = float(np.atleast_1d(X)[0])
-                def f(U):
-                    return objective(X, np.asarray(U, dtype=float))
-                U, _ = coordinate_descent(f, np.zeros(sys.M), span=1.0)
-                return U
-
-            records[nid] = {"Q": None, "J": table, "selector": selector,
-                            "N": np.zeros((sys.M, 0)), "I": None}
-    return ControlSolution(sys, records)
-
-
 def q_factors(solution):
     """Per-node pre-minimization functions over (X, U)."""
     out = {}
     for nid, rec in solution.records.items():
         if rec["Q"] is None:
-            raise ValidationError("gridded driver does not carry symbolic Q factors")
+            raise ValidationError("wealth-grid solution carries no symbolic Q factors")
         out[nid] = rec["Q"]
     return out
 

@@ -12,9 +12,9 @@ arbitrage cone is positively homogeneous.
 
 import numpy as np
 
-from .control import ControlSystem, solve_oc
-from .convexfn import Inf, Quadratic
-from .errors import (ArbitrageRefusal, NonMonotone, UnboundedExp,
+from .control import ControlSolution, ControlSystem, solve_oc
+from .convexfn import Inf, Quadratic, Sampled1D
+from .errors import (ArbitrageRefusal, NonMonotone, SolverError, UnboundedExp,
                      ValidationError)
 from .numeric import coordinate_descent
 from .simplex import solve_lp
@@ -116,28 +116,6 @@ def na_check(market, cap=1.0, tol=1e-9):
     return NAVerdict(False, gain, direction)
 
 
-class _GridCost:
-    """Duck-typed cost over (X, U) for the gridded driver: V(c - X) at
-    leaves plus position-constraint indicators on U."""
-
-    def __init__(self, dim, base=None, a=None, b=0.0, rows=None):
-        self.dim = dim
-        self.base = base
-        self.a = None if a is None else np.asarray(a, dtype=float)
-        self.b = float(b)
-        self.rows = rows
-
-    def eval(self, z):
-        z = np.asarray(z, dtype=float).ravel()
-        if self.rows is not None:
-            G, g = self.rows
-            if np.max(G @ z[1:] - g) > 1e-9 * (1.0 + np.max(np.abs(g), initial=0.0)):
-                return Inf
-        if self.base is None:
-            return 0.0
-        return self.base.eval(float(self.a @ z) + self.b)
-
-
 class ALMResult:
     def __init__(self, value, positions, controls, verdict, solution):
         self.value = value
@@ -156,15 +134,204 @@ def _hat_rows(market, nid):
     return G / s, g
 
 
+def _position_interval(rows):
+    """Bounds (lo, hi) of one-asset cash rows G U <= g; lo > hi if empty."""
+    if rows is None:
+        return -Inf, Inf
+    G, g = rows
+    G = G[:, 0]
+    if np.any(g[G == 0.0] < 0.0):
+        return Inf, -Inf
+    lo = np.max(g[G < 0.0] / G[G < 0.0], initial=-Inf)
+    hi = np.min(g[G > 0.0] / G[G > 0.0], initial=Inf)
+    return float(lo), float(hi)
+
+
+# Halvings of the feasible interval: 64 take any interval under 1e3 wide
+# below 1e-16, so the bracket sits within one knot gap of every child.
+_BISECTIONS = 64
+
+
+def _one_asset_min(X, kids, lo, hi):
+    """Exact min over U in [lo, hi] of sum_k p_k J_k(X + r_k U), per X.
+
+    X is a 1-D array of wealth levels; kids lists (p_k, r_k, J_k) with a
+    scalar return and a Sampled1D table.  The objective is convex piecewise
+    linear in U, so a minimizer is a child kink (kappa_kj - X) / r_k or an
+    end of the feasible interval.  A bisection vectorized over X finds the
+    least-|U| point where the right slope turns nonnegative, with one
+    searchsorted per child per step; the objective is then evaluated there,
+    at the kinks next to it, at both interval ends and at U = 0 clipped
+    into the interval.  Ties go to the least |U| (the minimum-norm
+    convention).  Returns (values, controls): +inf and nan where no U is
+    feasible.
+    """
+    X = np.asarray(X, dtype=float)
+    L = np.full(X.shape, float(lo))
+    H = np.full(X.shape, float(hi))
+    ok = np.ones(X.shape, dtype=bool)
+    moving = []
+    for p, r, tab in kids:
+        kn = tab.knots
+        if r == 0.0:
+            ok &= (kn[0] <= X) & (X <= kn[-1])
+            continue
+        first, last = (kn[0] - X) / r, (kn[-1] - X) / r
+        L = np.maximum(L, first if r > 0 else last)
+        H = np.minimum(H, last if r > 0 else first)
+        slopes = np.diff(tab.values) / np.diff(kn) if kn.size > 1 else np.zeros(1)
+        moving.append((p, r, kn, slopes))
+    ok &= L <= H
+    L = np.where(ok, L, 0.0)
+    H = np.where(ok, H, 0.0)
+    cands = [np.clip(0.0, L, H)]
+    if moving:
+        a, b = L, H
+        for _ in range(_BISECTIONS):
+            m = 0.5 * (a + b)
+            slope = 0.0
+            for p, r, kn, slopes in moving:
+                # at a kink this reads one of the two one-sided slopes; both
+                # lead the bisection to the same point
+                i = np.searchsorted(kn, X + r * m) - 1
+                slope = slope + p * r * slopes[np.clip(i, 0, slopes.size - 1)]
+            left = (slope < 0.0) | ((slope == 0.0) & (m < 0.0))
+            a = np.where(left, m, a)
+            b = np.where(left, b, m)
+        cands += [b, L, H]
+        for _, r, kn, _ in moving:
+            i = np.searchsorted(kn, X + r * b)
+            for j in (i - 1, i):
+                cands.append((kn[np.clip(j, 0, kn.size - 1)] - X) / r)
+    U = np.clip(np.stack(cands, axis=1), L[:, None], H[:, None])
+    vals = np.zeros(U.shape)
+    for p, r, tab in kids:
+        vals += p * np.interp(X[:, None] + r * U, tab.knots, tab.values)
+    best = vals.min(axis=1)
+    pick = np.argmin(np.where(vals == best[:, None], np.abs(U), Inf), axis=1)
+    U = U[np.arange(U.shape[0]), pick]
+    return np.where(ok, best, Inf), np.where(ok, U, np.nan)
+
+
+def _tabulate(loss, u):
+    """loss at each point of u, +inf outside its domain."""
+    if isinstance(loss, Sampled1D):
+        kn = loss.knots
+        inside = (u >= kn[0] - 1e-12) & (u <= kn[-1] + 1e-12)
+        return np.where(inside, np.interp(u, kn, loss.values), Inf)
+    return np.array([loss.eval([v]) for v in u])
+
+
+def _convexify(knots, values):
+    """Greatest convex minorant at the knots (repairs rounding-level dips)."""
+    x = np.asarray(knots, dtype=float)
+    v = np.asarray(values, dtype=float)
+    if v.size < 3:
+        return v
+    hull = [0]
+    for i in range(1, v.size):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # keep b only if it lies below the chord a -> i
+            if (v[b] - v[a]) * (x[i] - x[a]) <= (v[i] - v[a]) * (x[b] - x[a]):
+                break
+            hull.pop()
+        hull.append(i)
+    return np.interp(x, x[hull], v[hull])
+
+
+def _several_asset_min(grid, kids, rows, nid):
+    """Table values and selector by coordinate descent over J > 1 assets."""
+    J = kids[0][1].size
+
+    def objective(X, U):
+        if rows is not None:
+            G, g = rows
+            if np.max(G @ U - g) > 1e-9 * (1.0 + np.max(np.abs(g), initial=0.0)):
+                return Inf
+        total = 0.0
+        for p, r, tab in kids:
+            v = tab.eval(X + r @ U)
+            if v == Inf:
+                return Inf
+            total += p * v
+        return total
+
+    vals = np.empty(grid.size)
+    for i, X in enumerate(grid):
+        def f(U, X=X):
+            return objective(X, U)
+        if f(np.zeros(J)) == Inf:
+            vals[i] = Inf
+            continue
+        try:
+            # table values need far less argmin precision than the selector
+            # path (value error is quadratic in it)
+            _, vals[i] = coordinate_descent(f, np.zeros(J), span=1.0,
+                                            width_tol=1e-9, refine=False)
+        except SolverError as exc:
+            raise type(exc)(str(exc), node=nid) from exc
+
+    def selector(X):
+        X = float(X[0])
+        return coordinate_descent(lambda U: objective(X, U), np.zeros(J), span=1.0)[0]
+
+    return vals, selector
+
+
+def _grid_sweep(market, sys_, loss_at, grid):
+    """Value tables on the wealth grid, from the leaves to the root.
+
+    A leaf tabulates loss(c - X).  An interior node minimizes, over cash
+    positions U on its position rows, the expected child table value at
+    X + r_k . U: exactly for one asset, by coordinate descent for several.
+    Tables keep the finite grid points, convexified against rounding.
+    """
+    tree = market.tree
+    J = market.J
+    records = {}
+    for t in range(tree.T, -1, -1):
+        for nid in tree.stage_nodes[t]:
+            kids = [(float(tree.nodes[k].prob), market.returns(k), records[k]["J"])
+                    for k in tree.children[nid]]
+            rows = _hat_rows(market, nid)
+            if not kids:
+                vals = _tabulate(loss_at(nid), market.c[nid] - grid)
+
+                def selector(X):
+                    return np.zeros(J)
+            elif J == 1:
+                kids = [(p, float(r[0]), tab) for p, r, tab in kids]
+                lo, hi = _position_interval(rows)
+                vals, _ = _one_asset_min(grid, kids, lo, hi)
+
+                def selector(X, kids=kids, lo=lo, hi=hi):
+                    return _one_asset_min(np.asarray(X, dtype=float)[:1], kids, lo, hi)[1]
+            else:
+                vals, selector = _several_asset_min(grid, kids, rows, nid)
+            finite = np.isfinite(vals)
+            if not finite.any():
+                raise SolverError("no feasible wealth level on the grid", node=nid)
+            knots = grid[finite]
+            records[nid] = {"Q": None, "J": Sampled1D(knots, _convexify(knots, vals[finite])),
+                            "selector": selector}
+    return ControlSolution(sys_, records)
+
+
 def solve_alm(market, loss, wealth=0.0, driver="auto", grid=None,
               refuse_arbitrage=True):
     """Best hedge of the terminal claim under a loss on the shortfall.
 
     loss is a 1-D ConvexFn (Quadratic or Sampled1D), or a dict mapping
     leaves to per-scenario losses.  The quadratic driver needs an
-    unconstrained market; anything else goes through the wealth grid.  An
-    arbitrage market is refused by default with the verdict attached; pass
-    refuse_arbitrage=False to force the solve.
+    unconstrained market; anything else goes through the wealth grid
+    (default: 2001 points around `wealth`).  There every node carries a
+    value table on the grid.  With one asset each table is the exact
+    minimum at its knots, and only interpolation between knots (and
+    outside the grid, +inf) approximates; with several assets the minimum
+    is found by coordinate descent.  An arbitrage market is refused by
+    default with the verdict attached; pass refuse_arbitrage=False to
+    force the solve.
     """
     verdict = na_check(market)
     if not verdict.passed and refuse_arbitrage:
@@ -208,16 +375,7 @@ def solve_alm(market, loss, wealth=0.0, driver="auto", grid=None,
         if grid is None:
             span = 2.0 + 2.0 * (max(abs(v) for v in market.c.values()) + abs(wealth))
             grid = np.linspace(wealth - span, wealth + span, 2001)
-        costs = {}
-        for nid in tree.nodes:
-            rows = _hat_rows(market, nid)
-            if tree.stage(nid) == tree.T:
-                costs[nid] = _GridCost(1 + J, base=loss_at(nid),
-                                       a=np.concatenate([[-1.0], np.zeros(J)]),
-                                       b=market.c[nid])
-            else:
-                costs[nid] = _GridCost(1 + J, rows=rows)
-        sol = solve_oc(sys_, costs, grid=grid)
+        sol = _grid_sweep(market, sys_, loss_at, np.asarray(grid, dtype=float))
         value = sol.records[tree.root]["J"].eval(wealth)
 
     X = {tree.root: np.array([wealth])}

@@ -1,11 +1,11 @@
 """One-dimensional convex minimization helpers.
 
-Used by the gridded value-function drivers and the inner minimizations of
-the hedging recursions.  golden_min brackets a minimum of a convex function
-given as a black box returning +inf outside its domain, runs golden-section
-to a width tolerance, then sharpens with a parabolic fit (the fit recovers
-argmin accuracy near 1e-9 where pure golden-section stalls at the noise
-floor of the objective).
+Used by the several-asset wealth-grid hedge, the flat coordinate-descent
+solver and the exponential-loss hedging recursion.  golden_min brackets a
+minimum of a convex function given as a black box returning +inf outside
+its domain, runs golden-section to a width tolerance, then sharpens with a
+parabolic fit (the fit recovers argmin accuracy near 1e-9 where pure
+golden-section stalls at the noise floor of the objective).
 """
 
 import numpy as np

@@ -200,3 +200,22 @@ def test_stop_output_independent_of_hash_seed(tmp_path, capsys):
         assert proc.returncode == 0, proc.stderr
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_module_entry_point(tmp_path, capsys):
+    # `python -m stochbellman` from a source checkout: same output and exit
+    # codes as the in-process entry point
+    path = tmp_path / "mk.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "stochbellman", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    proc = module("gen", "--kind", "market", "--seed", "9", "--out", str(path))
+    assert proc.returncode == 0, proc.stderr
+    proc = module("hedge", "--input", str(path), "--format", "structured")
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, "hedge", "--input", str(path), "--format", "structured")
+    assert code == 0 and proc.stdout == out
+    assert module("hedge", "--input", str(tmp_path / "missing.json")).returncode == 2

@@ -37,6 +37,22 @@ def test_sampled_rejects_nonconvex():
         Sampled1D([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
 
 
+def random_sampled(rng, lo, hi, n):
+    knots = np.sort(rng.uniform(lo, hi, n))
+    slopes = np.sort(rng.normal(0.0, 3.0, n - 1))
+    steps = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
+    return Sampled1D(knots, rng.normal() + steps)
+
+
+def test_sampled_add_matches_pointwise_eval(rng):
+    # the vectorized add must give the bits of the scalar evaluation
+    for _ in range(30):
+        f = random_sampled(rng, -3.0, 2.0, int(rng.integers(2, 40)))
+        g = random_sampled(rng, -2.0, 3.0, int(rng.integers(2, 40)))
+        s = f.add(g)
+        assert np.array_equal(s.values, [f.eval(x) + g.eval(x) for x in s.knots])
+
+
 def test_quadratic_psd_validation():
     with pytest.raises(ValidationError):
         Quadratic([[0.0, 1.0], [1.0, 1.0]], [0.0, 0.0])

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stochbellman.convexfn import Quadratic, Sampled1D
+from stochbellman.convexfn import Inf, Quadratic, Sampled1D
 from stochbellman.errors import (ArbitrageRefusal, NonMonotone, UnboundedExp,
                                  ValidationError)
 from stochbellman.generators import (always_up_market, binomial_market,
                                      gaussian_return_market)
-from stochbellman.hedging import (MarketModel, ae_estimate, exp_utility,
+from stochbellman.hedging import (MarketModel, _one_asset_min,
+                                  _position_interval, ae_estimate, exp_utility,
                                   na_check, solve_alm)
 from stochbellman.tree import AdaptedProcess, validate_tree
 
@@ -111,6 +114,80 @@ def test_alm_value_nonincreasing_in_wealth():
             for w in (-0.5, 0.0, 0.5, 1.0)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-9
+
+
+def test_alm_grid_controls_attain_node_tables():
+    # every interior node's forward-pass control attains that node's own
+    # table value at the wealth the path reaches, not only at the root
+    market = binomial_market(4, T=2)
+    knots = np.linspace(-8.0, 8.0, 1601)
+    res = solve_alm(market, Sampled1D(knots, np.abs(knots)), wealth=0.2, driver="grid")
+    tree = market.tree
+    X = {tree.root: 0.2}
+    for t in range(tree.T):
+        for nid in tree.stage_nodes[t]:
+            U = float(res.controls[nid][0])
+            for k in tree.children[nid]:
+                X[k] = X[nid] + float(market.returns(k)[0]) * U
+            attained = sum(float(tree.nodes[k].prob) * res.solution.records[k]["J"].eval(X[k])
+                           for k in tree.children[nid])
+            table = res.solution.records[nid]["J"].eval(X[nid])
+            assert attained == pytest.approx(table, abs=1e-9)
+
+
+def test_alm_grid_position_rows_match_flat_lp():
+    from stochbellman.convexfn import Polyhedral
+    from stochbellman.extensive import FlatProgram, Term, solve_extensive
+    # root price 2, so the share bounds -0.25 <= x <= 0.5 are -0.5 <= U <= 1;
+    # the unconstrained optimum U = 1.5 is cut off at the upper bound
+    market = binomial(prices=(2.0, 1.0, 4.0))
+    D = {"r": ([[1.0], [-1.0]], [0.5, 0.25])}
+    market = MarketModel(market.tree, market.s, D=D, c=market.c)
+    # V(u) = max(-u/4, u, 3u - 2), kinks at 0 and 1; every c - X on the
+    # 0.01 wealth grid is a multiple of 0.01, so the tables are exact
+    pieces_a, pieces_b = np.array([[-0.25], [1.0], [3.0]]), np.array([0.0, 0.0, -2.0])
+    knots = np.linspace(-8.0, 8.0, 33)
+    V = Sampled1D(knots, np.max(pieces_a[:, 0] * knots[:, None] + pieces_b, axis=1))
+    res = solve_alm(market, V, wealth=0.0, driver="grid", grid=np.linspace(-4.0, 4.0, 801))
+    Vpoly = Polyhedral(pieces_a, pieces_b, [[1.0], [-1.0]], [8.0, 8.0])
+    G, g = market.D["r"]
+    terms = [Term(float(market.tree.prob(leaf)), Vpoly, [0],
+                  M=[[-market.returns(leaf)[0]]], t=[market.c[leaf]])
+             for leaf in market.tree.leaves()]
+    terms.append(Term(1.0, Polyhedral([[0.0]], [0.0], G, g), [0], M=[[0.5]], t=[0.0]))
+    value_lp, z, _ = solve_extensive(FlatProgram(1, terms))
+    assert value_lp == pytest.approx(0.5, abs=1e-9)
+    assert res.value == pytest.approx(value_lp, abs=1e-9)
+    assert res.controls["r"][0] == pytest.approx(z[0], abs=1e-9)
+    assert res.positions["r"][0] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_alm_grid_arbitrage_forced_reaches_domain_end():
+    # always-up returns 1 and 2: with a loss decreasing in wealth on the
+    # whole grid the best cash position is the largest the child tables
+    # allow, U = min((2 - X) / 1, (2 - X) / 2) = 1 at X = 0
+    market = always_up_market()
+    knots = np.linspace(-8.0, 8.0, 161)
+    hinge = Sampled1D(knots, np.maximum(knots + 3.0, 0.0))
+    res = solve_alm(market, hinge, wealth=0.0, driver="grid", refuse_arbitrage=False)
+    assert not res.verdict.passed
+    tree = market.tree
+    kids = [(float(tree.nodes[k].prob), float(market.returns(k)[0]), res.solution.records[k]["J"])
+            for k in tree.children[tree.root]]
+    best, u_ref = _brute_one_asset(0.0, kids, [])
+    assert res.value == pytest.approx(best, abs=1e-12)
+    assert best == pytest.approx(0.5 * 2.0 + 0.5 * 1.0, abs=1e-12)
+    assert res.controls[tree.root][0] == pytest.approx(u_ref, abs=1e-12)
+    assert u_ref == pytest.approx(1.0, abs=1e-12)
+
+
+def test_alm_grid_scale_gate_31_nodes():
+    # ROADMAP scale gate: 31 nodes through the wealth grid, against the
+    # exact quadratic driver
+    market = binomial_market(9, T=4)
+    exact = solve_alm(market, Quadratic([[2.0]], [0.0]), wealth=0.0)
+    grid = solve_alm(market, Quadratic([[2.0]], [0.0]), wealth=0.0, driver="grid")
+    assert grid.value == pytest.approx(exact.value, rel=1e-3)
 
 
 def test_alm_refuses_arbitrage_unless_forced():
@@ -299,3 +376,80 @@ def test_alm_two_assets_matches_normal_equations():
     val = float(p @ (rhs - R @ U) ** 2)
     assert res.value == pytest.approx(val, abs=1e-10)
     assert np.allclose(res.controls["r"], U, atol=1e-8)
+    # the grid driver (coordinate descent over two assets) on a sampled
+    # quadratic loss: interpolation only overstates u^2, by at most
+    # 0.005^2/4 + 0.1^2/4 < 2.6e-3 for the 0.005 knots and the 0.1 grid
+    knots = np.linspace(-10.0, 10.0, 4001)
+    grid = solve_alm(market, Sampled1D(knots, knots ** 2), wealth=w, driver="grid",
+                     grid=w + np.linspace(-1.0, 1.0, 21))
+    assert val - 1e-12 <= grid.value <= val + 2.6e-3
+
+
+# Dyadic data (quarter-step knots, integer slopes, returns, weights and
+# row coefficients that are powers of two) keep every kink, slope sum and
+# table value exact, so flat minima are exactly flat.
+def _child_table(draw):
+    n = draw(st.integers(1, 6))
+    k0 = draw(st.integers(-16, 4)) / 4.0
+    gaps = [draw(st.integers(1, 8)) / 4.0 for _ in range(n - 1)]
+    knots = k0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    slopes = np.sort([draw(st.integers(-4, 4)) for _ in range(n - 1)])
+    values = draw(st.integers(-8, 8)) / 4.0 + np.concatenate(
+        [[0.0], np.cumsum(slopes * np.asarray(gaps))])
+    return Sampled1D(knots, values)
+
+
+@st.composite
+def one_asset_nodes(draw):
+    kids = [(draw(st.sampled_from([0.125, 0.25, 0.5, 1.0])),
+             draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])),
+             _child_table(draw))
+            for _ in range(draw(st.integers(1, 4)))]
+    rows = [(draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])),
+             draw(st.integers(-12, 12)) / 4.0)
+            for _ in range(draw(st.integers(0, 3)))]
+    return kids, rows
+
+
+def _brute_one_asset(X, kids, rows):
+    """Enumerate kinks, domain ends, row ends and 0; keep feasible ones."""
+    def feasible(U):
+        return (all(G * U <= g for G, g in rows)
+                and all(tab.knots[0] <= X + r * U <= tab.knots[-1] for _, r, tab in kids))
+
+    cands = [0.0] + [g / G for G, g in rows]
+    for _, r, tab in kids:
+        if r != 0.0:
+            cands += [(k - X) / r for k in tab.knots]
+    cands = [U for U in cands if feasible(U)]
+    if not cands:
+        return Inf, None
+    vals = [sum(p * np.interp(X + r * U, tab.knots, tab.values) for p, r, tab in kids)
+            for U in cands]
+    best = min(vals)
+    near = [U for U, v in zip(cands, vals) if v <= best + 1e-12 * (1.0 + abs(best))]
+    return best, float(np.clip(0.0, min(near), max(near)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(node=one_asset_nodes())
+def test_one_asset_kernel_matches_breakpoint_enumeration(node):
+    kids, rows = node
+    if rows:
+        lo, hi = _position_interval((np.array([[G] for G, _ in rows]),
+                                     np.array([g for _, g in rows])))
+    else:
+        lo, hi = _position_interval(None)
+    X = np.arange(-24, 25) / 4.0
+    vals, U = _one_asset_min(X, kids, lo, hi)
+    for x, v, u in zip(X, vals, U):
+        best, u_ref = _brute_one_asset(x, kids, rows)
+        if best == Inf:
+            assert v == Inf and np.isnan(u)
+            continue
+        # on dyadic data the minimum at a kink is computed without rounding
+        assert v == best
+        # the least-|U| minimizer, and it attains the value
+        assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-12)
+        attained = sum(p * np.interp(x + r * u, tab.knots, tab.values) for p, r, tab in kids)
+        assert attained == pytest.approx(best, rel=1e-12, abs=1e-12)
