@@ -14,10 +14,9 @@ symbolic Q factor.
 
 import numpy as np
 
-from .bellman import StageProblem
-from .convexfn import Inf, Polyhedral, Quadratic, partial_min
-from .errors import (DimensionMismatch, NonLinearRecession, SingularRiccati,
-                     UnboundedBelow, ValidationError)
+from .bellman import StageProblem, _minimize_block
+from .convexfn import Inf, Quadratic
+from .errors import DimensionMismatch, SingularRiccati, ValidationError
 
 RICCATI_NOTE = (
     "K recursion uses the full Schur-complement cross term S2 S3^{-1} S2^T "
@@ -59,9 +58,9 @@ class ControlSystem:
 
 class ControlSolution:
     """Per-node records: Q (pre-min over (X,U)), J (post-min over X),
-    selector, lineality basis of the flat control directions, and the
-    composed continuation I at non-root nodes.  A wealth-grid hedge
-    (hedging.solve_alm) keeps J, selector and Q = None only."""
+    selector, and lineality basis of the flat control directions.  A
+    wealth-grid hedge (hedging.solve_alm) keeps J, selector and Q = None
+    only."""
 
     def __init__(self, sys, records):
         self.sys = sys
@@ -75,13 +74,6 @@ class ControlSolution:
 
     def control(self, nid, X):
         return self.records[nid]["selector"](np.atleast_1d(X))
-
-
-def _minimize_controls(fn, M, nid):
-    try:
-        return partial_min(fn, over=M)
-    except (UnboundedBelow, NonLinearRecession) as exc:
-        raise type(exc)(str(exc), node=nid) from exc
 
 
 def solve_oc(sys, costs):
@@ -99,11 +91,10 @@ def solve_oc(sys, costs):
             for k in tree.children[nid]:
                 Mmat, off = sys.step_map(k)
                 I_k = records[k]["J"].precompose(Mmat, off)
-                records[k]["I"] = I_k
                 q = q.add(I_k.scale(float(tree.nodes[k].prob)))
-            pm = _minimize_controls(q, sys.M, nid)
+            pm = _minimize_block(q, sys.M, nid)
             records[nid] = {"Q": q, "J": pm.fn, "selector": pm.selector,
-                            "N": pm.lineality, "I": None}
+                            "N": pm.lineality}
     return ControlSolution(sys, records)
 
 
@@ -259,33 +250,22 @@ def _lift_with_dynamics(sys, nid, fn, x0=None):
     sel = np.zeros((d, prev + d))
     sel[:, prev:] = np.eye(d)
     lifted = fn.precompose(sel, np.zeros(d))
-    rows = []
-    rhs = []
     if t > 0:
         Mmat, off = sys.step_map(nid)
-        row = np.zeros((N, prev + d))
-        row[:, :d] = -Mmat
-        row[:, prev:prev + N] = np.eye(N)
-        rows.append(row)
-        rhs.append(off)
+        A = np.zeros((N, prev + d))
+        A[:, :d] = -Mmat
+        A[:, prev:prev + N] = np.eye(N)
+        b = off
     elif x0 is not None:
-        row = np.zeros((N, d))
-        row[:, :N] = np.eye(N)
-        rows.append(row)
-        rhs.append(np.atleast_1d(np.asarray(x0, dtype=float)))
-    if not rows:
+        A = np.zeros((N, d))
+        A[:, :N] = np.eye(N)
+        b = np.atleast_1d(np.asarray(x0, dtype=float))
+    else:
         return lifted
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    if isinstance(lifted, Quadratic):
-        return Quadratic(lifted.Q, lifted.q, lifted.c,
-                         np.vstack([lifted.A, A]), np.concatenate([lifted.b, b]),
-                         check_psd=lifted.psd)
-    if isinstance(lifted, Polyhedral):
-        C = np.vstack([lifted.C, A, -A])
-        dvec = np.concatenate([lifted.d, b, -b])
-        return Polyhedral(lifted.pieces_a, lifted.pieces_b, C, dvec)
-    raise ValidationError("dynamics lifting needs a quadratic or polyhedral cost")
+    # an affine equality Quadratic: Polyhedral.add turns its rows into pairs
+    # of opposite domain rows
+    return lifted.add(Quadratic(np.zeros((prev + d, prev + d)), np.zeros(prev + d),
+                                0.0, A, b))
 
 
 def as_stage_problem(sys, costs, x0=None):

@@ -6,21 +6,20 @@ the block structure.  Three solve paths:
 
 * quadratic terms  -> exact KKT linear solve (nullspace reduction),
 * polyhedral terms -> dense simplex on the epigraph LP,
-* anything else    -> projected coordinate descent with golden-section
-                      line searches (the only inexact path).
+* anything else    -> cyclic coordinate descent with golden-section line
+                      searches (numeric.coordinate_descent; the only
+                      inexact path).
+
+Affine quadratics (Q == 0) mixed with polyhedral terms are promoted to
+one-piece Polyhedrals first, so such a program takes the exact LP.
 """
 
 import numpy as np
 
 from . import numeric
-from .convexfn import Inf, Polyhedral, Quadratic
-from .errors import (DimensionMismatch, Infeasible, IterationLimit, Unbounded,
-                     ValidationError)
+from .convexfn import Inf, Polyhedral, Quadratic, _affine_as_polyhedral
+from .errors import DimensionMismatch, Infeasible, Unbounded, ValidationError
 from .simplex import solve_lp
-
-KKT_TOL = 1e-10
-CD_VALUE_TOL = 1e-10
-CD_MAX_SWEEPS = 100000
 
 
 class Term:
@@ -156,36 +155,8 @@ def _solve_polyhedral(fp):
     return float(res.value), z, {"lp_vertex": True}
 
 
-def _line_min(fp, z, j, span):
-    """Golden-section minimization of the coordinate-j restriction."""
-
-    def f(a):
-        z[j] = a
-        return fp.eval(z)
-
-    z[j], val = numeric.golden_min(f, z[j], span=span, diverge=1e12)
-    return val
-
-
-def _solve_coordinate_descent(fp, start=None):
-    z = np.zeros(fp.nvars) if start is None else np.asarray(start, dtype=float).copy()
-    val = fp.eval(z)
-    if val == Inf:
-        raise Infeasible("coordinate descent has no feasible start point")
-    span = 1.0
-    for sweep in range(CD_MAX_SWEEPS):
-        prev = val
-        for j in range(fp.nvars):
-            val = _line_min(fp, z, j, span)
-        span = max(abs(prev - val) ** 0.5, 1e-6)
-        if abs(prev - val) < CD_VALUE_TOL * (1.0 + abs(val)):
-            return float(val), z, {"sweeps": sweep + 1}
-    raise IterationLimit("coordinate descent hit the sweep limit")
-
-
-def solve_extensive(fp, start=None):
+def solve_extensive(fp):
     """Solve a FlatProgram; returns (value, point, info)."""
-    kinds = {type(t.fn) for t in fp.terms}
     if not fp.terms:
         raise ValidationError("empty program")
     if fp.nvars == 0:
@@ -193,8 +164,12 @@ def solve_extensive(fp, start=None):
         if val == Inf:
             raise Infeasible("constant program is infeasible")
         return float(val), np.zeros(0), {}
-    if kinds <= {Quadratic}:
+    if all(isinstance(t.fn, Quadratic) for t in fp.terms):
         return _solve_quadratic(fp)
-    if kinds <= {Polyhedral}:
-        return _solve_polyhedral(fp)
-    return _solve_coordinate_descent(fp, start=start)
+    terms = [Term(t.weight, _affine_as_polyhedral(t.fn), t.idx, t.M, t.t)
+             if isinstance(t.fn, Quadratic) and not np.any(t.fn.Q) else t
+             for t in fp.terms]
+    if all(isinstance(t.fn, Polyhedral) for t in terms):
+        return _solve_polyhedral(FlatProgram(fp.nvars, terms, fp.blocks))
+    z, val, sweeps = numeric.coordinate_descent(fp.eval, np.zeros(fp.nvars))
+    return float(val), z, {"sweeps": sweeps}

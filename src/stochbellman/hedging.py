@@ -3,7 +3,9 @@
 The market is an adapted price process with optional polyhedral position
 constraints per node; all positions close at the horizon.  Solving goes
 through the wealth-state control reduction: state = wealth, controls =
-cash invested per asset, per-child returns from price ratios.  The
+cash invested per asset, per-child returns from price ratios.  On the
+wealth grid one exact line search serves every node: a single call for
+one asset, cyclic coordinate sweeps of it for several.  The
 no-arbitrage test is a single LP over node positions: maximize expected
 terminal gains subject to nonnegative pathwise gains, recession-feasible
 positions and a sup-norm cap; the verdict is cap-invariant because the
@@ -14,9 +16,9 @@ import numpy as np
 
 from .control import ControlSolution, ControlSystem, solve_oc
 from .convexfn import Inf, Quadratic, Sampled1D
-from .errors import (ArbitrageRefusal, NonMonotone, SolverError, UnboundedExp,
-                     ValidationError)
-from .numeric import coordinate_descent
+from .errors import (ArbitrageRefusal, Infeasible, IterationLimit, NonMonotone,
+                     SolverError, Unbounded, UnboundedExp, ValidationError)
+from .numeric import MAX_SWEEPS, VALUE_TOL, coordinate_descent
 from .simplex import solve_lp
 
 
@@ -134,17 +136,35 @@ def _hat_rows(market, nid):
     return G / s, g
 
 
-def _position_interval(rows):
-    """Bounds (lo, hi) of one-asset cash rows G U <= g; lo > hi if empty."""
+def _feasible_start(rows, J, nid):
+    """A cash position on the rows G U <= g: 0 when they allow it, else a
+    vertex of the zero-cost LP; Infeasible (naming the node) if none."""
+    if rows is None or np.all(rows[1] >= 0.0):
+        return np.zeros(J)
+    res = solve_lp(np.zeros(J), *rows)
+    if res.status != "optimal":
+        raise Infeasible("no cash position satisfies the position rows", node=nid)
+    return res.x
+
+
+def _position_interval(rows, U, j):
+    """Per-point bounds (lo, hi) of coordinate j on the cash rows G U <= g,
+    the other coordinates held at U (one row per point); lo > hi if empty.
+
+    Rows without coordinate j are left out: every iterate satisfies them
+    (the sweeps start on the rows) and a step along j does not move them.
+    """
     if rows is None:
-        return -Inf, Inf
+        return np.full(U.shape[0], -Inf), np.full(U.shape[0], Inf)
     G, g = rows
-    G = G[:, 0]
-    if np.any(g[G == 0.0] < 0.0):
-        return Inf, -Inf
-    lo = np.max(g[G < 0.0] / G[G < 0.0], initial=-Inf)
-    hi = np.min(g[G > 0.0] / G[G > 0.0], initial=Inf)
-    return float(lo), float(hi)
+    rhs = np.broadcast_to(g, (U.shape[0], g.size))
+    for i in range(U.shape[1]):
+        if i != j:
+            rhs = rhs - U[:, i:i + 1] * G[:, i]
+    a = G[:, j]
+    lo = np.max(rhs[:, a < 0.0] / a[a < 0.0], axis=1, initial=-Inf)
+    hi = np.min(rhs[:, a > 0.0] / a[a > 0.0], axis=1, initial=Inf)
+    return lo, hi
 
 
 # Halvings of the feasible interval: 64 take any interval under 1e3 wide
@@ -152,35 +172,35 @@ def _position_interval(rows):
 _BISECTIONS = 64
 
 
-def _one_asset_min(X, kids, lo, hi):
-    """Exact min over U in [lo, hi] of sum_k p_k J_k(X + r_k U), per X.
+def _line_min(base, kids, lo, hi):
+    """Exact min over u in [lo, hi] of sum_k p_k J_k(base_k + r_k u), per point.
 
-    X is a 1-D array of wealth levels; kids lists (p_k, r_k, J_k) with a
-    scalar return and a Sampled1D table.  The objective is convex piecewise
-    linear in U, so a minimizer is a child kink (kappa_kj - X) / r_k or an
-    end of the feasible interval.  A bisection vectorized over X finds the
-    least-|U| point where the right slope turns nonnegative, with one
+    base holds one array per child (entry i belongs to point i); kids lists
+    (p_k, r_k, J_k) with a scalar return and a Sampled1D table; lo and hi
+    are per-point arrays.  The objective is convex piecewise linear in u,
+    so a minimizer is a child kink (kappa_kj - base_k) / r_k or an end of
+    the feasible interval.  A bisection vectorized over the points finds
+    the least-|u| point where the right slope turns nonnegative, with one
     searchsorted per child per step; the objective is then evaluated there,
-    at the kinks next to it, at both interval ends and at U = 0 clipped
-    into the interval.  Ties go to the least |U| (the minimum-norm
-    convention).  Returns (values, controls): +inf and nan where no U is
+    at the kinks next to it, at both interval ends and at u = 0 clipped
+    into the interval.  Ties go to the least |u| (the minimum-norm
+    convention).  Returns (values, controls): +inf and nan where no u is
     feasible.
     """
-    X = np.asarray(X, dtype=float)
-    L = np.full(X.shape, float(lo))
-    H = np.full(X.shape, float(hi))
-    ok = np.ones(X.shape, dtype=bool)
+    L = np.array(lo, dtype=float)
+    H = np.array(hi, dtype=float)
+    ok = np.ones(L.shape, dtype=bool)
     moving = []
-    for p, r, tab in kids:
+    for x, (p, r, tab) in zip(base, kids):
         kn = tab.knots
         if r == 0.0:
-            ok &= (kn[0] <= X) & (X <= kn[-1])
+            ok &= (kn[0] <= x) & (x <= kn[-1])
             continue
-        first, last = (kn[0] - X) / r, (kn[-1] - X) / r
+        first, last = (kn[0] - x) / r, (kn[-1] - x) / r
         L = np.maximum(L, first if r > 0 else last)
         H = np.minimum(H, last if r > 0 else first)
         slopes = np.diff(tab.values) / np.diff(kn) if kn.size > 1 else np.zeros(1)
-        moving.append((p, r, kn, slopes))
+        moving.append((p, r, x, kn, slopes))
     ok &= L <= H
     L = np.where(ok, L, 0.0)
     H = np.where(ok, H, 0.0)
@@ -190,27 +210,71 @@ def _one_asset_min(X, kids, lo, hi):
         for _ in range(_BISECTIONS):
             m = 0.5 * (a + b)
             slope = 0.0
-            for p, r, kn, slopes in moving:
+            for p, r, x, kn, slopes in moving:
                 # at a kink this reads one of the two one-sided slopes; both
                 # lead the bisection to the same point
-                i = np.searchsorted(kn, X + r * m) - 1
-                slope = slope + p * r * slopes[np.clip(i, 0, slopes.size - 1)]
+                i = np.searchsorted(kn, x + r * m) - 1
+                slope = slope + p * r * np.take(slopes, i, mode="clip")
             left = (slope < 0.0) | ((slope == 0.0) & (m < 0.0))
             a = np.where(left, m, a)
             b = np.where(left, b, m)
         cands += [b, L, H]
-        for _, r, kn, _ in moving:
-            i = np.searchsorted(kn, X + r * b)
+        for _, r, x, kn, _ in moving:
+            i = np.searchsorted(kn, x + r * b)
             for j in (i - 1, i):
-                cands.append((kn[np.clip(j, 0, kn.size - 1)] - X) / r)
+                cands.append((np.take(kn, j, mode="clip") - x) / r)
     U = np.clip(np.stack(cands, axis=1), L[:, None], H[:, None])
     vals = np.zeros(U.shape)
-    for p, r, tab in kids:
-        vals += p * np.interp(X[:, None] + r * U, tab.knots, tab.values)
+    for x, (p, r, tab) in zip(base, kids):
+        vals += p * np.interp(x[:, None] + r * U, tab.knots, tab.values)
     best = vals.min(axis=1)
     pick = np.argmin(np.where(vals == best[:, None], np.abs(U), Inf), axis=1)
     U = U[np.arange(U.shape[0]), pick]
     return np.where(ok, best, Inf), np.where(ok, U, np.nan)
+
+
+def _grid_min(X, kids, rows, nid):
+    """Min over cash positions U on the rows of sum_k p_k J_k(X + r_k . U), per X.
+
+    kids lists (p_k, r_k, J_k) with a return vector per child.  Cyclic
+    sweeps from a start on the rows (_feasible_start): each step is one
+    _line_min over the live points for one coordinate, the others held; a
+    point with no feasible u on the line keeps its position.  One asset is
+    a single step.  A point stops, frozen, once a sweep lowers its value by
+    at most VALUE_TOL (relative) or leaves it infeasible.  Child arguments
+    are elementwise sums, so a point's result does not depend on the other
+    points in the call, and the selector reproduces the table bits.
+    Coordinate descent can stop short of the minimum on these nonsmooth,
+    nonseparable objectives (Tseng 2001).  Returns (values, controls):
+    +inf and a nan row where no U was found.
+    """
+    X = np.asarray(X, dtype=float)
+    J = kids[0][1].size
+    U = np.tile(_feasible_start(rows, J, nid), (X.size, 1))
+    vals = np.full(X.size, Inf)
+    live = np.arange(X.size)
+    for _ in range(MAX_SWEEPS):
+        prev = vals[live]
+        for j in range(J):
+            held = U[live]
+            base = [X[live] + sum(r[i] * held[:, i] for i in range(J) if i != j)
+                    for _, r, _ in kids]
+            lo, hi = _position_interval(rows, held, j)
+            v, u = _line_min(base, [(p, r[j], tab) for p, r, tab in kids], lo, hi)
+            found = np.isfinite(v)
+            U[live[found], j] = u[found]
+            vals[live[found]] = v[found]
+        if J == 1:
+            break
+        cur = vals[live]
+        with np.errstate(invalid="ignore"):  # inf - inf: never feasible
+            live = live[prev - cur > VALUE_TOL * (1.0 + np.abs(cur))]
+        if not live.size:
+            break
+    else:
+        raise IterationLimit("wealth-grid coordinate descent hit the sweep limit", node=nid)
+    U[~np.isfinite(vals)] = np.nan
+    return vals, U
 
 
 def _tabulate(loss, u):
@@ -223,7 +287,8 @@ def _tabulate(loss, u):
 
 
 def _convexify(knots, values):
-    """Greatest convex minorant at the knots (repairs rounding-level dips)."""
+    """Greatest convex minorant at the knots (repairs rounding-level dips;
+    with several assets it also covers coordinate-descent stalls)."""
     x = np.asarray(knots, dtype=float)
     v = np.asarray(values, dtype=float)
     if v.size < 3:
@@ -240,52 +305,14 @@ def _convexify(knots, values):
     return np.interp(x, x[hull], v[hull])
 
 
-def _several_asset_min(grid, kids, rows, nid):
-    """Table values and selector by coordinate descent over J > 1 assets."""
-    J = kids[0][1].size
-
-    def objective(X, U):
-        if rows is not None:
-            G, g = rows
-            if np.max(G @ U - g) > 1e-9 * (1.0 + np.max(np.abs(g), initial=0.0)):
-                return Inf
-        total = 0.0
-        for p, r, tab in kids:
-            v = tab.eval(X + r @ U)
-            if v == Inf:
-                return Inf
-            total += p * v
-        return total
-
-    vals = np.empty(grid.size)
-    for i, X in enumerate(grid):
-        def f(U, X=X):
-            return objective(X, U)
-        if f(np.zeros(J)) == Inf:
-            vals[i] = Inf
-            continue
-        try:
-            # table values need far less argmin precision than the selector
-            # path (value error is quadratic in it)
-            _, vals[i] = coordinate_descent(f, np.zeros(J), span=1.0,
-                                            width_tol=1e-9, refine=False)
-        except SolverError as exc:
-            raise type(exc)(str(exc), node=nid) from exc
-
-    def selector(X):
-        X = float(X[0])
-        return coordinate_descent(lambda U: objective(X, U), np.zeros(J), span=1.0)[0]
-
-    return vals, selector
-
-
 def _grid_sweep(market, sys_, loss_at, grid):
     """Value tables on the wealth grid, from the leaves to the root.
 
     A leaf tabulates loss(c - X).  An interior node minimizes, over cash
     positions U on its position rows, the expected child table value at
-    X + r_k . U: exactly for one asset, by coordinate descent for several.
-    Tables keep the finite grid points, convexified against rounding.
+    X + r_k . U (_grid_min: exact for one asset, coordinate descent of the
+    same exact line search for several).  Tables keep the finite grid
+    points, replaced by their greatest convex minorant.
     """
     tree = market.tree
     J = market.J
@@ -300,15 +327,11 @@ def _grid_sweep(market, sys_, loss_at, grid):
 
                 def selector(X):
                     return np.zeros(J)
-            elif J == 1:
-                kids = [(p, float(r[0]), tab) for p, r, tab in kids]
-                lo, hi = _position_interval(rows)
-                vals, _ = _one_asset_min(grid, kids, lo, hi)
-
-                def selector(X, kids=kids, lo=lo, hi=hi):
-                    return _one_asset_min(np.asarray(X, dtype=float)[:1], kids, lo, hi)[1]
             else:
-                vals, selector = _several_asset_min(grid, kids, rows, nid)
+                vals, _ = _grid_min(grid, kids, rows, nid)
+
+                def selector(X, kids=kids, rows=rows, nid=nid):
+                    return _grid_min(np.asarray(X, dtype=float)[:1], kids, rows, nid)[1][0]
             finite = np.isfinite(vals)
             if not finite.any():
                 raise SolverError("no feasible wealth level on the grid", node=nid)
@@ -328,8 +351,9 @@ def solve_alm(market, loss, wealth=0.0, driver="auto", grid=None,
     (default: 2001 points around `wealth`).  There every node carries a
     value table on the grid.  With one asset each table is the exact
     minimum at its knots, and only interpolation between knots (and
-    outside the grid, +inf) approximates; with several assets the minimum
-    is found by coordinate descent.  An arbitrage market is refused by
+    outside the grid, +inf) approximates; with several assets cyclic
+    coordinate steps of the same exact line search find it, and can stop
+    short of it.  An arbitrage market is refused by
     default with the verdict attached; pass refuse_arbitrage=False to
     force the solve.
     """
@@ -340,7 +364,6 @@ def solve_alm(market, loss, wealth=0.0, driver="auto", grid=None,
     J = market.J
     loss_at = loss.__getitem__ if isinstance(loss, dict) else (lambda leaf: loss)
     probe = loss_at(tree.leaves()[0])
-    sysmats = {}
     A = {}
     B = {}
     W = {}
@@ -408,13 +431,14 @@ class ExpUtilityResult:
         return self.alpha[nid] * np.exp(-self.rho * X) / self.rho
 
 
-def exp_utility(market, rho, c=None, span=1.0):
+def exp_utility(market, rho, c=None):
     """Wealth-free recursion for the exponential loss exp(rho u)/rho.
 
     At each node the factor is the minimized expectation of the children's
     factors damped by exp(-rho R.U); the minimizing cash positions do not
-    depend on wealth.  A vanishing infimum (positions running away) raises
-    UnboundedExp, which signals an arbitrage.
+    depend on wealth.  Coordinate descent starts on the position rows
+    (at 0 when they allow it).  A vanishing infimum (positions running
+    away) raises UnboundedExp, which signals an arbitrage.
     """
     if rho <= 0:
         raise ValidationError("rho must be positive")
@@ -438,8 +462,10 @@ def exp_utility(market, rho, c=None, span=1.0):
             def f(U):
                 U = np.asarray(U, dtype=float)
                 if rows is not None:
+                    # the slack admits an LP start's rounding; the search
+                    # stops within it of a binding row
                     G, g = rows
-                    if np.max(G @ U - g) > 1e-9 * (1.0 + np.max(np.abs(g), initial=0.0)):
+                    if np.max(G @ U - g) > 1e-12 * (1.0 + np.max(np.abs(g), initial=0.0)):
                         return Inf
                 with np.errstate(over="ignore"):
                     acc = 0.0
@@ -448,8 +474,8 @@ def exp_utility(market, rho, c=None, span=1.0):
                 return acc
 
             try:
-                U, val = coordinate_descent(f, np.zeros(J), span=span)
-            except UnboundedExp:
+                U, val, _ = coordinate_descent(f, _feasible_start(rows, J, nid))
+            except Unbounded:
                 raise UnboundedExp("exponential factor has no minimizer", node=nid)
             alpha[nid] = float(val)
             controls[nid] = U

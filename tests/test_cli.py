@@ -147,6 +147,22 @@ def test_hedge_exp_flags(tmp_path, capsys):
     assert doc["value"] > 0
 
 
+def test_hedge_exp_binding_floor(tmp_path, capsys):
+    # a root floor of 2 shares rules out the start U = 0 and binds: the
+    # unconstrained root position is about 1.27 at rho = 2
+    path = tmp_path / "m.json"
+    run(capsys, "gen", "--kind", "market", "--seed", "9", "--out", str(path))
+    doc = json.loads(path.read_text())
+    root = next(node for node in doc["nodes"] if node["parent"] is None)
+    root["data"]["D"] = {"G": [[-1.0]], "g": [-2.0]}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "hedge", "--input", str(path), "--loss", "exp",
+                       "--rho", "2.0", "--format", "structured")
+    assert code == 0
+    control = json.loads(out)["controls"][root["id"]][0]
+    assert control / root["data"]["s"][0] == pytest.approx(2.0, abs=1e-9)
+
+
 def test_check_subcommand(tmp_path, capsys):
     path = write_tracking(tmp_path)
     code, out, _ = run(capsys, "check", "--input", str(path))

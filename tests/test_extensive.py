@@ -113,6 +113,28 @@ def test_coordinate_descent_affine_composition():
     assert z[0] == pytest.approx(1.5, abs=1e-4)
 
 
+def test_coordinate_descent_unbounded_direction():
+    # a sampled term keeps the program off the exact paths; the affine term
+    # drifts to -inf along the second variable
+    grid = np.linspace(-1.0, 1.0, 3)
+    fp = FlatProgram(2, [Term(1.0, Sampled1D(grid, grid ** 2), [0]),
+                         Term(1.0, Quadratic([[0.0]], [-1.0]), [1])])
+    with pytest.raises(Unbounded):
+        solve_extensive(fp)
+
+
+def test_affine_quadratic_with_polyhedral_takes_the_lp():
+    # 0.5 x + max(-x, 2x - 3) on [0, 4]: the affine term joins the epigraph
+    # LP as one piece, so the minimum -0.5 at x = 1 is exact
+    fp = FlatProgram(1, [Term(1.0, Quadratic([[0.0]], [0.5]), [0]),
+                         Term(1.0, Polyhedral([[-1.0], [2.0]], [0.0, -3.0],
+                                              [[1.0], [-1.0]], [4.0, 0.0]), [0])])
+    value, z, info = solve_extensive(fp)
+    assert info == {"lp_vertex": True}
+    assert value == pytest.approx(-0.5, abs=1e-15)
+    assert z[0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_simplex_path_on_tree_lp():
     tree = binary_tree()
     costs = {"r": Polyhedral([[1.0], [-1.0]], [0.0, 0.0]),

@@ -10,9 +10,8 @@ from stochbellman.errors import (ArbitrageRefusal, NonMonotone, UnboundedExp,
                                  ValidationError)
 from stochbellman.generators import (always_up_market, binomial_market,
                                      gaussian_return_market)
-from stochbellman.hedging import (MarketModel, _one_asset_min,
-                                  _position_interval, ae_estimate, exp_utility,
-                                  na_check, solve_alm)
+from stochbellman.hedging import (MarketModel, _grid_min, _line_min, _position_interval,
+                                  ae_estimate, exp_utility, na_check, solve_alm)
 from stochbellman.tree import AdaptedProcess, validate_tree
 
 from helpers import binary_tree
@@ -133,6 +132,74 @@ def test_alm_grid_controls_attain_node_tables():
                            for k in tree.children[nid])
             table = res.solution.records[nid]["J"].eval(X[nid])
             assert attained == pytest.approx(table, abs=1e-9)
+
+
+def _two_asset_market(T=1, D=None, c=None):
+    # every node branches like the market of the normal-equations test
+    # below, so each one admits the martingale measure (1, 2, 8)/11
+    recs = [{"id": "r", "parent": None, "prob": 1.0, "stage": 0}]
+    prices = {"r": np.array([1.0, 2.0])}
+    factors = {"a": (0.3, [0.8, 1.3]), "b": (0.3, [1.3, 0.75]), "c": (0.4, [0.95, 1.025])}
+    frontier = ["r"]
+    for t in range(1, T + 1):
+        nxt = []
+        for nid in frontier:
+            for tag, (prob, f) in factors.items():
+                kid = tag if nid == "r" else nid + tag
+                recs.append({"id": kid, "parent": nid, "prob": prob, "stage": t})
+                prices[kid] = prices[nid] * np.array(f)
+                nxt.append(kid)
+        frontier = nxt
+    tree = validate_tree(recs)
+    if c is None:
+        c = {leaf: float(prices[leaf][0] - 1.0) for leaf in tree.leaves()}
+    return MarketModel(tree, AdaptedProcess(tree, prices), D=D, c=c)
+
+
+def test_alm_grid_controls_attain_node_tables_two_assets():
+    # several assets: at grid wealth levels every interior node's selector
+    # control attains the node's grid minimum to the last bit.  The table is
+    # the convex minorant of those minima, so it may lie below them where
+    # coordinate descent stalled.
+    market = _two_asset_market(T=2)
+    knots = np.linspace(-8.0, 8.0, 1601)
+    grid = np.linspace(-2.0, 2.0, 41)
+    res = solve_alm(market, Sampled1D(knots, np.abs(knots)), wealth=0.0, driver="grid",
+                    grid=grid)
+    tree = market.tree
+    records = res.solution.records
+    for t in range(tree.T):
+        for nid in tree.stage_nodes[t]:
+            kids = [(float(tree.nodes[k].prob), market.returns(k), records[k]["J"])
+                    for k in tree.children[nid]]
+            minima, _ = _grid_min(grid, kids, None, nid)
+            for i in (15, 25):
+                U = res.solution.control(nid, grid[i])
+                attained = 0.0
+                for p, r, tab in kids:
+                    attained += p * tab.eval(grid[i] + r[0] * U[0] + r[1] * U[1])
+                assert attained == minima[i]
+                assert records[nid]["J"].eval(grid[i]) <= attained
+
+
+def test_alm_grid_two_asset_root_floor():
+    # a floor x_1 >= 0.5 at the root cuts off the start U = 0; the grid
+    # starts on the row and the floor binds (unconstrained x_1 = -1.9)
+    market = _two_asset_market(D={"r": ([[-1.0, 0.0]], [-0.5])},
+                               c={"a": 0.5, "b": -0.2, "c": 0.8})
+    knots = np.linspace(-10.0, 10.0, 4001)
+    w = 0.1
+    res = solve_alm(market, Sampled1D(knots, knots ** 2), wealth=w, driver="grid",
+                    grid=w + np.linspace(-1.0, 1.0, 41))
+    assert res.positions["r"][0] == pytest.approx(0.5, abs=1e-9)
+    # with U_1 = 0.5 fixed, least squares in U_2; the grid value is above it
+    # by at most the interpolation bound of the normal-equations test
+    R = np.array([market.returns(k) for k in ("a", "b", "c")])
+    p = np.array([0.3, 0.3, 0.4])
+    rhs = np.array([market.c[k] - w for k in ("a", "b", "c")]) - 0.5 * R[:, 0]
+    u2 = float(p @ (R[:, 1] * rhs)) / float(p @ R[:, 1] ** 2)
+    val = float(p @ (rhs - u2 * R[:, 1]) ** 2)
+    assert val - 1e-12 <= res.value <= val + 2.6e-3
 
 
 def test_alm_grid_position_rows_match_flat_lp():
@@ -435,13 +502,14 @@ def _brute_one_asset(X, kids, rows):
 @given(node=one_asset_nodes())
 def test_one_asset_kernel_matches_breakpoint_enumeration(node):
     kids, rows = node
+    X = np.arange(-24, 25) / 4.0
+    held = np.zeros((X.size, 1))
     if rows:
         lo, hi = _position_interval((np.array([[G] for G, _ in rows]),
-                                     np.array([g for _, g in rows])))
+                                     np.array([g for _, g in rows])), held, 0)
     else:
-        lo, hi = _position_interval(None)
-    X = np.arange(-24, 25) / 4.0
-    vals, U = _one_asset_min(X, kids, lo, hi)
+        lo, hi = _position_interval(None, held, 0)
+    vals, U = _line_min([X] * len(kids), kids, lo, hi)
     for x, v, u in zip(X, vals, U):
         best, u_ref = _brute_one_asset(x, kids, rows)
         if best == Inf:
@@ -453,3 +521,62 @@ def test_one_asset_kernel_matches_breakpoint_enumeration(node):
         assert u == pytest.approx(u_ref, rel=1e-12, abs=1e-12)
         attained = sum(p * np.interp(x + r * u, tab.knots, tab.values) for p, r, tab in kids)
         assert attained == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def two_asset_nodes(draw):
+    steps = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    kids = [(draw(st.sampled_from([0.125, 0.25, 0.5, 1.0])),
+             np.array([draw(st.sampled_from(steps)) for _ in range(2)]),
+             _child_table(draw))
+            for _ in range(draw(st.integers(1, 4)))]
+    # rows through a dyadic point are feasible; they may exclude U = 0
+    point = np.array([draw(st.integers(-8, 8)) / 4.0 for _ in range(2)])
+    G = np.array([[draw(st.sampled_from(steps)) for _ in range(2)]
+                  for _ in range(draw(st.integers(0, 3)))]).reshape(-1, 2)
+    g = G @ point + np.array([draw(st.integers(0, 8)) / 4.0 for _ in range(len(G))])
+    return kids, (G, g) if len(G) else None
+
+
+def _two_asset_value(x, U, kids, rows, tol=1e-9):
+    """Objective at U, +inf off the rows or a child domain (to tol)."""
+    if rows is not None and np.any(rows[0] @ U - rows[1] > tol):
+        return Inf
+    total = 0.0
+    for p, r, tab in kids:
+        arg = x + r[0] * U[0] + r[1] * U[1]
+        if not tab.knots[0] - tol <= arg <= tab.knots[-1] + tol:
+            return Inf
+        total += p * np.interp(arg, tab.knots, tab.values)
+    return total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(node=two_asset_nodes())
+def test_two_asset_grid_min_is_coordinatewise_optimal(node):
+    kids, rows = node
+    X = np.arange(-24, 25) / 4.0
+    vals, U = _grid_min(X, kids, rows, "r")
+    for x, v, u in zip(X, vals, U):
+        if v == Inf:
+            assert np.all(np.isnan(u))
+            continue
+        assert _two_asset_value(x, u, kids, rows) == pytest.approx(v, rel=1e-12, abs=1e-12)
+        for j in range(2):
+            # along coordinate j: child kinks and domain ends, then row ends
+            held = u[1 - j]
+            cands = [(k - x - r[1 - j] * held) / r[j]
+                     for _, r, tab in kids if r[j] != 0.0 for k in tab.knots]
+            if rows is not None:
+                G, g = rows
+                cands += [(gi - Gi[1 - j] * held) / Gi[j] for Gi, gi in zip(G, g) if Gi[j] != 0.0]
+            for c in cands:
+                w = u.copy()
+                w[j] = c
+                # the stop rule leaves up to about VALUE_TOL (relative)
+                assert _two_asset_value(x, w, kids, rows) >= v - 1e-9 * (1.0 + abs(v))
+    # one point alone reproduces its bits from the whole grid
+    for i in range(0, X.size, 6):
+        v1, u1 = _grid_min(X[i:i + 1], kids, rows, "r")
+        assert v1[0] == vals[i]
+        assert np.array_equal(u1[0], U[i], equal_nan=True)
