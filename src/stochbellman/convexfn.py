@@ -3,7 +3,9 @@
 Three backends are closed under the operations the backward recursion needs:
 
 * Quadratic   -- 1/2 x.Qx + q.x + c on an affine set {Ax = b}; partial
-                 minimization via a KKT pseudoinverse solve.
+                 minimization via a KKT pseudoinverse solve.  The rows are
+                 kept canonical: orthonormal, at most dim of them, or the
+                 single row 0.x = 1 for an empty domain.
 * Polyhedral  -- max of affine pieces on a polyhedron {Cx <= d}; partial
                  minimization via Fourier-Motzkin projection of the epigraph.
 * Sampled1D   -- piecewise-linear interpolation of a convex knot table,
@@ -28,9 +30,11 @@ from .errors import (BackendClash, DimensionMismatch, NonLinearRecession,
 from .simplex import solve_lp
 
 EQ_TOL = 1e-8        # membership tolerance for affine-equality domains
+RANK_TOL = 1e-10     # equality rows below RANK_TOL * max(1, s_max) are dropped
 PSD_TOL = 1e-10      # smallest admissible eigenvalue of a quadratic form
 SLOPE_TOL = 1e-12    # convexity slack for sampled knot tables
 _LIN_TOL = 1e-9
+_ORTHO_TOL = 1e-12   # largest |A A^T - I| entry of rows taken as orthonormal
 
 Inf = float("inf")
 
@@ -56,6 +60,39 @@ def _range_basis(A, rcond=1e-10):
     u, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > rcond * max(A.shape) * (s[0] if s.size else 1.0)))
     return vt[:rank].T
+
+
+def _canonical_rows(A, b):
+    """(A, b) as orthonormal rows spanning its row space, with the same
+    solution set; an inconsistent system becomes the row 0.x = 1.
+
+    Orthonormal input is returned as it is, so canonical rows are a fixed
+    point.  The rank threshold is absolute below unit scale: rows of
+    rounding size with rounding-size right-hand sides are dropped, not
+    rescaled into spurious unit rows.
+    """
+    m, d = A.shape
+    if m <= d and np.max(np.abs(A @ A.T - np.eye(m))) <= _ORTHO_TOL:
+        return A, b
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 0.0)))
+    coef = u[:, :rank].T @ b
+    if np.max(np.abs(b - u[:, :rank] @ coef)) > EQ_TOL * (1.0 + np.max(np.abs(b))):
+        return np.zeros((1, d)), np.ones(1)
+    return vt[:rank], coef / s[:rank]
+
+
+def _is_empty(f):
+    """Whether a Quadratic carries the empty-domain row 0.x = 1."""
+    return f.A.shape[0] == 1 and not np.any(f.A)
+
+
+def _derived(psd, Q, q, c, A, b):
+    """A Quadratic built by the algebra from operands with known forms: it
+    inherits their `psd` flag, and eigvalsh is not run again."""
+    out = Quadratic(Q, q, c, A, b, check_psd=False)
+    out.psd = psd
+    return out
 
 
 def _affine_as_polyhedral(f):
@@ -135,6 +172,16 @@ class ConvexFn:
 
 
 class Quadratic(ConvexFn):
+    """1/2 x.Qx + q.x + c on {Ax = b}; +inf off that set.
+
+    The constructor puts (A, b) in canonical form with one SVD: orthonormal
+    rows, at most dim of them, spanning the row space of the given rows.
+    An inconsistent system is written as the single row 0.x = 1, so the
+    domain is empty and every value is +inf.  `psd` records that Q passed
+    the eigenvalue check, here or, for results of the algebra, in the
+    operands they were built from.
+    """
+
     def __init__(self, Q, q, c=0.0, A=None, b=None, check_psd=True):
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         self.dim = Q.shape[0] if Q.size else len(np.asarray(q, dtype=float).ravel())
@@ -157,6 +204,7 @@ class Quadratic(ConvexFn):
             self.b = np.asarray(b, dtype=float).ravel()
             if self.A.shape[1] != self.dim or self.A.shape[0] != self.b.size:
                 raise DimensionMismatch("constraint block shapes disagree")
+            self.A, self.b = _canonical_rows(self.A, self.b)
         self.psd = check_psd
         if check_psd and self.dim:
             lo = float(np.linalg.eigvalsh(self.Q)[0])
@@ -186,25 +234,25 @@ class Quadratic(ConvexFn):
         if isinstance(other, Quadratic):
             if other.dim != self.dim:
                 raise DimensionMismatch("dimension mismatch in add")
-            return Quadratic(self.Q + other.Q, self.q + other.q, self.c + other.c,
-                             np.vstack([self.A, other.A]), np.concatenate([self.b, other.b]),
-                             check_psd=self.psd and other.psd)
+            return _derived(self.psd and other.psd, self.Q + other.Q, self.q + other.q,
+                            self.c + other.c, np.vstack([self.A, other.A]),
+                            np.concatenate([self.b, other.b]))
         if isinstance(other, Polyhedral) and not np.any(self.Q):
             return _affine_as_polyhedral(self).add(other)
         raise BackendClash(f"cannot add {type(other).__name__} to Quadratic")
 
     def tilt(self, v):
         v = np.asarray(v, dtype=float).ravel()
-        return Quadratic(self.Q, self.q + v, self.c, self.A, self.b, check_psd=self.psd)
+        return _derived(self.psd, self.Q, self.q + v, self.c, self.A, self.b)
 
     def scale(self, alpha):
         if alpha < 0:
             raise ValidationError("scale factor must be nonnegative")
         if alpha == 0:
-            return Quadratic(np.zeros_like(self.Q), np.zeros_like(self.q), 0.0,
-                             self.A, self.b)
-        return Quadratic(alpha * self.Q, alpha * self.q, alpha * self.c,
-                         self.A, self.b, check_psd=self.psd)
+            return _derived(True, np.zeros_like(self.Q), np.zeros_like(self.q), 0.0,
+                            self.A, self.b)
+        return _derived(self.psd, alpha * self.Q, alpha * self.q, alpha * self.c,
+                        self.A, self.b)
 
     def precompose(self, M, t):
         M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -214,15 +262,17 @@ class Quadratic(ConvexFn):
         c2 = self.c + self.q @ t + 0.5 * t @ self.Q @ t
         A2 = self.A @ M
         b2 = self.b - self.A @ t
-        return Quadratic(Q2, q2, float(c2), A2, b2, check_psd=self.psd)
+        return _derived(self.psd, Q2, q2, float(c2), A2, b2)
 
     def recession(self):
-        # f^inf(d) = q.d on ker Q intersected with {Ad = 0}; +inf elsewhere
+        # f^inf(d) = q.d on ker Q intersected with {Ad = 0}; +inf elsewhere,
+        # and +inf everywhere when the domain is empty
+        zero = np.zeros((self.dim, self.dim))
+        if _is_empty(self):
+            return _derived(True, zero, self.q, 0.0, self.A, self.b)
         V = _range_basis(self.Q)
         rows = np.vstack([self.A, V.T]) if V.size else self.A
-        rhs = np.zeros(rows.shape[0])
-        return Quadratic(np.zeros((self.dim, self.dim)), self.q, 0.0, rows, rhs,
-                         check_psd=False)
+        return _derived(True, zero, self.q, 0.0, rows, np.zeros(rows.shape[0]))
 
     def conjugate(self, v):
         v = np.asarray(v, dtype=float).ravel()
@@ -483,6 +533,11 @@ def lineality_space(fn):
 
 def _quadratic_partial_min(f, keep):
     d1, d2 = keep, f.dim - keep
+    if _is_empty(f):
+        # +inf at every kept point; the restriction to u = 0 stays empty
+        F = np.zeros((d2, d1))
+        out = f.precompose(np.vstack([np.eye(d1), F]), np.zeros(f.dim))
+        return PartialMin(out, AffineSelector(F, np.zeros(d2)), np.zeros((d2, 0)))
     Q, q, A, b = f.Q, f.q, f.A, f.b
     Qxu = Q[:d1, d1:]
     Quu = Q[d1:, d1:]

@@ -15,7 +15,7 @@ arbitrage cone is positively homogeneous.
 import numpy as np
 
 from .control import ControlSolution, ControlSystem, solve_oc
-from .convexfn import Inf, Quadratic, Sampled1D
+from .convexfn import EQ_TOL, Inf, Quadratic, Sampled1D
 from .errors import (ArbitrageRefusal, Infeasible, IterationLimit, NonMonotone,
                      SolverError, Unbounded, UnboundedExp, ValidationError)
 from .numeric import MAX_SWEEPS, VALUE_TOL, coordinate_descent
@@ -283,6 +283,13 @@ def _tabulate(loss, u):
         kn = loss.knots
         inside = (u >= kn[0] - 1e-12) & (u <= kn[-1] + 1e-12)
         return np.where(inside, np.interp(u, kn, loss.values), Inf)
+    if isinstance(loss, Quadratic):
+        # Quadratic.eval's operations in its order, over all points at once
+        vals = 0.5 * u * loss.Q[0, 0] * u + loss.q[0] * u + loss.c
+        if loss.A.shape[0]:
+            gap = np.max(np.abs(np.outer(u, loss.A[:, 0]) - loss.b), axis=1)
+            vals[gap > EQ_TOL * (1.0 + np.max(np.abs(loss.b)))] = Inf
+        return vals
     return np.array([loss.eval([v]) for v in u])
 
 

@@ -4,7 +4,7 @@ import pytest
 from stochbellman.bellman import (StageProblem, build_flat, check_assumptions,
                                   extract_policy, optimum_value, solve_be,
                                   tilt_by_p, verify_optimality)
-from stochbellman.convexfn import Polyhedral, Quadratic
+from stochbellman.convexfn import Polyhedral, Quadratic, recession
 from stochbellman.errors import NonLinearRecession, NotPerp
 from stochbellman.extensive import solve_extensive
 from stochbellman.generators import (quadratic_lagrange_instance,
@@ -219,6 +219,19 @@ def test_check_assumptions_strictly_convex_trivial_lineality():
     sol = solve_be(sp)
     for nid in sp.tree.nodes:
         assert sol.records[nid]["N"].shape[1] == 0
+
+
+def test_recession_sweep_rows_stay_within_dim():
+    # the recession sweep stacks every child's rows into its parent; in
+    # canonical form no record carries more rows than its dimension
+    sp = quadratic_lagrange_instance(7, T=7).as_stage_problem()
+    rec = StageProblem(sp.tree, sp.dims,
+                       node_costs={nid: recession(fn) for nid, fn in sp.node_costs.items()})
+    sol = solve_be(rec)
+    assert len(sol.records) == 255
+    for r in sol.records.values():
+        assert r["pre"].A.shape[0] <= r["pre"].dim
+        assert r["post"].A.shape[0] <= r["post"].dim
 
 
 def test_tower_collapse_of_deterministic_stages():

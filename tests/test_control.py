@@ -233,3 +233,14 @@ def test_polyhedral_control_driver():
     sp = as_stage_problem(sys_, costs, x0=[1.5])
     ext, _, _ = solve_extensive(build_flat(sp))
     assert ext == pytest.approx(1.5, abs=1e-9)
+
+
+def test_lq_post_functions_carry_no_residue_rows():
+    # minimizing out X_t leaves the step equation with rounding-size rows and
+    # right-hand sides; the canonical form drops them instead of rescaling
+    sys_, Qm, Rm = lq_instance(0, T=2, N=1, M=1)
+    x0 = np.array([0.4])
+    sol = solve_be(as_stage_problem(sys_, lq_costs(sys_, Qm, Rm), x0=x0))
+    for rec in sol.records.values():
+        assert rec["post"].A.shape[0] == 0
+    assert abs(sol.value - riccati(sys_, Qm, Rm).value(sys_.tree, x0)) <= 1e-8

@@ -1,16 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochbellman.convexfn import (Inf, Polyhedral, Quadratic, Sampled1D,
+from stochbellman import treeio
+from stochbellman.bellman import StageProblem, solve_be
+from stochbellman.convexfn import (EQ_TOL, Inf, Polyhedral, Quadratic, Sampled1D,
                                    cond_expect_fn, lineality_space,
                                    partial_min, recession)
-from stochbellman.errors import (BackendClash, DimensionMismatch,
+from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  NonLinearRecession, ProbabilityMass,
                                  UnboundedBelow, ValidationError)
 
-from helpers import grid_min
+from helpers import binary_tree, grid_min
 
 
 def test_eval_quadratic():
@@ -385,3 +389,88 @@ def test_polyhedral_conjugate_matches_breakpoint_enumeration(pieces, ends, v):
                     xs.append(x)
     exact = max(v * x - np.max(a * x + b) for x in xs)
     assert f.conjugate([v]) == pytest.approx(exact, abs=1e-7)
+
+
+def raw_kkt_min(Q, q, c, A, b, x):
+    """min over z of 1/2 z.Qz + q.z + c on the raw rows Az = b with the
+    leading coordinates fixed to x: one lstsq solve of the flat KKT system."""
+    d, k = Q.shape[0], len(x)
+    C = np.vstack([A, np.eye(d)[:k]])
+    n = C.shape[0]
+    kkt = np.block([[Q, C.T], [C, np.zeros((n, n))]])
+    z = np.linalg.lstsq(kkt, np.concatenate([-q, b, x]), rcond=None)[0][:d]
+    return 0.5 * z @ Q @ z + q @ z + c
+
+
+def round_trip(f):
+    return treeio.fn_from_record(json.loads(json.dumps(treeio.fn_to_record(f))))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.integers(1, 4), r=st.integers(0, 4), extra=st.integers(1, 4),
+       seed=st.integers(0, 2**31 - 1))
+def test_canonical_rows_of_redundant_systems(d, r, extra, seed):
+    # rows R @ A0 of rank r with a consistent right-hand side b = A x0
+    rng = np.random.default_rng(seed)
+    r = min(r, d)
+    A0 = rng.standard_normal((r, d))
+    A = rng.standard_normal((r + extra, r)) @ A0
+    x0 = rng.standard_normal(d)
+    b = A @ x0
+    L = rng.standard_normal((d, d))
+    Q, q, c = L @ L.T + 0.3 * np.eye(d), rng.standard_normal(d), float(rng.standard_normal())
+    f = Quadratic(Q, q, c, A, b)
+    assert f.A.shape[0] == np.linalg.matrix_rank(A) == r
+    assert np.allclose(f.A @ f.A.T, np.eye(r), atol=1e-12)
+
+    def raw_member(x):
+        return np.max(np.abs(A @ x - b)) <= EQ_TOL * (1.0 + np.max(np.abs(b)))
+
+    null = np.linalg.svd(np.vstack([A0, np.zeros((1, d))]))[2][r:].T
+    on = [x0 + null @ rng.standard_normal(d - r) for _ in range(3)]
+    off = [x0 + 0.1 * A0.T @ rng.standard_normal(r) for _ in range(3)] if r else []
+    for x in on + off:
+        assert (f.eval(x) < Inf) == raw_member(x)
+    for x in on:
+        assert f.eval(x) == pytest.approx(0.5 * x @ Q @ x + q @ x + c, abs=1e-8)
+
+    for keep in range(d):
+        pm = partial_min(f, over=d - keep)
+        x = on[0][:keep]
+        assert pm.fn.eval(x) == pytest.approx(raw_kkt_min(Q, q, c, A, b, x), abs=1e-8)
+        assert pm.fn.A.shape[0] <= keep
+
+    back = round_trip(f)
+    assert np.array_equal(back.A, f.A) and np.array_equal(back.b, f.b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), r=st.integers(0, 2), extra=st.integers(1, 3),
+       seed=st.integers(0, 2**31 - 1))
+def test_inconsistent_rows_are_an_empty_domain(d, r, extra, seed):
+    rng = np.random.default_rng(seed)
+    r = min(r, d - 1) if d > 1 else 0
+    A = rng.standard_normal((r + extra, r)) @ rng.standard_normal((r, d))
+    # a right-hand side with a unit component outside the column space of A
+    u = np.linalg.svd(A)[0]
+    b = A @ rng.standard_normal(d) + u[:, r]
+    f = Quadratic(np.eye(d), np.zeros(d), 0.0, A, b)
+    assert np.array_equal(f.A, np.zeros((1, d))) and np.array_equal(f.b, [1.0])
+    for x in rng.standard_normal((5, d)):
+        assert f.eval(x) == Inf
+    assert f.add(Quadratic(np.eye(d), np.ones(d))).eval(np.zeros(d)) == Inf
+    assert partial_min(f, over=d).fn.eval(np.zeros(0)) == Inf
+    # with a linear term along flat directions the empty domain still wins
+    flat = Quadratic(np.zeros((d, d)), np.ones(d), 0.0, A, b)
+    assert partial_min(flat, over=d).fn.eval(np.zeros(0)) == Inf
+    back = round_trip(f)
+    assert np.array_equal(back.A, f.A) and np.array_equal(back.b, f.b)
+
+    # a sweep through the empty node cost: the root reports infeasibility
+    costs = {"r": Quadratic([[1.0]], [0.0]),
+             "a": Quadratic(np.eye(1 + d), np.zeros(1 + d)),
+             "b": Quadratic(np.eye(1 + d), np.zeros(1 + d), 0.0,
+                            np.hstack([np.zeros((A.shape[0], 1)), A]), b)}
+    with pytest.raises(Infeasible) as err:
+        solve_be(StageProblem(binary_tree(), [1, d], node_costs=costs))
+    assert err.value.node == "r"

@@ -11,7 +11,8 @@ from stochbellman.errors import (ArbitrageRefusal, NonMonotone, UnboundedExp,
 from stochbellman.generators import (always_up_market, binomial_market,
                                      gaussian_return_market)
 from stochbellman.hedging import (MarketModel, _grid_min, _line_min, _position_interval,
-                                  ae_estimate, exp_utility, na_check, solve_alm)
+                                  _tabulate, ae_estimate, exp_utility, na_check,
+                                  solve_alm)
 from stochbellman.tree import AdaptedProcess, validate_tree
 
 from helpers import binary_tree
@@ -580,3 +581,18 @@ def test_two_asset_grid_min_is_coordinatewise_optimal(node):
         v1, u1 = _grid_min(X[i:i + 1], kids, rows, "r")
         assert v1[0] == vals[i]
         assert np.array_equal(u1[0], U[i], equal_nan=True)
+
+
+def test_tabulate_quadratic_matches_scalar_eval(rng):
+    # the vectorized table must give the bits of one eval per wealth point
+    u = np.concatenate([rng.uniform(-3.0, 3.0, 400), [0.5, 0.5 + 1e-9, 0.5 + 1e-6]])
+    losses = [Quadratic([[2.0]], [0.0]), Quadratic([[0.0]], [1.0], -0.25)]
+    for _ in range(20):
+        Q, q, c = rng.uniform(0.0, 3.0), rng.standard_normal(), rng.standard_normal()
+        losses.append(Quadratic([[Q]], [q], c))
+        losses.append(Quadratic([[Q]], [q], c, [[2.0], [-1.0]], [1.0, -0.5]))
+    losses.append(Quadratic([[1.0]], [0.0], 0.0, [[1.0], [1.0]], [0.0, 1.0]))  # empty
+    for loss in losses:
+        vec = _tabulate(loss, u)
+        assert np.array_equal(vec, [loss.eval([v]) for v in u])
+    assert np.isfinite(_tabulate(losses[-2], u)).sum() == 2  # u = 0.5 and 0.5 + 1e-9
