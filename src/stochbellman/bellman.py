@@ -14,7 +14,8 @@ continuation that no single backend can add to the node's cost
 
 import numpy as np
 
-from .convexfn import (Inf, cond_expect_fn, partial_min, recession)
+from .convexfn import (Inf, Quadratic, _is_empty, cond_expect_fn, partial_min,
+                       recession)
 from .errors import (BackendClash, Infeasible, NonLinearRecession, NotPerp,
                      SolverError, UnboundedBelow, ValidationError)
 from .extensive import FlatProgram, Term, solve_extensive
@@ -96,6 +97,8 @@ def solve_be(problem):
                     fn = fn.add(tail.precompose(lift, np.zeros(own)))
                 except BackendClash as exc:
                     raise BackendClash(f"{exc} (node {nid})") from exc
+            if isinstance(fn, Quadratic) and _is_empty(fn):
+                raise Infeasible("problem is infeasible", node=nid)
             pm = _minimize_block(fn, own, nid)
             records[nid] = {"pre": fn, "post": pm.fn, "selector": pm.selector,
                             "N": pm.lineality, "tail": tail, "stage": t}
@@ -262,13 +265,14 @@ def check_assumptions(problem, v=None, eps=0.1):
     for nid, fn in problem.node_costs.items():
         w = tilts[nid]
         # tilt vectors store -p; the certificate is m >= f*(lambda p)
-        p = np.zeros(fn.dim) if w is None else -w
-        per_lambda = {}
-        for lam in (1.0 - eps, 1.0, 1.0 + eps):
-            m = fn.conjugate(lam * p)
-            per_lambda[lam] = m
-            if m == Inf:
-                lower_ok = False
+        lams = (1.0 - eps, 1.0, 1.0 + eps)
+        if w is None:  # p = 0: one conjugate serves every lambda
+            m = fn.conjugate(np.zeros(fn.dim))
+            per_lambda = dict.fromkeys(lams, m)
+        else:
+            per_lambda = {lam: fn.conjugate(lam * -w) for lam in lams}
+        if any(m == Inf for m in per_lambda.values()):
+            lower_ok = False
         certificates[nid] = per_lambda
 
     linearity_ok, linearity_detail = True, ""

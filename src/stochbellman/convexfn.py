@@ -453,13 +453,9 @@ def _prune_pieces(pa, pb, C, d):
     lying below another piece on the whole box are dropped (interval
     bound, no LP).
     """
-    keyed = {}
-    for a, b in zip(pa, pb):
-        key = tuple(np.round(a, 12))
-        if key not in keyed or b > keyed[key][1]:
-            keyed[key] = (a, b)
-    pa = np.array([a for a, _ in keyed.values()])
-    pb = np.array([b for _, b in keyed.values()])
+    pa, pb = np.array(pa, dtype=float), np.array(pb, dtype=float)
+    keep = polyhedra.first_minimal(pa, -pb)
+    pa, pb = pa[keep], pb[keep]
     if pa.shape[0] <= 32:
         return pa, pb
     lo = np.full(pa.shape[1], -np.inf)

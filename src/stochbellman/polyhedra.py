@@ -1,9 +1,13 @@
 """Inequality systems and Fourier-Motzkin projection.
 
 A system is the pair (G, h) meaning {z : G z <= h}.  Projection eliminates
-trailing coordinates one at a time; redundancy pruning is LP-free (duplicate
-and pairwise-domination tests on normalized rows), so it never changes the
-feasible set, only the row count.
+trailing coordinates one at a time, forming all positive/negative row pairs
+in one broadcast sum.  Redundancy pruning is LP-free: rows are scaled to
+unit max-abs coefficient, and of rows with the same normal (equal after
+rounding to 12 decimals, found with one np.unique) only the one with the
+least right-hand side stays.  So it never changes the feasible set, only
+the row count.  Every step keeps the row order and the bits of an
+element-by-element loop.
 """
 
 import numpy as np
@@ -25,20 +29,32 @@ def normalize_rows(G, h):
         return np.zeros((0, 0)), np.zeros(0)
     if G.size == 0:
         return G.reshape(0, G.shape[1]), h[:0]
-    out_G, out_h = [], []
-    for row, rhs in zip(G, h):
-        s = np.max(np.abs(row))
-        if s <= _ZERO:
-            if rhs < -_ZERO:
-                # infeasibility marker 0 <= h < 0, keep one canonical copy
-                out_G.append(np.zeros_like(row))
-                out_h.append(-1.0)
-            continue  # 0 <= nonneg is vacuous
-        out_G.append(row / s)
-        out_h.append(rhs / s)
-    if not out_G:
-        return np.zeros((0, G.shape[1])), np.zeros(0)
-    return np.array(out_G), np.array(out_h)
+    s = np.max(np.abs(G), axis=1)
+    zero = s <= _ZERO
+    s[zero] = 1.0
+    G, h = G / s[:, None], h / s
+    # a zero row with h < 0 is the infeasibility marker 0 <= -1; with h >= 0
+    # it is vacuous and dropped
+    keep = ~zero | (h < -_ZERO)
+    G[zero] = 0.0
+    h[zero] = -1.0
+    return G[keep], h[keep]
+
+
+def first_minimal(G, h):
+    """Indices of one row per distinct normal, in first-occurrence order.
+
+    Normals are equal when they agree after rounding to 12 decimals.  Of
+    equal normals the row with the least h is kept, the first among ties.
+    """
+    # -0.0 + 0.0 is 0.0, so keys equal as floats are equal however np.unique compares
+    _, first, group = np.unique(np.round(G, 12) + 0.0, axis=0,
+                                return_index=True, return_inverse=True)
+    group = group.ravel()
+    order = np.lexsort((h, group))  # stable: ties on h keep the first row
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = group[order[1:]] != group[order[:-1]]
+    return order[lead][np.argsort(first)]
 
 
 def prune_rows(G, h):
@@ -46,36 +62,34 @@ def prune_rows(G, h):
     G, h = normalize_rows(G, h)
     if G.shape[0] <= 1:
         return G, h
-    keyed = {}
-    for row, rhs in zip(G, h):
-        key = tuple(np.round(row, 12))
-        if key not in keyed or rhs < keyed[key][1]:
-            keyed[key] = (row, rhs)
-    rows = list(keyed.values())
-    return np.array([r for r, _ in rows]), np.array([v for _, v in rows])
+    keep = first_minimal(G, h)
+    return G[keep], h[keep]
 
 
 def eliminate_one(G, h, j, row_cap=DEFAULT_ROW_CAP):
-    """Fourier-Motzkin elimination of coordinate j from G z <= h."""
+    """Fourier-Motzkin elimination of coordinate j from G z <= h.
+
+    Before pruning, the rows without coordinate j come first, then the sums
+    of a row with a positive and a row with a negative entry in column j,
+    scaled to entries +1 and -1, ordered by the positive row, then by the
+    negative one.
+    """
     G = np.atleast_2d(np.asarray(G, dtype=float))
     h = np.asarray(h, dtype=float).ravel()
     col = G[:, j] if G.size else np.zeros(0)
-    pos = np.where(col > _ZERO)[0]
-    neg = np.where(col < -_ZERO)[0]
-    zero = np.where(np.abs(col) <= _ZERO)[0]
-    rows = [np.delete(G[i], j) for i in zero]
-    rhs = [h[i] for i in zero]
-    if len(pos) * len(neg) + len(rows) > row_cap:
+    pos = col > _ZERO
+    neg = col < -_ZERO
+    zero = np.abs(col) <= _ZERO
+    npos, nneg, nzero = (np.count_nonzero(m) for m in (pos, neg, zero))
+    if npos * nneg + nzero > row_cap:
         raise RowBlowup(f"projection exceeded {row_cap} intermediate rows")
-    for p in pos:
-        gp, hp = G[p] / col[p], h[p] / col[p]
-        for q in neg:
-            gq, hq = G[q] / (-col[q]), h[q] / (-col[q])
-            rows.append(np.delete(gp + gq, j))
-            rhs.append(hp + hq)
-    if not rows:
+    if npos * nneg + nzero == 0:
         return np.zeros((0, G.shape[1] - 1)), np.zeros(0)
-    return prune_rows(np.array(rows), np.array(rhs))
+    cp, cq = col[pos], -col[neg]
+    pairs = G[pos][:, None, :] / cp[:, None, None] + G[neg][None, :, :] / cq[None, :, None]
+    rows = np.vstack([G[zero], pairs.reshape(-1, G.shape[1])])
+    rhs = np.concatenate([h[zero], (h[pos] / cp)[:, None] + (h[neg] / cq)[None, :]], axis=None)
+    return prune_rows(np.delete(rows, j, axis=1), rhs)
 
 
 def fm_project(G, h, n_eliminate, row_cap=DEFAULT_ROW_CAP):

@@ -316,3 +316,33 @@ def test_certificates_require_tilt_for_unbounded_objective():
     assert tilted_report.feasibility_ok
     # the tilted costs are |x| nodewise: value 0 for both recursions
     assert solve_be(tilt_by_p(sp, v)).value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_check_assumptions_conjugates_once_per_untilted_node(monkeypatch):
+    # p = 0 at a node without a tilt: one conjugate serves all three lambdas;
+    # a tilted node needs one per lambda
+    tree = binary_tree()
+    costs = {"r": Quadratic(np.zeros((1, 1)), np.zeros(1)),
+             "a": Polyhedral([[1.0 - 2.0], [-1.0 - 2.0]], [0.0, 0.0]),
+             "b": Polyhedral([[1.0 + 2.0], [-1.0 + 2.0]], [0.0, 0.0])}
+    sp = StageProblem(tree, [1, 0], "stage_additive", node_costs=costs)
+    names = {id(fn): nid for nid, fn in costs.items()}
+    calls = []
+    for cls in (Quadratic, Polyhedral):
+        def counted(self, v, _orig=cls.conjugate):
+            calls.append(names.get(id(self), "other"))
+            return _orig(self, v)
+        monkeypatch.setattr(cls, "conjugate", counted)
+
+    plain = check_assumptions(sp, v=None, eps=0.1)
+    assert sorted(calls) == ["a", "b", "r"]
+    for per_lambda in plain.certificates.values():
+        assert list(per_lambda) == [0.9, 1.0, 1.1]
+        assert len(set(per_lambda.values())) == 1
+
+    calls.clear()
+    entries = {0: (1, {"a": np.array([-2.0]), "b": np.array([2.0])}),
+               1: (1, {"a": np.zeros(0), "b": np.zeros(0)})}
+    tilted = check_assumptions(sp, v=PerpProcess(tree, entries), eps=0.1)
+    assert sorted(calls) == ["a"] * 3 + ["b"] * 3 + ["r"]
+    assert tilted.lower_bound_ok

@@ -466,11 +466,11 @@ def test_inconsistent_rows_are_an_empty_domain(d, r, extra, seed):
     back = round_trip(f)
     assert np.array_equal(back.A, f.A) and np.array_equal(back.b, f.b)
 
-    # a sweep through the empty node cost: the root reports infeasibility
+    # a sweep through the empty node cost reports infeasibility at that node
     costs = {"r": Quadratic([[1.0]], [0.0]),
              "a": Quadratic(np.eye(1 + d), np.zeros(1 + d)),
              "b": Quadratic(np.eye(1 + d), np.zeros(1 + d), 0.0,
                             np.hstack([np.zeros((A.shape[0], 1)), A]), b)}
     with pytest.raises(Infeasible) as err:
         solve_be(StageProblem(binary_tree(), [1, d], node_costs=costs))
-    assert err.value.node == "r"
+    assert err.value.node == "b"

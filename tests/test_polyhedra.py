@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stochbellman.convexfn import _prune_pieces
 from stochbellman.errors import RowBlowup
-from stochbellman.polyhedra import (cone_from_generators, fm_project,
-                                    is_infeasible_marker)
+from stochbellman.polyhedra import (cone_from_generators, eliminate_one,
+                                    fm_project, is_infeasible_marker,
+                                    normalize_rows, prune_rows)
+
+from helpers import (ref_eliminate_one, ref_normalize_rows, ref_prune_pieces,
+                     ref_prune_rows, same_bits)
 
 
 def _contains(G, h, z, tol=1e-9):
@@ -64,3 +71,57 @@ def test_cone_from_generators_ray():
     assert _contains(G, h, np.array([0.5, 1.0]))
     assert not _contains(G, h, np.array([1.0, 1.0]))
     assert not _contains(G, h, np.array([-0.5, -1.0]))
+
+
+def _messy_rows(rng, m, d):
+    """Rows with repeated and scaled normals, normals that differ by 1e-13,
+    -0.0 entries, ties on h, and zero rows with h of either sign."""
+    base = rng.integers(-2, 3, (max(m // 2, 1), d)).astype(float)
+    G = base[rng.integers(0, base.shape[0], m)] * rng.choice([1.0, 0.5, 2.0, 3.0], (m, 1))
+    G += (rng.random((m, d)) < 0.1) * rng.choice([1e-13, -1e-13, 3e-13], (m, d))
+    G[(G == 0.0) & (rng.random((m, d)) < 0.5)] = -0.0
+    zero = rng.random(m) < 0.15
+    G[zero] = rng.choice([0.0, -0.0, 1e-13], (int(zero.sum()), d))
+    h = rng.integers(-2, 3, m) * rng.choice([1.0, 1.0 / 3.0], m)
+    h[zero] = rng.choice([-1.0, -1e-13, 0.0, 2.0], int(zero.sum()))
+    return G, h
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(0, 40), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_row_pruning_matches_the_loop_version(m, d, seed):
+    # same rows, same order, same bits as the dict-of-rounded-tuples loops
+    rng = np.random.default_rng(seed)
+    G, h = _messy_rows(rng, m, d)
+    for new, ref in ((normalize_rows, ref_normalize_rows), (prune_rows, ref_prune_rows)):
+        got, want = new(G, h), ref(G, h)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    j = int(rng.integers(0, d))
+    cap = int(rng.choice([10000, m]))
+    try:
+        want = ref_eliminate_one(G, h, j, row_cap=cap)
+    except RowBlowup:
+        with pytest.raises(RowBlowup):
+            eliminate_one(G, h, j, row_cap=cap)
+        return
+    got = eliminate_one(G, h, j, row_cap=cap)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=st.integers(1, 60), d=st.integers(1, 3), box=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_piece_pruning_matches_the_loop_version(k, d, box, seed):
+    # duplicate gradients keep the highest offset, the first among ties;
+    # above 32 pieces a bounded box runs the domination test
+    rng = np.random.default_rng(seed)
+    pa, pb = _messy_rows(rng, k, d)
+    if box:
+        C, dd = np.vstack([np.eye(d), -np.eye(d)]), rng.integers(1, 4, 2 * d).astype(float)
+    else:
+        C, dd = np.zeros((0, d)), np.zeros(0)
+    got, want = _prune_pieces(pa, pb, C, dd), ref_prune_pieces(pa, pb, C, dd)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    # _polyhedral_partial_min passes lists of rows
+    got = _prune_pieces(list(pa), list(pb), C, dd)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])

@@ -1,7 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stochbellman import simplex
+from stochbellman.errors import IterationLimit
 from stochbellman.simplex import solve_lp
+
+from helpers import ref_solve_lp, same_bits
 
 
 def test_lower_bound_constraint():
@@ -109,3 +117,80 @@ def test_small_infeasibility_with_large_rhs():
     # x <= 1e6 and x >= 1e6 + 1e-3 cannot both hold
     res = solve_lp([0.0], [[1.0], [-1.0]], [1e6, -1e6 - 1e-3])
     assert res.status == "infeasible"
+
+
+def _random_lp(rng, kind):
+    """(c, A_ub, b_ub, A_eq, b_eq) of a small LP of the given kind."""
+    n = int(rng.integers(1, 5))
+    m_ub, m_eq = int(rng.integers(0, 10)), int(rng.choice([0, 0, 1, 2]))
+    if kind == "epigraph":
+        # min max_i (a_i x + b_i) on an interval, with slopes near 1e-8:
+        # phase 1 meets reduced costs of rounding size here
+        k = int(rng.integers(2, 6))
+        a = rng.choice([-4.5, -1.0, 0.0, 1.0, 2.5], k) + rng.choice([0.0, 1e-9, 1.2e-7, -5e-8], k)
+        b = rng.integers(-2, 3, k).astype(float)
+        lo, hi = sorted(rng.integers(-2, 3, 2).astype(float))
+        A = np.vstack([np.column_stack([a, -np.ones(k)]), [[1.0, 0.0], [-1.0, 0.0]]])
+        return np.array([0.0, 1.0]), A, np.concatenate([-b, [hi, -lo]]), None, None
+
+    def mat(r, k):
+        if kind == "float":
+            return rng.standard_normal((r, k))
+        M = rng.integers(-2, 3, (r, k)).astype(float)
+        if kind == "tiny":  # entries near the pivot tolerances, and -0.0
+            M[rng.random((r, k)) < 0.2] = -0.0
+            M += (rng.random((r, k)) < 0.15) * rng.choice([1e-8, -3e-9, 5e-8, 1.19e-7], (r, k))
+        if kind == "near":  # ratios that tie to within 1e-12
+            M += rng.integers(-2, 3, (r, k)) * 1e-13
+        return M
+
+    def rhs(r):
+        if kind == "float":
+            return rng.standard_normal(r)
+        b = rng.integers(-1, 3, r).astype(float)  # zeros make degenerate vertices
+        return b + (rng.integers(-3, 4, r) * 3e-13 if kind == "near" else 0.0)
+
+    c = mat(1, n)[0]
+    A_ub, b_ub = mat(m_ub, n), rhs(m_ub)
+    if rng.random() < 0.7:  # a box keeps most of them bounded
+        A_ub = np.vstack([A_ub, np.eye(n), -np.eye(n)])
+        b_ub = np.concatenate([b_ub, np.full(2 * n, 3.0)])
+    A_eq, b_eq = (mat(m_eq, n), rhs(m_eq)) if m_eq else (None, None)
+    return c, A_ub, b_ub, A_eq, b_eq
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["float", "int", "tiny", "near", "epigraph"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="tiny", seed=103)  # phase 1 passes over a column
+@example(kind="epigraph", seed=126)  # likewise
+def test_solve_lp_matches_the_loop_simplex(kind, seed):
+    # the vectorized pivot, scan and ratio test take the loop version's
+    # pivots, leave its tableau bits after each one, end in its basis and
+    # return its bits
+    lp = _random_lp(np.random.default_rng(seed), kind)
+    want = []
+    status, x, value, basis = ref_solve_lp(*lp, pivots=want)
+    got, bases = [], []
+    real = simplex._pivot
+
+    def spy(T, basis, row, col):
+        real(T, basis, row, col)
+        got.append((row, col, T.tobytes()))
+        bases.append(basis)
+
+    with mock.patch.object(simplex, "_pivot", spy):
+        res = simplex.solve_lp(*lp)
+    assert res.status == status
+    assert got == want
+    if bases:
+        assert bases[-1] == basis
+    if status == "optimal":
+        assert np.array_equal(res.x, x) and same_bits(res.x, x)
+        assert same_bits(np.float64(res.value), np.float64(value))
+
+
+def test_iteration_limit_is_a_module_constant(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITER", 1)
+    with pytest.raises(IterationLimit):
+        solve_lp([-1.0, -2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [4.0, 3.0, 2.0])
