@@ -122,22 +122,41 @@ def cmd_stop(args):
     return 0
 
 
+def _side(value, key, nid):
+    """Row count of a square weight matrix entry."""
+    try:
+        return len(np.atleast_2d(np.asarray(value, dtype=float)))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key} at {nid!r} is not a numeric array") from exc
+
+
 def cmd_control(args):
     tree, doc = treeio.load_tree(args.input)
     A, B, W, Qm, Rm = {}, {}, {}, {}, {}
     for nid, node in tree.nodes.items():
         d = node.data
+        keys = ("Q", "R", "A", "B", "W") if tree.stage(nid) >= 1 else ("Q", "R")
+        for key in keys:
+            if key not in d:
+                raise ValidationError(f"node {nid!r} has no `{key}` entry")
         Qm[nid] = d["Q"]
         Rm[nid] = d["R"]
         if tree.stage(nid) >= 1:
             A[nid] = d["A"]
             B[nid] = d["B"]
             W[nid] = d["W"]
-    N = len(np.atleast_2d(Qm[tree.root]))
-    M = len(np.atleast_2d(Rm[tree.root]))
+    N = _side(Qm[tree.root], "Q", tree.root)
+    M = _side(Rm[tree.root], "R", tree.root)
+    # ControlSystem checks the shapes of A, B and W and riccati those of Q
+    # and R; an error names the node
     sys_ = ControlSystem(tree, N, M, A, B, W)
     rd = riccati(sys_, Qm, Rm)
-    x0 = np.asarray(doc.get("x0", [0.0] * N), dtype=float)
+    try:
+        x0 = np.asarray(doc.get("x0", [0.0] * N), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("`x0` is not a numeric array") from exc
+    if x0.shape != (N,):
+        raise ValidationError(f"`x0` has shape {x0.shape}, expected ({N},)")
     sol = solve_oc(sys_, lq_costs(sys_, Qm, Rm))
     X, U = riccati_policy(sys_, rd, x0)
     tables = rd.per_stage_tables(tree)

@@ -7,16 +7,24 @@ precomposition, so the optimal control depends on the past only through
 the current state.
 
 The sweep is symbolic: quadratic/polyhedral stage costs stay in their
-backend.  Sampled wealth tables are built by the hedging layer, which
-knows their cost structure (hedging.solve_alm); their records carry no
-symbolic Q factor.
+backend.  A stage is the unit of work: its nodes' problems are
+independent, so solve_oc runs the Quadratic nodes of a stage as stacked
+arrays (one precompose and scale of the children, slot-by-slot sums in
+child order, one partial minimization per row count), and riccati runs one
+batched svd/inv per stage.  Each node gets the bits of the node-by-node
+recursion, and an error names the first failing node in stage order.
+Polyhedral nodes take the per-node algebra.  Sampled wealth tables are
+built by the hedging layer, which knows their cost structure
+(hedging.solve_alm); their records carry no symbolic Q factor.
 """
 
 import numpy as np
 
 from .bellman import StageProblem, _minimize_block
-from .convexfn import Inf, Quadratic
-from .errors import DimensionMismatch, SingularRiccati, ValidationError
+from .convexfn import (Inf, Quadratic, add_stack, partial_min_stack,
+                       precompose_stack, quadratics)
+from .errors import (DimensionMismatch, SingularRiccati, SolverError,
+                     StochBellmanError, ValidationError)
 
 RICCATI_NOTE = (
     "K recursion uses the full Schur-complement cross term S2 S3^{-1} S2^T "
@@ -25,31 +33,68 @@ RICCATI_NOTE = (
 )
 
 
+def _matrix(value, name, nid, shape):
+    """value as a float array of the given shape; a ValidationError names
+    the node otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} at {nid!r} is not a numeric array") from exc
+    arr = np.atleast_1d(arr) if len(shape) == 1 else np.atleast_2d(arr)
+    if arr.shape != shape:
+        want = f"length {shape[0]}" if len(shape) == 1 else "x".join(map(str, shape))
+        raise DimensionMismatch(f"{name} at {nid!r} is not {want}")
+    return arr
+
+
 class ControlSystem:
-    """Per-node dynamics matrices for stages 1..T."""
+    """Per-node dynamics matrices for stages 1..T.
+
+    The step maps of each stage are also kept stacked, in stage_nodes
+    order: `stage_maps(t)` gives ([I + A | B] of shape (n, N, N + M), W of
+    shape (n, N)).
+    """
 
     def __init__(self, tree, N, M, A, B, W):
         self.tree = tree
         self.N = int(N)
         self.M = int(M)
-        self.A = {k: np.atleast_2d(np.asarray(v, dtype=float)) for k, v in A.items()}
-        self.B = {k: np.atleast_2d(np.asarray(v, dtype=float)) for k, v in B.items()}
-        self.W = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in W.items()}
+        self.A, self.B, self.W = {}, {}, {}
+        self._maps = {}
+        self._slot = {}
+        shapes = ((self.N, self.N), (self.N, self.M), (self.N,))
         for t in range(1, tree.T + 1):
-            for nid in tree.stage_nodes[t]:
-                if nid not in self.A or nid not in self.B or nid not in self.W:
-                    raise ValidationError(f"missing dynamics at node {nid!r}")
-                if self.A[nid].shape != (self.N, self.N):
-                    raise DimensionMismatch(f"A at {nid!r} is not {self.N}x{self.N}")
-                if self.B[nid].shape != (self.N, self.M):
-                    raise DimensionMismatch(f"B at {nid!r} is not {self.N}x{self.M}")
-                if self.W[nid].shape != (self.N,):
-                    raise DimensionMismatch(f"W at {nid!r} is not length {self.N}")
+            nodes = tree.stage_nodes[t]
+            try:
+                stacks = [np.array([D[nid] for nid in nodes], dtype=float) for D in (A, B, W)]
+            except (KeyError, TypeError, ValueError):
+                stacks = None
+            if stacks is None or tuple(s.shape[1:] for s in stacks) != shapes:
+                # find the first faulty node, checked node by node
+                stacks = [np.array(x) for x in zip(*(self._dynamics(nid, A, B, W, shapes)
+                                                     for nid in nodes))]
+            As, Bs, Ws = stacks
+            for table, stack in zip((self.A, self.B, self.W), stacks):
+                table.update(zip(nodes, stack))
+            self._maps[t] = (np.concatenate([np.eye(self.N) + As, Bs], axis=2), Ws)
+            self._slot.update((nid, (t, i)) for i, nid in enumerate(nodes))
+
+    @staticmethod
+    def _dynamics(nid, A, B, W, shapes):
+        if nid not in A or nid not in B or nid not in W:
+            raise ValidationError(f"missing dynamics at node {nid!r}")
+        return tuple(_matrix(D[nid], name, nid, shape)
+                     for D, name, shape in zip((A, B, W), "ABW", shapes))
+
+    def stage_maps(self, t):
+        """Stacked step maps of the stage-t nodes (t >= 1), in stage order."""
+        return self._maps[t]
 
     def step_map(self, nid):
         """Affine map (X_{t-1}, U_{t-1}) -> X_t for a stage >= 1 node."""
-        Mmat = np.hstack([np.eye(self.N) + self.A[nid], self.B[nid]])
-        return Mmat, self.W[nid]
+        t, i = self._slot[nid]
+        Mmat, W = self._maps[t]
+        return Mmat[i], W[i]
 
     def step(self, nid, X, U):
         Mmat, t = self.step_map(nid)
@@ -76,23 +121,112 @@ class ControlSolution:
         return self.records[nid]["selector"](np.atleast_1d(X))
 
 
+def _rows(f):
+    """Row count of a Quadratic (its stacking key); None for other backends."""
+    return f.A.shape[0] if isinstance(f, Quadratic) else None
+
+
+def _split(keys):
+    """Positions grouped by key in first-seen order, and the positions whose
+    key is None."""
+    groups, rest = {}, []
+    for i, k in enumerate(keys):
+        if k is None:
+            rest.append(i)
+        else:
+            groups.setdefault(k, []).append(i)
+    return groups.values(), rest
+
+
+def _continuations(sys, t, Js):
+    """p_k J_k(step_k(X, U)) for the stage-t nodes k, in stage order."""
+    Mmat, W = sys.stage_maps(t)
+    p = np.array([float(sys.tree.nodes[k].prob) for k in sys.tree.stage_nodes[t]])
+    out = list(Js)
+    groups, rest = _split([_rows(f) for f in Js])
+    for idx in groups:
+        for i, f in zip(idx, precompose_stack([Js[i] for i in idx], Mmat[idx], W[idx], p[idx])):
+            out[i] = f
+    for i in rest:
+        out[i] = Js[i].precompose(Mmat[i], W[i]).scale(p[i])
+    return out
+
+
+def _add_slot(acc, I, pairs, failed):
+    """acc[i] += I[j] for the (i, j) pairs: Quadratic pairs as stacks, one
+    per pair of row counts, others per node.  A node's error is recorded in
+    failed and ends its work."""
+    first = min(failed, default=len(acc))
+    pairs = [(i, j) for i, j in pairs if i < first]
+    keys = []
+    for i, j in pairs:
+        ra, rb = _rows(acc[i]), _rows(I[j])
+        keys.append(None if ra is None or rb is None else (ra, rb))
+    groups, rest = _split(keys)
+    for idx in groups:
+        ps = [pairs[k] for k in idx]
+        for (i, _), f in zip(ps, add_stack([acc[i] for i, _ in ps], [I[j] for _, j in ps])):
+            acc[i] = f
+    for i, j in (pairs[k] for k in rest):
+        if i < min(failed, default=len(acc)):
+            try:
+                acc[i] = acc[i].add(I[j])
+            except StochBellmanError as exc:
+                failed[i] = exc
+
+
+def _minimize_stage(acc, over, nodes, failed):
+    """Partial minimization of each acc[i] over its trailing `over`
+    coordinates: one stacked call per Quadratic row count, per node
+    otherwise.  A node's error is recorded in failed."""
+    pms = [None] * len(acc)
+    groups, rest = _split([_rows(f) for f in acc[:min(failed, default=len(acc))]])
+    for idx in groups:
+        names = [nodes[i] for i in idx]
+        try:
+            res = partial_min_stack([acc[i] for i in idx], over, names)
+        except SolverError as exc:
+            failed[idx[names.index(exc.node)]] = exc
+            continue
+        for i, pm in zip(idx, res):
+            pms[i] = pm
+    for i in rest:
+        if i < min(failed, default=len(acc)):
+            try:
+                pms[i] = _minimize_block(acc[i], over, nodes[i])
+            except StochBellmanError as exc:
+                failed[i] = exc
+    return pms
+
+
 def solve_oc(sys, costs):
     """Backward sweep producing per-node value functions.
 
-    costs maps every node to a ConvexFn over (X, U).
+    costs maps every node to a ConvexFn over (X, U).  Each stage is one
+    unit of work: the children's value functions are precomposed with the
+    stage's step maps and scaled by their branch probabilities, added into
+    their parents slot by slot in child order (the node-by-node summation
+    order), and minimized over U.  Quadratic nodes run as stacks; an error
+    names the first failing node in stage order.
     """
     tree = sys.tree
     records = {}
     for t in range(tree.T, -1, -1):
-        for nid in tree.stage_nodes[t]:
-            q = costs[nid]
-            if q.dim != sys.N + sys.M:
-                raise DimensionMismatch(f"cost at {nid!r} has wrong dimension")
-            for k in tree.children[nid]:
-                Mmat, off = sys.step_map(k)
-                I_k = records[k]["J"].precompose(Mmat, off)
-                q = q.add(I_k.scale(float(tree.nodes[k].prob)))
-            pm = _minimize_block(q, sys.M, nid)
+        nodes = tree.stage_nodes[t]
+        acc = [costs[nid] for nid in nodes]
+        failed = {i: DimensionMismatch(f"cost at {nid!r} has wrong dimension")
+                  for i, (nid, q) in enumerate(zip(nodes, acc)) if q.dim != sys.N + sys.M}
+        if t < tree.T:
+            kids = tree.stage_nodes[t + 1]
+            I = _continuations(sys, t + 1, [records[k]["J"] for k in kids])
+            slot = {k: j for j, k in enumerate(kids)}
+            for s in range(max(len(tree.children[nid]) for nid in nodes)):
+                _add_slot(acc, I, [(i, slot[tree.children[nid][s]]) for i, nid in enumerate(nodes)
+                                   if len(tree.children[nid]) > s], failed)
+        pms = _minimize_stage(acc, sys.M, nodes, failed)
+        if failed:
+            raise failed[min(failed)]
+        for nid, q, pm in zip(nodes, acc, pms):
             records[nid] = {"Q": q, "J": pm.fn, "selector": pm.selector,
                             "N": pm.lineality}
     return ControlSolution(sys, records)
@@ -152,14 +286,24 @@ class RiccatiData:
         Ks, Ls = [], []
         for t in range(tree.T + 1):
             nodes = tree.stage_nodes[t]
-            K0 = self.K[nodes[0]]
-            L0 = self.Lam[nodes[0]]
-            if any(np.max(np.abs(self.K[n] - K0)) > tol for n in nodes) or \
-               any(np.max(np.abs(self.Lam[n] - L0)) > tol for n in nodes):
-                return None
-            Ks.append(K0)
-            Ls.append(L0)
+            for table, out in ((self.K, Ks), (self.Lam, Ls)):
+                stack = np.array([table[n] for n in nodes])
+                if np.any(np.max(np.abs(stack - stack[0]), axis=(1, 2)) > tol):
+                    return None
+                out.append(table[nodes[0]])
         return Ks, Ls
+
+
+def _weights(mats, nodes, name, n):
+    """The (n, n) weight matrices of `nodes`, stacked in that order; the
+    first non-numeric or wrong-shaped entry names its node."""
+    try:
+        stack = np.array([mats[nid] for nid in nodes], dtype=float)
+        if stack.shape[1:] == (n, n):
+            return stack
+    except (TypeError, ValueError):
+        pass
+    return np.array([_matrix(mats[nid], name, nid, (n, n)) for nid in nodes])
 
 
 def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
@@ -167,50 +311,61 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
 
     Stage costs are 1/2 X.Q X + 1/2 U.R U with PSD Q, R per node.  The
     noise term W must have zero conditional mean for the offsets to be the
-    true values; a diagnostic records the residual coupling norms.
+    true values; a diagnostic records the residual coupling norms.  Each
+    stage runs as stacked arrays: the children are summed into their parents
+    slot by slot in child order, with one svd and one inv per stage.
     """
     tree = sys.tree
     N, M = sys.N, sys.M
-    K = {}
-    Lam = {}
-    offset = {}
+    K, Lam, offset = {}, {}, {}
     diag = {"cross_norm": 0.0, "w_mean_norm": 0.0}
     for t in range(tree.T, -1, -1):
-        for nid in tree.stage_nodes[t]:
-            Q = np.atleast_2d(np.asarray(Qmats[nid], dtype=float))
-            kids = tree.children[nid]
-            if not kids:
-                K[nid] = Q
-                Lam[nid] = np.zeros((M, N))
-                offset[nid] = 0.0
-                continue
-            R = np.atleast_2d(np.asarray(Rmats[nid], dtype=float))
-            S1 = Q.copy()
-            S2 = np.zeros((N, M))
-            S3 = R.copy()
-            off = 0.0
-            wmean = np.zeros(N)
-            cross = np.zeros(N)
-            for k in kids:
-                pi = float(tree.nodes[k].prob)
-                IA = np.eye(N) + sys.A[k]
-                Bk = sys.B[k]
-                Wk = sys.W[k]
-                S1 += pi * IA.T @ K[k] @ IA
-                S2 += pi * IA.T @ K[k] @ Bk
-                S3 += pi * Bk.T @ K[k] @ Bk
-                off += pi * (offset[k] + 0.5 * Wk @ K[k] @ Wk)
-                wmean += pi * Wk
-                cross += pi * IA.T @ K[k] @ Wk
+        nodes = tree.stage_nodes[t]
+        Ks = _weights(Qmats, nodes, "Q", N)
+        Ls = np.zeros((len(nodes), M, N))
+        offs = np.zeros(len(nodes))
+        par = [i for i, nid in enumerate(nodes) if tree.children[nid]]
+        if par:
+            S1 = Ks[par]
+            S2 = np.zeros((len(par), N, M))
+            S3 = _weights(Rmats, [nodes[i] for i in par], "R", M)
+            off = np.zeros(len(par))
+            wmean = np.zeros((len(par), N))
+            cross = np.zeros((len(par), N))
+            kids = tree.stage_nodes[t + 1]
+            slot = {k: j for j, k in enumerate(kids)}
+            Mmat, W = sys.stage_maps(t + 1)
+            Kb = np.array([K[k] for k in kids])
+            ob = np.array([offset[k] for k in kids])
+            for s in range(max(len(tree.children[nodes[i]]) for i in par)):
+                rows = [r for r, i in enumerate(par) if len(tree.children[nodes[i]]) > s]
+                ks = [slot[tree.children[nodes[par[r]]][s]] for r in rows]
+                pi = np.array([float(tree.nodes[kids[j]].prob) for j in ks])
+                IA = np.ascontiguousarray(Mmat[ks, :, :N])
+                Bk = np.ascontiguousarray(Mmat[ks, :, N:])
+                Wk, Kk = W[ks], Kb[ks]
+                pIAt = pi[:, None, None] * np.swapaxes(IA, 1, 2)
+                S1[rows] += pIAt @ Kk @ IA
+                S2[rows] += pIAt @ Kk @ Bk
+                S3[rows] += pi[:, None, None] * np.swapaxes(Bk, 1, 2) @ Kk @ Bk
+                off[rows] += pi * (ob[ks] + np.vecdot(np.vecmat(0.5 * Wk, Kk), Wk))
+                wmean[rows] += pi[:, None] * Wk
+                cross[rows] += np.matvec(pIAt @ Kk, Wk)
             sv = np.linalg.svd(S3, compute_uv=False)
-            if sv[-1] < sv_tol * max(1.0, sv[0]):
-                raise SingularRiccati("control curvature matrix is singular", node=nid)
+            singular = sv[:, -1] < sv_tol * np.maximum(1.0, sv[:, 0])
+            if np.any(singular):
+                raise SingularRiccati("control curvature matrix is singular",
+                                      node=nodes[par[int(np.argmax(singular))]])
             S3inv = np.linalg.inv(S3)
-            K[nid] = S1 - S2 @ S3inv @ S2.T
-            Lam[nid] = S3inv @ S2.T
-            offset[nid] = off
-            diag["w_mean_norm"] = max(diag["w_mean_norm"], float(np.linalg.norm(wmean)))
-            diag["cross_norm"] = max(diag["cross_norm"], float(np.linalg.norm(cross)))
+            S2t = np.swapaxes(S2, 1, 2)
+            Ks[par] = S1 - S2 @ S3inv @ S2t
+            Ls[par] = S3inv @ S2t
+            offs[par] = off
+            for name, v in (("w_mean_norm", wmean), ("cross_norm", cross)):
+                norms = np.sqrt(np.vecdot(v, v))
+                diag[name] = max([diag[name]] + norms.tolist())
+        for i, nid in enumerate(nodes):
+            K[nid], Lam[nid], offset[nid] = Ks[i], Ls[i], offs[i]
     return RiccatiData(K, Lam, offset, diag)
 
 
@@ -228,17 +383,15 @@ def riccati_policy(sys, rd, x0):
 
 
 def lq_costs(sys, Qmats, Rmats):
-    """ConvexFn stage costs matching the riccati data, for the symbolic driver."""
-    costs = {}
+    """ConvexFn stage costs matching the riccati data, for the symbolic
+    driver.  The PSD check is one eigvalsh over the stacked costs; an error
+    names the first failing node in tree order."""
+    nodes = list(sys.tree.nodes)
     N, M = sys.N, sys.M
-    for nid in sys.tree.nodes:
-        Q = np.atleast_2d(np.asarray(Qmats[nid], dtype=float))
-        R = np.atleast_2d(np.asarray(Rmats[nid], dtype=float))
-        big = np.zeros((N + M, N + M))
-        big[:N, :N] = Q
-        big[N:, N:] = R
-        costs[nid] = Quadratic(big, np.zeros(N + M))
-    return costs
+    big = np.zeros((len(nodes), N + M, N + M))
+    big[:, :N, :N] = _weights(Qmats, nodes, "Q", N)
+    big[:, N:, N:] = _weights(Rmats, nodes, "R", M)
+    return dict(zip(nodes, quadratics(big, np.zeros((len(nodes), N + M)), names=nodes)))
 
 
 def _lift_with_dynamics(sys, nid, fn, x0=None):

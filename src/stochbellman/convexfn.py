@@ -17,6 +17,12 @@ instances are immutable; operations return new objects.  A sum stays in one
 backend: an affine Quadratic joins a Polyhedral as one piece, and any other
 cross-backend sum raises BackendClash.  Recession functions are backend
 objects and lineality spaces are orthonormal basis arrays.
+
+The Quadratic algebra (precompose, scale, add, partial minimization) is
+written once over a stack: arrays with a leading member axis, for
+Quadratics of one dimension and row count.  A method call on one object
+is a stack of one; the control sweep runs a whole stage as one stack.
+Every member gets the bits it would get alone.
 """
 
 from collections import namedtuple
@@ -40,16 +46,31 @@ Inf = float("inf")
 
 PartialMin = namedtuple("PartialMin", "fn selector lineality")
 
+# Quadratics of one dim and row count as arrays with a leading member axis:
+# Q (n, d, d), q (n, d), c (n,), A (n, m, d), b (n, m), psd (n,) bool.
+_Stack = namedtuple("_Stack", "Q q c A b psd")
+
+
+def _null_bases(A, rcond=1e-10):
+    """Orthonormal null-space basis (columns, possibly none) of each member
+    of a stack of matrices; an all-zero member gets the identity."""
+    n, r, d = A.shape
+    live = (np.abs(A) > 0).any(axis=(1, 2)).tolist()
+    if not all(live):
+        out = [np.eye(d)] * n
+        idx = [i for i, x in enumerate(live) if x]
+        if idx:
+            for i, K in zip(idx, _null_bases(A[idx], rcond)):
+                out[i] = K
+        return out
+    u, s, vt = np.linalg.svd(A)
+    rank = (s > rcond * max(r, d) * s[:, :1]).sum(axis=1).tolist()
+    return [v[k:].T for v, k in zip(vt, rank)]
+
 
 def _null_basis(A, rcond=1e-10):
     """Orthonormal basis of the null space of A (columns), possibly empty."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[1]
-    if A.size == 0 or not np.any(np.abs(A) > 0):
-        return np.eye(n)
-    u, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > rcond * max(A.shape) * (s[0] if s.size else 1.0)))
-    return vt[rank:].T
+    return _null_bases(np.atleast_2d(np.asarray(A, dtype=float))[None], rcond)[0]
 
 
 def _range_basis(A, rcond=1e-10):
@@ -87,12 +108,121 @@ def _is_empty(f):
     return f.A.shape[0] == 1 and not np.any(f.A)
 
 
-def _derived(psd, Q, q, c, A, b):
-    """A Quadratic built by the algebra from operands with known forms: it
-    inherits their `psd` flag, and eigvalsh is not run again."""
-    out = Quadratic(Q, q, c, A, b, check_psd=False)
-    out.psd = psd
+def _forms(Q, check_psd=False, names=None):
+    """Symmetric parts of a stack of square forms, after the constructor's
+    checks: a member must be symmetric to 1e-8 relative and, with
+    check_psd, have no eigenvalue below -PSD_TOL * max(1, max|Q|) (one
+    eigvalsh over the stack).  The first failing member raises
+    ValidationError, naming names[i] when names are given."""
+    Qt = Q.transpose(0, 2, 1)
+    D = np.abs(Q - Qt)
+    asym = bad = None
+    # every member's threshold is at least 1e-8: below it all are symmetric
+    if D.max(initial=0.0) > 1e-8:
+        asym = bad = D.max(axis=(1, 2)) > 1e-8 * (1.0 + np.abs(Q).max(axis=(1, 2)))
+    S = Q + Qt
+    S *= 0.5
+    if check_psd and S.shape[1]:
+        lo = np.linalg.eigvalsh(S)[:, 0]
+        bad = lo < -PSD_TOL * np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+        if asym is not None:
+            bad |= asym
+    if bad is not None and bad.any():
+        i = int(np.argmax(bad))
+        at = "" if names is None else f" at node {names[i]!r}"
+        if asym is not None and asym[i]:
+            raise ValidationError(f"Q must be symmetric{at}")
+        raise ValidationError(f"quadratic form not PSD{at} (min eig {lo[i]:.3e})")
+    return S
+
+
+def _stack(fs):
+    """The arrays of Quadratics of one dim and row count, as a _Stack."""
+    if len(fs) == 1:
+        f = fs[0]
+        return _Stack(f.Q[None], f.q[None], np.array([f.c]), f.A[None], f.b[None],
+                      np.array([f.psd]))
+    return _Stack(np.array([f.Q for f in fs]), np.array([f.q for f in fs]),
+                  np.array([f.c for f in fs]), np.array([f.A for f in fs]),
+                  np.array([f.b for f in fs]), np.array([f.psd for f in fs]))
+
+
+def _derived(S, new_rows=True):
+    """Quadratics built by the algebra from a _Stack of operands with known
+    forms: each inherits its `psd` flag, and eigvalsh is not run again.  The
+    symmetry check and the symmetrization run once over the stack; new rows
+    are made canonical per member.  new_rows=False passes an operand's rows
+    on as they are: canonical rows are a fixed point."""
+    Q = _forms(S.Q)
+    dim, m = S.q.shape[1], S.A.shape[1]
+    out = []
+    for i, (c, psd) in enumerate(zip(S.c.tolist(), S.psd.tolist())):
+        f = Quadratic.__new__(Quadratic)
+        f.dim, f.Q, f.q, f.c, f.psd = dim, Q[i], S.q[i], c, psd
+        if not m:
+            f.A, f.b = np.zeros((0, dim)), np.zeros(0)
+        else:
+            f.A, f.b = _canonical_rows(S.A[i], S.b[i]) if new_rows else (S.A[i], S.b[i])
+        out.append(f)
     return out
+
+
+def quadratics(Q, q, names=None):
+    """Quadratics 1/2 x.Q_i x + q_i.x without equality rows, from stacked
+    Q (n, d, d) and q (n, d), checked as the constructor checks one form;
+    an error names the first failing member's names[i]."""
+    n, d = q.shape
+    S = _forms(np.asarray(Q, dtype=float), check_psd=True, names=names)
+    return _derived(_Stack(S, np.asarray(q, dtype=float), np.zeros(n), np.zeros((n, 0, d)),
+                           np.zeros((n, 0)), np.ones(n, dtype=bool)))
+
+
+def _precompose(S, M, t):
+    """x -> f(M_i x + t_i) for every member; M (n, d, k), t (n, d)."""
+    Mt = M.transpose(0, 2, 1)
+    A, b = ((S.A @ M, S.b - np.matvec(S.A, t)) if S.A.shape[1]
+            else (np.zeros((len(M), 0, M.shape[2])), S.b))
+    return _Stack(Mt @ S.Q @ M, np.matvec(Mt, np.matvec(S.Q, t) + S.q),
+                  S.c + np.vecdot(S.q, t) + np.vecdot(np.vecmat(0.5 * t, S.Q), t),
+                  A, b, S.psd)
+
+
+def _scale(S, alpha):
+    """alpha_i * f_i for every member; a zero factor leaves only the domain."""
+    if alpha.min(initial=0.0) < 0:
+        raise ValidationError("scale factor must be nonnegative")
+    Q, q, c, psd = alpha[:, None, None] * S.Q, alpha[:, None] * S.q, alpha * S.c, S.psd
+    if not alpha.all():
+        zero = alpha == 0
+        Q[zero], q[zero], c[zero] = 0.0, 0.0, 0.0
+        psd = psd | zero
+    return _Stack(Q, q, c, S.A, S.b, psd)
+
+
+def _add(S, T):
+    """f_i + g_i for every member; the rows are stacked, S's first."""
+    return _Stack(S.Q + T.Q, S.q + T.q, S.c + T.c, np.concatenate([S.A, T.A], axis=1),
+                  np.concatenate([S.b, T.b], axis=1), S.psd & T.psd)
+
+
+def precompose_stack(fs, M, t, alpha):
+    """alpha_i f_i(M_i x + t_i) for Quadratics fs of one dim and row count;
+    M (n, d, k), t (n, d), alpha (n,).  The symmetrized form is scaled, as
+    f.precompose(M, t).scale(alpha) does it."""
+    S = _precompose(_stack(fs), M, t)
+    return _derived(_scale(S._replace(Q=_forms(S.Q)), alpha))
+
+
+def add_stack(fs, gs):
+    """f_i + g_i for Quadratics of one dim, fs and gs each of one row count."""
+    return _derived(_add(_stack(fs), _stack(gs)))
+
+
+def partial_min_stack(fs, over, nodes=None):
+    """partial_min(f, over) for each Quadratic of fs (one dim and row count);
+    an error names nodes[i] of the first failing member when nodes are
+    given."""
+    return _quadratic_partial_min(fs, fs[0].dim - over, nodes)
 
 
 def _affine_as_polyhedral(f):
@@ -189,9 +319,7 @@ class Quadratic(ConvexFn):
             Q = np.zeros((self.dim, self.dim))
         if Q.shape != (self.dim, self.dim):
             raise DimensionMismatch("Q must be square")
-        if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-8 * (1.0 + np.max(np.abs(Q), initial=0.0)):
-            raise ValidationError("Q must be symmetric")
-        self.Q = 0.5 * (Q + Q.T)
+        self.Q = _forms(Q[None])[0]
         self.q = np.asarray(q, dtype=float).ravel()
         if self.q.size != self.dim:
             raise DimensionMismatch("q has wrong length")
@@ -206,10 +334,8 @@ class Quadratic(ConvexFn):
                 raise DimensionMismatch("constraint block shapes disagree")
             self.A, self.b = _canonical_rows(self.A, self.b)
         self.psd = check_psd
-        if check_psd and self.dim:
-            lo = float(np.linalg.eigvalsh(self.Q)[0])
-            if lo < -PSD_TOL * max(1.0, float(np.max(np.abs(self.Q)))):
-                raise ValidationError(f"quadratic form not PSD (min eig {lo:.3e})")
+        if check_psd:
+            _forms(self.Q[None], check_psd=True)
 
     @staticmethod
     def constant(value, dim=0):
@@ -234,45 +360,36 @@ class Quadratic(ConvexFn):
         if isinstance(other, Quadratic):
             if other.dim != self.dim:
                 raise DimensionMismatch("dimension mismatch in add")
-            return _derived(self.psd and other.psd, self.Q + other.Q, self.q + other.q,
-                            self.c + other.c, np.vstack([self.A, other.A]),
-                            np.concatenate([self.b, other.b]))
+            return _derived(_add(_stack([self]), _stack([other])))[0]
         if isinstance(other, Polyhedral) and not np.any(self.Q):
             return _affine_as_polyhedral(self).add(other)
         raise BackendClash(f"cannot add {type(other).__name__} to Quadratic")
 
     def tilt(self, v):
         v = np.asarray(v, dtype=float).ravel()
-        return _derived(self.psd, self.Q, self.q + v, self.c, self.A, self.b)
+        S = _stack([self])
+        return _derived(S._replace(q=S.q + v), new_rows=False)[0]
 
     def scale(self, alpha):
-        if alpha < 0:
-            raise ValidationError("scale factor must be nonnegative")
-        if alpha == 0:
-            return _derived(True, np.zeros_like(self.Q), np.zeros_like(self.q), 0.0,
-                            self.A, self.b)
-        return _derived(self.psd, alpha * self.Q, alpha * self.q, alpha * self.c,
-                        self.A, self.b)
+        return _derived(_scale(_stack([self]), np.array([alpha], dtype=float)), new_rows=False)[0]
 
     def precompose(self, M, t):
         M = np.atleast_2d(np.asarray(M, dtype=float))
         t = np.asarray(t, dtype=float).ravel()
-        Q2 = M.T @ self.Q @ M
-        q2 = M.T @ (self.Q @ t + self.q)
-        c2 = self.c + self.q @ t + 0.5 * t @ self.Q @ t
-        A2 = self.A @ M
-        b2 = self.b - self.A @ t
-        return _derived(self.psd, Q2, q2, float(c2), A2, b2)
+        return _derived(_precompose(_stack([self]), M[None], t[None]))[0]
 
     def recession(self):
         # f^inf(d) = q.d on ker Q intersected with {Ad = 0}; +inf elsewhere,
         # and +inf everywhere when the domain is empty
-        zero = np.zeros((self.dim, self.dim))
         if _is_empty(self):
-            return _derived(True, zero, self.q, 0.0, self.A, self.b)
-        V = _range_basis(self.Q)
-        rows = np.vstack([self.A, V.T]) if V.size else self.A
-        return _derived(True, zero, self.q, 0.0, rows, np.zeros(rows.shape[0]))
+            rows, rhs = self.A, self.b
+        else:
+            V = _range_basis(self.Q)
+            rows = np.vstack([self.A, V.T]) if V.size else self.A
+            rhs = np.zeros(rows.shape[0])
+        zero = np.zeros((1, self.dim, self.dim))
+        return _derived(_Stack(zero, self.q[None], np.zeros(1), rows[None], rhs[None],
+                               np.ones(1, dtype=bool)))[0]
 
     def conjugate(self, v):
         v = np.asarray(v, dtype=float).ravel()
@@ -527,49 +644,67 @@ def lineality_space(fn):
     raise BackendClash(f"no lineality rule for {type(fn).__name__}")
 
 
-def _quadratic_partial_min(f, keep):
-    d1, d2 = keep, f.dim - keep
-    if _is_empty(f):
-        # +inf at every kept point; the restriction to u = 0 stays empty
-        F = np.zeros((d2, d1))
-        out = f.precompose(np.vstack([np.eye(d1), F]), np.zeros(f.dim))
-        return PartialMin(out, AffineSelector(F, np.zeros(d2)), np.zeros((d2, 0)))
-    Q, q, A, b = f.Q, f.q, f.A, f.b
-    Qxu = Q[:d1, d1:]
-    Quu = Q[d1:, d1:]
-    Qux = Q[d1:, :d1]
-    qu = q[d1:]
-    Au = A[:, d1:]
-    Ax = A[:, :d1]
+def _quadratic_partial_min(fs, keep, nodes=None):
+    """Minimize each Quadratic of fs (one dim and row count) over its
+    trailing dim - keep coordinates; a list of PartialMin.
 
-    K = _null_basis(np.vstack([Quu, Au]))
-    if K.size:
-        # joint convexity gives Qxu d = 0 on K; outside that regime the value
-        # would depend on x with the wrong sign, which is unbounded territory
-        if np.max(np.abs(Qxu @ K), initial=0.0) > _LIN_TOL * (1.0 + np.max(np.abs(Qxu), initial=0.0)):
-            raise UnboundedBelow("free direction couples to kept coordinates")
-        proj = K.T @ qu
-        if np.max(np.abs(proj), initial=0.0) > _LIN_TOL * (1.0 + np.linalg.norm(qu)):
-            raise UnboundedBelow("linear drift along a zero-curvature direction")
-
-    m = A.shape[0]
-    M = np.zeros((d2 + m, d2 + m))
-    M[:d2, :d2] = Quu
-    M[:d2, d2:] = Au.T
-    M[d2:, :d2] = Au
-    P = np.linalg.pinv(M, rcond=1e-12)
-    R = np.vstack([-Qux, -Ax])
-    r0 = np.concatenate([-qu, b])
-    F = (P @ R)[:d2]
-    g = (P @ r0)[:d2]
-    if K.size:
-        F = F - K @ (K.T @ F)
-        g = g - K @ (K.T @ g)
-
-    sub_M = np.vstack([np.eye(d1), F])
-    sub_t = np.concatenate([np.zeros(d1), g])
-    out = f.precompose(sub_M, sub_t)
-    return PartialMin(out, AffineSelector(F, g), K if K.size else np.zeros((d2, 0)))
+    Null bases of [Quu; Au] come from one batched SVD; the coupling and
+    drift checks run on the members with flat directions, in order, and the
+    first failure raises UnboundedBelow naming nodes[i] when nodes are
+    given.  The KKT systems take one batched pinv.
+    """
+    S = _stack(fs)
+    n, d = S.q.shape
+    d1, d2 = keep, d - keep
+    m = S.A.shape[1]
+    # x -> (x, F x + g): F and g are views into the substitution map
+    sub_M = np.zeros((n, d, d1))
+    sub_M[:, :d1] = np.eye(d1)
+    sub_t = np.zeros((n, d))
+    F, g = sub_M[:, d1:], sub_t[:, d1:]
+    lin = [np.zeros((d2, 0))] * n
+    # an empty member (the row 0.x = 1) is +inf at every kept point; its
+    # restriction to u = 0 stays empty
+    live = np.flatnonzero(S.A.any(axis=(1, 2))) if m == 1 else np.arange(n)
+    sel = slice(None) if live.size == n else live
+    if live.size:
+        Q, q, A, b = S.Q[sel], S.q[sel], S.A[sel], S.b[sel]
+        Qxu = Q[:, :d1, d1:]
+        Quu = Q[:, d1:, d1:]
+        Au = A[:, :, d1:]
+        K = _null_bases(np.concatenate([Quu, Au], axis=1))
+        flat = [j for j, Kj in enumerate(K) if Kj.size]
+        for j in flat:
+            Kj = K[j]
+            node = None if nodes is None else nodes[live[j]]
+            # joint convexity gives Qxu d = 0 on K; outside that regime the
+            # value would depend on x with the wrong sign: unbounded territory
+            if np.max(np.abs(Qxu[j] @ Kj), initial=0.0) > \
+                    _LIN_TOL * (1.0 + np.max(np.abs(Qxu[j]), initial=0.0)):
+                raise UnboundedBelow("free direction couples to kept coordinates", node=node)
+            qu = q[j, d1:]
+            if np.max(np.abs(Kj.T @ qu), initial=0.0) > _LIN_TOL * (1.0 + np.linalg.norm(qu)):
+                raise UnboundedBelow("linear drift along a zero-curvature direction", node=node)
+        KKT = Quu  # with no rows the KKT matrix is Quu itself
+        if m:
+            KKT = np.zeros((live.size, d2 + m, d2 + m))
+            KKT[:, :d2, :d2] = Quu
+            KKT[:, :d2, d2:] = Au.transpose(0, 2, 1)
+            KKT[:, d2:, :d2] = Au
+        P = np.linalg.pinv(KKT, rcond=1e-12)
+        R = -np.concatenate([Q[:, d1:, :d1], A[:, :, :d1]], axis=1)
+        r0 = np.concatenate([-q[:, d1:], b], axis=1)
+        Fl = (P @ R)[:, :d2]
+        gl = np.matvec(P, r0)[:, :d2]
+        F[sel], g[sel] = Fl, gl
+        for j in flat:
+            Kj, i = K[j], live[j]
+            lin[i] = Kj
+            F[i] = Fl[j] - Kj @ (Kj.T @ Fl[j])
+            g[i] = gl[j] - Kj @ (Kj.T @ gl[j])
+    out = _derived(_precompose(S, sub_M, sub_t))
+    return [PartialMin(fn, AffineSelector(Fi, gi), Ki)
+            for fn, Fi, gi, Ki in zip(out, F, g, lin)]
 
 
 def _polyhedral_cone_checks(f, keep):
@@ -641,7 +776,7 @@ def partial_min(f, over):
         zero = np.zeros((0, 0))
         return PartialMin(f, AffineSelector(np.zeros((0, keep)), np.zeros(0)), zero)
     if isinstance(f, Quadratic):
-        return _quadratic_partial_min(f, keep)
+        return _quadratic_partial_min([f], keep)[0]
     if isinstance(f, Polyhedral):
         return _polyhedral_partial_min(f, keep)
     raise BackendClash(f"partial_min unsupported for {type(f).__name__}")

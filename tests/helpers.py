@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from stochbellman.errors import IterationLimit, RowBlowup
+from stochbellman.bellman import _minimize_block
+from stochbellman.control import ControlSolution
+from stochbellman.convexfn import (_LIN_TOL, AffineSelector, PartialMin,
+                                   Quadratic, _canonical_rows, _is_empty)
+from stochbellman.errors import (DimensionMismatch, IterationLimit,
+                                 NonLinearRecession, RowBlowup, SingularRiccati,
+                                 UnboundedBelow, ValidationError)
 from stochbellman.tree import AdaptedProcess, validate_tree
 
 
@@ -289,3 +295,168 @@ def same_bits(x, y):
     """Equal shapes and equal bytes: -0.0 and 0.0 differ, as does any last bit."""
     x, y = np.asarray(x), np.asarray(y)
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+# Frozen node-by-node versions of the Quadratic algebra, of the control
+# sweep and of the Riccati recursion, kept as references: the stage-stacked
+# code must give every node the same bits and raise the same error at the
+# same node.
+
+def ref_derived(psd, Q, q, c, A, b):
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-8 * (1.0 + np.max(np.abs(Q), initial=0.0)):
+        raise ValidationError("Q must be symmetric")
+    out = Quadratic.__new__(Quadratic)
+    out.Q = 0.5 * (Q + Q.T)
+    out.q = np.asarray(q, dtype=float).ravel()
+    out.dim, out.c, out.psd = out.q.size, float(c), psd
+    if len(A) == 0:
+        out.A, out.b = np.zeros((0, out.dim)), np.zeros(0)
+    else:
+        out.A, out.b = _canonical_rows(np.atleast_2d(A), np.asarray(b, dtype=float).ravel())
+    return out
+
+
+def ref_null_basis(A, rcond=1e-10):
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    n = A.shape[1]
+    if A.size == 0 or not np.any(np.abs(A) > 0):
+        return np.eye(n)
+    u, s, vt = np.linalg.svd(A)
+    rank = int(np.sum(s > rcond * max(A.shape) * (s[0] if s.size else 1.0)))
+    return vt[rank:].T
+
+
+def ref_precompose(f, M, t):
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    t = np.asarray(t, dtype=float).ravel()
+    Q2 = M.T @ f.Q @ M
+    q2 = M.T @ (f.Q @ t + f.q)
+    c2 = f.c + f.q @ t + 0.5 * t @ f.Q @ t
+    A2 = f.A @ M
+    b2 = f.b - f.A @ t
+    return ref_derived(f.psd, Q2, q2, float(c2), A2, b2)
+
+
+def ref_scale(f, alpha):
+    if alpha == 0:
+        return ref_derived(True, np.zeros_like(f.Q), np.zeros_like(f.q), 0.0, f.A, f.b)
+    return ref_derived(f.psd, alpha * f.Q, alpha * f.q, alpha * f.c, f.A, f.b)
+
+
+def ref_add(f, g):
+    return ref_derived(f.psd and g.psd, f.Q + g.Q, f.q + g.q, f.c + g.c,
+                       np.vstack([f.A, g.A]), np.concatenate([f.b, g.b]))
+
+
+def ref_quadratic_partial_min(f, keep):
+    d1, d2 = keep, f.dim - keep
+    if _is_empty(f):
+        F = np.zeros((d2, d1))
+        out = ref_precompose(f, np.vstack([np.eye(d1), F]), np.zeros(f.dim))
+        return PartialMin(out, AffineSelector(F, np.zeros(d2)), np.zeros((d2, 0)))
+    Q, q, A, b = f.Q, f.q, f.A, f.b
+    Qxu = Q[:d1, d1:]
+    Quu = Q[d1:, d1:]
+    Qux = Q[d1:, :d1]
+    qu = q[d1:]
+    Au = A[:, d1:]
+    Ax = A[:, :d1]
+    K = ref_null_basis(np.vstack([Quu, Au]))
+    if K.size:
+        if np.max(np.abs(Qxu @ K), initial=0.0) > _LIN_TOL * (1.0 + np.max(np.abs(Qxu), initial=0.0)):
+            raise UnboundedBelow("free direction couples to kept coordinates")
+        proj = K.T @ qu
+        if np.max(np.abs(proj), initial=0.0) > _LIN_TOL * (1.0 + np.linalg.norm(qu)):
+            raise UnboundedBelow("linear drift along a zero-curvature direction")
+    m = A.shape[0]
+    M = np.zeros((d2 + m, d2 + m))
+    M[:d2, :d2] = Quu
+    M[:d2, d2:] = Au.T
+    M[d2:, :d2] = Au
+    P = np.linalg.pinv(M, rcond=1e-12)
+    R = np.vstack([-Qux, -Ax])
+    r0 = np.concatenate([-qu, b])
+    F = (P @ R)[:d2]
+    g = (P @ r0)[:d2]
+    if K.size:
+        F = F - K @ (K.T @ F)
+        g = g - K @ (K.T @ g)
+    sub_M = np.vstack([np.eye(d1), F])
+    sub_t = np.concatenate([np.zeros(d1), g])
+    out = ref_precompose(f, sub_M, sub_t)
+    return PartialMin(out, AffineSelector(F, g), K if K.size else np.zeros((d2, 0)))
+
+
+def ref_solve_oc(sys, costs):
+    tree = sys.tree
+    quad = lambda *fs: all(isinstance(f, Quadratic) for f in fs)
+    records = {}
+    for t in range(tree.T, -1, -1):
+        for nid in tree.stage_nodes[t]:
+            q = costs[nid]
+            if q.dim != sys.N + sys.M:
+                raise DimensionMismatch(f"cost at {nid!r} has wrong dimension")
+            for k in tree.children[nid]:
+                Mmat = np.hstack([np.eye(sys.N) + sys.A[k], sys.B[k]])
+                off = sys.W[k]
+                J = records[k]["J"]
+                p = float(tree.nodes[k].prob)
+                I_k = ref_scale(ref_precompose(J, Mmat, off), p) if quad(J) \
+                    else J.precompose(Mmat, off).scale(p)
+                q = ref_add(q, I_k) if quad(q, I_k) else q.add(I_k)
+            if quad(q):
+                try:
+                    pm = ref_quadratic_partial_min(q, q.dim - sys.M)
+                except (UnboundedBelow, NonLinearRecession) as exc:
+                    raise type(exc)(str(exc), node=nid) from exc
+            else:
+                pm = _minimize_block(q, sys.M, nid)
+            records[nid] = {"Q": q, "J": pm.fn, "selector": pm.selector,
+                            "N": pm.lineality}
+    return ControlSolution(sys, records)
+
+
+def ref_riccati(sys, Qmats, Rmats, sv_tol=1e-10):
+    """(K, Lam, offset, diagnostics) of the node-by-node recursion."""
+    tree = sys.tree
+    N, M = sys.N, sys.M
+    K, Lam, offset = {}, {}, {}
+    diag = {"cross_norm": 0.0, "w_mean_norm": 0.0}
+    for t in range(tree.T, -1, -1):
+        for nid in tree.stage_nodes[t]:
+            Q = np.atleast_2d(np.asarray(Qmats[nid], dtype=float))
+            kids = tree.children[nid]
+            if not kids:
+                K[nid] = Q
+                Lam[nid] = np.zeros((M, N))
+                offset[nid] = 0.0
+                continue
+            R = np.atleast_2d(np.asarray(Rmats[nid], dtype=float))
+            S1 = Q.copy()
+            S2 = np.zeros((N, M))
+            S3 = R.copy()
+            off = 0.0
+            wmean = np.zeros(N)
+            cross = np.zeros(N)
+            for k in kids:
+                pi = float(tree.nodes[k].prob)
+                IA = np.eye(N) + sys.A[k]
+                Bk = sys.B[k]
+                Wk = sys.W[k]
+                S1 += pi * IA.T @ K[k] @ IA
+                S2 += pi * IA.T @ K[k] @ Bk
+                S3 += pi * Bk.T @ K[k] @ Bk
+                off += pi * (offset[k] + 0.5 * Wk @ K[k] @ Wk)
+                wmean += pi * Wk
+                cross += pi * IA.T @ K[k] @ Wk
+            sv = np.linalg.svd(S3, compute_uv=False)
+            if sv[-1] < sv_tol * max(1.0, sv[0]):
+                raise SingularRiccati("control curvature matrix is singular", node=nid)
+            S3inv = np.linalg.inv(S3)
+            K[nid] = S1 - S2 @ S3inv @ S2.T
+            Lam[nid] = S3inv @ S2.T
+            offset[nid] = off
+            diag["w_mean_norm"] = max(diag["w_mean_norm"], float(np.linalg.norm(wmean)))
+            diag["cross_norm"] = max(diag["cross_norm"], float(np.linalg.norm(cross)))
+    return K, Lam, offset, diag

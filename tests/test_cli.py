@@ -104,6 +104,28 @@ def test_malformed_probability_exits_2(tmp_path, capsys):
     assert "r" in err  # offending parent node named
 
 
+@pytest.mark.parametrize("node, key, value, message", [
+    (3, "B", None, "node 'n3' has no `B` entry"),
+    (0, "R", None, "node 'n0' has no `R` entry"),
+    (4, "Q", np.eye(3).tolist(), "Q at 'n4' is not 2x2"),
+    (5, "W", [0.0, 1.0, 2.0], "W at 'n5' is not length 2"),
+    (2, "A", [[1.0, 0.0], [0.0]], "A at 'n2' is not a numeric array"),
+])
+def test_control_malformed_node_exits_2(tmp_path, capsys, node, key, value, message):
+    path = tmp_path / "lq.json"
+    run(capsys, "gen", "--kind", "lq", "--seed", "5", "--out", str(path))
+    doc = json.loads(path.read_text())
+    data = doc["nodes"][node]["data"]
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "control", "--input", str(path))
+    assert code == 2
+    assert message in err
+
+
 def test_unbounded_exits_3(tmp_path, capsys):
     tree = binary_tree()
     costs = {"r": Quadratic([[0.0]], [1.0]),

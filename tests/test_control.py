@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochbellman.bellman import (Policy, build_flat, solve_be,
                                   verify_optimality)
@@ -7,13 +9,15 @@ from stochbellman.control import (ControlSystem, as_stage_problem,
                                   extract_oc_policy, independence_reduction,
                                   lq_costs, q_factors, riccati, riccati_policy,
                                   solve_oc, verify_oc_policy)
-from stochbellman.convexfn import Quadratic
-from stochbellman.errors import SingularRiccati
+from stochbellman.convexfn import Polyhedral, Quadratic
+from stochbellman.errors import (SingularRiccati, StochBellmanError,
+                                 UnboundedBelow, ValidationError)
 from stochbellman.extensive import solve_extensive
-from stochbellman.generators import lq_instance
+from stochbellman.generators import lq_instance, random_tree
 from stochbellman.tree import validate_tree
 
-from helpers import binary_tree, chain_tree
+from helpers import (binary_tree, chain_tree, ref_riccati, ref_solve_oc,
+                     same_bits)
 
 
 def hand_system():
@@ -61,9 +65,10 @@ def test_riccati_singular_guard():
     tree = chain_tree(1)
     sys_ = ControlSystem(tree, 1, 1, A={"n1": [[0.0]]}, B={"n1": [[0.0]]},
                          W={"n1": [0.0]})
-    with pytest.raises(SingularRiccati):
+    with pytest.raises(SingularRiccati) as exc:
         riccati(sys_, {"n0": [[1.0]], "n1": [[1.0]]},
                 {"n0": [[0.0]], "n1": [[0.0]]})
+    assert exc.value.node == "n0"
 
 
 def test_q_factors_reproduce_value_functions():
@@ -244,3 +249,157 @@ def test_lq_post_functions_carry_no_residue_rows():
     for rec in sol.records.values():
         assert rec["post"].A.shape[0] == 0
     assert abs(sol.value - riccati(sys_, Qm, Rm).value(sys_.tree, x0)) <= 1e-8
+
+
+def _random_cost(rng, N, M, kind):
+    """A stage cost over (X, U) for the property tests below."""
+    d = N + M
+    L = rng.standard_normal((d, d))
+    Q, q = L @ L.T + 0.1 * np.eye(d), rng.standard_normal(d)
+    A = b = None
+    if kind == "poly":
+        # zero and curved Quadratics next to Polyhedral nodes; a curved one
+        # that meets a Polyhedral sum is a BackendClash
+        u = rng.random()
+        if u < 0.15:
+            return Quadratic(Q, q)
+        if u < 0.5:
+            return Quadratic(np.zeros((d, d)), np.zeros(d))
+        G = np.vstack([np.eye(d), -np.eye(d)]) * rng.uniform(0.5, 2.0, size=(2 * d, 1))
+        return Polyhedral(G, rng.standard_normal(2 * d))
+    if kind in ("flat", "unbounded") and rng.random() < 0.5:
+        # no curvature in U; a drift along U makes the minimization unbounded
+        Q[N:, :], Q[:, N:] = 0.0, 0.0
+        q[N:] = rng.standard_normal(M) if kind == "unbounded" else 0.0
+    if kind == "rows" and rng.random() < 0.5:
+        m = int(rng.integers(1, d + 1))
+        A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+    if kind == "empty" and rng.random() < 0.3:
+        A, b = np.tile(rng.standard_normal(d), (2, 1)), np.array([0.0, 1.0])
+    return Quadratic(Q, q, float(rng.standard_normal()), A, b)
+
+
+def _random_control(rng, kind):
+    T = 1 if kind == "poly" else int(rng.integers(1, 4))
+    N, M = (1, 1) if kind == "poly" else (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+    tree = random_tree(rng, T, 3)  # 1 to 3 children per node
+    later = [nid for nid in tree.nodes if tree.stage(nid) >= 1]
+    zero_B = kind == "flat" or kind == "singular"
+    sys_ = ControlSystem(
+        tree, N, M,
+        A={k: 0.3 * rng.standard_normal((N, N)) for k in later},
+        B={k: (0.0 if zero_B and rng.random() < 0.5 else 1.0) * rng.standard_normal((N, M))
+           for k in later},
+        W={k: rng.standard_normal(N) for k in later})
+    return sys_
+
+
+def _same_fn(f, g):
+    if isinstance(f, Quadratic):
+        return isinstance(g, Quadratic) and all(
+            same_bits(getattr(f, a), getattr(g, a)) for a in ("Q", "q", "A", "b")) \
+            and f.c == g.c and f.psd == g.psd
+    return all(same_bits(getattr(f, a), getattr(g, a))
+               for a in ("pieces_a", "pieces_b", "C", "d"))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except StochBellmanError as exc:
+        return None, exc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["lq", "rows", "flat", "unbounded", "empty", "poly"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
+    # uneven trees; equality rows, flat directions, empty domains and
+    # Polyhedral nodes next to Quadratic ones: every record has the bits of
+    # the frozen node-by-node sweep, and an error has its type and node
+    rng = np.random.default_rng(seed)
+    sys_ = _random_control(rng, kind)
+    costs = {nid: _random_cost(rng, sys_.N, sys_.M, kind) for nid in sys_.tree.nodes}
+    got, err = _outcome(solve_oc, sys_, costs)
+    want, ref_err = _outcome(ref_solve_oc, sys_, costs)
+    assert type(err) is type(ref_err)
+    if ref_err is not None:
+        assert str(err) == str(ref_err)
+        assert getattr(err, "node", None) == getattr(ref_err, "node", None)
+        return
+    for nid in sys_.tree.nodes:
+        g, w = got.records[nid], want.records[nid]
+        assert _same_fn(g["Q"], w["Q"]) and _same_fn(g["J"], w["J"])
+        if isinstance(w["J"], Quadratic):
+            assert same_bits(g["selector"].F, w["selector"].F)
+            assert same_bits(g["selector"].g, w["selector"].g)
+        assert same_bits(g["N"], w["N"])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["lq", "singular"]), seed=st.integers(0, 2**32 - 1))
+def test_stage_riccati_matches_the_node_by_node_recursion(kind, seed):
+    rng = np.random.default_rng(seed)
+    sys_ = _random_control(rng, kind)
+    N, M = sys_.N, sys_.M
+    psd = lambda n: (lambda L: L @ L.T)(rng.standard_normal((n, n)))
+    Qm = {nid: psd(N) for nid in sys_.tree.nodes}
+    Rm = {nid: (np.zeros((M, M)) if kind == "singular" and rng.random() < 0.5
+                else psd(M) + 0.1 * np.eye(M)) for nid in sys_.tree.nodes}
+    got, err = _outcome(riccati, sys_, Qm, Rm)
+    want, ref_err = _outcome(ref_riccati, sys_, Qm, Rm)
+    assert type(err) is type(ref_err)
+    if ref_err is not None:
+        assert err.node == ref_err.node and str(err) == str(ref_err)
+        return
+    K, Lam, offset, diag = want
+    for nid in sys_.tree.nodes:
+        assert same_bits(got.K[nid], K[nid]) and same_bits(got.Lam[nid], Lam[nid])
+        assert same_bits(np.float64(got.offset[nid]), np.float64(offset[nid]))
+    assert got.diagnostics == diag
+
+
+@pytest.mark.parametrize("quad, poly", [("v", "w"), ("w", "v"), ("v", "x")])
+def test_unbounded_stage_member_is_named(quad, poly):
+    # in stage 1 two nodes are unbounded below: a Quadratic with a linear
+    # drift along a control with no curvature, and a Polyhedral falling
+    # along that control.  The error names the first of them in stage
+    # order, whichever backend it has.
+    kids = "uvwx"
+    tree = validate_tree([{"id": "r", "parent": None, "prob": 1.0, "stage": 0}] + [
+        {"id": k, "parent": "r", "prob": 0.25, "stage": 1} for k in kids])
+    sys_ = ControlSystem(tree, 1, 1, A={k: [[0.0]] for k in kids},
+                         B={k: [[1.0]] for k in kids}, W={k: [0.0] for k in kids})
+    costs = {nid: Quadratic(np.eye(2), np.zeros(2)) for nid in tree.nodes}
+    costs[quad] = Quadratic(np.diag([1.0, 0.0]), [0.0, 1.0])
+    costs[poly] = Polyhedral([[1.0, 1.0], [-1.0, 1.0]], [0.0, 0.0])
+    named = min(quad, poly)
+    with pytest.raises(UnboundedBelow) as exc:
+        solve_oc(sys_, costs)
+    assert exc.value.node == named
+    with pytest.raises(UnboundedBelow) as ref:
+        ref_solve_oc(sys_, costs)
+    assert ref.value.node == named and str(exc.value) == str(ref.value)
+
+
+def test_non_psd_cost_names_the_first_failing_node():
+    sys_, Qm, Rm = lq_instance(4, T=3, N=2, M=1)
+    later = sys_.tree.stage_nodes[2]
+    for nid in (later[3], later[1]):
+        Rm[nid] = [[-1.0]]
+    with pytest.raises(ValidationError, match=rf"not PSD at node '{later[1]}' \(min eig -1.000e\+00\)"):
+        lq_costs(sys_, Qm, Rm)
+
+
+def test_thousand_node_recursion_matches_riccati():
+    # scale check on a 1023-node tree: the stage-stacked sweep against the
+    # Riccati recursion, and the Riccati feedback against the sweep's records
+    for seed in (1, 2):
+        sys_, Qm, Rm = lq_instance(seed, T=9)
+        assert len(sys_.tree.nodes) == 1023
+        rd = riccati(sys_, Qm, Rm)
+        sol = solve_oc(sys_, lq_costs(sys_, Qm, Rm))
+        x0 = np.array([0.5, -0.3])
+        assert sol.value(x0) == pytest.approx(rd.value(sys_.tree, x0), abs=1e-8)
+        X, U = riccati_policy(sys_, rd, x0)
+        assert verify_oc_policy(sys_, sol, X, U)

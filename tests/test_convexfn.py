@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from stochbellman import treeio
 from stochbellman.bellman import StageProblem, solve_be
 from stochbellman.convexfn import (EQ_TOL, Inf, Polyhedral, Quadratic, Sampled1D,
-                                   cond_expect_fn, lineality_space,
-                                   partial_min, recession)
+                                   cond_expect_fn, lineality_space, partial_min,
+                                   partial_min_stack, recession)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  NonLinearRecession, ProbabilityMass,
                                  UnboundedBelow, ValidationError)
 
-from helpers import binary_tree, grid_min
+from helpers import (binary_tree, grid_min, ref_add, ref_precompose,
+                     ref_quadratic_partial_min, ref_scale, same_bits)
 
 
 def test_eval_quadratic():
@@ -474,3 +475,90 @@ def test_inconsistent_rows_are_an_empty_domain(d, r, extra, seed):
     with pytest.raises(Infeasible) as err:
         solve_be(StageProblem(binary_tree(), [1, d], node_costs=costs))
     assert err.value.node == "b"
+
+
+def _random_member(rng, d, keep, m, kind):
+    """A Quadratic on R^d with m canonical rows, of the given kind:
+    pd (positive definite), flat (a zero-curvature minimized direction
+    that passes the checks), drift (the same with a linear term along it),
+    coupled (an indefinite form, built unchecked, with no curvature in the
+    minimized block but a cross term into it), zero (Q = 0 and q = 0) or
+    empty (the row 0.x = 1; m must be 1)."""
+    L = rng.standard_normal((d, d))
+    Q = L @ L.T + 0.1 * np.eye(d)
+    q = rng.standard_normal(d)
+    if kind in ("flat", "drift"):
+        z = np.zeros(d)
+        z[keep:] = rng.standard_normal(d - keep)
+        z /= np.linalg.norm(z)
+        P = np.eye(d) - np.outer(z, z)
+        Q = P @ L @ L.T @ P
+        q = P @ q + (rng.uniform(0.5, 2.0) * z if kind == "drift" else 0.0)
+    elif kind == "coupled":
+        Q[keep:, keep:] = 0.0
+        Q[keep:, :keep] = Q[:keep, keep:].T
+    elif kind == "zero":
+        Q, q = np.zeros((d, d)), np.zeros(d)
+    if kind == "empty":
+        A, b = np.zeros((1, d)), np.ones(1)
+    else:
+        A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+    return Quadratic(0.5 * (Q + Q.T), q, float(rng.standard_normal()), A, b,
+                     check_psd=kind != "coupled")
+
+
+def _same_quadratic(f, g):
+    return (same_bits(f.Q, g.Q) and same_bits(f.q, g.q) and f.c == g.c
+            and same_bits(f.A, g.A) and same_bits(f.b, g.b) and f.psd == g.psd)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.integers(1, 4), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       kinds=st.sampled_from(["pd", "mixed", "flat", "unbounded", "empty"]))
+def test_stacked_partial_min_matches_the_node_by_node_kernel(d, n, seed, kinds):
+    # every member gets the F, g, lineality and post-function bits of the
+    # frozen per-node kernel; the first failing member raises its error
+    rng = np.random.default_rng(seed)
+    keep = int(rng.integers(0, d))
+    m = 1 if kinds == "empty" else int(rng.integers(0, d + 1))
+    pool = {"pd": ["pd"], "mixed": ["pd", "flat", "zero"], "flat": ["flat", "zero"],
+            "unbounded": ["pd", "flat", "drift", "coupled"], "empty": ["pd", "flat", "empty"]}
+    fs = [_random_member(rng, d, keep, m, rng.choice(pool[kinds])) for _ in range(n)]
+    fs = [f for f in fs if f.A.shape[0] == fs[0].A.shape[0]]
+    names = [f"n{i}" for i in range(len(fs))]
+    want, first = [], None
+    for i, f in enumerate(fs):
+        try:
+            want.append(ref_quadratic_partial_min(f, keep))
+        except UnboundedBelow as exc:
+            first = (names[i], str(exc))
+            break
+    if first is not None:
+        with pytest.raises(UnboundedBelow) as got:
+            partial_min_stack(fs, d - keep, names)
+        assert got.value.node == first[0]
+        assert str(got.value) == f"{first[1]} (node {first[0]})"
+        return
+    for f, got, ref in zip(fs, partial_min_stack(fs, d - keep, names), want):
+        for pm in (got, partial_min(f, d - keep)):
+            assert same_bits(pm.selector.F, ref.selector.F)
+            assert same_bits(pm.selector.g, ref.selector.g)
+            assert same_bits(pm.lineality, ref.lineality)
+            assert _same_quadratic(pm.fn, ref.fn)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.integers(1, 4), k=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["pd", "flat", "zero", "empty"]))
+def test_quadratic_algebra_matches_the_node_by_node_formulas(d, k, seed, kind):
+    # precompose, scale and add are stacks of one: the per-node bits
+    rng = np.random.default_rng(seed)
+    m = 1 if kind == "empty" else int(rng.integers(0, d + 1))
+    f = _random_member(rng, d, 0, m, kind)
+    g = _random_member(rng, d, 0, int(rng.integers(0, d + 1)), "pd")
+    M, t = rng.standard_normal((d, k)), rng.standard_normal(d)
+    assert _same_quadratic(f.precompose(M, t), ref_precompose(f, M, t))
+    for alpha in (0.0, float(rng.uniform(0.1, 3.0))):
+        assert _same_quadratic(f.scale(alpha), ref_scale(f, alpha))
+    assert _same_quadratic(f.add(g), ref_add(f, g))
+    assert _same_quadratic(g.add(f), ref_add(g, f))
