@@ -4,20 +4,25 @@ Costs are stage-additive: each node at stage t carries a cost
 g_t(x_{t-1}, x_t), and the sweep computes per-node value functions of the
 previous decision.
 
+backward_sweep, the one backward recursion, runs a stage at a time with
+the Quadratic nodes as stacks; every node gets the node-by-node bits.
+
 At every node the sweep records the pre-minimization function, the value
 function after minimizing the node's own block, the minimizer map, and the
 lineality basis of the flat directions.  Unbounded or one-sided recession
 cones abort the sweep with the offending node attached, and so does a
 continuation that no single backend can add to the node's cost
-(BackendClash).
+(BackendClash); the error is the first failing node's in stage order.
 """
 
 import numpy as np
 
-from .convexfn import (Inf, Quadratic, _is_empty, cond_expect_fn, partial_min,
-                       recession)
-from .errors import (BackendClash, Infeasible, NonLinearRecession, NotPerp,
-                     SolverError, UnboundedBelow, ValidationError)
+from .convexfn import (Inf, Quadratic, _is_empty, add_stack, partial_min,
+                       partial_min_stack, precompose_stack, recession,
+                       scale_stack)
+from .errors import (BackendClash, DimensionMismatch, Infeasible,
+                     NonLinearRecession, NotPerp, SolverError,
+                     StochBellmanError, UnboundedBelow, ValidationError)
 from .extensive import FlatProgram, Term, solve_extensive
 from .tree import perp_check
 
@@ -70,38 +75,133 @@ class Policy:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def _minimize_block(fn, over, nid):
-    try:
-        return partial_min(fn, over=over)
-    except (UnboundedBelow, NonLinearRecession) as exc:
-        raise type(exc)(str(exc), node=nid) from exc
+def _rows(f):
+    """Row count of a Quadratic, its stacking key; None for anything else."""
+    return f.A.shape[0] if isinstance(f, Quadratic) else None
+
+
+def _split(keys):
+    """Positions grouped by key in first-seen order, and the positions whose
+    key is None."""
+    groups = {}
+    for i, k in enumerate(keys):
+        groups.setdefault(k, []).append(i)
+    rest = groups.pop(None, [])
+    return groups.values(), rest
+
+
+def _map(fns, p=None, M=None, W=None):
+    """p_i f_i(M_i x + W_i) for each given f_i (no factor when p is None, no
+    map when M is None), None kept as None: Quadratics as one stack per row
+    count, others one by one."""
+    out = list(fns)
+    groups, rest = _split([_rows(f) for f in fns])
+    for idx in groups:
+        fs, pi = [fns[i] for i in idx], None if p is None else p[idx]
+        res = scale_stack(fs, pi) if M is None else precompose_stack(fs, M[idx], W[idx], pi)
+        for i, f in zip(idx, res):
+            out[i] = f
+    for i in (i for i in rest if fns[i] is not None):
+        f = fns[i] if M is None else fns[i].precompose(M[i], W[i])
+        out[i] = f if p is None else f.scale(p[i])
+    return out
+
+
+def _add(acc, other, nodes, failed):
+    """acc[i] += other[i] (acc[i] = other[i] from None) where other[i] is
+    given, for the nodes before the first failure: Quadratic pairs as one
+    stack per pair of row counts, others node by node.  A node's error is
+    recorded in failed."""
+    live = [i for i in range(min(failed, default=len(acc))) if other[i] is not None]
+    keys = [(_rows(acc[i]), _rows(other[i])) for i in live]
+    groups, rest = _split([None if None in k else k for k in keys])
+    for g in groups:
+        idx = [live[k] for k in g]
+        for i, f in zip(idx, add_stack([acc[i] for i in idx], [other[i] for i in idx])):
+            acc[i] = f
+    for i in (live[k] for k in rest):
+        try:
+            acc[i] = other[i] if acc[i] is None else acc[i].add(other[i])
+        except BackendClash as exc:
+            failed[i] = BackendClash(f"{exc} (node {nodes[i]})")
+        except StochBellmanError as exc:
+            failed[i] = exc
+
+
+def _minimize(fns, over, nodes, failed):
+    """partial_min of each fns[i] over its trailing `over` coordinates, for
+    the nodes before the first failure: one stacked call per Quadratic row
+    count, node by node otherwise.  A node's error is recorded in failed."""
+    pms = [None] * len(fns)
+    live = fns[:min(failed, default=len(fns))]
+    groups, rest = _split([_rows(f) if over else None for f in live])
+    for idx in groups:
+        names = [nodes[i] for i in idx]
+        try:
+            res = partial_min_stack([fns[i] for i in idx], over, names)
+        except SolverError as exc:
+            failed[idx[names.index(exc.node)]] = exc
+            continue
+        for i, pm in zip(idx, res):
+            pms[i] = pm
+    for i in rest:
+        try:
+            pms[i] = partial_min(fns[i], over)
+        except (UnboundedBelow, NonLinearRecession) as exc:
+            failed[i] = type(exc)(str(exc), node=nodes[i])
+        except StochBellmanError as exc:
+            failed[i] = exc
+    return pms
+
+
+def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=False):
+    """The backward recursion: node id -> record(pre, PartialMin, tail).
+
+    A stage-t cost takes a kept block of width keep[t], then the own block
+    of width over[t].  A node's tail sums p_k V_k(m_k(.)) over its children
+    slot by slot in child order, m_k the child's step map from maps(t) =
+    (M, W) stacked in stage order.  Without maps each V_k is a function of
+    the own block, and the tail is lifted to both blocks.  The cost is
+    added once, an empty Quadratic raises Infeasible if empty_raises, and
+    the own block is minimized out.  The error raised is the first failing
+    node's."""
+    records, post = {}, []
+    for t in range(tree.T, -1, -1):
+        nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
+        fns = [costs[nid] for nid in nodes]
+        failed = {i: DimensionMismatch(f"cost at {nid!r} has wrong dimension")
+                  for i, (nid, f) in enumerate(zip(nodes, fns)) if f.dim != keep[t] + over[t]}
+        tails = [None] * n
+        if t < tree.T:
+            kids = tree.stage_nodes[t + 1]
+            p = np.array([float(tree.nodes[k].prob) for k in kids])
+            I = _map(post, p, *(maps(t + 1) if maps else ()))
+            slot = {k: j for j, k in enumerate(kids)}
+            for s in range(max(len(tree.children[nid]) for nid in nodes)):
+                _add(tails, [I[slot[ch[s]]] if len(ch) > s else None
+                             for ch in (tree.children[nid] for nid in nodes)], nodes, failed)
+            L = np.eye(keep[t] + over[t])[keep[t]:]
+            _add(fns, _map(tails, M=np.broadcast_to(L, (n,) + L.shape),
+                           W=np.zeros((n, over[t]))) if maps is None else tails, nodes, failed)
+        empty = [i for i in range(min(failed, default=n)) if empty_raises
+                 and isinstance(fns[i], Quadratic) and _is_empty(fns[i])]
+        if empty:
+            failed[empty[0]] = Infeasible("problem is infeasible", node=nodes[empty[0]])
+        pms = _minimize(fns, over[t], nodes, failed)
+        if failed:
+            raise failed[min(failed)]
+        records.update((nid, record(fns[i], pms[i], tails[i])) for i, nid in enumerate(nodes))
+        post = [pm.fn for pm in pms]
+    return records
 
 
 def solve_be(problem):
     """Backward sweep; returns a BellmanSolution with per-node records."""
     tree = problem.tree
-    records = {}
-    for t in range(tree.T, -1, -1):
-        prev = problem._prev_dim(t)
-        own = problem.dims[t]
-        lift = np.zeros((own, prev + own))
-        lift[:, prev:] = np.eye(own)
-        for nid in tree.stage_nodes[t]:
-            fn = problem.node_costs[nid]
-            kids = tree.children[nid]
-            tail = None
-            if kids:
-                try:
-                    tail = cond_expect_fn(
-                        [(float(tree.nodes[k].prob), records[k]["post"]) for k in kids])
-                    fn = fn.add(tail.precompose(lift, np.zeros(own)))
-                except BackendClash as exc:
-                    raise BackendClash(f"{exc} (node {nid})") from exc
-            if isinstance(fn, Quadratic) and _is_empty(fn):
-                raise Infeasible("problem is infeasible", node=nid)
-            pm = _minimize_block(fn, own, nid)
-            records[nid] = {"pre": fn, "post": pm.fn, "selector": pm.selector,
-                            "N": pm.lineality, "tail": tail, "stage": t}
+    keep = [problem._prev_dim(t) for t in range(tree.T + 1)]
+    records = backward_sweep(tree, problem.node_costs, keep, problem.dims, lambda pre, pm, tail: {
+        "pre": pre, "post": pm.fn, "selector": pm.selector, "N": pm.lineality, "tail": tail},
+        empty_raises=True)
     value = records[tree.root]["post"].eval(np.zeros(0))
     if value == Inf:
         raise Infeasible("problem is infeasible", node=tree.root)
@@ -147,11 +247,7 @@ def optimum_value(sol, t):
     if t == tree.T:
         fp = build_flat(problem)
     else:
-        tails = {}
-        for nid in tree.stage_nodes[t]:
-            kids = tree.children[nid]
-            tails[nid] = cond_expect_fn(
-                [(float(tree.nodes[k].prob), sol.records[k]["post"]) for k in kids])
+        tails = {nid: sol.records[nid]["tail"] for nid in tree.stage_nodes[t]}
         fp = build_flat(problem, upto=t, tails=tails)
     value, _, _ = solve_extensive(fp)
     return value
@@ -250,10 +346,22 @@ def _recession_problem(problem):
     return StageProblem(problem.tree, problem.dims, node_costs=costs)
 
 
-def check_assumptions(problem, v=None, eps=0.1):
+def recession_probe(problem):
+    """Linearity verdict (ok, detail) from a sweep of recession costs."""
+    try:
+        solve_be(problem)
+    except (UnboundedBelow, NonLinearRecession) as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+    except SolverError as exc:
+        return True, f"recession probe inconclusive: {exc}"
+    return True, ""
+
+
+def check_assumptions(problem, v=None, eps=0.1, solution=None):
     """Diagnostics, never gates: lower-bound certificates via per-node
     conjugates at the tilt point, a linearity verdict from the recession
-    recursion, and a solve probe.
+    recursion, and a solve probe.  With no tilt, a solution already swept
+    from `problem` is the solve probe's result when it is given.
     """
     tree = problem.tree
     base = problem if v is None else tilt_by_p(problem, v)
@@ -275,17 +383,11 @@ def check_assumptions(problem, v=None, eps=0.1):
             lower_ok = False
         certificates[nid] = per_lambda
 
-    linearity_ok, linearity_detail = True, ""
-    try:
-        solve_be(_recession_problem(base))
-    except (UnboundedBelow, NonLinearRecession) as exc:
-        linearity_ok, linearity_detail = False, f"{type(exc).__name__}: {exc}"
-    except SolverError as exc:
-        linearity_detail = f"recession probe inconclusive: {exc}"
+    linearity_ok, linearity_detail = recession_probe(_recession_problem(base))
 
     feas_ok, feas_detail = True, ""
     try:
-        sol = solve_be(base)
+        sol = solution if v is None and solution is not None else solve_be(base)
         feas_detail = f"value {sol.value:.12g}"
     except SolverError as exc:
         feas_ok, feas_detail = False, f"{type(exc).__name__}: {exc}"

@@ -73,7 +73,7 @@ def cmd_solve(args):
     tree, problem = _load_problem(args.input)
     sol = solve_be(problem)
     policy = extract_policy(sol)
-    assum = check_assumptions(problem)
+    assum = check_assumptions(problem, solution=sol)
     report = {
         "value": sol.value,
         "per_stage_values": [optimum_value(sol, t) for t in range(tree.T + 1)],

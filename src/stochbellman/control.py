@@ -7,24 +7,17 @@ precomposition, so the optimal control depends on the past only through
 the current state.
 
 The sweep is symbolic: quadratic/polyhedral stage costs stay in their
-backend.  A stage is the unit of work: its nodes' problems are
-independent, so solve_oc runs the Quadratic nodes of a stage as stacked
-arrays (one precompose and scale of the children, slot-by-slot sums in
-child order, one partial minimization per row count), and riccati runs one
-batched svd/inv per stage.  Each node gets the bits of the node-by-node
-recursion, and an error names the first failing node in stage order.
-Polyhedral nodes take the per-node algebra.  Sampled wealth tables are
+backend.  solve_oc runs bellman.backward_sweep with the stacked step maps;
+riccati runs one batched svd/inv per stage.  Sampled wealth tables are
 built by the hedging layer, which knows their cost structure
 (hedging.solve_alm); their records carry no symbolic Q factor.
 """
 
 import numpy as np
 
-from .bellman import StageProblem, _minimize_block
-from .convexfn import (Inf, Quadratic, add_stack, partial_min_stack,
-                       precompose_stack, quadratics)
-from .errors import (DimensionMismatch, SingularRiccati, SolverError,
-                     StochBellmanError, ValidationError)
+from .bellman import StageProblem, backward_sweep
+from .convexfn import Inf, Quadratic, quadratics
+from .errors import DimensionMismatch, SingularRiccati, ValidationError
 
 RICCATI_NOTE = (
     "K recursion uses the full Schur-complement cross term S2 S3^{-1} S2^T "
@@ -121,115 +114,18 @@ class ControlSolution:
         return self.records[nid]["selector"](np.atleast_1d(X))
 
 
-def _rows(f):
-    """Row count of a Quadratic (its stacking key); None for other backends."""
-    return f.A.shape[0] if isinstance(f, Quadratic) else None
-
-
-def _split(keys):
-    """Positions grouped by key in first-seen order, and the positions whose
-    key is None."""
-    groups, rest = {}, []
-    for i, k in enumerate(keys):
-        if k is None:
-            rest.append(i)
-        else:
-            groups.setdefault(k, []).append(i)
-    return groups.values(), rest
-
-
-def _continuations(sys, t, Js):
-    """p_k J_k(step_k(X, U)) for the stage-t nodes k, in stage order."""
-    Mmat, W = sys.stage_maps(t)
-    p = np.array([float(sys.tree.nodes[k].prob) for k in sys.tree.stage_nodes[t]])
-    out = list(Js)
-    groups, rest = _split([_rows(f) for f in Js])
-    for idx in groups:
-        for i, f in zip(idx, precompose_stack([Js[i] for i in idx], Mmat[idx], W[idx], p[idx])):
-            out[i] = f
-    for i in rest:
-        out[i] = Js[i].precompose(Mmat[i], W[i]).scale(p[i])
-    return out
-
-
-def _add_slot(acc, I, pairs, failed):
-    """acc[i] += I[j] for the (i, j) pairs: Quadratic pairs as stacks, one
-    per pair of row counts, others per node.  A node's error is recorded in
-    failed and ends its work."""
-    first = min(failed, default=len(acc))
-    pairs = [(i, j) for i, j in pairs if i < first]
-    keys = []
-    for i, j in pairs:
-        ra, rb = _rows(acc[i]), _rows(I[j])
-        keys.append(None if ra is None or rb is None else (ra, rb))
-    groups, rest = _split(keys)
-    for idx in groups:
-        ps = [pairs[k] for k in idx]
-        for (i, _), f in zip(ps, add_stack([acc[i] for i, _ in ps], [I[j] for _, j in ps])):
-            acc[i] = f
-    for i, j in (pairs[k] for k in rest):
-        if i < min(failed, default=len(acc)):
-            try:
-                acc[i] = acc[i].add(I[j])
-            except StochBellmanError as exc:
-                failed[i] = exc
-
-
-def _minimize_stage(acc, over, nodes, failed):
-    """Partial minimization of each acc[i] over its trailing `over`
-    coordinates: one stacked call per Quadratic row count, per node
-    otherwise.  A node's error is recorded in failed."""
-    pms = [None] * len(acc)
-    groups, rest = _split([_rows(f) for f in acc[:min(failed, default=len(acc))]])
-    for idx in groups:
-        names = [nodes[i] for i in idx]
-        try:
-            res = partial_min_stack([acc[i] for i in idx], over, names)
-        except SolverError as exc:
-            failed[idx[names.index(exc.node)]] = exc
-            continue
-        for i, pm in zip(idx, res):
-            pms[i] = pm
-    for i in rest:
-        if i < min(failed, default=len(acc)):
-            try:
-                pms[i] = _minimize_block(acc[i], over, nodes[i])
-            except StochBellmanError as exc:
-                failed[i] = exc
-    return pms
-
-
 def solve_oc(sys, costs):
     """Backward sweep producing per-node value functions.
 
-    costs maps every node to a ConvexFn over (X, U).  Each stage is one
-    unit of work: the children's value functions are precomposed with the
-    stage's step maps and scaled by their branch probabilities, added into
-    their parents slot by slot in child order (the node-by-node summation
-    order), and minimized over U.  Quadratic nodes run as stacks; an error
-    names the first failing node in stage order.
+    costs maps every node to a ConvexFn over (X, U).  This is
+    bellman.backward_sweep with each child's value function precomposed
+    with the child's step map, and U minimized out.
     """
-    tree = sys.tree
-    records = {}
-    for t in range(tree.T, -1, -1):
-        nodes = tree.stage_nodes[t]
-        acc = [costs[nid] for nid in nodes]
-        failed = {i: DimensionMismatch(f"cost at {nid!r} has wrong dimension")
-                  for i, (nid, q) in enumerate(zip(nodes, acc)) if q.dim != sys.N + sys.M}
-        if t < tree.T:
-            kids = tree.stage_nodes[t + 1]
-            I = _continuations(sys, t + 1, [records[k]["J"] for k in kids])
-            slot = {k: j for j, k in enumerate(kids)}
-            for s in range(max(len(tree.children[nid]) for nid in nodes)):
-                _add_slot(acc, I, [(i, slot[tree.children[nid][s]]) for i, nid in enumerate(nodes)
-                                   if len(tree.children[nid]) > s], failed)
-        pms = _minimize_stage(acc, sys.M, nodes, failed)
-        if failed:
-            raise failed[min(failed)]
-        for nid, q, pm in zip(nodes, acc, pms):
-            records[nid] = {"Q": q, "J": pm.fn, "selector": pm.selector,
-                            "N": pm.lineality}
-    return ControlSolution(sys, records)
+    T = sys.tree.T
+    return ControlSolution(sys, backward_sweep(
+        sys.tree, costs, [sys.N] * (T + 1), [sys.M] * (T + 1), lambda q, pm, _: {
+            "Q": q, "J": pm.fn, "selector": pm.selector, "N": pm.lineality},
+        maps=sys.stage_maps))
 
 
 def q_factors(solution):

@@ -21,7 +21,7 @@ objects and lineality spaces are orthonormal basis arrays.
 The Quadratic algebra (precompose, scale, add, partial minimization) is
 written once over a stack: arrays with a leading member axis, for
 Quadratics of one dimension and row count.  A method call on one object
-is a stack of one; the control sweep runs a whole stage as one stack.
+is a stack of one; the backward sweep runs a whole stage as one stack.
 Every member gets the bits it would get alone.
 """
 
@@ -205,12 +205,19 @@ def _add(S, T):
                   np.concatenate([S.b, T.b], axis=1), S.psd & T.psd)
 
 
-def precompose_stack(fs, M, t, alpha):
-    """alpha_i f_i(M_i x + t_i) for Quadratics fs of one dim and row count;
-    M (n, d, k), t (n, d), alpha (n,).  The symmetrized form is scaled, as
-    f.precompose(M, t).scale(alpha) does it."""
+def precompose_stack(fs, M, t, alpha=None):
+    """f_i(M_i x + t_i) for Quadratics fs of one dim and row count, times
+    alpha_i when alpha (n,) is given; M (n, d, k), t (n, d).  The
+    symmetrized form is scaled, as f.precompose(M, t).scale(alpha) does it."""
     S = _precompose(_stack(fs), M, t)
-    return _derived(_scale(S._replace(Q=_forms(S.Q)), alpha))
+    if alpha is not None:
+        S = _scale(S._replace(Q=_forms(S.Q)), alpha)
+    return _derived(S)
+
+
+def scale_stack(fs, alpha):
+    """alpha_i f_i for Quadratics fs of one dim and row count; alpha (n,)."""
+    return _derived(_scale(_stack(fs), alpha), new_rows=False)
 
 
 def add_stack(fs, gs):
@@ -371,12 +378,12 @@ class Quadratic(ConvexFn):
         return _derived(S._replace(q=S.q + v), new_rows=False)[0]
 
     def scale(self, alpha):
-        return _derived(_scale(_stack([self]), np.array([alpha], dtype=float)), new_rows=False)[0]
+        return scale_stack([self], np.array([alpha], dtype=float))[0]
 
     def precompose(self, M, t):
         M = np.atleast_2d(np.asarray(M, dtype=float))
         t = np.asarray(t, dtype=float).ravel()
-        return _derived(_precompose(_stack([self]), M[None], t[None]))[0]
+        return precompose_stack([self], M[None], t[None])[0]
 
     def recession(self):
         # f^inf(d) = q.d on ker Q intersected with {Ad = 0}; +inf elsewhere,
@@ -453,8 +460,8 @@ class Polyhedral(ConvexFn):
         if isinstance(other, Polyhedral):
             if other.dim != self.dim:
                 raise DimensionMismatch("dimension mismatch in add")
-            pa = (self.pieces_a[:, None, :] + other.pieces_a[None, :, :]).reshape(-1, self.dim)
             pb = (self.pieces_b[:, None] + other.pieces_b[None, :]).reshape(-1)
+            pa = (self.pieces_a[:, None, :] + other.pieces_a[None, :, :]).reshape(pb.size, self.dim)
             C = np.vstack([self.C, other.C])
             d = np.concatenate([self.d, other.d])
             return Polyhedral(*_prune_pieces(pa, pb, C, d), C, d)

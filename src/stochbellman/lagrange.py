@@ -12,10 +12,9 @@ The block-diagonal LP specialization builds polyhedral node costs from
 
 import numpy as np
 
-from .bellman import StageProblem, solve_be
+from .bellman import StageProblem, recession_probe, solve_be
 from .convexfn import Inf, Polyhedral, recession
-from .errors import (Infeasible, NonLinearRecession, NotPerp, SolverError,
-                     UnboundedBelow, ValidationError)
+from .errors import Infeasible, NotPerp, ValidationError
 from .polyhedra import cone_from_generators, is_infeasible_marker
 from .simplex import solve_lp
 from .tree import perp_check
@@ -206,12 +205,6 @@ def check_lagrange_bounds(instance, v=None, y=None, eps=0.1):
                     if m == Inf:
                         ok = False
             certificates[nid] = rows
-    lin_ok, detail = True, ""
     rec_costs = {nid: recession(fn) for nid, fn in instance.costs.items()}
-    try:
-        solve_lagrange(LagrangeInstance(tree, d, rec_costs))
-    except (UnboundedBelow, NonLinearRecession) as exc:
-        lin_ok, detail = False, f"{type(exc).__name__}: {exc}"
-    except SolverError as exc:
-        detail = f"recession probe inconclusive: {exc}"
+    lin_ok, detail = recession_probe(LagrangeInstance(tree, d, rec_costs).as_stage_problem())
     return LagrangeBoundsReport(certificates, ok, lin_ok, detail)

@@ -2,12 +2,14 @@
 
 import numpy as np
 
-from stochbellman.bellman import _minimize_block
+from stochbellman.bellman import BellmanSolution
 from stochbellman.control import ControlSolution
-from stochbellman.convexfn import (_LIN_TOL, AffineSelector, PartialMin,
-                                   Quadratic, _canonical_rows, _is_empty)
-from stochbellman.errors import (DimensionMismatch, IterationLimit,
-                                 NonLinearRecession, RowBlowup, SingularRiccati,
+from stochbellman.convexfn import (_LIN_TOL, AffineSelector, Inf, PartialMin,
+                                   Polyhedral, Quadratic, _canonical_rows,
+                                   _is_empty, cond_expect_fn, partial_min)
+from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
+                                 IterationLimit, NonLinearRecession, RowBlowup,
+                                 SingularRiccati, StochBellmanError,
                                  UnboundedBelow, ValidationError)
 from stochbellman.tree import AdaptedProcess, validate_tree
 
@@ -297,10 +299,67 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-# Frozen node-by-node versions of the Quadratic algebra, of the control
-# sweep and of the Riccati recursion, kept as references: the stage-stacked
-# code must give every node the same bits and raise the same error at the
-# same node.
+def random_stage_cost(rng, keep, own, kind):
+    """A random cost over (kept block, own block) for the sweep property
+    tests; kind picks plain, equality-row, flat, unbounded, empty or mixed
+    Polyhedral/Quadratic costs."""
+    d = keep + own
+    L = rng.standard_normal((d, d))
+    Q, q = L @ L.T + 0.1 * np.eye(d), rng.standard_normal(d)
+    A = b = None
+    if kind == "poly":
+        # zero and curved Quadratics next to Polyhedral nodes; a curved one
+        # that meets a Polyhedral sum is a BackendClash
+        u = rng.random()
+        if u < 0.15:
+            return Quadratic(Q, q)
+        if u < 0.5:
+            return Quadratic(np.zeros((d, d)), np.zeros(d))
+        if d == 0:
+            return Polyhedral(np.zeros((1, 0)), [rng.standard_normal()])
+        G = np.vstack([np.eye(d), -np.eye(d)]) * rng.uniform(0.5, 2.0, size=(2 * d, 1))
+        return Polyhedral(G, rng.standard_normal(2 * d))
+    if kind in ("flat", "unbounded") and rng.random() < 0.5:
+        # no curvature in the own block; a drift along it is unbounded
+        Q[keep:, :], Q[:, keep:] = 0.0, 0.0
+        q[keep:] = rng.standard_normal(own) if kind == "unbounded" else 0.0
+    if kind == "rows" and d and rng.random() < 0.5:
+        m = int(rng.integers(1, d + 1))
+        A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+    if kind == "empty" and d and rng.random() < 0.3:
+        A, b = np.tile(rng.standard_normal(d), (2, 1)), np.array([0.0, 1.0])
+    return Quadratic(Q, q, float(rng.standard_normal()), A, b)
+
+
+def outcome(fn, *args):
+    """(result, None), or (None, error) for a StochBellmanError."""
+    try:
+        return fn(*args), None
+    except StochBellmanError as exc:
+        return None, exc
+
+
+def same_fn(f, g):
+    """Same backend and the same bits in every array and constant."""
+    if isinstance(f, Quadratic):
+        return isinstance(g, Quadratic) and all(
+            same_bits(getattr(f, a), getattr(g, a)) for a in ("Q", "q", "A", "b")) \
+            and same_bits(f.c, g.c) and f.psd == g.psd
+    return type(f) is type(g) and all(same_bits(getattr(f, a), getattr(g, a))
+                                      for a in ("pieces_a", "pieces_b", "C", "d"))
+
+
+def _minimize_block(fn, over, nid):
+    try:
+        return partial_min(fn, over=over)
+    except (UnboundedBelow, NonLinearRecession) as exc:
+        raise type(exc)(str(exc), node=nid) from exc
+
+
+# Frozen node-by-node versions of the Quadratic algebra, of the two
+# backward sweeps and of the Riccati recursion, kept as references: the
+# stage-stacked code must give every node the same bits and raise the same
+# error at the same node.
 
 def ref_derived(psd, Q, q, c, A, b):
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -388,7 +447,38 @@ def ref_quadratic_partial_min(f, keep):
     return PartialMin(out, AffineSelector(F, g), K if K.size else np.zeros((d2, 0)))
 
 
+def ref_solve_be(problem):
+    tree = problem.tree
+    records = {}
+    for t in range(tree.T, -1, -1):
+        prev = problem._prev_dim(t)
+        own = problem.dims[t]
+        lift = np.zeros((own, prev + own))
+        lift[:, prev:] = np.eye(own)
+        for nid in tree.stage_nodes[t]:
+            fn = problem.node_costs[nid]
+            kids = tree.children[nid]
+            tail = None
+            if kids:
+                try:
+                    tail = cond_expect_fn(
+                        [(float(tree.nodes[k].prob), records[k]["post"]) for k in kids])
+                    fn = fn.add(tail.precompose(lift, np.zeros(own)))
+                except BackendClash as exc:
+                    raise BackendClash(f"{exc} (node {nid})") from exc
+            if isinstance(fn, Quadratic) and _is_empty(fn):
+                raise Infeasible("problem is infeasible", node=nid)
+            pm = _minimize_block(fn, own, nid)
+            records[nid] = {"pre": fn, "post": pm.fn, "selector": pm.selector,
+                            "N": pm.lineality, "tail": tail}
+    value = records[tree.root]["post"].eval(np.zeros(0))
+    if value == Inf:
+        raise Infeasible("problem is infeasible", node=tree.root)
+    return BellmanSolution(problem, records, float(value))
+
+
 def ref_solve_oc(sys, costs):
+    # the children's terms are summed first, then added to the cost once
     tree = sys.tree
     quad = lambda *fs: all(isinstance(f, Quadratic) for f in fs)
     records = {}
@@ -397,14 +487,22 @@ def ref_solve_oc(sys, costs):
             q = costs[nid]
             if q.dim != sys.N + sys.M:
                 raise DimensionMismatch(f"cost at {nid!r} has wrong dimension")
+            terms = []
             for k in tree.children[nid]:
                 Mmat = np.hstack([np.eye(sys.N) + sys.A[k], sys.B[k]])
                 off = sys.W[k]
                 J = records[k]["J"]
                 p = float(tree.nodes[k].prob)
-                I_k = ref_scale(ref_precompose(J, Mmat, off), p) if quad(J) \
-                    else J.precompose(Mmat, off).scale(p)
-                q = ref_add(q, I_k) if quad(q, I_k) else q.add(I_k)
+                terms.append(ref_scale(ref_precompose(J, Mmat, off), p) if quad(J)
+                             else J.precompose(Mmat, off).scale(p))
+            if terms:
+                try:
+                    tail = terms[0]
+                    for I_k in terms[1:]:
+                        tail = ref_add(tail, I_k) if quad(tail, I_k) else tail.add(I_k)
+                    q = ref_add(q, tail) if quad(q, tail) else q.add(tail)
+                except BackendClash as exc:
+                    raise BackendClash(f"{exc} (node {nid})") from exc
             if quad(q):
                 try:
                     pm = ref_quadratic_partial_min(q, q.dim - sys.M)

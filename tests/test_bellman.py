@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochbellman.bellman import (StageProblem, build_flat, check_assumptions,
                                   extract_policy, optimum_value, solve_be,
                                   tilt_by_p, verify_optimality)
-from stochbellman.convexfn import Polyhedral, Quadratic, recession
+from stochbellman.convexfn import (AffineSelector, Polyhedral, Quadratic,
+                                   recession)
 from stochbellman.errors import NonLinearRecession, NotPerp
 from stochbellman.extensive import solve_extensive
-from stochbellman.generators import (quadratic_lagrange_instance,
+from stochbellman.generators import (quadratic_lagrange_instance, random_tree,
                                      tracking_stage_problem)
 from stochbellman.tree import (AdaptedProcess, PerpProcess,
                                martingale_increments, perp_check,
                                validate_tree)
 
-from helpers import binary_tree, chain_tree
+from helpers import (binary_tree, chain_tree, outcome, random_stage_cost,
+                     ref_solve_be, same_bits, same_fn)
 
 
 def test_solve_be_tracking_instance():
@@ -346,3 +350,40 @@ def test_check_assumptions_conjugates_once_per_untilted_node(monkeypatch):
     tilted = check_assumptions(sp, v=PerpProcess(tree, entries), eps=0.1)
     assert sorted(calls) == ["a"] * 3 + ["b"] * 3 + ["r"]
     assert tilted.lower_bound_ok
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["quad", "rows", "flat", "unbounded", "empty", "poly"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
+    # uneven trees, stage dims that include 0; equality rows, flat and
+    # unbounded directions, empty domains, and Polyhedral nodes next to
+    # Quadratic ones: every record has the bits of the frozen node-by-node
+    # sweep, and an error has its type, message and node
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(1, 3 if kind == "poly" else 4))
+    tree = random_tree(rng, T, 3)  # 1 to 3 children per node
+    dims = [int(rng.integers(0, 3)) for _ in range(T + 1)]
+    costs = {nid: random_stage_cost(rng, dims[t - 1] if t else 0, dims[t], kind)
+             for t in range(T + 1) for nid in tree.stage_nodes[t]}
+    sp = StageProblem(tree, dims, node_costs=costs)
+    got, err = outcome(solve_be, sp)
+    want, ref_err = outcome(ref_solve_be, sp)
+    assert type(err) is type(ref_err)
+    if ref_err is not None:
+        assert str(err) == str(ref_err)
+        assert getattr(err, "node", None) == getattr(ref_err, "node", None)
+        return
+    assert same_bits(got.value, want.value)
+    assert list(got.records) == list(want.records)
+    for nid, w in want.records.items():
+        g = got.records[nid]
+        assert sorted(g) == sorted(w)
+        assert same_fn(g["pre"], w["pre"]) and same_fn(g["post"], w["post"])
+        assert (g["tail"] is None) == (w["tail"] is None)
+        assert w["tail"] is None or same_fn(g["tail"], w["tail"])
+        assert type(g["selector"]) is type(w["selector"])
+        if isinstance(w["selector"], AffineSelector):
+            assert same_bits(g["selector"].F, w["selector"].F)
+            assert same_bits(g["selector"].g, w["selector"].g)
+        assert same_bits(g["N"], w["N"])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochbellman import treeio
+from stochbellman import bellman, cli, treeio
 from stochbellman.cli import main
 from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D
 from stochbellman.generators import tracking_stage_problem
@@ -65,6 +65,24 @@ def test_solve_reports_value_and_policy(tmp_path, capsys):
     assert doc["policy"]["r"] == [pytest.approx(1.0, abs=1e-8)]
     assert doc["residual_max"] <= 1e-10
     assert len(doc["per_stage_values"]) == 2
+
+
+def test_solve_sweeps_the_problem_once(tmp_path, capsys, monkeypatch):
+    # one sweep of the problem, whose solution also serves the feasibility
+    # probe of the assumption report, and one of its recession problem
+    calls = []
+
+    def counted(problem, _orig=bellman.solve_be):
+        calls.append(problem)
+        return _orig(problem)
+
+    for mod in (bellman, cli):
+        monkeypatch.setattr(mod, "solve_be", counted)
+    code, out, err = run(capsys, "solve", "--input", str(write_tracking(tmp_path)),
+                         "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["assumption_report"]["feasibility"] == "PASS"
+    assert len(calls) == 2
 
 
 def test_oracle_reports_small_delta(tmp_path, capsys):

@@ -10,14 +10,14 @@ from stochbellman.control import (ControlSystem, as_stage_problem,
                                   lq_costs, q_factors, riccati, riccati_policy,
                                   solve_oc, verify_oc_policy)
 from stochbellman.convexfn import Polyhedral, Quadratic
-from stochbellman.errors import (SingularRiccati, StochBellmanError,
+from stochbellman.errors import (BackendClash, SingularRiccati,
                                  UnboundedBelow, ValidationError)
 from stochbellman.extensive import solve_extensive
 from stochbellman.generators import lq_instance, random_tree
 from stochbellman.tree import validate_tree
 
-from helpers import (binary_tree, chain_tree, ref_riccati, ref_solve_oc,
-                     same_bits)
+from helpers import (binary_tree, chain_tree, outcome, random_stage_cost,
+                     ref_riccati, ref_solve_oc, same_bits, same_fn)
 
 
 def hand_system():
@@ -251,34 +251,6 @@ def test_lq_post_functions_carry_no_residue_rows():
     assert abs(sol.value - riccati(sys_, Qm, Rm).value(sys_.tree, x0)) <= 1e-8
 
 
-def _random_cost(rng, N, M, kind):
-    """A stage cost over (X, U) for the property tests below."""
-    d = N + M
-    L = rng.standard_normal((d, d))
-    Q, q = L @ L.T + 0.1 * np.eye(d), rng.standard_normal(d)
-    A = b = None
-    if kind == "poly":
-        # zero and curved Quadratics next to Polyhedral nodes; a curved one
-        # that meets a Polyhedral sum is a BackendClash
-        u = rng.random()
-        if u < 0.15:
-            return Quadratic(Q, q)
-        if u < 0.5:
-            return Quadratic(np.zeros((d, d)), np.zeros(d))
-        G = np.vstack([np.eye(d), -np.eye(d)]) * rng.uniform(0.5, 2.0, size=(2 * d, 1))
-        return Polyhedral(G, rng.standard_normal(2 * d))
-    if kind in ("flat", "unbounded") and rng.random() < 0.5:
-        # no curvature in U; a drift along U makes the minimization unbounded
-        Q[N:, :], Q[:, N:] = 0.0, 0.0
-        q[N:] = rng.standard_normal(M) if kind == "unbounded" else 0.0
-    if kind == "rows" and rng.random() < 0.5:
-        m = int(rng.integers(1, d + 1))
-        A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
-    if kind == "empty" and rng.random() < 0.3:
-        A, b = np.tile(rng.standard_normal(d), (2, 1)), np.array([0.0, 1.0])
-    return Quadratic(Q, q, float(rng.standard_normal()), A, b)
-
-
 def _random_control(rng, kind):
     T = 1 if kind == "poly" else int(rng.integers(1, 4))
     N, M = (1, 1) if kind == "poly" else (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
@@ -294,22 +266,6 @@ def _random_control(rng, kind):
     return sys_
 
 
-def _same_fn(f, g):
-    if isinstance(f, Quadratic):
-        return isinstance(g, Quadratic) and all(
-            same_bits(getattr(f, a), getattr(g, a)) for a in ("Q", "q", "A", "b")) \
-            and f.c == g.c and f.psd == g.psd
-    return all(same_bits(getattr(f, a), getattr(g, a))
-               for a in ("pieces_a", "pieces_b", "C", "d"))
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args), None
-    except StochBellmanError as exc:
-        return None, exc
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["lq", "rows", "flat", "unbounded", "empty", "poly"]),
        seed=st.integers(0, 2**32 - 1))
@@ -319,9 +275,9 @@ def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
     # the frozen node-by-node sweep, and an error has its type and node
     rng = np.random.default_rng(seed)
     sys_ = _random_control(rng, kind)
-    costs = {nid: _random_cost(rng, sys_.N, sys_.M, kind) for nid in sys_.tree.nodes}
-    got, err = _outcome(solve_oc, sys_, costs)
-    want, ref_err = _outcome(ref_solve_oc, sys_, costs)
+    costs = {nid: random_stage_cost(rng, sys_.N, sys_.M, kind) for nid in sys_.tree.nodes}
+    got, err = outcome(solve_oc, sys_, costs)
+    want, ref_err = outcome(ref_solve_oc, sys_, costs)
     assert type(err) is type(ref_err)
     if ref_err is not None:
         assert str(err) == str(ref_err)
@@ -329,7 +285,7 @@ def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
         return
     for nid in sys_.tree.nodes:
         g, w = got.records[nid], want.records[nid]
-        assert _same_fn(g["Q"], w["Q"]) and _same_fn(g["J"], w["J"])
+        assert same_fn(g["Q"], w["Q"]) and same_fn(g["J"], w["J"])
         if isinstance(w["J"], Quadratic):
             assert same_bits(g["selector"].F, w["selector"].F)
             assert same_bits(g["selector"].g, w["selector"].g)
@@ -346,8 +302,8 @@ def test_stage_riccati_matches_the_node_by_node_recursion(kind, seed):
     Qm = {nid: psd(N) for nid in sys_.tree.nodes}
     Rm = {nid: (np.zeros((M, M)) if kind == "singular" and rng.random() < 0.5
                 else psd(M) + 0.1 * np.eye(M)) for nid in sys_.tree.nodes}
-    got, err = _outcome(riccati, sys_, Qm, Rm)
-    want, ref_err = _outcome(ref_riccati, sys_, Qm, Rm)
+    got, err = outcome(riccati, sys_, Qm, Rm)
+    want, ref_err = outcome(ref_riccati, sys_, Qm, Rm)
     assert type(err) is type(ref_err)
     if ref_err is not None:
         assert err.node == ref_err.node and str(err) == str(ref_err)
@@ -380,6 +336,20 @@ def test_unbounded_stage_member_is_named(quad, poly):
     with pytest.raises(UnboundedBelow) as ref:
         ref_solve_oc(sys_, costs)
     assert ref.value.node == named and str(exc.value) == str(ref.value)
+
+
+def test_backend_clash_in_the_sweep_names_its_node():
+    # the children's Polyhedral terms meet the root's curved Quadratic cost
+    tree = binary_tree()
+    sys_ = ControlSystem(tree, 1, 1, A={k: [[0.0]] for k in "ab"},
+                         B={k: [[1.0]] for k in "ab"}, W={k: [0.0] for k in "ab"})
+    box = Polyhedral([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], np.zeros(4))
+    costs = {"r": Quadratic(np.eye(2), np.zeros(2)), "a": box, "b": box}
+    msg = "cannot add Polyhedral to Quadratic (node r)"
+    for sweep in (solve_oc, ref_solve_oc):
+        with pytest.raises(BackendClash) as exc:
+            sweep(sys_, costs)
+        assert str(exc.value) == msg
 
 
 def test_non_psd_cost_names_the_first_failing_node():

@@ -358,6 +358,13 @@ def test_lineality_basis_orthonormal():
     assert np.allclose(B.T @ B, np.eye(2), atol=1e-10)
 
 
+def test_polyhedral_add_in_dimension_zero():
+    # constants on R^0: the sum's offsets are the pairwise sums
+    f = Polyhedral(np.zeros((2, 0)), [1.0, 2.0]).add(Polyhedral(np.zeros((1, 0)), [3.0]))
+    assert f.pieces_a.shape == (1, 0)
+    assert f.eval(np.zeros(0)) == 5.0
+
+
 def test_mixed_add_is_rejected():
     q = Quadratic([[2.0]], [0.0])
     p = Polyhedral([[1.0], [-1.0]], [0.0, 0.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochbellman.bellman import build_flat, solve_be
+from stochbellman.bellman import build_flat, optimum_value, solve_be
 from stochbellman.control import as_stage_problem, lq_costs, solve_oc
 from stochbellman.convexfn import Polyhedral, Quadratic
 from stochbellman.errors import Infeasible, NotPerp, UnboundedBelow
@@ -62,6 +62,15 @@ def test_quadratic_tracking_vs_extensive(rng):
         vv = solve_lagrange(inst)
         ext, _, _ = solve_extensive(build_flat(inst.as_stage_problem()))
         assert vv.value == pytest.approx(ext, abs=1e-8)
+
+
+def test_thousand_node_sweep_matches_the_flat_kkt_oracle():
+    # scale check on a 1023-node tree: the stage-stacked sweep against one
+    # flat KKT solve of the whole problem
+    inst = quadratic_lagrange_instance(7, T=9)
+    assert len(inst.tree.nodes) == 1023
+    vv = solve_lagrange(inst)
+    assert vv.value == pytest.approx(optimum_value(vv.solution, 9), abs=1e-8)
 
 
 def test_lp_single_stage_kink():
