@@ -357,6 +357,26 @@ def recession_probe(problem):
     return True, ""
 
 
+def _conjugates_at_zero(fns):
+    """f*(0) = -min f for each function, with the bits of f.conjugate(0).
+
+    Quadratics of one dim and row count run as one partial_min_stack over
+    all coordinates; a member unbounded below gets Inf, as
+    Quadratic.conjugate gives it.  Other functions take conjugate.
+    """
+    out = [None] * len(fns)
+    groups, rest = _split([(f.dim, _rows(f)) if isinstance(f, Quadratic) and f.dim else None
+                           for f in fns])
+    for idx in groups:
+        pms = partial_min_stack([fns[i] for i in idx], fns[idx[0]].dim, skip_unbounded=True)
+        for i, pm in zip(idx, pms):
+            # -inf when the domain is empty
+            out[i] = Inf if pm is None else -pm.fn.eval(np.zeros(0))
+    for i in rest:
+        out[i] = fns[i].conjugate(np.zeros(fns[i].dim))
+    return out
+
+
 def check_assumptions(problem, v=None, eps=0.1, solution=None):
     """Diagnostics, never gates: lower-bound certificates via per-node
     conjugates at the tilt point, a linearity verdict from the recession
@@ -370,13 +390,14 @@ def check_assumptions(problem, v=None, eps=0.1, solution=None):
 
     certificates = {}
     lower_ok = True
+    plain = [nid for nid in problem.node_costs if tilts[nid] is None]
+    at_zero = dict(zip(plain, _conjugates_at_zero([problem.node_costs[nid] for nid in plain])))
     for nid, fn in problem.node_costs.items():
         w = tilts[nid]
         # tilt vectors store -p; the certificate is m >= f*(lambda p)
         lams = (1.0 - eps, 1.0, 1.0 + eps)
         if w is None:  # p = 0: one conjugate serves every lambda
-            m = fn.conjugate(np.zeros(fn.dim))
-            per_lambda = dict.fromkeys(lams, m)
+            per_lambda = dict.fromkeys(lams, at_zero[nid])
         else:
             per_lambda = {lam: fn.conjugate(lam * -w) for lam in lams}
         if any(m == Inf for m in per_lambda.values()):

@@ -33,7 +33,7 @@ from . import polyhedra
 from .errors import (BackendClash, DimensionMismatch, NonLinearRecession,
                      ProbabilityMass, RowBlowup, UnboundedBelow,
                      ValidationError)
-from .simplex import solve_lp
+from .simplex import _PIVOT_EPS, solve_lp
 
 EQ_TOL = 1e-8        # membership tolerance for affine-equality domains
 RANK_TOL = 1e-10     # equality rows below RANK_TOL * max(1, s_max) are dropped
@@ -225,11 +225,12 @@ def add_stack(fs, gs):
     return _derived(_add(_stack(fs), _stack(gs)))
 
 
-def partial_min_stack(fs, over, nodes=None):
+def partial_min_stack(fs, over, nodes=None, skip_unbounded=False):
     """partial_min(f, over) for each Quadratic of fs (one dim and row count);
     an error names nodes[i] of the first failing member when nodes are
-    given."""
-    return _quadratic_partial_min(fs, fs[0].dim - over, nodes)
+    given.  With skip_unbounded, a member unbounded below gives None instead
+    of raising."""
+    return _quadratic_partial_min(fs, fs[0].dim - over, nodes, skip_unbounded)
 
 
 def _affine_as_polyhedral(f):
@@ -651,14 +652,15 @@ def lineality_space(fn):
     raise BackendClash(f"no lineality rule for {type(fn).__name__}")
 
 
-def _quadratic_partial_min(fs, keep, nodes=None):
+def _quadratic_partial_min(fs, keep, nodes=None, skip_unbounded=False):
     """Minimize each Quadratic of fs (one dim and row count) over its
     trailing dim - keep coordinates; a list of PartialMin.
 
     Null bases of [Quu; Au] come from one batched SVD; the coupling and
     drift checks run on the members with flat directions, in order, and the
     first failure raises UnboundedBelow naming nodes[i] when nodes are
-    given.  The KKT systems take one batched pinv.
+    given; with skip_unbounded a failing member's entry is None instead.
+    The KKT systems take one batched pinv.
     """
     S = _stack(fs)
     n, d = S.q.shape
@@ -670,6 +672,7 @@ def _quadratic_partial_min(fs, keep, nodes=None):
     sub_t = np.zeros((n, d))
     F, g = sub_M[:, d1:], sub_t[:, d1:]
     lin = [np.zeros((d2, 0))] * n
+    unbounded = set()
     # an empty member (the row 0.x = 1) is +inf at every kept point; its
     # restriction to u = 0 stays empty
     live = np.flatnonzero(S.A.any(axis=(1, 2))) if m == 1 else np.arange(n)
@@ -684,14 +687,19 @@ def _quadratic_partial_min(fs, keep, nodes=None):
         for j in flat:
             Kj = K[j]
             node = None if nodes is None else nodes[live[j]]
+            qu = q[j, d1:]
             # joint convexity gives Qxu d = 0 on K; outside that regime the
             # value would depend on x with the wrong sign: unbounded territory
             if np.max(np.abs(Qxu[j] @ Kj), initial=0.0) > \
                     _LIN_TOL * (1.0 + np.max(np.abs(Qxu[j]), initial=0.0)):
-                raise UnboundedBelow("free direction couples to kept coordinates", node=node)
-            qu = q[j, d1:]
-            if np.max(np.abs(Kj.T @ qu), initial=0.0) > _LIN_TOL * (1.0 + np.linalg.norm(qu)):
-                raise UnboundedBelow("linear drift along a zero-curvature direction", node=node)
+                why = "free direction couples to kept coordinates"
+            elif np.max(np.abs(Kj.T @ qu), initial=0.0) > _LIN_TOL * (1.0 + np.linalg.norm(qu)):
+                why = "linear drift along a zero-curvature direction"
+            else:
+                continue
+            if not skip_unbounded:
+                raise UnboundedBelow(why, node=node)
+            unbounded.add(live[j])
         KKT = Quu  # with no rows the KKT matrix is Quu itself
         if m:
             KKT = np.zeros((live.size, d2 + m, d2 + m))
@@ -710,17 +718,35 @@ def _quadratic_partial_min(fs, keep, nodes=None):
             F[i] = Fl[j] - Kj @ (Kj.T @ Fl[j])
             g[i] = gl[j] - Kj @ (Kj.T @ gl[j])
     out = _derived(_precompose(S, sub_M, sub_t))
-    return [PartialMin(fn, AffineSelector(Fi, gi), Ki)
-            for fn, Fi, gi, Ki in zip(out, F, g, lin)]
+    return [None if i in unbounded else PartialMin(fn, AffineSelector(Fi, gi), Ki)
+            for i, (fn, Fi, gi, Ki) in enumerate(zip(out, F, g, lin))]
 
 
 def _polyhedral_cone_checks(f, keep):
-    """Linearity of {d : f^inf(0, d) <= 0}; raises on failure."""
+    """Linearity of {d : f^inf(0, d) <= 0}; raises on failure.
+
+    Returns the null basis of the nonzero own-block rows.  The check is an
+    LP over the recession cone within the unit box; a second LP tells a
+    strictly negative direction from a one-sided cone.  A boxed own block
+    needs no LP.  Let s be the larger of the simplex's pivot tolerance and
+    (d2 - 1) 1e-13.  When every own coordinate is bounded both ways by unit
+    domain rows (one entry above 1e-13) whose entry r has |r| > s, the cone
+    is {0}: the other entries of such a row sum to at most s in magnitude,
+    so at a coordinate of largest magnitude M its row gives |r| M <= s M.
+    The check then passes, also where the LP, pivoting on unit entries of
+    about 1e-3 or less next to O(1) rows, would return a point off the cone
+    and report a one-sided cone.
+    """
     d2 = f.dim - keep
     rows = np.vstack([f.C[:, keep:], f.pieces_a[:, keep:]])
     rows = rows[np.max(np.abs(rows), axis=1) > 1e-13] if rows.size else rows
     if rows.size == 0:
         return np.eye(d2)  # f^inf(0, .) == 0 everywhere: every direction is flat
+    s = max(_PIVOT_EPS, (d2 - 1) * 1e-13)
+    Cu = f.C[:, keep:]
+    U = Cu[(np.abs(Cu) > 1e-13).sum(axis=1) == 1]
+    if ((U > s).any(axis=0) & (U < -s).any(axis=0)).all():
+        return _null_basis(rows)
     box = np.vstack([np.eye(d2), -np.eye(d2)])
     A_ub = np.vstack([rows, box])
     b_ub = np.concatenate([np.zeros(rows.shape[0]), np.ones(2 * d2)])

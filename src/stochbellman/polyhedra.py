@@ -4,8 +4,8 @@ A system is the pair (G, h) meaning {z : G z <= h}.  Projection eliminates
 trailing coordinates one at a time, forming all positive/negative row pairs
 in one broadcast sum.  Redundancy pruning is LP-free: rows are scaled to
 unit max-abs coefficient, and of rows with the same normal (equal after
-rounding to 12 decimals, found with one np.unique) only the one with the
-least right-hand side stays.  So it never changes the feasible set, only
+rounding to 12 decimals, grouped by one stable sort) only the one with
+the least right-hand side stays.  So it never changes the feasible set, only
 the row count.  Every step keeps the row order and the bits of an
 element-by-element loop.
 """
@@ -47,14 +47,15 @@ def first_minimal(G, h):
     Normals are equal when they agree after rounding to 12 decimals.  Of
     equal normals the row with the least h is kept, the first among ties.
     """
-    # -0.0 + 0.0 is 0.0, so keys equal as floats are equal however np.unique compares
-    _, first, group = np.unique(np.round(G, 12) + 0.0, axis=0,
-                                return_index=True, return_inverse=True)
-    group = group.ravel()
-    order = np.lexsort((h, group))  # stable: ties on h keep the first row
-    lead = np.ones(order.size, dtype=bool)
-    lead[1:] = group[order[1:]] != group[order[:-1]]
-    return order[lead][np.argsort(first)]
+    # one stable sort by the rounded columns, then h: each group of equal
+    # keys (compared as floats, so -0.0 == 0.0) is a run, led by its least
+    # h and, among ties, its first row
+    K = np.round(G, 12)
+    order = np.lexsort((h,) + tuple(K.T[::-1]))
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = (K[order[1:]] != K[order[:-1]]).any(axis=1)
+    runs = np.flatnonzero(start)
+    return order[runs][np.argsort(np.minimum.reduceat(order, runs))]
 
 
 def prune_rows(G, h):

@@ -6,11 +6,13 @@ from stochbellman.bellman import BellmanSolution
 from stochbellman.control import ControlSolution
 from stochbellman.convexfn import (_LIN_TOL, AffineSelector, Inf, PartialMin,
                                    Polyhedral, Quadratic, _canonical_rows,
-                                   _is_empty, cond_expect_fn, partial_min)
+                                   _is_empty, _null_basis, cond_expect_fn,
+                                   partial_min)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  IterationLimit, NonLinearRecession, RowBlowup,
                                  SingularRiccati, StochBellmanError,
                                  UnboundedBelow, ValidationError)
+from stochbellman.simplex import solve_lp
 from stochbellman.tree import AdaptedProcess, validate_tree
 
 
@@ -251,6 +253,30 @@ def ref_eliminate_one(G, h, j, row_cap=10000):
     if not rows:
         return np.zeros((0, G.shape[1] - 1)), np.zeros(0)
     return ref_prune_rows(np.array(rows), np.array(rhs))
+
+
+def ref_polyhedral_cone_checks(f, keep):
+    """The recession-cone check with both LPs at every call."""
+    d2 = f.dim - keep
+    rows = np.vstack([f.C[:, keep:], f.pieces_a[:, keep:]])
+    rows = rows[np.max(np.abs(rows), axis=1) > 1e-13] if rows.size else rows
+    if rows.size == 0:
+        return np.eye(d2)
+    box = np.vstack([np.eye(d2), -np.eye(d2)])
+    A_ub = np.vstack([rows, box])
+    b_ub = np.concatenate([np.zeros(rows.shape[0]), np.ones(2 * d2)])
+    res = solve_lp(rows.sum(axis=0), A_ub, b_ub)
+    if res.status == "optimal" and res.value < -_LIN_TOL:
+        G = f.epigraph()[0][:, keep:]
+        A2 = np.vstack([G, np.hstack([box, np.zeros((2 * d2, 1))])])
+        b2 = np.concatenate([np.zeros(G.shape[0]), np.ones(2 * d2)])
+        cost = np.zeros(d2 + 1)
+        cost[-1] = 1.0
+        res2 = solve_lp(cost, A2, b2)
+        if res2.status == "optimal" and res2.value < -_LIN_TOL:
+            raise UnboundedBelow("strictly negative recession direction in minimized block")
+        raise NonLinearRecession("zero-cost recession directions form a one-sided cone")
+    return _null_basis(rows)
 
 
 def ref_prune_pieces(pa, pb, C, d):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochbellman import bellman
 from stochbellman.bellman import (StageProblem, build_flat, check_assumptions,
                                   extract_policy, optimum_value, solve_be,
                                   tilt_by_p, verify_optimality)
@@ -337,6 +338,14 @@ def test_check_assumptions_conjugates_once_per_untilted_node(monkeypatch):
             calls.append(names.get(id(self), "other"))
             return _orig(self, v)
         monkeypatch.setattr(cls, "conjugate", counted)
+
+    # an untilted Quadratic's conjugate is a member of a stacked partial
+    # minimization; the sweeps' stacks hold no node cost here (the root's
+    # tail is added first)
+    def stacked(fs, *args, _orig=bellman.partial_min_stack, **kw):
+        calls.extend(names[id(f)] for f in fs if id(f) in names)
+        return _orig(fs, *args, **kw)
+    monkeypatch.setattr(bellman, "partial_min_stack", stacked)
 
     plain = check_assumptions(sp, v=None, eps=0.1)
     assert sorted(calls) == ["a", "b", "r"]

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochbellman import treeio
-from stochbellman.bellman import StageProblem, solve_be
+from stochbellman import bellman, convexfn, treeio
+from stochbellman.bellman import StageProblem, _conjugates_at_zero, solve_be
 from stochbellman.convexfn import (EQ_TOL, Inf, Polyhedral, Quadratic, Sampled1D,
+                                   _null_basis, _polyhedral_cone_checks,
                                    cond_expect_fn, lineality_space, partial_min,
                                    partial_min_stack, recession)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  NonLinearRecession, ProbabilityMass,
                                  UnboundedBelow, ValidationError)
+from stochbellman.simplex import solve_lp
 
-from helpers import (binary_tree, grid_min, ref_add, ref_precompose,
+from helpers import (binary_tree, grid_min, outcome, ref_add,
+                     ref_polyhedral_cone_checks, ref_precompose,
                      ref_quadratic_partial_min, ref_scale, same_bits)
 
 
@@ -569,3 +572,124 @@ def test_quadratic_algebra_matches_the_node_by_node_formulas(d, k, seed, kind):
         assert _same_quadratic(f.scale(alpha), ref_scale(f, alpha))
     assert _same_quadratic(f.add(g), ref_add(f, g))
     assert _same_quadratic(g.add(f), ref_add(g, f))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 4), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_stacked_conjugates_match_conjugate(d, n, seed):
+    # f*(0) for Quadratics of mixed dims and row counts, stacked per group,
+    # next to Polyhedral members: the bits of f.conjugate(0), Inf for an
+    # unbounded member anywhere in its group and -Inf for an empty domain
+    rng = np.random.default_rng(seed)
+    fs = []
+    for _ in range(n):
+        dim = int(rng.integers(1, d + 1))
+        kind = str(rng.choice(["pd", "flat", "zero", "drift", "coupled", "empty", "poly"]))
+        if kind == "poly":
+            fs.append(Polyhedral(rng.integers(-2, 3, (2, dim)).astype(float),
+                                 rng.standard_normal(2), np.vstack([np.eye(dim), -np.eye(dim)]),
+                                 np.ones(2 * dim)))
+        else:
+            m = 1 if kind == "empty" else int(rng.integers(0, min(dim, 2) + 1))
+            fs.append(_random_member(rng, dim, 0, m, kind))
+    got = _conjugates_at_zero(fs)
+    assert same_bits(np.array(got), np.array([f.conjugate(np.zeros(f.dim)) for f in fs]))
+
+
+def test_unbounded_conjugates_take_one_stack_per_group(monkeypatch):
+    # a group where every member drifts along a flat direction, a group
+    # where most do and a one-row group with empty members ahead of
+    # unbounded ones: one stacked call per group however many are
+    # unbounded, Inf for each of them and the bits of f.conjugate(0) for
+    # the rest
+    rng = np.random.default_rng(7)
+    fs = [_random_member(rng, 3, 0, 0, "drift") for _ in range(200)]
+    fs += [_random_member(rng, 2, 0, 0, "pd" if i % 5 == 0 else "drift") for i in range(50)]
+    fs += [_random_member(rng, 2, 0, 1, kind)
+           for kind in ("empty", "coupled", "pd", "empty", "coupled")]
+    sizes = []
+
+    def stacked(fs, *args, **kw):
+        sizes.append(len(fs))
+        return partial_min_stack(fs, *args, **kw)
+
+    monkeypatch.setattr(bellman, "partial_min_stack", stacked)
+    got = _conjugates_at_zero(fs)
+    assert sizes == [200, 50, 5]
+    assert sum(m == Inf for m in got) == 242
+    assert same_bits(np.array(got), np.array([f.conjugate(np.zeros(f.dim)) for f in fs]))
+
+
+def _cone_case(rng, keep, own, kind):
+    """A Polyhedral on R^(keep + own) for the recession-cone check.  Its own
+    block is boxed (unit rows both ways on every coordinate), fuzzy (the
+    same with off-entries of 1e-14), tiny (unit entries below the simplex's
+    pivot tolerance), near (unit entries just above it, in (1e-9, 1e-7)),
+    partly boxed (some coordinates both ways, some one way) or free (no unit
+    rows).  Integer piece gradients make flat, one-sided and strictly
+    negative directions common."""
+    d = keep + own
+    rows = []
+    both = {"partly": int(rng.integers(0, own + 1)), "free": 0}.get(kind, own)
+    for j in range(own):
+        for sign in (1.0, -1.0):
+            if j >= both and not (kind == "partly" and rng.random() < 0.5):
+                continue
+            row = np.zeros(d)
+            row[:keep] = rng.integers(-2, 3, keep)
+            if kind == "fuzzy":
+                row[keep:] = rng.choice([1e-14, -1e-14, 0.0, -0.0], own)
+            elif kind in ("tiny", "near"):
+                row[keep:] = rng.choice([1e-14, 0.0], own)
+            entry = {"tiny": rng.uniform(2e-13, 9e-10),
+                     "near": 10.0 ** rng.uniform(-9.0, -7.0)}.get(kind, rng.uniform(0.5, 3.0))
+            row[keep + j] = sign * entry
+            rows.append(row)
+    rows += list(rng.integers(-2, 3, (int(rng.integers(0, 3)), d)).astype(float))
+    C = np.array(rows).reshape(-1, d)[rng.permutation(len(rows))]
+    k = int(rng.integers(1, 4))
+    pa = rng.integers(-2, 3, (k, d)).astype(float)
+    return Polyhedral(pa, rng.standard_normal(k), C, rng.uniform(0.5, 2.0, C.shape[0]))
+
+
+def _cone_reference(f, keep, kind):
+    """The frozen LP check's outcome, except on near cases where it raises.
+    There the simplex can return a point off a cone row whose one entry is
+    1e-9..1e-7 next to O(1) piece gradients, and report a one-sided cone.
+    The boxed cone is {0}, so the check passes with the null basis of the
+    nonzero own-block rows."""
+    want, err = outcome(ref_polyhedral_cone_checks, f, keep)
+    if kind == "near" and err is not None:
+        rows = np.vstack([f.C[:, keep:], f.pieces_a[:, keep:]])
+        want, err = _null_basis(rows[np.max(np.abs(rows), axis=1) > 1e-13]), None
+    return want, err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(keep=st.integers(0, 2), own=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["boxed", "fuzzy", "tiny", "near", "partly", "free"]))
+def test_cone_checks_match_the_lp_reference(keep, own, seed, kind):
+    # the returned basis bit for bit, or the error's type and message
+    f = _cone_case(np.random.default_rng(seed), keep, own, kind)
+    got, err = outcome(_polyhedral_cone_checks, f, keep)
+    want, want_err = _cone_reference(f, keep, kind)
+    if want_err is not None:
+        assert type(err) is type(want_err) and str(err) == str(want_err)
+    else:
+        assert err is None and same_bits(got, want)
+
+
+def test_boxed_own_block_solves_no_cone_lp(monkeypatch):
+    lps = []
+    monkeypatch.setattr(convexfn, "solve_lp", lambda *a: lps.append(a) or solve_lp(*a))
+    rng = np.random.default_rng(5)
+    for kind in ("boxed", "fuzzy", "near", "tiny", "free"):
+        lps.clear()
+        for _ in range(20):
+            f = _cone_case(rng, 1, 2, kind)
+            got, err = outcome(_polyhedral_cone_checks, f, 1)
+            want, want_err = _cone_reference(f, 1, kind)
+            assert (type(err), str(err)) == (type(want_err), str(want_err))
+            assert err is not None or same_bits(got, want)
+        # the fallback runs one LP, or two when the first finds a negative row
+        assert (len(lps) == 0) if kind in ("boxed", "fuzzy", "near") else (len(lps) >= 20)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stochbellman import convexfn, lagrange
 from stochbellman.bellman import build_flat, optimum_value, solve_be
 from stochbellman.control import as_stage_problem, lq_costs, solve_oc
 from stochbellman.convexfn import Polyhedral, Quadratic
@@ -12,7 +13,9 @@ from stochbellman.lagrange import (LagrangeInstance, check_lagrange_bounds,
                                    solve_lagrange)
 from stochbellman.tree import AdaptedProcess, validate_tree
 
-from helpers import binary_tree, chain_tree
+import helpers
+from helpers import (binary_tree, chain_tree, ref_polyhedral_cone_checks,
+                     same_bits, same_fn, two_stage_binary)
 
 
 def test_frozen_decisions_instance():
@@ -226,3 +229,46 @@ def test_lp_value_function_kink():
         assert tilde.eval([x0]) == pytest.approx(2.0 * b, abs=1e-9)
     for x0 in (1.6, 2.5, 4.0):
         assert tilde.eval([x0]) == pytest.approx(2.0 * x0, abs=1e-9)
+
+
+def _boxed_inventory(tree):
+    """Two products per node: demand floors, capacity 4, joint capacity 3
+    and ramp limits |dx| <= 1.25 (4 at the root), as T dx + W x - b >= 0."""
+    eye, zero, ones = np.eye(2), np.zeros((2, 2)), np.ones((1, 2))
+    W = np.vstack([eye, -eye, -ones, zero, zero])
+    Tm = np.vstack([zero, zero, np.zeros((1, 2)), eye, -eye])
+    data = {}
+    for i, nid in enumerate(tree.nodes):
+        r = 4.0 if tree.stage(nid) == 0 else 1.25
+        dem = [1.0 + 0.02 * i, 0.8 - 0.01 * i]
+        b = np.concatenate([dem, [-4.0, -4.0, -3.0], -r * np.ones(4)])
+        data[nid] = {"T": Tm, "W": W, "b": b, "c": [0.3 + 0.05 * i, 0.9 - 0.05 * i]}
+    return data
+
+
+def test_boxed_inventory_lp_solves_no_cone_lp(monkeypatch):
+    # capacity and ramp rows box every own block, so the only LPs are the
+    # per-node emptiness checks; the cone check that solves its LP at every
+    # node gives the same value functions bit for bit
+    tree = two_stage_binary()
+    data = _boxed_inventory(tree)
+    calls = {"ref": 0, "convexfn": 0, "lagrange": 0}
+
+    def counted(name, solve):
+        def run(*args):
+            calls[name] += 1
+            return solve(*args)
+        return run
+
+    monkeypatch.setattr(helpers, "solve_lp", counted("ref", helpers.solve_lp))
+    monkeypatch.setattr(convexfn, "_polyhedral_cone_checks", ref_polyhedral_cone_checks)
+    want = lp_recursion(tree, 2, data)
+    monkeypatch.undo()
+    for name, module in (("convexfn", convexfn), ("lagrange", lagrange)):
+        monkeypatch.setattr(module, "solve_lp", counted(name, module.solve_lp))
+    got = lp_recursion(tree, 2, data)
+    assert calls == {"ref": 7, "convexfn": 0, "lagrange": 7}
+    assert same_bits(got.value, want.value)
+    for nid in tree.nodes:
+        assert same_fn(got.post(nid), want.post(nid))
+        assert same_bits(got.solution.records[nid]["N"], want.solution.records[nid]["N"])

@@ -108,6 +108,25 @@ def test_row_pruning_matches_the_loop_version(m, d, seed):
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_heavily_duplicated_rows_match_the_loop_version(seed):
+    # 600-900 rows drawn from five normals at four scales, with -0.0
+    # entries, 1e-13 perturbations and many ties on h
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(600, 900)), 3
+    base = rng.integers(-2, 3, (5, d)).astype(float)
+    G = base[rng.integers(0, 5, m)] * rng.choice([1.0, 0.5, 2.0, 3.0], (m, 1))
+    G += (rng.random((m, d)) < 0.05) * rng.choice([1e-13, -1e-13], (m, d))
+    G[(G == 0.0) & (rng.random((m, d)) < 0.5)] = -0.0
+    h = rng.integers(-2, 3, m) * rng.choice([1.0, 1.0 / 3.0], m)
+    got, want = prune_rows(G, h), ref_prune_rows(G, h)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert got[0].shape[0] <= 20
+    C, dd = np.vstack([np.eye(d), -np.eye(d)]), np.full(2 * d, 2.0)
+    got, want = _prune_pieces(G, h, C, dd), ref_prune_pieces(G, h, C, dd)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(k=st.integers(1, 60), d=st.integers(1, 3), box=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
