@@ -6,6 +6,8 @@ previous decision.
 
 backward_sweep, the one backward recursion, runs a stage at a time with
 the Quadratic nodes as stacks; every node gets the node-by-node bits.
+Its mirror forward_sweep applies the recorded minimizers and evaluates
+the nodewise optimality gaps, also a stage at a time.
 
 At every node the sweep records the pre-minimization function, the value
 function after minimizing the node's own block, the minimizer map, and the
@@ -17,9 +19,9 @@ continuation that no single backend can add to the node's cost
 
 import numpy as np
 
-from .convexfn import (Inf, Quadratic, _is_empty, add_stack, partial_min,
-                       partial_min_stack, precompose_stack, recession,
-                       scale_stack)
+from .convexfn import (AffineSelector, Inf, Quadratic, _is_empty, add_stack,
+                       eval_stack, partial_min, partial_min_stack,
+                       precompose_stack, recession, scale_stack)
 from .errors import (BackendClash, DimensionMismatch, Infeasible,
                      NonLinearRecession, NotPerp, SolverError,
                      StochBellmanError, UnboundedBelow, ValidationError)
@@ -253,40 +255,121 @@ def optimum_value(sol, t):
     return value
 
 
+def _stacked(vs):
+    """Vectors of one length as one (n, k) float array, else the list."""
+    try:
+        arr = np.asarray(vs, dtype=float)
+    except (TypeError, ValueError):
+        return vs
+    return arr if arr.ndim == 2 else vs
+
+
+def apply_selectors(sels, S):
+    """sels[i](S[i]) for each selector, in order: AffineSelectors as one
+    F x + g stack per shape of F, others one by one."""
+    out = [None] * len(sels)
+    groups, rest = _split([s.F.shape if isinstance(s, AffineSelector) and isinstance(S, np.ndarray)
+                           and s.F.shape[1] == S.shape[1] else None for s in sels])
+    for idx in groups:
+        F, g = np.array([sels[i].F for i in idx]), np.array([sels[i].g for i in idx])
+        for i, d in zip(idx, np.matvec(F, S[idx]) + g):
+            out[i] = d
+    for i in rest:
+        out[i] = np.atleast_1d(sels[i](S[i]))
+    return out
+
+
+def _evals(fns, xs, failed):
+    """fns[i](xs[i]) where fns[i] is given and node i has not failed, 0.0
+    elsewhere: Quadratics as one eval_stack per row count, others one by
+    one.  A node's error is recorded in failed."""
+    out = np.zeros(len(fns))
+    width = xs.shape[1] if isinstance(xs, np.ndarray) else None
+    groups, rest = _split([f.A.shape[0] if isinstance(f, Quadratic) and f.dim == width else None
+                           for f in fns])
+    for idx in groups:
+        out[idx] = eval_stack([fns[i] for i in idx], xs[idx])
+    for i in (i for i in rest if fns[i] is not None and i not in failed):
+        try:
+            out[i] = fns[i].eval(xs[i])
+        except StochBellmanError as exc:
+            failed[i] = exc
+    return out
+
+
+def forward_sweep(tree, decide, x0=(), maps=None, states=None, check=None):
+    """The forward pass, one stage at a time: (X, U, gaps, failed), dicts by
+    node id of the states, decisions, gaps and errors.
+
+    The root's state is x0, a child's is its parent's decision, or m_k of
+    the parent's (state, decision) with m_k the child's step map from
+    maps(t) = (M, W) stacked in stage order; states (node id -> state)
+    replace them when given.  decide(t, S) gives the stage-t decisions at
+    the states S, stacked when they have one length.  With check(nid) =
+    (pre, post), a node's gap is pre(state, decision) - post(state), None
+    without pre, and an error of either is kept in failed, in stage order.
+    """
+    X, U, gaps, failed = {}, {}, {}, {}
+    S = [np.atleast_1d(x0)]
+    for t in range(tree.T + 1):
+        nodes, bad = tree.stage_nodes[t], {}
+        S = _stacked(S if states is None else [states[nid] for nid in nodes])
+        D = _stacked(decide(t, S))
+        stacked = isinstance(S, np.ndarray) and isinstance(D, np.ndarray)
+        Z = np.concatenate([S, D], axis=1) if stacked else [np.concatenate(z) for z in zip(S, D)]
+        X.update(zip(nodes, S))
+        U.update(zip(nodes, D))
+        if check is not None:
+            pre, post = zip(*map(check, nodes))
+            vals = zip(_evals(pre, Z, bad).tolist(), _evals(
+                [g if f is not None else None for f, g in zip(pre, post)], S, bad).tolist())
+            gaps.update((nid, None if f is None or i in bad else a - b)
+                        for i, (nid, f, (a, b)) in enumerate(zip(nodes, pre, vals)))
+            failed.update((nodes[i], bad[i]) for i in sorted(bad))
+        if t < tree.T and states is None:
+            slot = {nid: i for i, nid in enumerate(nodes)}
+            up = [slot[tree.nodes[k].parent] for k in tree.stage_nodes[t + 1]]
+            if maps is None:
+                S = [D[i] for i in up]
+            else:
+                M, W = maps(t + 1)
+                S = np.matvec(M, Z[up]) + W
+    return X, U, gaps, failed
+
+
+def _verdict(order, gaps, failed, tol):
+    """False at the first node of order whose gap is not finite or above
+    tol, True when there is none; an error of a node before it is raised."""
+    for nid in order:
+        if nid in failed:
+            raise failed[nid]
+        if gaps[nid] is not None and not -Inf < gaps[nid] <= tol:
+            return False
+    return True
+
+
 def extract_policy(sol):
     """Forward sweep through the recorded minimizer maps."""
-    problem = sol.problem
-    tree = problem.tree
-    decisions = {}
-    residuals = {}
-
-    for t in range(tree.T + 1):
-        for nid in tree.stage_nodes[t]:
-            rec = sol.records[nid]
-            par = tree.parent(nid)
-            pre = decisions[par] if par is not None else np.zeros(0)
-            x = rec["selector"](pre)
-            decisions[nid] = x
-            full = np.concatenate([pre, x])
-            residuals[nid] = max(rec["pre"].eval(full) - rec["post"].eval(pre), 0.0)
+    problem, recs = sol.problem, sol.records
+    stages = problem.tree.stage_nodes
+    _, decisions, gaps, failed = forward_sweep(problem.tree, lambda t, S: apply_selectors(
+        [recs[nid]["selector"] for nid in stages[t]], S),
+        check=lambda nid: (recs[nid]["pre"], recs[nid]["post"]))
+    if failed:
+        raise next(iter(failed.values()))
     fp = build_flat(problem)
     value = fp.eval(fp.pack(decisions))
+    residuals = {nid: max(g, 0.0) for nid, g in gaps.items()}
     return Policy(problem, decisions, residuals, float(value))
 
 
 def verify_optimality(policy, sol, tol=1e-8):
     """Nodewise argmin test of a policy against a solved recursion."""
-    tree = sol.problem.tree
-    for t in range(tree.T + 1):
-        for nid in tree.stage_nodes[t]:
-            rec = sol.records[nid]
-            par = tree.parent(nid)
-            pre = policy.decisions[par] if par is not None else np.zeros(0)
-            full = np.concatenate([pre, policy.decisions[nid]])
-            gap = rec["pre"].eval(full) - rec["post"].eval(pre)
-            if not np.isfinite(gap) or gap > tol:
-                return False
-    return True
+    tree, recs = sol.problem.tree, sol.records
+    _, _, gaps, failed = forward_sweep(
+        tree, lambda t, S: [policy.decisions[nid] for nid in tree.stage_nodes[t]],
+        check=lambda nid: (recs[nid]["pre"], recs[nid]["post"]))
+    return _verdict(gaps, gaps, failed, tol)
 
 
 def _tilt_vectors(problem, v):

@@ -7,7 +7,8 @@ precomposition, so the optimal control depends on the past only through
 the current state.
 
 The sweep is symbolic: quadratic/polyhedral stage costs stay in their
-backend.  solve_oc runs bellman.backward_sweep with the stacked step maps;
+backend.  solve_oc runs bellman.backward_sweep with the stacked step maps,
+and the forward passes run bellman.forward_sweep with the same maps;
 riccati runs one batched svd/inv per stage.  Sampled wealth tables are
 built by the hedging layer, which knows their cost structure
 (hedging.solve_alm); their records carry no symbolic Q factor.
@@ -15,7 +16,8 @@ built by the hedging layer, which knows their cost structure
 
 import numpy as np
 
-from .bellman import StageProblem, backward_sweep
+from .bellman import (StageProblem, _verdict, apply_selectors, backward_sweep,
+                      forward_sweep)
 from .convexfn import Inf, Quadratic, quadratics
 from .errors import DimensionMismatch, SingularRiccati, ValidationError
 
@@ -54,7 +56,6 @@ class ControlSystem:
         self.M = int(M)
         self.A, self.B, self.W = {}, {}, {}
         self._maps = {}
-        self._slot = {}
         shapes = ((self.N, self.N), (self.N, self.M), (self.N,))
         for t in range(1, tree.T + 1):
             nodes = tree.stage_nodes[t]
@@ -70,7 +71,6 @@ class ControlSystem:
             for table, stack in zip((self.A, self.B, self.W), stacks):
                 table.update(zip(nodes, stack))
             self._maps[t] = (np.concatenate([np.eye(self.N) + As, Bs], axis=2), Ws)
-            self._slot.update((nid, (t, i)) for i, nid in enumerate(nodes))
 
     @staticmethod
     def _dynamics(nid, A, B, W, shapes):
@@ -82,16 +82,6 @@ class ControlSystem:
     def stage_maps(self, t):
         """Stacked step maps of the stage-t nodes (t >= 1), in stage order."""
         return self._maps[t]
-
-    def step_map(self, nid):
-        """Affine map (X_{t-1}, U_{t-1}) -> X_t for a stage >= 1 node."""
-        t, i = self._slot[nid]
-        Mmat, W = self._maps[t]
-        return Mmat[i], W[i]
-
-    def step(self, nid, X, U):
-        Mmat, t = self.step_map(nid)
-        return Mmat @ np.concatenate([np.atleast_1d(X), np.atleast_1d(U)]) + t
 
 
 class ControlSolution:
@@ -140,28 +130,19 @@ def q_factors(solution):
 
 def extract_oc_policy(sys, solution, x0):
     """Forward pass: per-node state and control under the recorded selectors."""
-    tree = sys.tree
-    X = {tree.root: np.atleast_1d(np.asarray(x0, dtype=float))}
-    U = {}
-    for t in range(tree.T + 1):
-        for nid in tree.stage_nodes[t]:
-            U[nid] = np.atleast_1d(solution.control(nid, X[nid]))
-            for k in tree.children[nid]:
-                X[k] = np.atleast_1d(sys.step(k, X[nid], U[nid]))
+    stages, recs = sys.tree.stage_nodes, solution.records
+    X, U, _, _ = forward_sweep(sys.tree, lambda t, S: apply_selectors(
+        [recs[nid]["selector"] for nid in stages[t]], S), x0, sys.stage_maps)
     return X, U
 
 
 def verify_oc_policy(sys, solution, X, U, tol=1e-8):
     """Nodewise argmin residuals of a state/control assignment."""
-    tree = sys.tree
-    for nid in tree.nodes:
-        rec = solution.records[nid]
-        if rec["Q"] is not None:
-            val = rec["Q"].eval(np.concatenate([X[nid], U[nid]]))
-            best = rec["J"].eval(X[nid])
-            if not np.isfinite(val - best) or val - best > tol:
-                return False
-    return True
+    tree, recs = sys.tree, solution.records
+    _, _, gaps, failed = forward_sweep(
+        tree, lambda t, S: [U[nid] for nid in tree.stage_nodes[t]], states=X,
+        check=lambda nid: (recs[nid]["Q"], recs[nid]["J"]))
+    return _verdict(tree.nodes, gaps, failed, tol)
 
 
 class RiccatiData:
@@ -267,14 +248,9 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
 
 def riccati_policy(sys, rd, x0):
     """Forward simulation of the feedback rule U = -Lambda X."""
-    tree = sys.tree
-    X = {tree.root: np.atleast_1d(np.asarray(x0, dtype=float))}
-    U = {}
-    for t in range(tree.T + 1):
-        for nid in tree.stage_nodes[t]:
-            U[nid] = -rd.Lam[nid] @ X[nid]
-            for k in tree.children[nid]:
-                X[k] = sys.step(k, X[nid], U[nid])
+    stages = sys.tree.stage_nodes
+    X, U, _, _ = forward_sweep(sys.tree, lambda t, S: np.matvec(
+        -np.array([rd.Lam[nid] for nid in stages[t]]), S), x0, sys.stage_maps)
     return X, U
 
 
@@ -300,7 +276,7 @@ def _lift_with_dynamics(sys, nid, fn, x0=None):
     sel[:, prev:] = np.eye(d)
     lifted = fn.precompose(sel, np.zeros(d))
     if t > 0:
-        Mmat, off = sys.step_map(nid)
+        Mmat, off = np.hstack([np.eye(N) + sys.A[nid], sys.B[nid]]), sys.W[nid]
         A = np.zeros((N, prev + d))
         A[:, :d] = -Mmat
         A[:, prev:prev + N] = np.eye(N)

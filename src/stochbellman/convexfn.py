@@ -155,12 +155,13 @@ def _derived(S, new_rows=True):
     on as they are: canonical rows are a fixed point."""
     Q = _forms(S.Q)
     dim, m = S.q.shape[1], S.A.shape[1]
+    A0, b0 = np.zeros((0, dim)), np.zeros(0)  # no elements: rowless members share them
     out = []
     for i, (c, psd) in enumerate(zip(S.c.tolist(), S.psd.tolist())):
         f = Quadratic.__new__(Quadratic)
         f.dim, f.Q, f.q, f.c, f.psd = dim, Q[i], S.q[i], c, psd
         if not m:
-            f.A, f.b = np.zeros((0, dim)), np.zeros(0)
+            f.A, f.b = A0, b0
         else:
             f.A, f.b = _canonical_rows(S.A[i], S.b[i]) if new_rows else (S.A[i], S.b[i])
         out.append(f)
@@ -231,6 +232,18 @@ def partial_min_stack(fs, over, nodes=None, skip_unbounded=False):
     given.  With skip_unbounded, a member unbounded below gives None instead
     of raising."""
     return _quadratic_partial_min(fs, fs[0].dim - over, nodes, skip_unbounded)
+
+
+def eval_stack(fs, X):
+    """f_i(X_i) = 1/2 X_i.Q_i X_i + q_i.X_i + c_i for Quadratics fs of one
+    dim and row count, X (n, dim); Inf where max |A_i X_i - b_i| exceeds
+    EQ_TOL (1 + max |b_i|).  A stack of one is evaluated at every row of X."""
+    Q, q = np.array([f.Q for f in fs]), np.array([f.q for f in fs])
+    val = np.vecdot(np.vecmat(0.5 * X, Q), X) + np.vecdot(q, X) + np.array([f.c for f in fs])
+    if fs[0].A.shape[0]:
+        A, b = np.array([f.A for f in fs]), np.array([f.b for f in fs])
+        val[np.abs(np.matvec(A, X) - b).max(axis=1) > EQ_TOL * (1.0 + np.abs(b).max(axis=1))] = Inf
+    return val
 
 
 def _affine_as_polyhedral(f):
@@ -359,10 +372,7 @@ class Quadratic(ConvexFn):
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.size}")
-        if self.A.shape[0]:
-            if np.max(np.abs(self.A @ x - self.b)) > EQ_TOL * (1.0 + np.max(np.abs(self.b))):
-                return Inf
-        return float(0.5 * x @ self.Q @ x + self.q @ x + self.c)
+        return float(eval_stack([self], x[None])[0])
 
     def add(self, other):
         if isinstance(other, Quadratic):

@@ -15,7 +15,7 @@ arbitrage cone is positively homogeneous.
 import numpy as np
 
 from .control import ControlSolution, ControlSystem, solve_oc
-from .convexfn import EQ_TOL, Inf, Quadratic, Sampled1D
+from .convexfn import Inf, Quadratic, Sampled1D, eval_stack
 from .errors import (ArbitrageRefusal, Infeasible, IterationLimit, NonMonotone,
                      SolverError, Unbounded, UnboundedExp, ValidationError)
 from .numeric import MAX_SWEEPS, VALUE_TOL, coordinate_descent
@@ -284,12 +284,7 @@ def _tabulate(loss, u):
         inside = (u >= kn[0] - 1e-12) & (u <= kn[-1] + 1e-12)
         return np.where(inside, np.interp(u, kn, loss.values), Inf)
     if isinstance(loss, Quadratic):
-        # Quadratic.eval's operations in its order, over all points at once
-        vals = 0.5 * u * loss.Q[0, 0] * u + loss.q[0] * u + loss.c
-        if loss.A.shape[0]:
-            gap = np.max(np.abs(np.outer(u, loss.A[:, 0]) - loss.b), axis=1)
-            vals[gap > EQ_TOL * (1.0 + np.max(np.abs(loss.b)))] = Inf
-        return vals
+        return eval_stack([loss], u[:, None])
     return np.array([loss.eval([v]) for v in u])
 
 

@@ -2,12 +2,12 @@
 
 import numpy as np
 
-from stochbellman.bellman import BellmanSolution
+from stochbellman.bellman import BellmanSolution, build_flat
 from stochbellman.control import ControlSolution
-from stochbellman.convexfn import (_LIN_TOL, AffineSelector, Inf, PartialMin,
-                                   Polyhedral, Quadratic, _canonical_rows,
-                                   _is_empty, _null_basis, cond_expect_fn,
-                                   partial_min)
+from stochbellman.convexfn import (_LIN_TOL, EQ_TOL, AffineSelector, Inf,
+                                   PartialMin, Polyhedral, Quadratic,
+                                   _canonical_rows, _is_empty, _null_basis,
+                                   cond_expect_fn, partial_min)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  IterationLimit, NonLinearRecession, RowBlowup,
                                  SingularRiccati, StochBellmanError,
@@ -365,6 +365,27 @@ def outcome(fn, *args):
         return None, exc
 
 
+def same_outcome(got, want, same=None):
+    """Two outcome() pairs agree: errors by type, message and node, results
+    by same(got, want), which asserts, or else by ==."""
+    (g, err), (w, ref_err) = got, want
+    assert type(err) is type(ref_err)
+    if ref_err is not None:
+        assert str(err) == str(ref_err)
+        assert getattr(err, "node", None) == getattr(ref_err, "node", None)
+    elif same is None:
+        assert g == w
+    else:
+        same(g, w)
+
+
+def shuffled(rng, tree):
+    """The same tree with its nodes given in a random order."""
+    recs = [{"id": n.id, "parent": n.parent, "prob": n.prob, "stage": n.stage}
+            for n in tree.nodes.values()]
+    return validate_tree([recs[i] for i in rng.permutation(len(recs))])
+
+
 def same_fn(f, g):
     """Same backend and the same bits in every array and constant."""
     if isinstance(f, Quadratic):
@@ -400,6 +421,14 @@ def ref_derived(psd, Q, q, c, A, b):
     else:
         out.A, out.b = _canonical_rows(np.atleast_2d(A), np.asarray(b, dtype=float).ravel())
     return out
+
+
+def ref_quadratic_eval(f, x):
+    x = np.asarray(x, dtype=float).ravel()
+    if f.A.shape[0]:
+        if np.max(np.abs(f.A @ x - f.b)) > EQ_TOL * (1.0 + np.max(np.abs(f.b))):
+            return Inf
+    return float(0.5 * x @ f.Q @ x + f.q @ x + f.c)
 
 
 def ref_null_basis(A, rcond=1e-10):
@@ -584,3 +613,84 @@ def ref_riccati(sys, Qmats, Rmats, sv_tol=1e-10):
             diag["w_mean_norm"] = max(diag["w_mean_norm"], float(np.linalg.norm(wmean)))
             diag["cross_norm"] = max(diag["cross_norm"], float(np.linalg.norm(cross)))
     return K, Lam, offset, diag
+
+
+# Frozen node-by-node versions of the five forward loops, kept as
+# references: the stage-stacked forward sweep must give every node the same
+# bits, the same verdict, and raise the same error at the same node.
+
+def ref_step(sys, nid, X, U):
+    # ControlSystem.step, with its map [I + A | B], W from the per-node dynamics
+    Mmat, t = np.hstack([np.eye(sys.N) + sys.A[nid], sys.B[nid]]), sys.W[nid]
+    return Mmat @ np.concatenate([np.atleast_1d(X), np.atleast_1d(U)]) + t
+
+
+def ref_extract_policy(sol):
+    """(decisions, residuals, value) of the node-by-node forward sweep."""
+    problem = sol.problem
+    tree = problem.tree
+    decisions = {}
+    residuals = {}
+
+    for t in range(tree.T + 1):
+        for nid in tree.stage_nodes[t]:
+            rec = sol.records[nid]
+            par = tree.parent(nid)
+            pre = decisions[par] if par is not None else np.zeros(0)
+            x = rec["selector"](pre)
+            decisions[nid] = x
+            full = np.concatenate([pre, x])
+            residuals[nid] = max(rec["pre"].eval(full) - rec["post"].eval(pre), 0.0)
+    fp = build_flat(problem)
+    value = fp.eval(fp.pack(decisions))
+    return decisions, residuals, float(value)
+
+
+def ref_verify_optimality(policy, sol, tol=1e-8):
+    tree = sol.problem.tree
+    for t in range(tree.T + 1):
+        for nid in tree.stage_nodes[t]:
+            rec = sol.records[nid]
+            par = tree.parent(nid)
+            pre = policy.decisions[par] if par is not None else np.zeros(0)
+            full = np.concatenate([pre, policy.decisions[nid]])
+            gap = rec["pre"].eval(full) - rec["post"].eval(pre)
+            if not np.isfinite(gap) or gap > tol:
+                return False
+    return True
+
+
+def ref_extract_oc_policy(sys, solution, x0):
+    tree = sys.tree
+    X = {tree.root: np.atleast_1d(np.asarray(x0, dtype=float))}
+    U = {}
+    for t in range(tree.T + 1):
+        for nid in tree.stage_nodes[t]:
+            U[nid] = np.atleast_1d(solution.control(nid, X[nid]))
+            for k in tree.children[nid]:
+                X[k] = np.atleast_1d(ref_step(sys, k, X[nid], U[nid]))
+    return X, U
+
+
+def ref_verify_oc_policy(sys, solution, X, U, tol=1e-8):
+    tree = sys.tree
+    for nid in tree.nodes:
+        rec = solution.records[nid]
+        if rec["Q"] is not None:
+            val = rec["Q"].eval(np.concatenate([X[nid], U[nid]]))
+            best = rec["J"].eval(X[nid])
+            if not np.isfinite(val - best) or val - best > tol:
+                return False
+    return True
+
+
+def ref_riccati_policy(sys, rd, x0):
+    tree = sys.tree
+    X = {tree.root: np.atleast_1d(np.asarray(x0, dtype=float))}
+    U = {}
+    for t in range(tree.T + 1):
+        for nid in tree.stage_nodes[t]:
+            U[nid] = -rd.Lam[nid] @ X[nid]
+            for k in tree.children[nid]:
+                X[k] = ref_step(sys, k, X[nid], U[nid])
+    return X, U

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochbellman import bellman
-from stochbellman.bellman import (StageProblem, build_flat, check_assumptions,
+from stochbellman.bellman import (Policy, StageProblem, build_flat, check_assumptions,
                                   extract_policy, optimum_value, solve_be,
                                   tilt_by_p, verify_optimality)
 from stochbellman.convexfn import (AffineSelector, Polyhedral, Quadratic,
@@ -18,7 +18,8 @@ from stochbellman.tree import (AdaptedProcess, PerpProcess,
                                validate_tree)
 
 from helpers import (binary_tree, chain_tree, outcome, random_stage_cost,
-                     ref_solve_be, same_bits, same_fn)
+                     ref_extract_policy, ref_solve_be, ref_verify_optimality,
+                     same_bits, same_fn, same_outcome, shuffled)
 
 
 def test_solve_be_tracking_instance():
@@ -396,3 +397,51 @@ def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
             assert same_bits(g["selector"].F, w["selector"].F)
             assert same_bits(g["selector"].g, w["selector"].g)
         assert same_bits(g["N"], w["N"])
+
+
+def _same_policy(got, want):
+    decisions, residuals, value = want
+    assert list(got.decisions) == list(decisions)
+    for nid, x in decisions.items():
+        assert same_bits(got.decisions[nid], np.asarray(x, dtype=float))
+        assert same_bits(np.float64(got.residuals[nid]), np.float64(residuals[nid]))
+    assert same_bits(np.float64(got.value), np.float64(value))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["quad", "rows", "flat", "poly"]), seed=st.integers(0, 2**32 - 1))
+def test_forward_sweep_matches_the_node_by_node_loops(kind, seed):
+    # uneven trees in shuffled node order, stage dims that include 0;
+    # equality rows, flat directions and Polyhedral (LP-selector) nodes:
+    # decisions and residuals have the bits of the frozen loops, verdicts
+    # agree on perturbed, NaN and wrong-length decisions, and an error has
+    # its type, message and node
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(1, 3 if kind == "poly" else 4))
+    tree = shuffled(rng, random_tree(rng, T, 3))  # 1 to 3 children per node
+    dims = [int(rng.integers(0, 3)) for _ in range(T + 1)]
+    costs = {nid: random_stage_cost(rng, dims[t - 1] if t else 0, dims[t], kind)
+             for t in range(T + 1) for nid in tree.stage_nodes[t]}
+    sol, err = outcome(solve_be, StageProblem(tree, dims, node_costs=costs))
+    if err is not None:
+        return
+    got = outcome(extract_policy, sol)
+    same_outcome(got, outcome(ref_extract_policy, sol), _same_policy)
+    pol, err = got
+    if err is not None:
+        return
+    nodes = [nid for nid in tree.nodes if pol.decisions[nid].size]
+    cases = [pol.decisions]
+    for scale in (10.0 ** rng.uniform(-12, 0), np.nan):
+        for nid in nodes[:1] + nodes[-1:]:
+            x = pol.decisions[nid] + scale * rng.standard_normal(pol.decisions[nid].shape)
+            cases.append({**pol.decisions, nid: x})
+    if len(tree.nodes) > 1:
+        a, b = rng.choice(list(tree.nodes), 2, replace=False)
+        for u, v in ((a, b), (b, a)):
+            cases.append({**pol.decisions, u: pol.decisions[u] + 1.0, v: np.zeros(3)})
+    for dec in cases:
+        p = Policy(sol.problem, dec, {}, 0.0)
+        for tol in (1e-8, 1e-3):
+            same_outcome(outcome(verify_optimality, p, sol, tol),
+                         outcome(ref_verify_optimality, p, sol, tol))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -275,3 +276,15 @@ def test_module_entry_point(tmp_path, capsys):
     code, out, _ = run(capsys, "hedge", "--input", str(path), "--format", "structured")
     assert code == 0 and proc.stdout == out
     assert module("hedge", "--input", str(tmp_path / "missing.json")).returncode == 2
+
+
+def test_bench_tracer_keeps_the_forward_pass_spans():
+    # perfbench/tracer.py finds its span boundaries through the names that
+    # `cli` imports at module level; importing these inside the subcommands
+    # instead would silently zero their per-layer spans
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert {"control.riccati_policy", "control.verify_oc_policy", "control.solve_oc",
+            "bellman.extract_policy", "lagrange.lagrange_policy"} <= set(tracer.Tracer().boundaries())

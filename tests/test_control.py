@@ -9,15 +9,18 @@ from stochbellman.control import (ControlSystem, as_stage_problem,
                                   extract_oc_policy, independence_reduction,
                                   lq_costs, q_factors, riccati, riccati_policy,
                                   solve_oc, verify_oc_policy)
-from stochbellman.convexfn import Polyhedral, Quadratic
+from stochbellman.convexfn import Inf, Polyhedral, Quadratic
 from stochbellman.errors import (BackendClash, SingularRiccati,
                                  UnboundedBelow, ValidationError)
 from stochbellman.extensive import solve_extensive
-from stochbellman.generators import lq_instance, random_tree
+from stochbellman.generators import binomial_market, lq_instance, random_tree
+from stochbellman.hedging import solve_alm
 from stochbellman.tree import validate_tree
 
 from helpers import (binary_tree, chain_tree, outcome, random_stage_cost,
-                     ref_riccati, ref_solve_oc, same_bits, same_fn)
+                     ref_extract_oc_policy, ref_riccati, ref_riccati_policy,
+                     ref_solve_oc, ref_verify_oc_policy, same_bits, same_fn,
+                     same_outcome, shuffled)
 
 
 def hand_system():
@@ -251,10 +254,12 @@ def test_lq_post_functions_carry_no_residue_rows():
     assert abs(sol.value - riccati(sys_, Qm, Rm).value(sys_.tree, x0)) <= 1e-8
 
 
-def _random_control(rng, kind):
+def _random_control(rng, kind, shuffle=False):
     T = 1 if kind == "poly" else int(rng.integers(1, 4))
     N, M = (1, 1) if kind == "poly" else (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
     tree = random_tree(rng, T, 3)  # 1 to 3 children per node
+    if shuffle:  # node order no longer stage order, siblings apart in their stage
+        tree = shuffled(rng, tree)
     later = [nid for nid in tree.nodes if tree.stage(nid) >= 1]
     zero_B = kind == "flat" or kind == "singular"
     sys_ = ControlSystem(
@@ -373,3 +378,112 @@ def test_thousand_node_recursion_matches_riccati():
         assert sol.value(x0) == pytest.approx(rd.value(sys_.tree, x0), abs=1e-8)
         X, U = riccati_policy(sys_, rd, x0)
         assert verify_oc_policy(sys_, sol, X, U)
+
+
+def _same_states(got, want):
+    assert sorted(got) == sorted(want)
+    assert all(same_bits(got[nid], want[nid]) for nid in want)
+
+
+def _verdicts_agree(sys_, sol, X, U, rng):
+    """verify_oc_policy against the frozen loop on (X, U), with one control
+    and one state perturbed, with a NaN control, and with a control of the
+    wrong length at a node before or after a perturbed one."""
+    nodes = list(sys_.tree.nodes)
+    pick = lambda: nodes[int(rng.integers(len(nodes)))]
+    bumped = lambda V, nid, d: {**V, nid: V[nid] + d * rng.standard_normal(V[nid].shape)}
+    cases = [(X, U), (X, bumped(U, pick(), 10.0 ** rng.uniform(-12, 0))),
+             (bumped(X, pick(), 10.0 ** rng.uniform(-12, 0)), U),
+             (X, {**U, pick(): np.full(sys_.M, np.nan)})]
+    a, b = (nodes[i] for i in rng.choice(len(nodes), 2, replace=False))
+    cases += [(X, {**bumped(U, a, 1.0), b: np.zeros(sys_.M + 1)}),
+              (X, {**bumped(U, b, 1.0), a: np.zeros(sys_.M + 1)})]
+    for Xc, Uc in cases:
+        same_outcome(outcome(verify_oc_policy, sys_, sol, Xc, Uc),
+                     outcome(ref_verify_oc_policy, sys_, sol, Xc, Uc))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["lq", "rows", "flat", "poly"]), seed=st.integers(0, 2**32 - 1))
+def test_forward_pass_matches_the_node_by_node_loops(kind, seed):
+    # uneven trees in shuffled node order; equality rows, flat directions
+    # and Polyhedral (LP-selector) nodes: states and controls have the bits
+    # of the frozen loops, verdicts agree, and an error has its type,
+    # message and node
+    rng = np.random.default_rng(seed)
+    sys_ = _random_control(rng, kind, shuffle=True)
+    costs = {nid: random_stage_cost(rng, sys_.N, sys_.M, kind) for nid in sys_.tree.nodes}
+    sol, err = outcome(solve_oc, sys_, costs)
+    if err is not None:
+        return
+    x0 = rng.standard_normal(sys_.N)
+    got = outcome(extract_oc_policy, sys_, sol, x0)
+    want = outcome(ref_extract_oc_policy, sys_, sol, x0)
+    same_outcome(got, want, lambda g, w: [_same_states(a, b) for a, b in zip(g, w)])
+    if want[1] is None:
+        _verdicts_agree(sys_, sol, *want[0], rng)
+    # the Riccati feedback on the same system, against an LQ sweep
+    N, M = sys_.N, sys_.M
+    psd = lambda n: (lambda L: L @ L.T)(rng.standard_normal((n, n)))
+    Qm = {nid: psd(N) for nid in sys_.tree.nodes}
+    Rm = {nid: psd(M) + 0.1 * np.eye(M) for nid in sys_.tree.nodes}
+    rd = riccati(sys_, Qm, Rm)
+    X, U = riccati_policy(sys_, rd, x0)
+    for g, w in zip((X, U), ref_riccati_policy(sys_, rd, x0)):
+        _same_states(g, w)
+    _verdicts_agree(sys_, solve_oc(sys_, lq_costs(sys_, Qm, Rm)), X, U, rng)
+
+
+def _deep_lq():
+    sys_, Qm, Rm = lq_instance(3, T=4, N=2, M=1)
+    sol = solve_oc(sys_, lq_costs(sys_, Qm, Rm))
+    X, U = riccati_policy(sys_, riccati(sys_, Qm, Rm), [0.4, -0.7])
+    return sys_, sol, X, U
+
+
+def test_verify_oc_policy_rejects_a_perturbed_deep_control():
+    sys_, sol, X, U = _deep_lq()
+    assert verify_oc_policy(sys_, sol, X, U) and ref_verify_oc_policy(sys_, sol, X, U)
+    leaf = sys_.tree.leaves()[-1]
+    U = {**U, leaf: U[leaf] + 1e-3}
+    assert verify_oc_policy(sys_, sol, X, U) is False
+    assert ref_verify_oc_policy(sys_, sol, X, U) is False
+
+
+def test_verify_oc_policy_rejects_a_state_off_the_value_rows():
+    # x0 pinned by an equality row at the root: J_root is +inf off x0
+    sys_, Qm, Rm = lq_instance(4, T=2, N=2, M=1)
+    costs = lq_costs(sys_, Qm, Rm)
+    root = sys_.tree.root
+    costs[root] = costs[root].add(Quadratic(np.zeros((3, 3)), np.zeros(3), 0.0,
+                                            [[1.0, 0.0, 0.0]], [0.25]))
+    sol = solve_oc(sys_, costs)
+    X, U = extract_oc_policy(sys_, sol, [0.25, 1.0])
+    assert verify_oc_policy(sys_, sol, X, U) and ref_verify_oc_policy(sys_, sol, X, U)
+    X = {**X, root: np.array([0.5, 1.0])}
+    assert sol.J(root).eval(X[root]) == Inf
+    assert verify_oc_policy(sys_, sol, X, U) is False
+    assert ref_verify_oc_policy(sys_, sol, X, U) is False
+
+
+def test_verify_oc_policy_rejects_a_nan_gap():
+    sys_, sol, X, U = _deep_lq()
+    nid = sys_.tree.stage_nodes[2][1]
+    U = {**U, nid: np.array([np.nan])}
+    assert verify_oc_policy(sys_, sol, X, U) is False
+    assert ref_verify_oc_policy(sys_, sol, X, U) is False
+
+
+def test_wealth_grid_solution_still_verifies():
+    # the grid hedge keeps Q = None: every node is skipped, as before
+    market = binomial_market(9, T=2)
+    res = solve_alm(market, Polyhedral([[1.0], [-1.0]], [0.0, 0.0]), 0.0, driver="grid",
+                    grid=np.linspace(-3.0, 3.0, 61))
+    sol = res.solution
+    assert all(rec["Q"] is None for rec in sol.records.values())
+    X, U = extract_oc_policy(sol.sys, sol, [0.0])
+    rX, rU = ref_extract_oc_policy(sol.sys, sol, [0.0])
+    _same_states(X, rX)
+    _same_states(U, rU)
+    assert verify_oc_policy(sol.sys, sol, X, U) is True
+    assert ref_verify_oc_policy(sol.sys, sol, X, U) is True

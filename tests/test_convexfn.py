@@ -9,8 +9,8 @@ from stochbellman import bellman, convexfn, treeio
 from stochbellman.bellman import StageProblem, _conjugates_at_zero, solve_be
 from stochbellman.convexfn import (EQ_TOL, Inf, Polyhedral, Quadratic, Sampled1D,
                                    _null_basis, _polyhedral_cone_checks,
-                                   cond_expect_fn, lineality_space, partial_min,
-                                   partial_min_stack, recession)
+                                   cond_expect_fn, eval_stack, lineality_space,
+                                   partial_min, partial_min_stack, recession)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  NonLinearRecession, ProbabilityMass,
                                  UnboundedBelow, ValidationError)
@@ -18,7 +18,8 @@ from stochbellman.simplex import solve_lp
 
 from helpers import (binary_tree, grid_min, outcome, ref_add,
                      ref_polyhedral_cone_checks, ref_precompose,
-                     ref_quadratic_partial_min, ref_scale, same_bits)
+                     ref_quadratic_eval, ref_quadratic_partial_min, ref_scale,
+                     same_bits)
 
 
 def test_eval_quadratic():
@@ -693,3 +694,40 @@ def test_boxed_own_block_solves_no_cone_lp(monkeypatch):
             assert err is not None or same_bits(got, want)
         # the fallback runs one LP, or two when the first finds a negative row
         assert (len(lps) == 0) if kind in ("boxed", "fuzzy", "near") else (len(lps) >= 20)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.integers(0, 4), m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_stacked_eval_matches_eval(d, m, seed):
+    # points on the equality rows, off them by 0.5, 0.999, 1.001 and 2 times
+    # the EQ_TOL threshold (small right-hand sides, where the 1 + max|b| of
+    # the threshold matters), NaN points, and the empty domain: the bits of
+    # the frozen Quadratic.eval, member by member and one at a time
+    rng = np.random.default_rng(seed)
+    m = min(m, d)
+    fs, xs = [], []
+    for k in range(12):
+        L = rng.standard_normal((d, d))
+        A = b = None
+        if m:
+            A, b = rng.standard_normal((m, d)), 10.0 ** rng.uniform(-3, 1) * rng.standard_normal(m)
+        f = Quadratic(L @ L.T, rng.standard_normal(d), float(rng.standard_normal()), A, b)
+        if k == 11 and d:
+            f = Quadratic(L @ L.T, np.zeros(d), 0.0, np.tile(np.ones(d), (2, 1)), [0.0, 1.0])
+        x = rng.standard_normal(d)
+        if f.A.shape[0] and k < 11:
+            x = x - np.linalg.pinv(f.A) @ (f.A @ x - f.b)  # onto the rows
+            push = [0.0, 0.5, 0.999, 1.001, 2.0][k % 5] * EQ_TOL * (1.0 + np.abs(f.b).max())
+            x = x + push * f.A[0]  # canonical rows are orthonormal
+        if k == 10 and d:
+            x[0] = np.nan
+        fs.append(f)
+        xs.append(x)
+    groups = {}
+    for f, x in zip(fs, xs):
+        groups.setdefault(f.A.shape[0], []).append((f, x))
+    for members in groups.values():
+        got = eval_stack([f for f, _ in members], np.array([x for _, x in members]).reshape(len(members), d))
+        for g, (f, x) in zip(got, members):
+            want = np.float64(ref_quadratic_eval(f, x))
+            assert same_bits(g, want) and same_bits(np.float64(f.eval(x)), want)
