@@ -14,7 +14,7 @@ import numpy as np
 
 from .bellman import StageProblem, recession_probe, solve_be
 from .convexfn import Inf, Polyhedral, recession
-from .errors import Infeasible, NotPerp, ValidationError
+from .errors import Infeasible, NotPerp, StochBellmanError, ValidationError
 from .polyhedra import cone_from_generators, is_infeasible_marker
 from .simplex import solve_lp
 from .tree import perp_check
@@ -131,17 +131,22 @@ def lp_costs(tree, d, data):
 def lp_recursion(tree, d, data):
     """Linear stochastic program in block form; returns the solved ValueV.
 
-    Raises Infeasible with the first node whose stage constraints are empty
-    (or the root, when only the joint system fails), Unbounded or
-    NonLinearRecession from the backward sweep (solve_be).
+    Runs the backward sweep (solve_be).  Only when it fails are the nodes'
+    stage constraints checked for emptiness, in stage order: the error is
+    Infeasible with the first empty node, or else the sweep's own
+    (Infeasible at the root when only the joint system fails, Unbounded or
+    NonLinearRecession).
     """
     instance = LagrangeInstance(tree, d, lp_costs(tree, d, data))
     sp = instance.as_stage_problem()
-    for t in range(tree.T + 1):
-        for nid in tree.stage_nodes[t]:
-            if _empty_polyhedron(sp.node_costs[nid]):
-                raise Infeasible("stage constraints are empty", node=nid)
-    sol = solve_be(sp)
+    try:
+        sol = solve_be(sp)
+    except StochBellmanError:
+        for t in range(tree.T + 1):
+            for nid in tree.stage_nodes[t]:
+                if _empty_polyhedron(sp.node_costs[nid]):
+                    raise Infeasible("stage constraints are empty", node=nid) from None
+        raise
     return ValueV(instance, sol)
 
 

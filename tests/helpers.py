@@ -1,8 +1,10 @@
 """Shared builders for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 
-from stochbellman.bellman import BellmanSolution, build_flat
+from stochbellman.bellman import BellmanSolution, build_flat, solve_be
 from stochbellman.control import ControlSolution
 from stochbellman.convexfn import (_LIN_TOL, EQ_TOL, AffineSelector, Inf,
                                    PartialMin, Polyhedral, Quadratic,
@@ -12,7 +14,9 @@ from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  IterationLimit, NonLinearRecession, RowBlowup,
                                  SingularRiccati, StochBellmanError,
                                  UnboundedBelow, ValidationError)
-from stochbellman.simplex import solve_lp
+from stochbellman.lagrange import (LagrangeInstance, ValueV, _empty_polyhedron,
+                                   lp_costs)
+from stochbellman.simplex import LPResult, solve_lp
 from stochbellman.tree import AdaptedProcess, validate_tree
 
 
@@ -80,8 +84,9 @@ def ref_pivot(T, basis, row, col, pivots=None):
 
 
 def ref_bland_solve(T, basis, ncols, max_iter, bounded=False, pivots=None):
+    """(status, tiny): tiny when a pivot entry was below 1e-6."""
     m = T.shape[0] - 1
-    status = "optimal"
+    status, tiny = "optimal", False
     for _ in range(max_iter):
         for col in range(ncols):
             if T[m, col] >= -1e-9:
@@ -96,10 +101,11 @@ def ref_bland_solve(T, basis, ncols, max_iter, bounded=False, pivots=None):
             if row >= 0:
                 break
             if not bounded:
-                return "unbounded"
+                return "unbounded", tiny
             status = "passed"
         else:
-            return status
+            return status, tiny
+        tiny = tiny or T[row, col] < 1e-6
         ref_pivot(T, basis, row, col, pivots)
     raise IterationLimit("simplex iteration limit reached")
 
@@ -112,9 +118,15 @@ def _ref_refine(T, B, b):
     return True
 
 
-def ref_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000, pivots=None):
+def ref_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000, pivots=None,
+                 slack_start=True):
     """Loop simplex; returns (status, x, value, basis), basis None when no
-    tableau was built."""
+    tableau was built.
+
+    Phase 1 starts from the slack basis, and a run with a pivot entry below
+    1e-6 ends with one guarded refine of the basic values.  With
+    slack_start=False it is the earlier simplex: every row starts with an
+    artificial basic, and no final refine."""
     c = np.asarray(c, dtype=float)
     n = c.size
     rows, rhs, kinds = [], [], []
@@ -152,18 +164,22 @@ def ref_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000, 
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
-    T = np.zeros((m + 1, ncore + m + 1))
+    # the rows that start with an artificial basic, and the others' slacks
+    art = [i for i in range(m) if not slack_start or neg[i] or kinds[i] == "eq"]
+    T = np.zeros((m + 1, ncore + len(art) + 1))
     T[:m, :ncore] = A
-    T[:m, ncore:ncore + m] = np.eye(m)
     T[:m, -1] = b
-    basis = list(range(ncore, ncore + m))
-    T[m, ncore:ncore + m] = 1.0
-    for i in range(m):
+    basis = [2 * n + i for i in range(m)]
+    for j, i in enumerate(art):
+        T[i, ncore + j] = 1.0
+        T[m, ncore + j] = 1.0
+        basis[i] = ncore + j
+    for i in art:
         T[m] -= T[i]
-    status = ref_bland_solve(T, basis, ncore + m, max_iter, bounded=True, pivots=pivots)
+    status, tiny = ref_bland_solve(T, basis, ncore + len(art), max_iter, bounded=True, pivots=pivots)
+    AI = np.hstack([A, np.eye(m)[:, art]])
     refined = status != "optimal" or T[m, -1] < -1e-8
     if refined:
-        AI = np.hstack([A, np.eye(m)])
         if not _ref_refine(T, AI[:, basis], b):
             return "infeasible", None, None, basis
         T[m, -1] = -sum(abs(v) if k >= ncore else max(-v, 0.0) for k, v in zip(basis, T[:m, -1]))
@@ -173,9 +189,10 @@ def ref_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000, 
         if basis[i] >= ncore:
             for j in range(ncore):
                 if abs(T[i, j]) > 1e-9:
+                    tiny = tiny or abs(T[i, j]) < 1e-6
                     ref_pivot(T, basis, i, j, pivots)
                     break
-    T2 = np.delete(T, np.s_[ncore:ncore + m], axis=1)
+    T2 = np.delete(T, np.s_[ncore:ncore + len(art)], axis=1)
     cost = np.zeros(ncore + 1)
     cost[:n] = c
     cost[n:2 * n] = -c
@@ -183,17 +200,67 @@ def ref_solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, max_iter=20000, 
     for i in range(m):
         if basis[i] < ncore and abs(cost[basis[i]]) > 0:
             T2[m] -= cost[basis[i]] * T2[i]
-    status = ref_bland_solve(T2, basis, ncore, max_iter, pivots=pivots)
+    status, tiny2 = ref_bland_solve(T2, basis, ncore, max_iter, pivots=pivots)
     if refined and status == "optimal":
         _ref_refine(T2, AI[:, basis], b)
     if status == "unbounded":
         return "unbounded", None, None, basis
-    full = np.zeros(ncore)
-    for i in range(m):
-        if basis[i] < ncore:
-            full[basis[i]] = T2[i, -1]
-    x = full[:n] - full[n:2 * n]
+
+    def point():
+        full = np.zeros(ncore)
+        for i in range(m):
+            if basis[i] < ncore:
+                full[basis[i]] = T2[i, -1]
+        return full[:n] - full[n:2 * n]
+
+    def violation(x):
+        R = np.array(rows)
+        r = (R @ x - np.array(rhs)) / [max(abs(a) for a in row) or 1.0 for row in R]
+        v = max([r[i] if kinds[i] == "ub" else abs(r[i]) for i in range(m)] + [0.0])
+        return v if v > 1e-12 else 0.0
+
+    x = point()
+    if slack_start and (tiny or tiny2) and not refined and _ref_refine(T2, AI[:, basis], b):
+        xr = point()
+        if violation(xr) <= violation(x):
+            x = xr
     return "optimal", x, float(c @ x), basis
+
+
+def ref_lp(slack_start, pivots):
+    """solve_lp through ref_solve_lp; appends each LP's pivot count to
+    pivots."""
+    def solve(*lp):
+        taken = []
+        status, x, value, _ = ref_solve_lp(*lp, pivots=taken, slack_start=slack_start)
+        pivots.append(len(taken))
+        return LPResult(x, value, status, len(taken))
+    return solve
+
+
+def exact_epigraph_min(A, b):
+    """min tau over A (x, tau) <= b, for rows (a_i, -1) <= -b_i closed by x <=
+    hi and -x <= -lo as the last two: max_i (a_i x + b_i) minimized over [lo,
+    hi], exactly, by enumerating the breakpoints as Fractions."""
+    k = A.shape[0] - 2
+    a = [Fraction(v) for v in A[:k, 0]]
+    c = [Fraction(-v) for v in b[:k]]
+    lo, hi = Fraction(-b[k + 1]), Fraction(b[k])
+    xs = [lo, hi] + [(c[j] - c[i]) / (a[i] - a[j]) for i in range(k)
+                     for j in range(i + 1, k) if a[i] != a[j]]
+    return min(max(ai * x + ci for ai, ci in zip(a, c)) for x in xs if lo <= x <= hi)
+
+
+def ref_lp_recursion(tree, d, data):
+    """lp_recursion with the emptiness check of every node before the sweep,
+    as it ran before the sweep came first."""
+    instance = LagrangeInstance(tree, d, lp_costs(tree, d, data))
+    sp = instance.as_stage_problem()
+    for t in range(tree.T + 1):
+        for nid in tree.stage_nodes[t]:
+            if _empty_polyhedron(sp.node_costs[nid]):
+                raise Infeasible("stage constraints are empty", node=nid)
+    return ValueV(instance, solve_be(sp))
 
 
 def ref_normalize_rows(G, h):

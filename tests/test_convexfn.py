@@ -380,6 +380,20 @@ def test_mixed_add_is_rejected():
         q.add(Sampled1D([0.0, 1.0], [0.0, 1.0]))
 
 
+@pytest.mark.parametrize("a, b, lo, hi, v, exact", [
+    # one pivot on the 1e-8 slope left the tableau's optimum 1.3e-7 off
+    ([1.8903293102975152, 1e-8], [-1.0, 0.0], 0.0, 3.0, 2.0, 1.3290120691074545),
+    # a phase 1 with tiny pivots read this domain as empty: -inf
+    ([-1.267613980499914, -1.7e-08, -0.23611060999383948],
+     [-0.17646735987745377, 0.0, 2.9922548129802173],
+     -2.305414892747856, 0.2211485938538118, 2.0, -2.49774209587849),
+])
+def test_polyhedral_conjugate_after_tiny_pivots(a, b, lo, hi, v, exact):
+    # exact values by breakpoint enumeration in rationals
+    f = Polyhedral(np.reshape(a, (-1, 1)), b, [[1.0], [-1.0]], [hi, -lo])
+    assert f.conjugate([v]) == pytest.approx(exact, abs=1e-14)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(pieces=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
                        min_size=1, max_size=5),

@@ -5,9 +5,10 @@ from stochbellman import convexfn, lagrange
 from stochbellman.bellman import build_flat, optimum_value, solve_be
 from stochbellman.control import as_stage_problem, lq_costs, solve_oc
 from stochbellman.convexfn import Polyhedral, Quadratic
-from stochbellman.errors import Infeasible, NotPerp, UnboundedBelow
+from stochbellman.errors import (Infeasible, NotPerp, StochBellmanError,
+                                 UnboundedBelow)
 from stochbellman.extensive import solve_extensive
-from stochbellman.generators import quadratic_lagrange_instance
+from stochbellman.generators import quadratic_lagrange_instance, random_tree
 from stochbellman.lagrange import (LagrangeInstance, check_lagrange_bounds,
                                    lagrange_policy, lp_recursion,
                                    solve_lagrange)
@@ -247,9 +248,9 @@ def _boxed_inventory(tree):
 
 
 def test_boxed_inventory_lp_solves_no_cone_lp(monkeypatch):
-    # capacity and ramp rows box every own block, so the only LPs are the
-    # per-node emptiness checks; the cone check that solves its LP at every
-    # node gives the same value functions bit for bit
+    # capacity and ramp rows box every own block, so the sweep solves no LP,
+    # and a sweep that succeeds runs no emptiness check; the cone check that
+    # solves its LP at every node gives the same value functions bit for bit
     tree = two_stage_binary()
     data = _boxed_inventory(tree)
     calls = {"ref": 0, "convexfn": 0, "lagrange": 0}
@@ -267,8 +268,70 @@ def test_boxed_inventory_lp_solves_no_cone_lp(monkeypatch):
     for name, module in (("convexfn", convexfn), ("lagrange", lagrange)):
         monkeypatch.setattr(module, "solve_lp", counted(name, module.solve_lp))
     got = lp_recursion(tree, 2, data)
-    assert calls == {"ref": 7, "convexfn": 0, "lagrange": 7}
+    assert calls == {"ref": 7, "convexfn": 0, "lagrange": 0}
     assert same_bits(got.value, want.value)
     for nid in tree.nodes:
         assert same_fn(got.post(nid), want.post(nid))
         assert same_bits(got.solution.records[nid]["N"], want.solution.records[nid]["N"])
+
+
+def _empty_at(data, nid):
+    data[nid] = dict(data[nid], b=np.concatenate([[5.0], data[nid]["b"][1:]]))  # floor 5 > cap 4
+
+
+def _unbounded_at(data, nid):
+    # demand floors only, and negative costs: the stock runs off to +inf
+    data[nid] = {"T": np.zeros((2, 2)), "W": np.eye(2), "b": [1.0, 0.8], "c": [-1.0, -1.0]}
+
+
+@pytest.mark.parametrize("empty, unbounded", [
+    (["u"], []), (["u", "dd"], []), (["u"], ["dd"]), (["dd"], []), ([], ["dd"])])
+def test_failing_lp_raises_what_the_emptiness_check_first_raised(empty, unbounded):
+    # the emptiness check runs only after the sweep fails, and then raises
+    # what checking every node before the sweep raised: the first empty
+    # node in stage order, or else the sweep's own error
+    tree = two_stage_binary()
+    data = _boxed_inventory(tree)
+    for nid in empty:
+        _empty_at(data, nid)
+    for nid in unbounded:
+        _unbounded_at(data, nid)
+    with pytest.raises(StochBellmanError) as want:
+        helpers.ref_lp_recursion(tree, 2, data)
+    with pytest.raises(StochBellmanError) as got:
+        lp_recursion(tree, 2, data)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert got.value.node == want.value.node == (empty or unbounded)[0]
+
+
+def test_inventory_lp_takes_at_most_half_the_pivots(monkeypatch):
+    # from the slack basis, and with no emptiness LPs after a sweep that
+    # succeeds, the sweep and the policy take at most half the pivots of an
+    # all-artificial start with every node's emptiness LP before the sweep
+    tree = random_tree(np.random.default_rng(0), 3, fixed=True)
+    data = _boxed_inventory(tree)
+    before, after = [], []
+    for module in (convexfn, lagrange):
+        monkeypatch.setattr(module, "solve_lp", helpers.ref_lp(False, before))
+    want = helpers.ref_lp_recursion(tree, 2, data)
+    want_policy = lagrange_policy(want)
+    monkeypatch.undo()
+
+    def counted(solve):
+        def run(*args):
+            res = solve(*args)
+            after.append(res.pivots)
+            return res
+        return run
+
+    for module in (convexfn, lagrange):
+        monkeypatch.setattr(module, "solve_lp", counted(module.solve_lp))
+    got = lp_recursion(tree, 2, data)
+    policy = lagrange_policy(got)
+    assert (len(before), len(after)) == (2 * len(tree.nodes), len(tree.nodes))
+    assert 0 < sum(after) <= sum(before) / 2
+    assert same_bits(got.value, want.value)
+    for nid in tree.nodes:
+        assert policy.decisions[nid] == pytest.approx(want_policy.decisions[nid], abs=1e-12)
+

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from stochbellman import simplex
 from stochbellman.errors import IterationLimit
 from stochbellman.simplex import solve_lp
 
-from helpers import ref_solve_lp, same_bits
+from helpers import exact_epigraph_min, ref_solve_lp, same_bits
 
 
 def test_lower_bound_constraint():
@@ -188,6 +189,77 @@ def test_solve_lp_matches_the_loop_simplex(kind, seed):
     if status == "optimal":
         assert np.array_equal(res.x, x) and same_bits(res.x, x)
         assert same_bits(np.float64(res.value), np.float64(value))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["float", "int", "tiny", "near", "epigraph"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pivots_counts_every_pivot(kind, seed):
+    lp = _random_lp(np.random.default_rng(seed), kind)
+    want = []
+    ref_solve_lp(*lp, pivots=want)
+    assert solve_lp(*lp).pivots == len(want)
+
+
+def _worst_row(lp, x):
+    c, A_ub, b_ub, A_eq, b_eq = lp
+    r = A_ub @ x - b_ub if len(A_ub) else np.zeros(0)
+    if A_eq is not None:
+        r = np.concatenate([r, np.abs(A_eq @ x - b_eq)])
+    return r.max(initial=0.0)
+
+
+@pytest.mark.parametrize("kind", ["float", "int", "near", "epigraph", "tiny"])
+def test_slack_start_against_the_all_artificial_start(kind):
+    # the slack basis takes another pivot path than an all-artificial start:
+    # the same verdicts and values where the arithmetic is benign, closer
+    # epigraph optima, and no more "optimal" points off a row by > 1e-7
+    # where entries sit near the pivot tolerances
+    flips, worst, off = [], [0.0, 0.0], [0, 0]
+    for seed in range(1000):
+        lp = _random_lp(np.random.default_rng(seed), kind)
+        status, x, value, _ = ref_solve_lp(*lp, slack_start=False)
+        res = solve_lp(*lp)
+        if res.status != status:
+            flips.append(seed)
+        elif status == "optimal" and kind in ("float", "int", "near"):
+            assert abs(res.value - value) <= 1e-9 * max(1.0, abs(value))
+        if kind == "epigraph":
+            exact = exact_epigraph_min(lp[1], lp[2])
+            for k, v in enumerate((value, res.value)):
+                worst[k] = max(worst[k], abs(float(Fraction(v) - exact)))
+        for k, (verdict, point) in enumerate(((status, x), (res.status, res.x))):
+            off[k] += verdict == "optimal" and _worst_row(lp, point) > 1e-7
+    assert flips == []
+    assert worst[1] <= worst[0]
+    assert off[1] <= off[0]
+
+
+@pytest.mark.parametrize("seed, before, after", [
+    (2461, "optimal", "infeasible"),  # the rows miss each other by 3.5e-15
+    (4305, "infeasible", "unbounded"),  # a point with margin 1, a ray of descent
+])
+def test_slack_start_verdicts_that_moved(seed, before, after):
+    lp = _random_lp(np.random.default_rng(seed), "tiny")
+    assert ref_solve_lp(*lp, slack_start=False)[0] == before
+    assert solve_lp(*lp).status == after
+
+
+@pytest.mark.parametrize("kind, seed", [("epigraph", 4722), ("epigraph", 231), ("tiny", 459)])
+def test_final_refine_keeps_the_point_that_violates_less(kind, seed):
+    # each run pivots on an entry below 1e-6; the recomputed point is kept
+    # at 4722 (the tableau's optimum is 3.5e-8 high, and the recomputed
+    # point leaves the box by 4e-16, rounding) and dropped at 231 and 459
+    # (it violates a row by 4.5e-10 and 2.3e-8 of the row's largest entry,
+    # the tableau's point none)
+    lp = _random_lp(np.random.default_rng(seed), kind)
+    status, x, value, _ = ref_solve_lp(*lp)
+    res = solve_lp(*lp)
+    assert res.status == status == "optimal"
+    assert same_bits(res.x, x) and same_bits(np.float64(res.value), np.float64(value))
+    assert _worst_row(lp, res.x) <= 1e-12
+    if seed == 4722:
+        assert abs(float(Fraction(res.value) - exact_epigraph_min(lp[1], lp[2]))) < 1e-14
 
 
 def test_iteration_limit_is_a_module_constant(monkeypatch):
