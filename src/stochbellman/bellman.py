@@ -4,10 +4,11 @@ Costs are stage-additive: each node at stage t carries a cost
 g_t(x_{t-1}, x_t), and the sweep computes per-node value functions of the
 previous decision.
 
-backward_sweep, the one backward recursion, runs a stage at a time with
-the Quadratic nodes as stacks; every node gets the node-by-node bits.
-Its mirror forward_sweep applies the recorded minimizers and evaluates
-the nodewise optimality gaps, also a stage at a time.
+backward_sweep, the one backward recursion, runs a stage at a time: its
+Quadratic nodes stay stacks from the children's value functions to the
+records, and every node gets the node-by-node bits.  Its mirror
+forward_sweep applies the recorded minimizers and evaluates the nodewise
+optimality gaps, also a stage at a time.
 
 At every node the sweep records the pre-minimization function, the value
 function after minimizing the node's own block, the minimizer map, and the
@@ -19,9 +20,10 @@ continuation that no single backend can add to the node's cost
 
 import numpy as np
 
-from .convexfn import (AffineSelector, Inf, Quadratic, _is_empty, add_stack,
-                       eval_stack, partial_min, partial_min_stack,
-                       precompose_stack, recession, scale_stack)
+from .convexfn import (AffineSelector, Inf, Quadratic, _add, _is_empty,
+                       _objects, _precompose, _quadratic_partial_min, _scale,
+                       _settled, _Stack, _stack, _take, eval_stack,
+                       partial_min, partial_min_stack, recession)
 from .errors import (BackendClash, DimensionMismatch, Infeasible,
                      NonLinearRecession, NotPerp, SolverError,
                      StochBellmanError, UnboundedBelow, ValidationError)
@@ -77,11 +79,6 @@ class Policy:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def _rows(f):
-    """Row count of a Quadratic, its stacking key; None for anything else."""
-    return f.A.shape[0] if isinstance(f, Quadratic) else None
-
-
 def _split(keys):
     """Positions grouped by key in first-seen order, and the positions whose
     key is None."""
@@ -92,68 +89,100 @@ def _split(keys):
     return groups.values(), rest
 
 
-def _map(fns, p=None, M=None, W=None):
-    """p_i f_i(M_i x + W_i) for each given f_i (no factor when p is None, no
-    map when M is None), None kept as None: Quadratics as one stack per row
-    count, others one by one."""
-    out = list(fns)
-    groups, rest = _split([_rows(f) for f in fns])
-    for idx in groups:
-        fs, pi = [fns[i] for i in idx], None if p is None else p[idx]
-        res = scale_stack(fs, pi) if M is None else precompose_stack(fs, M[idx], W[idx], pi)
-        for i, f in zip(idx, res):
-            out[i] = f
-    for i in (i for i in rest if fns[i] is not None):
-        f = fns[i] if M is None else fns[i].precompose(M[i], W[i])
-        out[i] = f if p is None else f.scale(p[i])
-    return out
+def _grouped(pieces):
+    """(positions, F) pieces as a layer, a stage's functions by position:
+    F a _Stack of Quadratics, one per row count, or a list of the others,
+    positions ascending; a position in no group holds None."""
+    out = {}
+    for idx, F in pieces:
+        out.setdefault(F.A.shape[1] if isinstance(F, _Stack) else None, []).append((idx, F))
+    for key, ps in out.items():
+        if len(ps) > 1 or key is None:  # a stack's piece has its positions in order
+            idx = np.concatenate([i for i, _ in ps])
+            F = [f for _, F in ps for f in F] if key is None else _Stack(
+                *map(np.concatenate, zip(*(F for _, F in ps))))
+            order = np.argsort(idx, kind="stable")
+            ps = [(idx[order], _take(F, order))]
+        out[key] = ps[0]
+    return list(out.values())
 
 
-def _add(acc, other, nodes, failed):
-    """acc[i] += other[i] (acc[i] = other[i] from None) where other[i] is
-    given, for the nodes before the first failure: Quadratic pairs as one
-    stack per pair of row counts, others node by node.  A node's error is
+def _mapped(layer, p=None, M=None, W=None):
+    """p_i f_i(M_i x + W_i) by position; no factor if p is None, no map if M is None."""
+    out = []
+    for idx, F in layer:
+        if isinstance(F, _Stack):
+            S = F if M is None else _precompose(F, M[idx], W[idx])
+            S = S if p is None else _scale(S, p[idx])
+            out += [(idx[j], T) for j, T in _settled(S, new_rows=M is not None)]
+        else:
+            fs = F if M is None else [f.precompose(M[i], W[i]) for i, f in zip(idx, F)]
+            out.append((idx, fs if p is None else [f.scale(p[i]) for i, f in zip(idx, fs)]))
+    return _grouped(out)
+
+
+def _summed(acc, other, nodes, failed, dst=None):
+    """acc + other by position, one side's function where the other holds
+    none; other's position i is dst[i] if given, and left out if dst[i] < 0.
+    One stacked add per pair of _Stacks, others node by node before the
+    first failure; a node's error is recorded in failed."""
+    n, lim, k = len(nodes), min(failed, default=len(nodes)), len(other) + 1
+    (ga, ra), (go, ro) = loc = [(np.full(n, -1), np.zeros(n, dtype=int)) for _ in "ao"]
+    for (g, r), side, to in zip(loc, (acc, other), (None, dst)):  # group number and member
+        for j, (idx, _) in enumerate(side):
+            pos = idx if to is None else to[idx]
+            g[pos[pos >= 0]], r[pos[pos >= 0]] = j, np.flatnonzero(pos >= 0)
+    pair, pieces, sums = (ga + 1) * k + go + 1, [], {}
+    for key in dict.fromkeys(pair[pair > 0].tolist()):
+        P, (a, b) = np.flatnonzero(pair == key), divmod(key, k)
+        F, G = acc[a - 1][1] if a else None, other[b - 1][1] if b else None
+        if F is None or G is None:
+            pieces.append((P, _take(G, ro[P]) if F is None else _take(F, ra[P])))
+        elif isinstance(F, _Stack) and isinstance(G, _Stack):
+            pieces += [(P[j], T) for j, T in _settled(_add(_take(F, ra[P]), _take(G, ro[P])))]
+        else:  # a list on one side at least: node by node, before the first failure
+            P = P[P < lim]
+            fs, gs = (_objects([(np.arange(len(P)), _take(X, r[P]))], len(P)) for X, r in
+                      ((F, ra), (G, ro)))
+            for i, f, g in zip(P.tolist(), fs, gs):
+                try:
+                    sums[i] = f.add(g)
+                except BackendClash as exc:
+                    failed[i] = BackendClash(f"{exc} (node {nodes[i]})")
+                except StochBellmanError as exc:
+                    failed[i] = exc
+    return _grouped(pieces + [(np.array(list(sums), dtype=int), list(sums.values()))])
+
+
+def _minimized(layer, fns, over, nodes, failed):
+    """partial_min over the trailing `over` coordinates before the first
+    failure: the value functions as a layer and the PartialMins by position.
+    One stacked call per _Stack, others node by node; a node's error is
     recorded in failed."""
-    live = [i for i in range(min(failed, default=len(acc))) if other[i] is not None]
-    keys = [(_rows(acc[i]), _rows(other[i])) for i in live]
-    groups, rest = _split([None if None in k else k for k in keys])
-    for g in groups:
-        idx = [live[k] for k in g]
-        for i, f in zip(idx, add_stack([acc[i] for i in idx], [other[i] for i in idx])):
-            acc[i] = f
-    for i in (live[k] for k in rest):
-        try:
-            acc[i] = other[i] if acc[i] is None else acc[i].add(other[i])
-        except BackendClash as exc:
-            failed[i] = BackendClash(f"{exc} (node {nodes[i]})")
-        except StochBellmanError as exc:
-            failed[i] = exc
-
-
-def _minimize(fns, over, nodes, failed):
-    """partial_min of each fns[i] over its trailing `over` coordinates, for
-    the nodes before the first failure: one stacked call per Quadratic row
-    count, node by node otherwise.  A node's error is recorded in failed."""
-    pms = [None] * len(fns)
-    live = fns[:min(failed, default=len(fns))]
-    groups, rest = _split([_rows(f) if over else None for f in live])
-    for idx in groups:
-        names = [nodes[i] for i in idx]
-        try:
-            res = partial_min_stack([fns[i] for i in idx], over, names)
-        except SolverError as exc:
-            failed[idx[names.index(exc.node)]] = exc
-            continue
-        for i, pm in zip(idx, res):
-            pms[i] = pm
-    for i in rest:
-        try:
-            pms[i] = partial_min(fns[i], over)
-        except (UnboundedBelow, NonLinearRecession) as exc:
-            failed[i] = type(exc)(str(exc), node=nodes[i])
-        except StochBellmanError as exc:
-            failed[i] = exc
-    return pms
+    lim, pms, post, objs = min(failed, default=len(fns)), {}, [], {}
+    if not over:  # partial_min(f, 0) keeps f
+        return layer, {i: partial_min(f, 0) for i, f in enumerate(fns[:lim])}
+    for idx, F in layer:
+        idx = idx[:np.searchsorted(idx, lim)]
+        if not isinstance(F, _Stack):
+            for i in idx.tolist():
+                try:
+                    pms[i] = objs[i] = partial_min(fns[i], over)
+                except (UnboundedBelow, NonLinearRecession) as exc:
+                    failed[i] = type(exc)(str(exc), node=nodes[i])
+                except StochBellmanError as exc:
+                    failed[i] = exc
+        elif len(idx):
+            names = [nodes[i] for i in idx.tolist()]
+            try:
+                groups, got = _quadratic_partial_min(_take(F, np.arange(len(idx))), over, names)
+            except SolverError as exc:
+                failed[idx[names.index(exc.node)]] = exc
+                continue
+            post += [(idx[j], T) for j, T in groups]
+            pms.update(zip(idx.tolist(), got))
+    rest = [(np.array(list(objs), dtype=int), [pm.fn for pm in objs.values()])]
+    return _grouped(post + rest), pms
 
 
 def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=False):
@@ -166,34 +195,40 @@ def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=Fals
     the own block, and the tail is lifted to both blocks.  The cost is
     added once, an empty Quadratic raises Infeasible if empty_raises, and
     the own block is minimized out.  The error raised is the first failing
-    node's."""
-    records, post = {}, []
+    node's.  Objects are made once a stage, for the records (see _grouped)."""
+    records, post = {}, None
     for t in range(tree.T, -1, -1):
         nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
-        fns = [costs[nid] for nid in nodes]
+        fns, tails = [costs[nid] for nid in nodes], []
         failed = {i: DimensionMismatch(f"cost at {nid!r} has wrong dimension")
                   for i, (nid, f) in enumerate(zip(nodes, fns)) if f.dim != keep[t] + over[t]}
-        tails = [None] * n
+        groups, rest = _split([f.A.shape[0] if isinstance(f, Quadratic) else None
+                               for f in fns[:min(failed, default=n)]])
+        pre = _grouped([(np.array(idx), _stack([fns[i] for i in idx])) for idx in groups]
+                       + [(np.array(rest, dtype=int), [fns[i] for i in rest])])
         if t < tree.T:
             kids = tree.stage_nodes[t + 1]
             p = np.array([float(tree.nodes[k].prob) for k in kids])
-            I = _map(post, p, *(maps(t + 1) if maps else ()))
-            slot = {k: j for j, k in enumerate(kids)}
-            for s in range(max(len(tree.children[nid]) for nid in nodes)):
-                _add(tails, [I[slot[ch[s]]] if len(ch) > s else None
-                             for ch in (tree.children[nid] for nid in nodes)], nodes, failed)
+            I = _mapped(post, p, *(maps(t + 1) if maps else ()))
+            up = {nid: i for i, nid in enumerate(nodes)}  # a child's parent and slot:
+            par, slot = np.array([(up[u], tree.children[u].index(k))
+                                  for k in kids for u in [tree.nodes[k].parent]]).T
+            for s in range(slot.max() + 1):
+                tails = _summed(tails, I, nodes, failed, np.where(slot == s, par, -1))
             L = np.eye(keep[t] + over[t])[keep[t]:]
-            _add(fns, _map(tails, M=np.broadcast_to(L, (n,) + L.shape),
-                           W=np.zeros((n, over[t]))) if maps is None else tails, nodes, failed)
+            pre = _summed(pre, _mapped(tails, M=np.broadcast_to(L, (n,) + L.shape),
+                                       W=np.zeros((n, over[t]))) if maps is None else tails,
+                          nodes, failed)
+        fns = _objects(pre, n)
         empty = [i for i in range(min(failed, default=n)) if empty_raises
                  and isinstance(fns[i], Quadratic) and _is_empty(fns[i])]
         if empty:
             failed[empty[0]] = Infeasible("problem is infeasible", node=nodes[empty[0]])
-        pms = _minimize(fns, over[t], nodes, failed)
+        post, pms = _minimized(pre, fns, over[t], nodes, failed)
         if failed:
             raise failed[min(failed)]
-        records.update((nid, record(fns[i], pms[i], tails[i])) for i, nid in enumerate(nodes))
-        post = [pm.fn for pm in pms]
+        records.update((nid, record(fns[i], pms[i], tail))
+                       for i, (nid, tail) in enumerate(zip(nodes, _objects(tails, n))))
     return records
 
 
@@ -448,8 +483,8 @@ def _conjugates_at_zero(fns):
     Quadratic.conjugate gives it.  Other functions take conjugate.
     """
     out = [None] * len(fns)
-    groups, rest = _split([(f.dim, _rows(f)) if isinstance(f, Quadratic) and f.dim else None
-                           for f in fns])
+    groups, rest = _split([(f.dim, f.A.shape[0]) if isinstance(f, Quadratic) and f.dim
+                           else None for f in fns])
     for idx in groups:
         pms = partial_min_stack([fns[i] for i in idx], fns[idx[0]].dim, skip_unbounded=True)
         for i, pm in zip(idx, pms):

@@ -110,7 +110,10 @@ def cmd_stop(args):
     for nid, node in tree.nodes.items():
         if "R" not in node.data:
             raise ValidationError(f"node {nid!r} has no reward entry `R`")
-        values[nid] = float(node.data["R"])
+        try:
+            values[nid] = float(node.data["R"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"reward `R` at {nid!r} is not a number") from exc
     R = AdaptedProcess(tree, values)
     S = snell(R)
     rule, value = optimal_stop(R, S)
@@ -202,6 +205,8 @@ def _load_market(path):
     D = {}
     c = {}
     for nid, node in tree.nodes.items():
+        if "s" not in node.data:
+            raise ValidationError(f"node {nid!r} has no price entry `s`")
         prices[nid] = np.atleast_1d(np.asarray(node.data["s"], dtype=float))
         if "D" in node.data:
             rows = node.data["D"]

@@ -21,8 +21,9 @@ objects and lineality spaces are orthonormal basis arrays.
 The Quadratic algebra (precompose, scale, add, partial minimization) is
 written once over a stack: arrays with a leading member axis, for
 Quadratics of one dimension and row count.  A method call on one object
-is a stack of one; the backward sweep runs a whole stage as one stack.
-Every member gets the bits it would get alone.
+is a stack of one; the backward sweep keeps its stacks from step to step
+and makes objects for its records only.  Every member gets the bits it
+would get alone.
 """
 
 from collections import namedtuple
@@ -53,7 +54,8 @@ _Stack = namedtuple("_Stack", "Q q c A b psd")
 
 def _null_bases(A, rcond=1e-10):
     """Orthonormal null-space basis (columns, possibly none) of each member
-    of a stack of matrices; an all-zero member gets the identity."""
+    of a stack of matrices; an all-zero member gets the identity, and a
+    nonzero column none."""
     n, r, d = A.shape
     live = (np.abs(A) > 0).any(axis=(1, 2)).tolist()
     if not all(live):
@@ -63,6 +65,8 @@ def _null_bases(A, rcond=1e-10):
             for i, K in zip(idx, _null_bases(A[idx], rcond)):
                 out[i] = K
         return out
+    if d == 1:  # a nonzero column has rank one
+        return [np.zeros((1, 0))] * n
     u, s, vt = np.linalg.svd(A)
     rank = (s > rcond * max(r, d) * s[:, :1]).sum(axis=1).tolist()
     return [v[k:].T for v, k in zip(vt, rank)]
@@ -147,25 +151,52 @@ def _stack(fs):
                   np.array([f.b for f in fs]), np.array([f.psd for f in fs]))
 
 
-def _derived(S, new_rows=True):
-    """Quadratics built by the algebra from a _Stack of operands with known
-    forms: each inherits its `psd` flag, and eigvalsh is not run again.  The
-    symmetry check and the symmetrization run once over the stack; new rows
-    are made canonical per member.  new_rows=False passes an operand's rows
-    on as they are: canonical rows are a fixed point."""
-    Q = _forms(S.Q)
-    dim, m = S.q.shape[1], S.A.shape[1]
-    A0, b0 = np.zeros((0, dim)), np.zeros(0)  # no elements: rowless members share them
-    out = []
-    for i, (c, psd) in enumerate(zip(S.c.tolist(), S.psd.tolist())):
-        f = Quadratic.__new__(Quadratic)
-        f.dim, f.Q, f.q, f.c, f.psd = dim, Q[i], S.q[i], c, psd
-        if not m:
-            f.A, f.b = A0, b0
-        else:
-            f.A, f.b = _canonical_rows(S.A[i], S.b[i]) if new_rows else (S.A[i], S.b[i])
-        out.append(f)
+def _take(S, rows):
+    """The members `rows` (an index array) of a _Stack or of a list."""
+    return _Stack(*(a[rows] for a in S)) if isinstance(S, _Stack) else [S[i] for i in rows]
+
+
+def _settled(S, new_rows=True):
+    """A _Stack made by the algebra from operands with known forms, as
+    (members, _Stack) groups of one row count: the forms checked and
+    symmetrized at once, new rows made canonical per member (new_rows=False
+    passes them on: canonical rows are a fixed point)."""
+    S = S._replace(Q=_forms(S.Q))
+    if not (S.A.shape[1] and new_rows):
+        return [(np.arange(len(S.c)), S)]
+    if len(S.c) == 1:  # one member, one group
+        A, b = _canonical_rows(S.A[0], S.b[0])
+        return [(np.zeros(1, dtype=int), S._replace(A=A[None], b=b[None]))]
+    rows = [_canonical_rows(A, b) for A, b in zip(S.A, S.b)]
+    counts = np.array([len(b) for _, b in rows])
+    groups = [np.flatnonzero(counts == k).tolist() for k in dict.fromkeys(counts.tolist())]
+    return [(np.array(idx), (S if len(groups) == 1 else _take(S, idx))._replace(
+        A=np.array([rows[i][0] for i in idx]), b=np.array([rows[i][1] for i in idx])))
+            for idx in groups]
+
+
+def _objects(groups, n):
+    """The members of (positions, _Stack or list) groups by position in a
+    list of n, None where no group has one; a stack's as Quadratics."""
+    out = [None] * n
+    for idx, S in groups:
+        if not isinstance(S, _Stack):
+            for i, f in zip(idx.tolist(), S):
+                out[i] = f
+            continue
+        dim, m = S.q.shape[1], S.A.shape[1]
+        # no elements: rowless members share them
+        rows = zip(S.A, S.b) if m else [(np.zeros((0, dim)), np.zeros(0))] * len(idx)
+        for i, Q, q, c, psd, (A, b) in zip(idx.tolist(), S.Q, S.q, S.c.tolist(),
+                                           S.psd.tolist(), rows):
+            f = out[i] = Quadratic.__new__(Quadratic)
+            f.dim, f.Q, f.q, f.c, f.psd, f.A, f.b = dim, Q, q, c, psd, A, b
     return out
+
+
+def _derived(S, new_rows=True):
+    """The Quadratics of a _Stack built by the algebra, by _settled."""
+    return _objects(_settled(S, new_rows), len(S.c))
 
 
 def quadratics(Q, q, names=None):
@@ -179,11 +210,11 @@ def quadratics(Q, q, names=None):
 
 
 def _precompose(S, M, t):
-    """x -> f(M_i x + t_i) for every member; M (n, d, k), t (n, d)."""
+    """x -> f(M_i x + t_i) for every member, form symmetrized; M (n, d, k), t (n, d)."""
     Mt = M.transpose(0, 2, 1)
     A, b = ((S.A @ M, S.b - np.matvec(S.A, t)) if S.A.shape[1]
             else (np.zeros((len(M), 0, M.shape[2])), S.b))
-    return _Stack(Mt @ S.Q @ M, np.matvec(Mt, np.matvec(S.Q, t) + S.q),
+    return _Stack(_forms(Mt @ S.Q @ M), np.matvec(Mt, np.matvec(S.Q, t) + S.q),
                   S.c + np.vecdot(S.q, t) + np.vecdot(np.vecmat(0.5 * t, S.Q), t),
                   A, b, S.psd)
 
@@ -206,32 +237,12 @@ def _add(S, T):
                   np.concatenate([S.b, T.b], axis=1), S.psd & T.psd)
 
 
-def precompose_stack(fs, M, t, alpha=None):
-    """f_i(M_i x + t_i) for Quadratics fs of one dim and row count, times
-    alpha_i when alpha (n,) is given; M (n, d, k), t (n, d).  The
-    symmetrized form is scaled, as f.precompose(M, t).scale(alpha) does it."""
-    S = _precompose(_stack(fs), M, t)
-    if alpha is not None:
-        S = _scale(S._replace(Q=_forms(S.Q)), alpha)
-    return _derived(S)
-
-
-def scale_stack(fs, alpha):
-    """alpha_i f_i for Quadratics fs of one dim and row count; alpha (n,)."""
-    return _derived(_scale(_stack(fs), alpha), new_rows=False)
-
-
-def add_stack(fs, gs):
-    """f_i + g_i for Quadratics of one dim, fs and gs each of one row count."""
-    return _derived(_add(_stack(fs), _stack(gs)))
-
-
 def partial_min_stack(fs, over, nodes=None, skip_unbounded=False):
     """partial_min(f, over) for each Quadratic of fs (one dim and row count);
     an error names nodes[i] of the first failing member when nodes are
     given.  With skip_unbounded, a member unbounded below gives None instead
     of raising."""
-    return _quadratic_partial_min(fs, fs[0].dim - over, nodes, skip_unbounded)
+    return _quadratic_partial_min(_stack(fs), over, nodes, skip_unbounded)[1]
 
 
 def eval_stack(fs, X):
@@ -263,6 +274,13 @@ class AffineSelector:
     def __call__(self, x):
         x = np.asarray(x, dtype=float).ravel()
         return self.F @ x + self.g
+
+
+def _selector(F, g):
+    """AffineSelector of F (d2, d1) and g (d2,) as they are, unchecked."""
+    sel = AffineSelector.__new__(AffineSelector)
+    sel.F, sel.g = F, g
+    return sel
 
 
 class LPSelector:
@@ -389,12 +407,12 @@ class Quadratic(ConvexFn):
         return _derived(S._replace(q=S.q + v), new_rows=False)[0]
 
     def scale(self, alpha):
-        return scale_stack([self], np.array([alpha], dtype=float))[0]
+        return _derived(_scale(_stack([self]), np.array([alpha], dtype=float)), new_rows=False)[0]
 
     def precompose(self, M, t):
         M = np.atleast_2d(np.asarray(M, dtype=float))
         t = np.asarray(t, dtype=float).ravel()
-        return precompose_stack([self], M[None], t[None])[0]
+        return _derived(_precompose(_stack([self]), M[None], t[None]))[0]
 
     def recession(self):
         # f^inf(d) = q.d on ker Q intersected with {Ad = 0}; +inf elsewhere,
@@ -662,9 +680,10 @@ def lineality_space(fn):
     raise BackendClash(f"no lineality rule for {type(fn).__name__}")
 
 
-def _quadratic_partial_min(fs, keep, nodes=None, skip_unbounded=False):
-    """Minimize each Quadratic of fs (one dim and row count) over its
-    trailing dim - keep coordinates; a list of PartialMin.
+def _quadratic_partial_min(S, over, nodes=None, skip_unbounded=False):
+    """Minimize each member of a _Stack over its trailing `over`
+    coordinates: the value functions as _settled groups, and a list of
+    PartialMin.
 
     Null bases of [Quu; Au] come from one batched SVD; the coupling and
     drift checks run on the members with flat directions, in order, and the
@@ -672,9 +691,8 @@ def _quadratic_partial_min(fs, keep, nodes=None, skip_unbounded=False):
     given; with skip_unbounded a failing member's entry is None instead.
     The KKT systems take one batched pinv.
     """
-    S = _stack(fs)
     n, d = S.q.shape
-    d1, d2 = keep, d - keep
+    d1, d2 = d - over, over
     m = S.A.shape[1]
     # x -> (x, F x + g): F and g are views into the substitution map
     sub_M = np.zeros((n, d, d1))
@@ -727,9 +745,9 @@ def _quadratic_partial_min(fs, keep, nodes=None, skip_unbounded=False):
             lin[i] = Kj
             F[i] = Fl[j] - Kj @ (Kj.T @ Fl[j])
             g[i] = gl[j] - Kj @ (Kj.T @ gl[j])
-    out = _derived(_precompose(S, sub_M, sub_t))
-    return [None if i in unbounded else PartialMin(fn, AffineSelector(Fi, gi), Ki)
-            for i, (fn, Fi, gi, Ki) in enumerate(zip(out, F, g, lin))]
+    post = _settled(_precompose(S, sub_M, sub_t))
+    return post, [None if i in unbounded else PartialMin(fn, _selector(Fi, gi), Ki)
+                  for i, (fn, Fi, gi, Ki) in enumerate(zip(_objects(post, n), F, g, lin))]
 
 
 def _polyhedral_cone_checks(f, keep):
@@ -819,7 +837,7 @@ def partial_min(f, over):
         zero = np.zeros((0, 0))
         return PartialMin(f, AffineSelector(np.zeros((0, keep)), np.zeros(0)), zero)
     if isinstance(f, Quadratic):
-        return _quadratic_partial_min([f], keep)[0]
+        return _quadratic_partial_min(_stack([f]), over)[1][0]
     if isinstance(f, Polyhedral):
         return _polyhedral_partial_min(f, keep)
     raise BackendClash(f"partial_min unsupported for {type(f).__name__}")

@@ -108,26 +108,18 @@ def _solve_quadratic(fp):
         u, s, vt = np.linalg.svd(A)
         r = int(np.sum(s > 1e-10 * max(A.shape) * (s[0] if s.size else 1.0)))
         Z = vt[r:].T
-    else:
-        A = np.zeros((0, n))
-        z0 = np.zeros(n)
-        Z = np.eye(n)
-    Hred = Z.T @ H @ Z
-    gred = Z.T @ (H @ z0 + g)
+        Hred, gred = Z.T @ H @ Z, Z.T @ (H @ z0 + g)
+    else:  # no rows: the reduced problem is the problem itself
+        A, Z, Hred, gred = np.zeros((0, n)), None, H, g
     y = -np.linalg.pinv(Hred, rcond=1e-12, hermitian=True) @ gred
     resid = Hred @ y + gred
     if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(gred)):
         raise Unbounded("objective decreases along a feasible null direction")
-    z = z0 + Z @ y
+    z = y if Z is None else z0 + Z @ y
     value = float(0.5 * z @ H @ z + g @ z + const)
     grad = H @ z + g
-    if A.shape[0]:
-        lam, *_ = np.linalg.lstsq(A.T, -grad, rcond=None)
-        kkt = np.linalg.norm(grad + A.T @ lam)
-    else:
-        kkt = np.linalg.norm(grad)
-    info = {"kkt_residual": float(kkt)}
-    return value, z, info
+    lam, *_ = np.linalg.lstsq(A.T, -grad, rcond=None)  # no multipliers without rows
+    return value, z, {"kkt_residual": float(np.linalg.norm(grad + A.T @ lam))}
 
 
 def _solve_polyhedral(fp):

@@ -86,7 +86,8 @@ def dump_tree(tree, extra=None, data_overrides=None):
 
 
 def save_tree(tree, path, extra=None, data_overrides=None):
+    """Write a tree file: the top-level keys, then one node record a line."""
     doc = dump_tree(tree, extra=extra, data_overrides=data_overrides)
+    nodes = ",\n".join(map(json.dumps, doc.pop("nodes")))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(f'{json.dumps(doc)[:-1]}, "nodes": [\n{nodes}\n]}}\n')

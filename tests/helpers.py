@@ -12,7 +12,7 @@ from stochbellman.convexfn import (_LIN_TOL, EQ_TOL, AffineSelector, Inf,
                                    cond_expect_fn, partial_min)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  IterationLimit, NonLinearRecession, RowBlowup,
-                                 SingularRiccati, StochBellmanError,
+                                 SingularRiccati, StochBellmanError, Unbounded,
                                  UnboundedBelow, ValidationError)
 from stochbellman.lagrange import (LagrangeInstance, ValueV, _empty_polyhedron,
                                    lp_costs)
@@ -394,8 +394,11 @@ def same_bits(x, y):
 
 def random_stage_cost(rng, keep, own, kind):
     """A random cost over (kept block, own block) for the sweep property
-    tests; kind picks plain, equality-row, flat, unbounded, empty or mixed
-    Polyhedral/Quadratic costs."""
+    tests; kind picks plain, equality-row, flat, unbounded, empty, split or
+    mixed Polyhedral/Quadratic costs.  A split cost has the row x_j = 0 on
+    the first kept or the first own coordinate: where a node's tail brings
+    the same row, the cost addition drops one, so members of one stack end
+    with different row counts."""
     d = keep + own
     L = rng.standard_normal((d, d))
     Q, q = L @ L.T + 0.1 * np.eye(d), rng.standard_normal(d)
@@ -419,6 +422,8 @@ def random_stage_cost(rng, keep, own, kind):
     if kind == "rows" and d and rng.random() < 0.5:
         m = int(rng.integers(1, d + 1))
         A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+    if kind == "split" and d:
+        A, b = np.eye(d)[[int(rng.choice([0, keep] if keep and own else [0]))]], np.zeros(1)
     if kind == "empty" and d and rng.random() < 0.3:
         A, b = np.tile(rng.standard_normal(d), (2, 1)), np.array([0.0, 1.0])
     return Quadratic(Q, q, float(rng.standard_normal()), A, b)
@@ -761,3 +766,24 @@ def ref_riccati_policy(sys, rd, x0):
             for k in tree.children[nid]:
                 X[k] = ref_step(sys, k, X[nid], U[nid])
     return X, U
+
+
+def ref_solve_quadratic(fp):
+    """The flat KKT solve of a rowless all-Quadratic program, frozen as it
+    ran through the null-space basis Z = I."""
+    n = fp.nvars
+    H, g, const = np.zeros((n, n)), np.zeros(n), 0.0
+    for term in fp.terms:
+        fn = term.fn if term.M is None else term.fn.precompose(term.M, term.t)
+        H[np.ix_(term.idx, term.idx)] += term.weight * fn.Q
+        g[term.idx] += term.weight * fn.q
+        const += term.weight * fn.c
+    z0, Z = np.zeros(n), np.eye(n)
+    Hred = Z.T @ H @ Z
+    gred = Z.T @ (H @ z0 + g)
+    y = -np.linalg.pinv(Hred, rcond=1e-12, hermitian=True) @ gred
+    if np.linalg.norm(Hred @ y + gred) > 1e-8 * (1.0 + np.linalg.norm(gred)):
+        raise Unbounded("objective decreases along a feasible null direction")
+    z = z0 + Z @ y
+    value = float(0.5 * z @ H @ z + g @ z + const)
+    return value, z, {"kkt_residual": float(np.linalg.norm(H @ z + g))}

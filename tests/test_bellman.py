@@ -363,17 +363,18 @@ def test_check_assumptions_conjugates_once_per_untilted_node(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["quad", "rows", "flat", "unbounded", "empty", "poly"]),
+@given(kind=st.sampled_from(["quad", "rows", "flat", "unbounded", "empty", "split", "poly"]),
        seed=st.integers(0, 2**32 - 1))
 def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
     # uneven trees, stage dims that include 0; equality rows, flat and
-    # unbounded directions, empty domains, and Polyhedral nodes next to
+    # unbounded directions, empty domains, stacks whose members change row
+    # count apart at the cost addition, and Polyhedral nodes next to
     # Quadratic ones: every record has the bits of the frozen node-by-node
     # sweep, and an error has its type, message and node
     rng = np.random.default_rng(seed)
     T = int(rng.integers(1, 3 if kind == "poly" else 4))
     tree = random_tree(rng, T, 3)  # 1 to 3 children per node
-    dims = [int(rng.integers(0, 3)) for _ in range(T + 1)]
+    dims = [int(rng.integers(kind == "split", 3)) for _ in range(T + 1)]
     costs = {nid: random_stage_cost(rng, dims[t - 1] if t else 0, dims[t], kind)
              for t in range(T + 1) for nid in tree.stage_nodes[t]}
     sp = StageProblem(tree, dims, node_costs=costs)

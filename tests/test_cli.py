@@ -43,6 +43,70 @@ def test_treeio_roundtrip(tmp_path):
     assert tree2.prob("a") == pytest.approx(0.123456789012345, abs=1e-16)
 
 
+def test_save_tree_writes_one_node_record_a_line(tmp_path):
+    # ids, null parents, 17-digit probabilities, nested data and extra
+    # top-level keys load back as they were given
+    tree = binary_tree((0.12345678901234568, 0.8765432109876543))
+    data = {"r": {"tag": "root", "none": None},
+            "a": {"R": 1.5, "D": {"G": [[-1.0, 2.5e-17]], "g": [-2.0]}},
+            "b": {"cost": treeio.fn_to_record(Quadratic([[2.0]], [0.1], 0.3, [[1.0]], [0.7]))}}
+    extra = {"dims": [1, 1], "x0": [0.1, 1e-300], "note": {"k": [1, None, "s"]}}
+    path = tmp_path / "t.json"
+    treeio.save_tree(tree, path, extra=extra, data_overrides=data)
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(tree.nodes) + 2
+    assert [json.loads(line.rstrip(","))["id"] for line in lines[1:-1]] == list(tree.nodes)
+    tree2, doc = treeio.load_tree(path)
+    assert doc == json.loads(json.dumps(treeio.dump_tree(tree, extra, data)))
+    assert doc["nodes"][0]["parent"] is None
+    for nid, node in tree.nodes.items():
+        back = tree2.nodes[nid]
+        assert (back.parent, back.prob, back.stage) == (node.parent, node.prob, node.stage)
+        assert back.data == data[nid]
+
+
+def _old_layout(path):
+    """A tree file as the earlier writer laid it out: json.dump with
+    indent=1, the node array after `schema` and `horizon`."""
+    doc = json.loads(path.read_text())
+    first = {key: doc.pop(key) for key in ("schema", "horizon", "nodes")}
+    return json.dumps({**first, **doc}, indent=1) + "\n"
+
+
+def test_every_command_reads_both_tree_file_layouts_alike(tmp_path, capsys):
+    lp = tmp_path / "lp.json"
+    treeio.save_tree(binary_tree(), lp, extra={"d": 1}, data_overrides={
+        "r": {"T": [[0.0]], "W": [[1.0]], "b": [0.0], "c": [1.0]},
+        "a": {"T": [[0.0], [1.0]], "W": [[1.0], [0.0]], "b": [3.0, 0.0], "c": [0.5]},
+        "b": {"T": [[0.0], [1.0]], "W": [[1.0], [0.0]], "b": [1.0, 0.0], "c": [0.5]}})
+    inputs = {"lp": lp}
+    for kind in ("lagrange", "lq", "market", "reward"):
+        inputs[kind] = tmp_path / f"{kind}.json"
+        run(capsys, "gen", "--kind", kind, "--seed", "3", "--out", str(inputs[kind]))
+    for kind, command in (("lagrange", "solve"), ("lagrange", "oracle"), ("lagrange", "check"),
+                          ("reward", "stop"), ("lq", "control"), ("lp", "lagrange"),
+                          ("market", "hedge")):
+        new = inputs[kind]
+        old = tmp_path / f"old-{kind}.json"
+        old.write_text(_old_layout(new))
+        assert len(new.read_bytes()) < len(old.read_bytes())
+        outs = [run(capsys, command, "--input", str(p), "--format", "structured")
+                for p in (new, old)]
+        assert outs[0][0] == 0 and outs[0] == outs[1], (command, outs)
+
+
+@pytest.mark.parametrize("command, message", [
+    ("hedge", "node 'n0' has no price entry `s`"),
+    ("stop", "reward `R` at 'n0' is not a number"),
+])
+def test_wrong_kind_of_tree_file_exits_2(tmp_path, capsys, command, message):
+    # the lq file has no prices, and its rewards `R` are matrices
+    path = tmp_path / "lq.json"
+    run(capsys, "gen", "--kind", "lq", "--seed", "3", "--out", str(path))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_fn_record_roundtrip():
     fns = [Quadratic([[2.0, 0.0], [0.0, 1.0]], [1.0, -1.0], 0.5,
                      [[1.0, 1.0]], [2.0]),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochbellman import bellman, convexfn
 from stochbellman.bellman import (Policy, build_flat, solve_be,
                                   verify_optimality)
 from stochbellman.control import (ControlSystem, as_stage_problem,
@@ -262,20 +263,22 @@ def _random_control(rng, kind, shuffle=False):
         tree = shuffled(rng, tree)
     later = [nid for nid in tree.nodes if tree.stage(nid) >= 1]
     zero_B = kind == "flat" or kind == "singular"
+    still = 0.0 if kind == "split" else 1.0  # split: every child's state is its parent's
     sys_ = ControlSystem(
         tree, N, M,
-        A={k: 0.3 * rng.standard_normal((N, N)) for k in later},
-        B={k: (0.0 if zero_B and rng.random() < 0.5 else 1.0) * rng.standard_normal((N, M))
+        A={k: 0.3 * still * rng.standard_normal((N, N)) for k in later},
+        B={k: (0.0 if zero_B and rng.random() < 0.5 else still) * rng.standard_normal((N, M))
            for k in later},
-        W={k: rng.standard_normal(N) for k in later})
+        W={k: still * rng.standard_normal(N) for k in later})
     return sys_
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["lq", "rows", "flat", "unbounded", "empty", "poly"]),
+@given(kind=st.sampled_from(["lq", "rows", "flat", "unbounded", "empty", "split", "poly"]),
        seed=st.integers(0, 2**32 - 1))
 def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
-    # uneven trees; equality rows, flat directions, empty domains and
+    # uneven trees; equality rows, flat directions, empty domains, stacks
+    # whose members change row count apart at the cost addition, and
     # Polyhedral nodes next to Quadratic ones: every record has the bits of
     # the frozen node-by-node sweep, and an error has its type and node
     rng = np.random.default_rng(seed)
@@ -295,6 +298,30 @@ def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
             assert same_bits(g["selector"].F, w["selector"].F)
             assert same_bits(g["selector"].g, w["selector"].g)
         assert same_bits(g["N"], w["N"])
+
+
+def test_stage_sweep_builds_objects_a_bounded_number_of_times_per_stage(monkeypatch):
+    # a stage's Quadratics stay stacked through the sweep: on all-Quadratic,
+    # rowless trees of 4 stages, costs are stacked once a stage and per-node
+    # objects are built from stacks three times a stage (the records' pre,
+    # post and tail functions), whatever the branching and the node count
+    counts = {"_stack": 0, "_objects": 0}
+    for name in ("_stack", "_objects"):
+        def counted(*args, _name=name, _orig=getattr(convexfn, name)):
+            counts[_name] += 1
+            return _orig(*args)
+        for module in (convexfn, bellman):
+            monkeypatch.setattr(module, name, counted)
+    seen = []
+    for branching in (2, 3):
+        sys_, Qm, Rm = lq_instance(5, T=3, branching=branching)
+        costs = lq_costs(sys_, Qm, Rm)
+        counts.update(_stack=0, _objects=0)
+        sol = solve_oc(sys_, costs)
+        seen.append(dict(counts))
+        want = ref_solve_oc(sys_, costs)
+        assert all(same_fn(sol.J(nid), want.J(nid)) for nid in sys_.tree.nodes)
+    assert seen[0] == seen[1] == {"_stack": 4, "_objects": 12}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

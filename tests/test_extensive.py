@@ -5,10 +5,11 @@ from stochbellman.bellman import StageProblem
 from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D
 from stochbellman.errors import Infeasible, Unbounded
 from stochbellman.extensive import FlatProgram, Term, flatten, solve_extensive
-from stochbellman.generators import quadratic_lagrange_instance, tracking_stage_problem
+from stochbellman.generators import (quadratic_lagrange_instance, random_tree,
+                                     tracking_stage_problem)
 from stochbellman.tree import validate_tree
 
-from helpers import binary_tree
+from helpers import binary_tree, outcome, ref_solve_quadratic, same_bits
 
 
 def test_flatten_one_node_tree():
@@ -159,3 +160,29 @@ def test_flatten_tracking_with_leaf_decisions_counts_three():
     assert fp.nvars == 3
     value, z, _ = solve_extensive(fp)
     assert value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_rowless_quadratic_program_keeps_the_bits_of_the_identity_basis():
+    # with no equality rows the KKT solve takes H and g as they are: value,
+    # point and residual have the bits of the frozen Z = I path, and a
+    # program unbounded below raises as it did
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 5))
+        tree = random_tree(rng, T, 3)
+        dims = [int(rng.integers(0, 4)) for _ in range(T + 1)]
+        costs = {}
+        for t in range(T + 1):
+            d = (dims[t - 1] if t else 0) + dims[t]
+            for nid in tree.stage_nodes[t]:
+                L = rng.standard_normal((d, max(d - (seed % 3 == 0), 0)))
+                q = L @ rng.standard_normal(L.shape[1]) if seed % 6 else rng.standard_normal(d)
+                costs[nid] = Quadratic(L @ L.T, q, float(rng.standard_normal()))
+        fp = flatten(StageProblem(tree, dims, node_costs=costs))
+        if not fp.nvars:
+            continue
+        (got, err), (want, ref_err) = outcome(solve_extensive, fp), outcome(ref_solve_quadratic, fp)
+        assert type(err) is type(ref_err)
+        if ref_err is None:
+            assert same_bits(np.float64(got[0]), np.float64(want[0]))
+            assert same_bits(got[1], want[1]) and got[2] == want[2]
