@@ -21,9 +21,9 @@ continuation that no single backend can add to the node's cost
 import numpy as np
 
 from .convexfn import (AffineSelector, Inf, Quadratic, _add, _is_empty,
-                       _objects, _precompose, _quadratic_partial_min, _scale,
-                       _settled, _Stack, _stack, _take, eval_stack,
-                       partial_min, partial_min_stack, recession)
+                       _objects, _precompose, _quadratic_partial_min,
+                       _recessions, _scale, _settled, _Stack, _stack, _take,
+                       eval_stack, partial_min, partial_min_stack)
 from .errors import (BackendClash, DimensionMismatch, Infeasible,
                      NonLinearRecession, NotPerp, SolverError,
                      StochBellmanError, UnboundedBelow, ValidationError)
@@ -185,7 +185,8 @@ def _minimized(layer, fns, over, nodes, failed):
     return _grouped(post + rest), pms
 
 
-def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=False):
+def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=False,
+                   with_tails=False):
     """The backward recursion: node id -> record(pre, PartialMin, tail).
 
     A stage-t cost takes a kept block of width keep[t], then the own block
@@ -195,7 +196,8 @@ def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=Fals
     the own block, and the tail is lifted to both blocks.  The cost is
     added once, an empty Quadratic raises Infeasible if empty_raises, and
     the own block is minimized out.  The error raised is the first failing
-    node's.  Objects are made once a stage, for the records (see _grouped)."""
+    node's.  Objects are made once a stage for the records (see _grouped),
+    tails only with_tails."""
     records, post = {}, None
     for t in range(tree.T, -1, -1):
         nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
@@ -227,18 +229,24 @@ def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=Fals
         post, pms = _minimized(pre, fns, over[t], nodes, failed)
         if failed:
             raise failed[min(failed)]
+        tails = _objects(tails, n) if with_tails else [None] * n
         records.update((nid, record(fns[i], pms[i], tail))
-                       for i, (nid, tail) in enumerate(zip(nodes, _objects(tails, n))))
+                       for i, (nid, tail) in enumerate(zip(nodes, tails)))
     return records
 
 
 def solve_be(problem):
     """Backward sweep; returns a BellmanSolution with per-node records."""
+    return _swept(problem, with_tails=True)
+
+
+def _swept(problem, with_tails):
+    """solve_be, with the records' tails None unless with_tails."""
     tree = problem.tree
     keep = [problem._prev_dim(t) for t in range(tree.T + 1)]
     records = backward_sweep(tree, problem.node_costs, keep, problem.dims, lambda pre, pm, tail: {
         "pre": pre, "post": pm.fn, "selector": pm.selector, "N": pm.lineality, "tail": tail},
-        empty_raises=True)
+        empty_raises=True, with_tails=with_tails)
     value = records[tree.root]["post"].eval(np.zeros(0))
     if value == Inf:
         raise Infeasible("problem is infeasible", node=tree.root)
@@ -460,14 +468,15 @@ class AssumptionReport:
 
 
 def _recession_problem(problem):
-    costs = {nid: recession(fn) for nid, fn in problem.node_costs.items()}
-    return StageProblem(problem.tree, problem.dims, node_costs=costs)
+    costs = problem.node_costs
+    return StageProblem(problem.tree, problem.dims,
+                        node_costs=zip(costs, _recessions(list(costs.values()))))
 
 
 def recession_probe(problem):
     """Linearity verdict (ok, detail) from a sweep of recession costs."""
     try:
-        solve_be(problem)
+        _swept(problem, with_tails=False)
     except (UnboundedBelow, NonLinearRecession) as exc:
         return False, f"{type(exc).__name__}: {exc}"
     except SolverError as exc:

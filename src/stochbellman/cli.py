@@ -61,11 +61,13 @@ def _load_problem(path):
     dims = doc.get("dims")
     if dims is None:
         raise ValidationError("tree file is missing top-level `dims`")
-    costs = {}
+    costs = dict.fromkeys(tree.nodes)  # in tree order, built a stage at a time
     for nid, node in tree.nodes.items():
         if "cost" not in node.data:
             raise ValidationError(f"node {nid!r} has no `cost` record")
-        costs[nid] = treeio.fn_from_record(node.data["cost"])
+    for nodes in tree.stage_nodes:
+        costs.update(zip(nodes, treeio.fns_from_records(
+            [tree.nodes[nid].data["cost"] for nid in nodes], nodes)))
     return tree, StageProblem(tree, dims, "stage_additive", node_costs=costs)
 
 

@@ -77,34 +77,41 @@ def _null_basis(A, rcond=1e-10):
     return _null_bases(np.atleast_2d(np.asarray(A, dtype=float))[None], rcond)[0]
 
 
-def _range_basis(A, rcond=1e-10):
-    """Orthonormal basis of the row space of A (as columns of the result)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0:
-        return np.zeros((A.shape[1] if A.ndim == 2 else 0, 0))
-    u, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > rcond * max(A.shape) * (s[0] if s.size else 1.0)))
-    return vt[:rank].T
+def _canonical_stack(A, b):
+    """Each system (A_i, b_i) of A (n, m, d), b (n, m) as orthonormal rows
+    spanning its row space, with the same solution set, in (members, A, b)
+    groups of one row count, first seen first; an inconsistent system
+    becomes the row 0.x = 1.  Orthonormal members are kept as they are, so
+    canonical rows are a fixed point; the others take one batched SVD, with
+    a rank threshold absolute below unit scale: rows of rounding size with
+    rounding-size right-hand sides are dropped, not rescaled into spurious
+    unit rows."""
+    n, m, d = A.shape
+    todo = np.arange(n) if m > d else np.flatnonzero(
+        np.abs(A @ A.transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2)) > _ORTHO_TOL)
+    if not todo.size:
+        return [(np.arange(n), A, b)]
+    u, s, vt = np.linalg.svd(A[todo], full_matrices=False)
+    rank = (s > RANK_TOL * np.maximum(1.0, s[:, :1])).sum(axis=1)
+    out, rhs, count = A.copy(), b.copy(), np.full(n, m)
+    for r in dict.fromkeys(rank.tolist()):
+        # u[j] and then a column slice: the layout of one member's u[:, :r],
+        # so the products below keep the bits of a member taken alone
+        j = np.flatnonzero(rank == r)
+        i, U, bj = todo[j], u[j][..., :r], b[todo[j]]
+        coef = np.matvec(U.transpose(0, 2, 1), bj)
+        bad = np.abs(bj - np.matvec(U, coef)).max(axis=1) > EQ_TOL * (1.0 + np.abs(bj).max(axis=1))
+        out[i, :r], rhs[i, :r], count[i] = vt[j, :r], coef / s[j, :r], r
+        if bad.any():
+            out[i[bad], 0], rhs[i[bad], 0], count[i[bad]] = 0.0, 1.0, 1
+    return [(i, out[i, :c], rhs[i, :c]) for c in dict.fromkeys(count.tolist())
+            for i in [np.flatnonzero(count == c)]]
 
 
 def _canonical_rows(A, b):
-    """(A, b) as orthonormal rows spanning its row space, with the same
-    solution set; an inconsistent system becomes the row 0.x = 1.
-
-    Orthonormal input is returned as it is, so canonical rows are a fixed
-    point.  The rank threshold is absolute below unit scale: rows of
-    rounding size with rounding-size right-hand sides are dropped, not
-    rescaled into spurious unit rows.
-    """
-    m, d = A.shape
-    if m <= d and np.max(np.abs(A @ A.T - np.eye(m))) <= _ORTHO_TOL:
-        return A, b
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.sum(s > RANK_TOL * max(1.0, s[0] if s.size else 0.0)))
-    coef = u[:, :rank].T @ b
-    if np.max(np.abs(b - u[:, :rank] @ coef)) > EQ_TOL * (1.0 + np.max(np.abs(b))):
-        return np.zeros((1, d)), np.ones(1)
-    return vt[:rank], coef / s[:rank]
+    """_canonical_stack of one system (A, b)."""
+    (_, A, b), = _canonical_stack(A[None], b[None])
+    return A[0], b[0]
 
 
 def _is_empty(f):
@@ -159,20 +166,14 @@ def _take(S, rows):
 def _settled(S, new_rows=True):
     """A _Stack made by the algebra from operands with known forms, as
     (members, _Stack) groups of one row count: the forms checked and
-    symmetrized at once, new rows made canonical per member (new_rows=False
-    passes them on: canonical rows are a fixed point)."""
+    symmetrized at once, new rows made canonical by _canonical_stack
+    (new_rows=False passes them on: canonical rows are a fixed point)."""
     S = S._replace(Q=_forms(S.Q))
     if not (S.A.shape[1] and new_rows):
         return [(np.arange(len(S.c)), S)]
-    if len(S.c) == 1:  # one member, one group
-        A, b = _canonical_rows(S.A[0], S.b[0])
-        return [(np.zeros(1, dtype=int), S._replace(A=A[None], b=b[None]))]
-    rows = [_canonical_rows(A, b) for A, b in zip(S.A, S.b)]
-    counts = np.array([len(b) for _, b in rows])
-    groups = [np.flatnonzero(counts == k).tolist() for k in dict.fromkeys(counts.tolist())]
-    return [(np.array(idx), (S if len(groups) == 1 else _take(S, idx))._replace(
-        A=np.array([rows[i][0] for i in idx]), b=np.array([rows[i][1] for i in idx])))
-            for idx in groups]
+    groups = _canonical_stack(S.A, S.b)
+    return [(idx, (S if len(groups) == 1 else _take(S, idx))._replace(A=A, b=b))
+            for idx, A, b in groups]
 
 
 def _objects(groups, n):
@@ -199,14 +200,16 @@ def _derived(S, new_rows=True):
     return _objects(_settled(S, new_rows), len(S.c))
 
 
-def quadratics(Q, q, names=None):
-    """Quadratics 1/2 x.Q_i x + q_i.x without equality rows, from stacked
-    Q (n, d, d) and q (n, d), checked as the constructor checks one form;
-    an error names the first failing member's names[i]."""
+def quadratics(Q, q, c=None, A=None, b=None, names=None):
+    """Quadratics 1/2 x.Q_i x + q_i.x + c_i on {A_i x = b_i}, from stacked
+    Q (n, d, d), q (n, d), c (n,), A (n, m, d) and b (n, m) (c = 0 and no
+    rows when not given), checked as the constructor checks one form; an
+    error names the first failing member's names[i]."""
     n, d = q.shape
     S = _forms(np.asarray(Q, dtype=float), check_psd=True, names=names)
-    return _derived(_Stack(S, np.asarray(q, dtype=float), np.zeros(n), np.zeros((n, 0, d)),
-                           np.zeros((n, 0)), np.ones(n, dtype=bool)))
+    return _derived(_Stack(S, np.asarray(q, dtype=float), np.zeros(n) if c is None else c,
+                           np.zeros((n, 0, d)) if A is None else A,
+                           np.zeros((n, 0)) if b is None else b, np.ones(n, dtype=bool)))
 
 
 def _precompose(S, M, t):
@@ -352,29 +355,20 @@ class Quadratic(ConvexFn):
     """
 
     def __init__(self, Q, q, c=0.0, A=None, b=None, check_psd=True):
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        self.dim = Q.shape[0] if Q.size else len(np.asarray(q, dtype=float).ravel())
-        if Q.size == 0:
-            Q = np.zeros((self.dim, self.dim))
-        if Q.shape != (self.dim, self.dim):
+        Q, q = np.atleast_2d(np.asarray(Q, dtype=float)), np.asarray(q, dtype=float).ravel()
+        self.dim = d = Q.shape[0] if Q.size else q.size
+        Q = Q if Q.size else np.zeros((d, d))
+        if Q.shape != (d, d):
             raise DimensionMismatch("Q must be square")
-        self.Q = _forms(Q[None])[0]
-        self.q = np.asarray(q, dtype=float).ravel()
-        if self.q.size != self.dim:
+        if q.size != d:
             raise DimensionMismatch("q has wrong length")
-        self.c = float(c)
         if A is None or (hasattr(A, "__len__") and len(A) == 0):
-            self.A = np.zeros((0, self.dim))
-            self.b = np.zeros(0)
-        else:
-            self.A = np.atleast_2d(np.asarray(A, dtype=float))
-            self.b = np.asarray(b, dtype=float).ravel()
-            if self.A.shape[1] != self.dim or self.A.shape[0] != self.b.size:
-                raise DimensionMismatch("constraint block shapes disagree")
-            self.A, self.b = _canonical_rows(self.A, self.b)
-        self.psd = check_psd
-        if check_psd:
-            _forms(self.Q[None], check_psd=True)
+            A, b = np.zeros((0, d)), np.zeros(0)
+        A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.asarray(b, dtype=float).ravel()
+        if A.shape != (b.size, d):
+            raise DimensionMismatch("constraint block shapes disagree")
+        self.Q, self.q, self.c, self.psd = _forms(Q[None], check_psd)[0], q, float(c), check_psd
+        self.A, self.b = _canonical_rows(A, b) if b.size else (A, b)
 
     @staticmethod
     def constant(value, dim=0):
@@ -415,17 +409,7 @@ class Quadratic(ConvexFn):
         return _derived(_precompose(_stack([self]), M[None], t[None]))[0]
 
     def recession(self):
-        # f^inf(d) = q.d on ker Q intersected with {Ad = 0}; +inf elsewhere,
-        # and +inf everywhere when the domain is empty
-        if _is_empty(self):
-            rows, rhs = self.A, self.b
-        else:
-            V = _range_basis(self.Q)
-            rows = np.vstack([self.A, V.T]) if V.size else self.A
-            rhs = np.zeros(rows.shape[0])
-        zero = np.zeros((1, self.dim, self.dim))
-        return _derived(_Stack(zero, self.q[None], np.zeros(1), rows[None], rhs[None],
-                               np.ones(1, dtype=bool)))[0]
+        return _recessions([self])[0]
 
     def conjugate(self, v):
         v = np.asarray(v, dtype=float).ravel()
@@ -667,11 +651,41 @@ def recession(f):
     return f.recession()
 
 
+def _recessions(fns):
+    """The horizon functions of fns, by position: a Quadratic's is q.d on
+    ker Q intersected with {Ad = 0}, +inf elsewhere (everywhere when its
+    domain is empty), made with one SVD of the forms of each dim and row
+    count and one _derived call per rank; others take their method."""
+    out, groups = [None] * len(fns), {}
+    for i, f in enumerate(fns):
+        if isinstance(f, Quadratic):
+            groups.setdefault((f.dim, f.A.shape[0]), []).append(i)
+        else:
+            out[i] = f.recession()
+    for pos in groups.values():
+        S = _stack([fns[i] for i in pos])
+        d = S.q.shape[1]
+        _, s, vt = np.linalg.svd(S.Q)
+        rank = (s > 1e-10 * d * s[:, :1]).sum(axis=1)
+        # {Ad = 0}; the empty row 0.x = 1 of canonical rows keeps its 1
+        b = np.where(S.A.any(axis=2), 0.0, S.b)
+        for r in dict.fromkeys(rank.tolist()):
+            idx = np.flatnonzero(rank == r)
+            k = len(idx)
+            fs = _derived(_Stack(np.zeros((k, d, d)), S.q[idx], np.zeros(k),
+                                 np.concatenate([S.A[idx], vt[idx, :r]], axis=1),
+                                 np.concatenate([b[idx], np.zeros((k, r))], axis=1),
+                                 np.ones(k, dtype=bool)))
+            for i, f in zip(idx.tolist(), fs):
+                out[pos[i]] = f
+    return out
+
+
 def lineality_space(fn):
     """Lineality space {d : fn(d) <= 0 and fn(-d) <= 0} of a horizon
     function, as an orthonormal basis array with one column per direction."""
-    if isinstance(fn, Quadratic):
-        return _null_basis(np.vstack([fn.A, _range_basis(fn.Q).T, fn.q.reshape(1, -1)]))
+    if isinstance(fn, Quadratic):  # rows [A; range of Q] made canonical by _recessions
+        return _null_basis(np.vstack([_recessions([fn])[0].A, fn.q.reshape(1, -1)]))
     if isinstance(fn, Polyhedral):
         return _null_basis(np.vstack([fn.C, fn.pieces_a]))
     if isinstance(fn, Sampled1D):

@@ -14,10 +14,12 @@ Affine quadratics (Q == 0) mixed with polyhedral terms are promoted to
 one-piece Polyhedrals first, so such a program takes the exact LP.
 """
 
+import itertools
+
 import numpy as np
 
 from . import numeric
-from .convexfn import Inf, Polyhedral, Quadratic, _affine_as_polyhedral
+from .convexfn import Inf, Polyhedral, Quadratic, _affine_as_polyhedral, _null_basis
 from .errors import DimensionMismatch, Infeasible, Unbounded, ValidationError
 from .simplex import solve_lp
 
@@ -82,38 +84,33 @@ def flatten(problem, upto=None, tails=None):
 
 def _solve_quadratic(fp):
     n = fp.nvars
-    H = np.zeros((n, n))
-    g = np.zeros(n)
-    const = 0.0
-    eq_rows, eq_rhs = [], []
-    for term in fp.terms:
-        fn = term.fn
-        if term.M is not None:
-            fn = fn.precompose(term.M, term.t)
-        idx = term.idx
-        H[np.ix_(idx, idx)] += term.weight * fn.Q
-        g[idx] += term.weight * fn.q
-        const += term.weight * fn.c
-        for row, rhs in zip(fn.A, fn.b):
-            grow = np.zeros(n)
-            grow[idx] = row
-            eq_rows.append(grow)
-            eq_rhs.append(rhs)
+    H, g, const, eq_rows = np.zeros((n, n)), np.zeros(n), 0.0, []
+    terms = [(t.weight, t.fn if t.M is None else t.fn.precompose(t.M, t.t), t.idx)
+             for t in fp.terms]
+    # one np.add.at per run of consecutive terms of one width: it adds in
+    # term order, so every entry sums as in a term-by-term loop
+    for _, run in itertools.groupby(terms, key=lambda term: len(term[2])):
+        w, fns, idx = zip(*run)
+        w, idx = np.array(w), np.array(idx)
+        np.add.at(H, (idx[:, :, None], idx[:, None, :]), w[:, None, None] * [f.Q for f in fns])
+        np.add.at(g, idx, w[:, None] * [f.q for f in fns])
+    for w, fn, idx in terms:
+        const += w * fn.c
+        if fn.A.shape[0]:
+            eq_rows.append(np.zeros((fn.A.shape[0], n)))
+            eq_rows[-1][:, idx] = fn.A
     if eq_rows:
-        A = np.array(eq_rows)
-        b = np.array(eq_rhs)
+        A = np.concatenate(eq_rows)
+        b = np.concatenate([fn.b for _, fn, _ in terms])
         z0, res, rank, _ = np.linalg.lstsq(A, b, rcond=None)
         if np.linalg.norm(A @ z0 - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
             raise Infeasible("equality constraints are inconsistent")
-        u, s, vt = np.linalg.svd(A)
-        r = int(np.sum(s > 1e-10 * max(A.shape) * (s[0] if s.size else 1.0)))
-        Z = vt[r:].T
+        Z = _null_basis(A)
         Hred, gred = Z.T @ H @ Z, Z.T @ (H @ z0 + g)
     else:  # no rows: the reduced problem is the problem itself
         A, Z, Hred, gred = np.zeros((0, n)), None, H, g
     y = -np.linalg.pinv(Hred, rcond=1e-12, hermitian=True) @ gred
-    resid = Hred @ y + gred
-    if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(gred)):
+    if np.linalg.norm(Hred @ y + gred) > 1e-8 * (1.0 + np.linalg.norm(gred)):
         raise Unbounded("objective decreases along a feasible null direction")
     z = y if Z is None else z0 + Z @ y
     value = float(0.5 * z @ H @ z + g @ z + const)

@@ -13,7 +13,7 @@ The block-diagonal LP specialization builds polyhedral node costs from
 import numpy as np
 
 from .bellman import StageProblem, recession_probe, solve_be
-from .convexfn import Inf, Polyhedral, recession
+from .convexfn import Inf, Polyhedral, _recessions
 from .errors import Infeasible, NotPerp, StochBellmanError, ValidationError
 from .polyhedra import cone_from_generators, is_infeasible_marker
 from .simplex import solve_lp
@@ -210,6 +210,6 @@ def check_lagrange_bounds(instance, v=None, y=None, eps=0.1):
                     if m == Inf:
                         ok = False
             certificates[nid] = rows
-    rec_costs = {nid: recession(fn) for nid, fn in instance.costs.items()}
+    rec_costs = dict(zip(instance.costs, _recessions(list(instance.costs.values()))))
     lin_ok, detail = recession_probe(LagrangeInstance(tree, d, rec_costs).as_stage_problem())
     return LagrangeBoundsReport(certificates, ok, lin_ok, detail)

@@ -15,7 +15,9 @@ Probabilities are emitted with repr precision (17 significant digits).
 
 import json
 
-from .convexfn import Polyhedral, Quadratic, Sampled1D
+import numpy as np
+
+from .convexfn import Polyhedral, Quadratic, Sampled1D, quadratics
 from .errors import ValidationError
 from .tree import validate_tree
 
@@ -51,6 +53,22 @@ def fn_from_record(rec):
     if kind == "sampled1d":
         return Sampled1D(rec["knots"], rec["values"])
     raise ValidationError(f"unknown function record kind {kind!r}")
+
+
+def fns_from_records(recs, names):
+    """fn_from_record of each record: quadratic records whose arrays stack in
+    one convexfn.quadratics call, an error naming names[i]; others one by one."""
+    try:
+        if all(rec.get("kind") == "quadratic" for rec in recs):
+            Q, q, c = (np.array([rec.get(k, 0.0) for rec in recs], dtype=float) for k in "Qqc")
+            A, b = (np.array([rec.get(k) or [] for rec in recs], dtype=float) for k in "Ab")
+            n, d = q.shape
+            A = A if A.size else np.zeros((n, 0, d))
+            if (Q.shape, c.shape, A.shape[2:], b.shape) == ((n, d, d), (n,), (d,), A.shape[:2]):
+                return quadratics(Q, q, c, A, b, names)
+    except (TypeError, ValueError):
+        pass
+    return [fn_from_record(rec) for rec in recs]
 
 
 def load_tree(path_or_file):

@@ -8,7 +8,7 @@ from stochbellman.bellman import BellmanSolution, build_flat, solve_be
 from stochbellman.control import ControlSolution
 from stochbellman.convexfn import (_LIN_TOL, EQ_TOL, AffineSelector, Inf,
                                    PartialMin, Polyhedral, Quadratic,
-                                   _canonical_rows, _is_empty, _null_basis,
+                                   _is_empty, _null_basis,
                                    cond_expect_fn, partial_min)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  IterationLimit, NonLinearRecession, RowBlowup,
@@ -491,8 +491,39 @@ def ref_derived(psd, Q, q, c, A, b):
     if len(A) == 0:
         out.A, out.b = np.zeros((0, out.dim)), np.zeros(0)
     else:
-        out.A, out.b = _canonical_rows(np.atleast_2d(A), np.asarray(b, dtype=float).ravel())
+        out.A, out.b = ref_canonical_rows(np.atleast_2d(A), np.asarray(b, dtype=float).ravel())
     return out
+
+
+def ref_canonical_rows(A, b):
+    """The canonical rows of one system (A, b), frozen as the per-member
+    formula: orthonormal rows kept, else one SVD and the rows over the rank."""
+    m, d = A.shape
+    if m <= d and np.max(np.abs(A @ A.T - np.eye(m))) <= 1e-12:
+        return A, b
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
+    coef = u[:, :rank].T @ b
+    if np.max(np.abs(b - u[:, :rank] @ coef)) > EQ_TOL * (1.0 + np.max(np.abs(b))):
+        return np.zeros((1, d)), np.ones(1)
+    return vt[:rank], coef / s[:rank]
+
+
+def ref_recession(f):
+    """The horizon function of one node's cost, frozen as the per-node
+    formula: rows [A; V^T] with V the range basis of Q, or the empty row."""
+    if not isinstance(f, Quadratic):
+        return f.recession()
+    if _is_empty(f):
+        rows, rhs = f.A, f.b
+    else:
+        V = np.zeros((f.dim, 0))
+        if f.dim:
+            u, s, vt = np.linalg.svd(f.Q)
+            V = vt[:int(np.sum(s > 1e-10 * f.dim * s[0]))].T
+        rows = np.vstack([f.A, V.T]) if V.size else f.A
+        rhs = np.zeros(rows.shape[0])
+    return ref_derived(True, np.zeros((f.dim, f.dim)), f.q, 0.0, rows, rhs)
 
 
 def ref_quadratic_eval(f, x):
@@ -787,3 +818,39 @@ def ref_solve_quadratic(fp):
     z = z0 + Z @ y
     value = float(0.5 * z @ H @ z + g @ z + const)
     return value, z, {"kkt_residual": float(np.linalg.norm(H @ z + g))}
+
+
+def ref_flat_kkt(fp):
+    """The flat KKT solve of an all-Quadratic program, frozen as it ran
+    with a term-by-term assembly of H, g and the equality rows."""
+    n = fp.nvars
+    H, g, const = np.zeros((n, n)), np.zeros(n), 0.0
+    eq_rows, eq_rhs = [], []
+    for term in fp.terms:
+        fn = term.fn if term.M is None else term.fn.precompose(term.M, term.t)
+        idx = term.idx
+        H[np.ix_(idx, idx)] += term.weight * fn.Q
+        g[idx] += term.weight * fn.q
+        const += term.weight * fn.c
+        for row, rhs in zip(fn.A, fn.b):
+            grow = np.zeros(n)
+            grow[idx] = row
+            eq_rows.append(grow)
+            eq_rhs.append(rhs)
+    A, Z, Hred, gred = np.zeros((0, n)), None, H, g
+    if eq_rows:
+        A, b = np.array(eq_rows), np.array(eq_rhs)
+        z0 = np.linalg.lstsq(A, b, rcond=None)[0]
+        if np.linalg.norm(A @ z0 - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+            raise Infeasible("equality constraints are inconsistent")
+        u, s, vt = np.linalg.svd(A)
+        Z = vt[int(np.sum(s > 1e-10 * max(A.shape) * (s[0] if s.size else 1.0))):].T
+        Hred, gred = Z.T @ H @ Z, Z.T @ (H @ z0 + g)
+    y = -np.linalg.pinv(Hred, rcond=1e-12, hermitian=True) @ gred
+    if np.linalg.norm(Hred @ y + gred) > 1e-8 * (1.0 + np.linalg.norm(gred)):
+        raise Unbounded("objective decreases along a feasible null direction")
+    z = y if Z is None else z0 + Z @ y
+    value = float(0.5 * z @ H @ z + g @ z + const)
+    grad = H @ z + g
+    lam = np.linalg.lstsq(A.T, -grad, rcond=None)[0]
+    return value, z, {"kkt_residual": float(np.linalg.norm(grad + A.T @ lam))}

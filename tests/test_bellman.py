@@ -446,3 +446,30 @@ def test_forward_sweep_matches_the_node_by_node_loops(kind, seed):
         for tol in (1e-8, 1e-3):
             same_outcome(outcome(verify_optimality, p, sol, tol),
                          outcome(ref_verify_optimality, p, sol, tol))
+
+
+def test_assumption_checks_take_a_bounded_number_of_svds_per_stage(monkeypatch):
+    # the diagnostics run as stage stacks: on rowful quadratic problems of 3
+    # and 4 stages, check_assumptions makes a bounded number of
+    # np.linalg.svd calls per stage and child slot, whatever the node count
+    # (up to 40 nodes here; one call per node and operation before)
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, _svd=np.linalg.svd, **k:
+                        calls.append(a) or _svd(*a, **k))
+    for T in (2, 3):
+        for branching in (2, 3):
+            rng = np.random.default_rng(T)
+            tree = random_tree(rng, T, branching, fixed=True)
+            costs = {}
+            for t in range(T + 1):
+                d = 4 if t else 2
+                for nid in tree.stage_nodes[t]:
+                    L = rng.standard_normal((d, d))
+                    costs[nid] = Quadratic(L @ L.T + 0.1 * np.eye(d), rng.standard_normal(d),
+                                           0.0, rng.standard_normal((1, d)), rng.standard_normal(1))
+            problem = StageProblem(tree, [2] * (T + 1), node_costs=costs)
+            sol = solve_be(problem)
+            calls.clear()
+            report = check_assumptions(problem, solution=sol)
+            assert report.linearity_ok and report.lower_bound_ok
+            assert len(calls) <= (3 + 2 * branching) * (T + 1)

@@ -11,9 +11,9 @@ import pytest
 from stochbellman import bellman, cli, treeio
 from stochbellman.cli import main
 from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D
-from stochbellman.generators import tracking_stage_problem
+from stochbellman.generators import random_tree, tracking_stage_problem
 
-from helpers import binary_tree
+from helpers import binary_tree, random_stage_cost, same_fn
 
 
 def run(capsys, *argv):
@@ -119,6 +119,36 @@ def test_fn_record_roundtrip():
         assert back.eval(probe) == pytest.approx(fn.eval(probe), abs=1e-15)
 
 
+@pytest.mark.parametrize("kind", ["plain", "rows", "split", "empty", "poly"])
+def test_problem_load_keeps_the_bits_of_the_record_constructor(tmp_path, kind):
+    # a stage's quadratic cost records are built by one stacked constructor
+    # call where their arrays stack; every cost keeps the bits of
+    # fn_from_record, with row counts that differ and kinds that mix
+    rng = np.random.default_rng(len(kind))
+    tree, dims = random_tree(rng, 3, 3), [2, 1, 2, 1]
+    recs = {nid: treeio.fn_to_record(random_stage_cost(rng, dims[t - 1] if t else 0, dims[t],
+                                                       kind))
+            for t in range(4) for nid in tree.stage_nodes[t]}
+    path = tmp_path / "p.json"
+    treeio.save_tree(tree, path, extra={"dims": dims},
+                     data_overrides={nid: {"cost": rec} for nid, rec in recs.items()})
+    _, problem = cli._load_problem(path)
+    assert list(problem.node_costs) == list(tree.nodes)
+    for nid, rec in recs.items():
+        want = treeio.fn_from_record(json.loads(json.dumps(rec)))
+        assert same_fn(problem.node_costs[nid], want)
+
+
+def test_problem_load_names_the_node_of_a_form_that_is_not_psd(tmp_path, capsys):
+    path = write_tracking(tmp_path)
+    doc = json.loads(path.read_text())
+    rec = next(node for node in doc["nodes"] if node["id"] == "b")["data"]["cost"]
+    rec["Q"] = (-np.asarray(rec["Q"])).tolist()
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert code == 2 and out == "" and "quadratic form not PSD at node 'b'" in err
+
+
 def test_solve_reports_value_and_policy(tmp_path, capsys):
     path = write_tracking(tmp_path)
     code, out, err = run(capsys, "solve", "--input", str(path),
@@ -137,12 +167,11 @@ def test_solve_sweeps_the_problem_once(tmp_path, capsys, monkeypatch):
     # probe of the assumption report, and one of its recession problem
     calls = []
 
-    def counted(problem, _orig=bellman.solve_be):
-        calls.append(problem)
-        return _orig(problem)
+    def counted(*args, _orig=bellman.backward_sweep, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
 
-    for mod in (bellman, cli):
-        monkeypatch.setattr(mod, "solve_be", counted)
+    monkeypatch.setattr(bellman, "backward_sweep", counted)
     code, out, err = run(capsys, "solve", "--input", str(write_tracking(tmp_path)),
                          "--format", "structured")
     assert code == 0

@@ -303,8 +303,9 @@ def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
 def test_stage_sweep_builds_objects_a_bounded_number_of_times_per_stage(monkeypatch):
     # a stage's Quadratics stay stacked through the sweep: on all-Quadratic,
     # rowless trees of 4 stages, costs are stacked once a stage and per-node
-    # objects are built from stacks three times a stage (the records' pre,
-    # post and tail functions), whatever the branching and the node count
+    # objects are built from stacks twice a stage (the records' pre and post
+    # functions; solve_oc keeps no tails), whatever the branching and the
+    # node count
     counts = {"_stack": 0, "_objects": 0}
     for name in ("_stack", "_objects"):
         def counted(*args, _name=name, _orig=getattr(convexfn, name)):
@@ -321,7 +322,7 @@ def test_stage_sweep_builds_objects_a_bounded_number_of_times_per_stage(monkeypa
         seen.append(dict(counts))
         want = ref_solve_oc(sys_, costs)
         assert all(same_fn(sol.J(nid), want.J(nid)) for nid in sys_.tree.nodes)
-    assert seen[0] == seen[1] == {"_stack": 4, "_objects": 12}
+    assert seen[0] == seen[1] == {"_stack": 4, "_objects": 8}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -8,18 +8,21 @@ from hypothesis import strategies as st
 from stochbellman import bellman, convexfn, treeio
 from stochbellman.bellman import StageProblem, _conjugates_at_zero, solve_be
 from stochbellman.convexfn import (EQ_TOL, Inf, Polyhedral, Quadratic, Sampled1D,
+                                   _canonical_rows, _canonical_stack,
                                    _null_basis, _polyhedral_cone_checks,
                                    cond_expect_fn, eval_stack, lineality_space,
                                    partial_min, partial_min_stack, recession)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  NonLinearRecession, ProbabilityMass,
                                  UnboundedBelow, ValidationError)
+from stochbellman.generators import random_tree
 from stochbellman.simplex import solve_lp
 
-from helpers import (binary_tree, grid_min, outcome, ref_add,
-                     ref_polyhedral_cone_checks, ref_precompose,
-                     ref_quadratic_eval, ref_quadratic_partial_min, ref_scale,
-                     same_bits)
+from helpers import (binary_tree, grid_min, outcome, random_stage_cost, ref_add,
+                     ref_canonical_rows, ref_polyhedral_cone_checks,
+                     ref_precompose, ref_quadratic_eval,
+                     ref_quadratic_partial_min, ref_recession, ref_scale,
+                     same_bits, same_fn)
 
 
 def test_eval_quadratic():
@@ -468,6 +471,71 @@ def test_canonical_rows_of_redundant_systems(d, r, extra, seed):
 
     back = round_trip(f)
     assert np.array_equal(back.A, f.A) and np.array_equal(back.b, f.b)
+
+
+def _system(rng, m, d, kind):
+    """m equality rows over R^d, with a right-hand side, of the given kind."""
+    if kind == "orthonormal" and m <= d:
+        return np.linalg.qr(rng.standard_normal((d, d)))[0][:m], rng.standard_normal(m)
+    if kind == "deficient":
+        r = int(rng.integers(0, min(m, d) + 1))
+        A = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
+        return A, A @ rng.standard_normal(d)
+    if kind == "inconsistent":
+        return np.tile(rng.standard_normal(d), (m, 1)), rng.standard_normal(m)
+    if kind == "rounding":
+        return 1e-17 * rng.standard_normal((m, d)), 1e-17 * rng.standard_normal(m)
+    if kind == "zero":
+        return np.zeros((m, d)), np.zeros(m)
+    return rng.standard_normal((m, d)) * 10.0 ** int(rng.integers(-6, 5)), rng.standard_normal(m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(1, 6), d=st.integers(0, 6), seed=st.integers(0, 2**31 - 1),
+       kinds=st.lists(st.sampled_from(["orthonormal", "deficient", "inconsistent",
+                                       "rounding", "zero", "generic"]), min_size=1, max_size=6))
+def test_stacked_canonical_rows_keep_the_bits_of_the_member_formula(m, d, seed, kinds):
+    # one stack of systems of one shape (m > d included) takes one SVD: each
+    # member gets the bits of the frozen per-member formula, and so does
+    # _canonical_rows, a stack of one; the groups have one row count each,
+    # first seen first, with their members ascending
+    rng = np.random.default_rng(seed)
+    systems = [_system(rng, m, d, kind) for kind in kinds]
+    n = len(systems)
+    A = np.array([a for a, _ in systems]).reshape(n, m, d)
+    b = np.array([x for _, x in systems]).reshape(n, m)
+    groups, got = _canonical_stack(A, b), {}
+    for idx, Ag, bg in groups:
+        assert list(idx) == sorted(idx) and Ag.shape[:2] == bg.shape == (len(idx), Ag.shape[1])
+        got.update(zip(idx.tolist(), zip(Ag, bg)))
+    assert sorted(got) == list(range(n))
+    assert [Ag.shape[1] for _, Ag, _ in groups] == list(dict.fromkeys(
+        got[i][1].size for i in range(n)))
+    for i, (Ai, bi) in enumerate(systems):
+        want = ref_canonical_rows(Ai, bi)
+        for Ag, bg in (got[i], _canonical_rows(Ai, bi)):
+            assert same_bits(Ag, want[0]) and same_bits(bg, want[1])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["empty", "flat", "rows", "split", "poly"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_recession_problem_keeps_the_bits_of_the_node_formula(kind, seed):
+    # the recession costs are built as stacks of one dim and row count (one
+    # SVD of the forms, one _derived call per rank): every node's has the
+    # bits of the frozen per-node formula, and recession(), a stack of one,
+    # gives the same
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(1, 4))
+    tree = random_tree(rng, T, 3)
+    dims = [int(rng.integers(0, 3)) for _ in range(T + 1)]
+    costs = {nid: random_stage_cost(rng, dims[t - 1] if t else 0, dims[t], kind)
+             for t in range(T + 1) for nid in tree.stage_nodes[t]}
+    got = bellman._recession_problem(StageProblem(tree, dims, node_costs=costs)).node_costs
+    assert list(got) == list(costs)
+    for nid, f in costs.items():
+        want = ref_recession(f)
+        assert same_fn(got[nid], want) and same_fn(recession(f), want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

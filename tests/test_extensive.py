@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochbellman.bellman import StageProblem
+from stochbellman.bellman import StageProblem, solve_be
 from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D
 from stochbellman.errors import Infeasible, Unbounded
 from stochbellman.extensive import FlatProgram, Term, flatten, solve_extensive
@@ -9,7 +9,8 @@ from stochbellman.generators import (quadratic_lagrange_instance, random_tree,
                                      tracking_stage_problem)
 from stochbellman.tree import validate_tree
 
-from helpers import binary_tree, outcome, ref_solve_quadratic, same_bits
+from helpers import (binary_tree, outcome, random_stage_cost, ref_flat_kkt,
+                     ref_solve_quadratic, same_bits)
 
 
 def test_flatten_one_node_tree():
@@ -182,6 +183,38 @@ def test_rowless_quadratic_program_keeps_the_bits_of_the_identity_basis():
         if not fp.nvars:
             continue
         (got, err), (want, ref_err) = outcome(solve_extensive, fp), outcome(ref_solve_quadratic, fp)
+        assert type(err) is type(ref_err)
+        if ref_err is None:
+            assert same_bits(np.float64(got[0]), np.float64(want[0]))
+            assert same_bits(got[1], want[1]) and got[2] == want[2]
+
+
+def test_rowful_flat_program_keeps_the_bits_of_the_term_by_term_assembly():
+    # H and g are assembled by one np.add.at per run of terms of one width:
+    # on programs with equality rows, tail terms and precomposed (M) terms
+    # among them, value, point and residual keep the bits of a term-by-term
+    # loop, and an infeasible or unbounded program raises as it did
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 4))
+        tree = random_tree(rng, T, 3)
+        dims = [int(rng.integers(1, 4)) for _ in range(T + 1)]
+        kind = ("rows", "split", "empty", "flat")[seed % 4]
+        costs = {nid: random_stage_cost(rng, dims[t - 1] if t else 0, dims[t], kind)
+                 for t in range(T + 1) for nid in tree.stage_nodes[t]}
+        problem = StageProblem(tree, dims, node_costs=costs)
+        sol, _ = outcome(solve_be, problem)
+        t = int(rng.integers(0, T))
+        tails = None if sol is None else {nid: sol.records[nid]["tail"]
+                                          for nid in tree.stage_nodes[t]}
+        fp = flatten(problem, upto=None if tails is None else t, tails=tails)
+        for nid in rng.choice(list(fp.blocks), size=3):
+            off, w = fp.blocks[nid]
+            k = int(rng.integers(1, 4))
+            fp.terms.insert(int(rng.integers(0, len(fp.terms) + 1)), Term(
+                rng.random(), random_stage_cost(rng, 0, k, "rows"), range(off, off + w),
+                rng.standard_normal((k, w)), rng.standard_normal(k)))
+        (got, err), (want, ref_err) = outcome(solve_extensive, fp), outcome(ref_flat_kkt, fp)
         assert type(err) is type(ref_err)
         if ref_err is None:
             assert same_bits(np.float64(got[0]), np.float64(want[0]))
