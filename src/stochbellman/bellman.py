@@ -488,17 +488,18 @@ def _conjugates_at_zero(fns):
     """f*(0) = -min f for each function, with the bits of f.conjugate(0).
 
     Quadratics of one dim and row count run as one partial_min_stack over
-    all coordinates; a member unbounded below gets Inf, as
-    Quadratic.conjugate gives it.  Other functions take conjugate.
+    all coordinates, evaluated as stacks; a member unbounded below gets Inf,
+    as Quadratic.conjugate gives it.  Other functions take conjugate.
     """
     out = [None] * len(fns)
     groups, rest = _split([(f.dim, f.A.shape[0]) if isinstance(f, Quadratic) and f.dim
                            else None for f in fns])
     for idx in groups:
         pms = partial_min_stack([fns[i] for i in idx], fns[idx[0]].dim, skip_unbounded=True)
-        for i, pm in zip(idx, pms):
+        vals = _evals([None if pm is None else pm.fn for pm in pms], np.zeros((len(pms), 0)), {})
+        for i, pm, val in zip(idx, pms, vals.tolist()):
             # -inf when the domain is empty
-            out[i] = Inf if pm is None else -pm.fn.eval(np.zeros(0))
+            out[i] = Inf if pm is None else -val
     for i in rest:
         out[i] = fns[i].conjugate(np.zeros(fns[i].dim))
     return out

@@ -4,7 +4,8 @@ FlatProgram carries one decision block per tree node; the objective is the
 probability-weighted sum of node costs, with nonanticipativity implicit in
 the block structure.  Three solve paths:
 
-* quadratic terms  -> exact KKT linear solve (nullspace reduction),
+* quadratic terms  -> exact KKT solve (nullspace reduction): one Cholesky-
+                      gated solve, pinv for a singular Hessian,
 * polyhedral terms -> dense simplex on the epigraph LP,
 * anything else    -> cyclic coordinate descent with golden-section line
                       searches (numeric.coordinate_descent; the only
@@ -22,6 +23,10 @@ from . import numeric
 from .convexfn import Inf, Polyhedral, Quadratic, _affine_as_polyhedral, _null_basis
 from .errors import DimensionMismatch, Infeasible, Unbounded, ValidationError
 from .simplex import solve_lp
+
+# Cholesky pivots above this share of the largest diagonal entry of a reduced
+# Hessian let one solve find its minimizer: 100 times pinv's cutoff of 1e-12
+PIVOT_FLOOR = 1e-10
 
 
 class Term:
@@ -109,9 +114,19 @@ def _solve_quadratic(fp):
         Hred, gred = Z.T @ H @ Z, Z.T @ (H @ z0 + g)
     else:  # no rows: the reduced problem is the problem itself
         A, Z, Hred, gred = np.zeros((0, n)), None, H, g
-    y = -np.linalg.pinv(Hred, rcond=1e-12, hermitian=True) @ gred
-    if np.linalg.norm(Hred @ y + gred) > 1e-8 * (1.0 + np.linalg.norm(gred)):
-        raise Unbounded("objective decreases along a feasible null direction")
+    tol = 1e-8 * (1.0 + np.linalg.norm(gred))
+    try:  # a Cholesky pivot bounds the smallest eigenvalue from above
+        pivot = np.diagonal(np.linalg.cholesky(Hred)).min(initial=Inf) ** 2
+        y = -np.linalg.solve(Hred, gred) if pivot > PIVOT_FLOOR * Hred.diagonal().max(initial=0.0) \
+            else None
+    except np.linalg.LinAlgError:  # not positive definite
+        y = None
+    # a small pivot or a missed residual leaves the Hessian to pinv: the
+    # minimum-norm point of a singular one, or the Unbounded verdict
+    if y is None or np.linalg.norm(Hred @ y + gred) > tol:
+        y = -np.linalg.pinv(Hred, rcond=1e-12, hermitian=True) @ gred
+        if np.linalg.norm(Hred @ y + gred) > tol:
+            raise Unbounded("objective decreases along a feasible null direction")
     z = y if Z is None else z0 + Z @ y
     value = float(0.5 * z @ H @ z + g @ z + const)
     grad = H @ z + g

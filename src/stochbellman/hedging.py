@@ -14,7 +14,7 @@ arbitrage cone is positively homogeneous.
 
 import numpy as np
 
-from .control import ControlSolution, ControlSystem, solve_oc
+from .control import ControlSolution, ControlSystem, extract_oc_policy, solve_oc
 from .convexfn import Inf, Quadratic, Sampled1D, eval_stack
 from .errors import (ArbitrageRefusal, Infeasible, IterationLimit, NonMonotone,
                      SolverError, Unbounded, UnboundedExp, ValidationError)
@@ -366,15 +366,11 @@ def solve_alm(market, loss, wealth=0.0, driver="auto", grid=None,
     J = market.J
     loss_at = loss.__getitem__ if isinstance(loss, dict) else (lambda leaf: loss)
     probe = loss_at(tree.leaves()[0])
-    A = {}
-    B = {}
-    W = {}
-    for t in range(1, tree.T + 1):
-        for nid in tree.stage_nodes[t]:
-            A[nid] = np.zeros((1, 1))
-            B[nid] = market.returns(nid).reshape(1, J)
-            W[nid] = np.zeros(1)
-    sys_ = ControlSystem(tree, 1, J, A, B, W)
+    # wealth X_k = X + r_k.U for every node k after the root
+    later = [nid for t in range(1, tree.T + 1) for nid in tree.stage_nodes[t]]
+    sys_ = ControlSystem(tree, 1, J, dict.fromkeys(later, np.zeros((1, 1))),
+                         {nid: market.returns(nid).reshape(1, J) for nid in later},
+                         dict.fromkeys(later, np.zeros(1)))
     if driver == "auto":
         driver = "quadratic" if isinstance(probe, Quadratic) and not market.D else "grid"
 
@@ -403,20 +399,8 @@ def solve_alm(market, loss, wealth=0.0, driver="auto", grid=None,
         sol = _grid_sweep(market, sys_, loss_at, np.asarray(grid, dtype=float))
         value = sol.records[tree.root]["J"].eval(wealth)
 
-    X = {tree.root: np.array([wealth])}
-    controls = {}
-    positions = {}
-    for t in range(tree.T + 1):
-        for nid in tree.stage_nodes[t]:
-            if t == tree.T:
-                controls[nid] = np.zeros(J)
-                positions[nid] = np.zeros(J)
-                continue
-            U = np.atleast_1d(sol.control(nid, X[nid]))
-            controls[nid] = U
-            positions[nid] = U / market.price(nid)
-            for k in tree.children[nid]:
-                X[k] = np.array([X[nid][0] + float(market.returns(k) @ U)])
+    _, controls = extract_oc_policy(sys_, sol, [wealth])
+    positions = {nid: U / market.price(nid) for nid, U in controls.items()}
     return ALMResult(float(value), positions, controls, verdict, sol)
 
 

@@ -854,3 +854,22 @@ def ref_flat_kkt(fp):
     grad = H @ z + g
     lam = np.linalg.lstsq(A.T, -grad, rcond=None)[0]
     return value, z, {"kkt_residual": float(np.linalg.norm(grad + A.T @ lam))}
+
+
+def exact_quadratic_min(Q, q, c):
+    """min 1/2 z.Qz + q.z + c of the stored floats in rational arithmetic:
+    (value, minimizer) rounded once to floats, or None when Q is not
+    positive definite (a pivot of the elimination is not positive)."""
+    n = len(q)
+    M = [[Fraction(x) for x in row] + [Fraction(-v)] for row, v in zip(Q.tolist(), q.tolist())]
+    for j in range(n):
+        if M[j][j] <= 0:
+            return None
+        for i in range(j + 1, n):
+            f = M[i][j] / M[j][j]
+            M[i] = [a - f * b for a, b in zip(M[i], M[j])]
+    z = [Fraction(0)] * n
+    for j in reversed(range(n)):
+        z[j] = (M[j][n] - sum(M[j][k] * z[k] for k in range(j + 1, n))) / M[j][j]
+    value = Fraction(c) + sum(Fraction(v) * zj for v, zj in zip(q.tolist(), z)) / 2
+    return float(value), np.array([float(zj) for zj in z])

@@ -374,10 +374,13 @@ def test_module_entry_point(tmp_path, capsys):
 def test_bench_tracer_keeps_the_forward_pass_spans():
     # perfbench/tracer.py finds its span boundaries through the names that
     # `cli` imports at module level; importing these inside the subcommands
-    # instead would silently zero their per-layer spans
+    # instead, or moving a reported span's function, would silently zero
+    # its per-layer metric
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    found = set(tracer.Tracer().boundaries())
     assert {"control.riccati_policy", "control.verify_oc_policy", "control.solve_oc",
-            "bellman.extract_policy", "lagrange.lagrange_policy"} <= set(tracer.Tracer().boundaries())
+            "bellman.extract_policy", "lagrange.lagrange_policy"} <= found
+    assert set(tracer.TIMED) | set(tracer.COUNTED) <= found
