@@ -7,7 +7,7 @@ from .control import (ControlSystem, RiccatiData, independence_reduction,
                       q_factors, riccati, solve_oc)
 from .convexfn import (ConvexFn, Polyhedral, Quadratic, Sampled1D,
                        cond_expect_fn, lineality_space, partial_min, recession)
-from .extensive import FlatProgram, flatten, solve_extensive
+from .extensive import FlatProgram, solve_extensive
 from .hedging import (MarketModel, ae_estimate, exp_utility, na_check,
                       solve_alm)
 from .lagrange import (LagrangeInstance, check_lagrange_bounds, lp_recursion,

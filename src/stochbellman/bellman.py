@@ -6,21 +6,24 @@ previous decision.
 
 backward_sweep, the one backward recursion, runs a stage at a time: its
 Quadratic nodes stay stacks from the children's value functions to the
-records, and every node gets the node-by-node bits.  Its mirror
-forward_sweep applies the recorded minimizers and evaluates the nodewise
-optimality gaps, also a stage at a time.
+records.  Its mirror forward_sweep applies the recorded minimizers and
+evaluates the nodewise optimality gaps, also a stage at a time.  Both are
+held to the README's Numerical contract: bit-identical across runs, and
+within stated tolerances of independent oracles (the tests also hold
+every node to the bits of frozen node-by-node loops).
 
 At every node the sweep records the pre-minimization function, the value
 function after minimizing the node's own block, the minimizer map, and the
 lineality basis of the flat directions.  Unbounded or one-sided recession
-cones abort the sweep with the offending node attached, and so does a
-continuation that no single backend can add to the node's cost
-(BackendClash); the error is the first failing node's in stage order.
+cones abort the sweep with the offending node attached, as does any other
+solver error of a node's minimization and a continuation that no single
+backend can add to the node's cost (BackendClash); the error is the first
+failing node's in stage order.
 """
 
 import numpy as np
 
-from .convexfn import (AffineSelector, Inf, Quadratic, _add, _is_empty,
+from .convexfn import (AffineSelector, Inf, Polyhedral, Quadratic, _add, _is_empty,
                        _objects, _precompose, _quadratic_partial_min,
                        _recessions, _scale, _settled, _Stack, _stack, _take,
                        eval_stack, partial_min, partial_min_stack)
@@ -34,7 +37,10 @@ from .tree import perp_check
 class StageProblem:
     """Problem data bound to a tree: stage costs plus per-stage decision dims.
 
-    `mode` must be "stage_additive", the only problem mode.
+    Every cost is a Quadratic or a Polyhedral, the backends the sweep can
+    minimize; any other raises BackendClash naming the node.  `mode` is
+    kept for callers that still pass "stage_additive", the one problem
+    mode; no caller in the package does.
     """
 
     def __init__(self, tree, dims, mode="stage_additive", node_costs=None):
@@ -46,6 +52,9 @@ class StageProblem:
             raise ValidationError("need one decision dimension per stage")
         self.node_costs = dict(node_costs)
         for nid, fn in self.node_costs.items():
+            if not isinstance(fn, (Quadratic, Polyhedral)):
+                raise BackendClash(f"a {type(fn).__name__} cost cannot be swept; "
+                                   f"use Quadratic or Polyhedral (node {nid})")
             t = tree.stage(nid)
             want = self._prev_dim(t) + self.dims[t]
             if fn.dim != want:
@@ -168,8 +177,8 @@ def _minimized(layer, fns, over, nodes, failed):
             for i in idx.tolist():
                 try:
                     pms[i] = objs[i] = partial_min(fns[i], over)
-                except (UnboundedBelow, NonLinearRecession) as exc:
-                    failed[i] = type(exc)(str(exc), node=nodes[i])
+                except SolverError as exc:
+                    failed[i] = exc if exc.node is not None else type(exc)(str(exc), node=nodes[i])
                 except StochBellmanError as exc:
                     failed[i] = exc
         elif len(idx):

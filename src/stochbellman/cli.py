@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import treeio
-from .bellman import (StageProblem, check_assumptions, extract_policy,
+from .bellman import (StageProblem, build_flat, check_assumptions, extract_policy,
                       optimum_value, solve_be)
 from .control import (ControlSystem, lq_costs, riccati, riccati_policy,
                       solve_oc, verify_oc_policy)
@@ -26,7 +26,6 @@ from .hedging import MarketModel, exp_utility, na_check, solve_alm
 from .lagrange import lp_recursion
 from .stopping import markov_check, optimal_stop, snell
 from .tree import AdaptedProcess, is_markov
-from .bellman import build_flat
 
 
 def _emit(args, report, policy_rows=None):
@@ -68,7 +67,7 @@ def _load_problem(path):
     for nodes in tree.stage_nodes:
         costs.update(zip(nodes, treeio.fns_from_records(
             [tree.nodes[nid].data["cost"] for nid in nodes], nodes)))
-    return tree, StageProblem(tree, dims, "stage_additive", node_costs=costs)
+    return tree, StageProblem(tree, dims, node_costs=costs)
 
 
 def cmd_solve(args):

@@ -304,8 +304,7 @@ def as_stage_problem(sys, costs, x0=None):
     node_costs = {}
     for nid in tree.nodes:
         node_costs[nid] = _lift_with_dynamics(sys, nid, costs[nid], x0=x0)
-    return StageProblem(tree, [d] * (tree.T + 1), "stage_additive",
-                        node_costs=node_costs)
+    return StageProblem(tree, [d] * (tree.T + 1), node_costs=node_costs)
 
 
 def conditional_matrix_diagnostic(sys, y_leaf):

@@ -1,6 +1,6 @@
 """Algebra of representable extended-real convex functions on R^d.
 
-Three backends are closed under the operations the backward recursion needs:
+Two backends are closed under the operations the backward recursion needs:
 
 * Quadratic   -- 1/2 x.Qx + q.x + c on an affine set {Ax = b}; partial
                  minimization via a KKT pseudoinverse solve.  The rows are
@@ -8,8 +8,10 @@ Three backends are closed under the operations the backward recursion needs:
                  single row 0.x = 1 for an empty domain.
 * Polyhedral  -- max of affine pieces on a polyhedron {Cx <= d}; partial
                  minimization via Fourier-Motzkin projection of the epigraph.
-* Sampled1D   -- piecewise-linear interpolation of a convex knot table,
-                 +inf outside the knot range.
+
+Sampled1D is no backend: a validated convex knot table, +inf off its range,
+for losses, wealth grids and flat-program terms.  It only evaluates; its
+other operations raise BackendClash, and StageProblem refuses it as a cost.
 
 Values are floats with +inf for points outside the effective domain; -inf
 never occurs because every backend tracks its domain explicitly.  All
@@ -22,8 +24,8 @@ The Quadratic algebra (precompose, scale, add, partial minimization) is
 written once over a stack: arrays with a leading member axis, for
 Quadratics of one dimension and row count.  A method call on one object
 is a stack of one; the backward sweep keeps its stacks from step to step
-and makes objects for its records only.  Every member gets the bits it
-would get alone.
+and makes objects for its records only.  The promise for each member is
+the README's Numerical contract (the tests also freeze per-member bits).
 """
 
 from collections import namedtuple
@@ -312,8 +314,16 @@ class LPSelector:
         return u
 
 
+def _lacks(op):
+    def method(self, *args):
+        raise BackendClash(f"{op} unsupported for {type(self).__name__}")
+    return method
+
+
 class ConvexFn:
-    """Common interface; subclasses implement the actual arithmetic."""
+    """Common interface.  Quadratic and Polyhedral implement the algebra:
+    add, tilt, scale, precompose(M, t) (x -> f(M x + t)), recession and
+    conjugate; an operation a subclass lacks raises BackendClash."""
 
     dim = 0
 
@@ -323,24 +333,8 @@ class ConvexFn:
     def __call__(self, x):
         return self.eval(x)
 
-    def add(self, other):
-        raise NotImplementedError
-
-    def tilt(self, v):
-        raise NotImplementedError
-
-    def scale(self, alpha):
-        raise NotImplementedError
-
-    def precompose(self, M, t):
-        """Return x -> f(M x + t)."""
-        raise NotImplementedError
-
-    def recession(self):
-        raise NotImplementedError
-
-    def conjugate(self, v):
-        raise NotImplementedError
+    add, tilt, scale, precompose, recession, conjugate = map(_lacks, (
+        "add", "tilt", "scale", "precompose", "recession", "conjugate"))
 
 
 class Quadratic(ConvexFn):
@@ -518,7 +512,8 @@ class Polyhedral(ConvexFn):
 
 
 class Sampled1D(ConvexFn):
-    """Convex piecewise-linear table on a strictly increasing knot grid."""
+    """Convex piecewise-linear table on a strictly increasing knot grid,
+    +inf off the knot range; it evaluates, and the algebra refuses it."""
 
     def __init__(self, knots, values):
         self.knots = np.asarray(knots, dtype=float).ravel()
@@ -539,47 +534,6 @@ class Sampled1D(ConvexFn):
         if x < self.knots[0] - 1e-12 or x > self.knots[-1] + 1e-12:
             return Inf
         return float(np.interp(x, self.knots, self.values))
-
-    def add(self, other):
-        if not isinstance(other, Sampled1D):
-            raise BackendClash(f"cannot add {type(other).__name__} to Sampled1D")
-        lo = max(self.knots[0], other.knots[0])
-        hi = min(self.knots[-1], other.knots[-1])
-        if lo > hi + 1e-12:
-            raise ValidationError("sampled domains do not intersect")
-        grid = np.unique(np.clip(np.concatenate([self.knots, other.knots, [lo, hi]]), lo, hi))
-        # every grid point lies in both domains, so interp needs no mask
-        vals = (np.interp(grid, self.knots, self.values)
-                + np.interp(grid, other.knots, other.values))
-        return Sampled1D(grid, vals)
-
-    def tilt(self, v):
-        v = float(np.asarray(v, dtype=float).ravel()[0]) if np.ndim(v) else float(v)
-        return Sampled1D(self.knots, self.values + v * self.knots)
-
-    def scale(self, alpha):
-        if alpha < 0:
-            raise ValidationError("scale factor must be nonnegative")
-        return Sampled1D(self.knots, alpha * self.values)
-
-    def precompose(self, M, t):
-        m = float(np.asarray(M, dtype=float).ravel()[0])
-        t = float(np.asarray(t, dtype=float).ravel()[0])
-        if abs(m) < 1e-14:
-            raise BackendClash("sampled backend requires an invertible 1-D map")
-        knots = (self.knots - t) / m
-        vals = self.values
-        if m < 0:
-            knots, vals = knots[::-1], vals[::-1]
-        return Sampled1D(knots, vals)
-
-    def recession(self):
-        # bounded domain: horizon function is the indicator of {0}
-        return Sampled1D([0.0], [0.0])
-
-    def conjugate(self, v):
-        v = float(np.asarray(v, dtype=float).ravel()[0]) if np.ndim(v) else float(v)
-        return float(np.max(v * self.knots - self.values))
 
 
 def _prune_pieces(pa, pb, C, d):
@@ -688,9 +642,6 @@ def lineality_space(fn):
         return _null_basis(np.vstack([_recessions([fn])[0].A, fn.q.reshape(1, -1)]))
     if isinstance(fn, Polyhedral):
         return _null_basis(np.vstack([fn.C, fn.pieces_a]))
-    if isinstance(fn, Sampled1D):
-        # sampled domains are bounded, so only the zero direction is flat
-        return np.zeros((1, 0))
     raise BackendClash(f"no lineality rule for {type(fn).__name__}")
 
 

@@ -1,18 +1,22 @@
-"""Deterministic-equivalent flattening and the in-repo convex solvers.
+"""The deterministic-equivalent flat program and the in-repo convex solvers.
 
 FlatProgram carries one decision block per tree node; the objective is the
 probability-weighted sum of node costs, with nonanticipativity implicit in
 the block structure.  Three solve paths:
 
 * quadratic terms  -> exact KKT solve (nullspace reduction): one Cholesky-
-                      gated solve, pinv for a singular Hessian,
+                      gated solve, an eigendecomposition with pinv's
+                      cutoff for a singular Hessian,
 * polyhedral terms -> dense simplex on the epigraph LP,
 * anything else    -> cyclic coordinate descent with golden-section line
                       searches (numeric.coordinate_descent; the only
                       inexact path).
 
 Affine quadratics (Q == 0) mixed with polyhedral terms are promoted to
-one-piece Polyhedrals first, so such a program takes the exact LP.
+one-piece Polyhedrals first, so such a program takes the exact LP.  The
+programs left to coordinate descent are those with a Sampled1D term and
+those that mix a curved Quadratic (Q != 0) with Polyhedral terms; the
+sweep accepts the latter whenever each node's sum stays in one backend.
 """
 
 import itertools
@@ -81,12 +85,6 @@ class FlatProgram:
         return z
 
 
-def flatten(problem, upto=None, tails=None):
-    """Flatten a StageProblem (import deferred to avoid a module cycle)."""
-    from .bellman import build_flat
-    return build_flat(problem, upto=upto, tails=tails)
-
-
 def _solve_quadratic(fp):
     n = fp.nvars
     H, g, const, eq_rows = np.zeros((n, n)), np.zeros(n), 0.0, []
@@ -121,10 +119,14 @@ def _solve_quadratic(fp):
             else None
     except np.linalg.LinAlgError:  # not positive definite
         y = None
-    # a small pivot or a missed residual leaves the Hessian to pinv: the
-    # minimum-norm point of a singular one, or the Unbounded verdict
+    # a small pivot or a missed residual leaves the Hessian to its
+    # eigendecomposition, applied to the gradient with pinv's cutoff (an
+    # explicit pinv product rounds past the residual test when H is
+    # ill-conditioned): the minimum-norm point or the Unbounded verdict
     if y is None or np.linalg.norm(Hred @ y + gred) > tol:
-        y = -np.linalg.pinv(Hred, rcond=1e-12, hermitian=True) @ gred
+        lam, V = np.linalg.eigh(Hred)
+        big = np.abs(lam) > 1e-12 * np.abs(lam).max(initial=0.0)
+        y = -V @ (np.divide(1.0, lam, out=np.zeros_like(lam), where=big) * (V.T @ gred))
         if np.linalg.norm(Hred @ y + gred) > tol:
             raise Unbounded("objective decreases along a feasible null direction")
     z = y if Z is None else z0 + Z @ y

@@ -205,7 +205,7 @@ def tracking_stage_problem(tree=None):
     costs = {"r": Quadratic(np.zeros((1, 1)), np.zeros(1)),
              "a": Quadratic([[2.0]], [0.0], 0.0),
              "b": Quadratic([[2.0]], [-4.0], 4.0)}
-    return StageProblem(tree, [1, 0], "stage_additive", node_costs=costs)
+    return StageProblem(tree, [1, 0], node_costs=costs)
 
 
 def gaussian_return_market(mu, sigma, atoms=101):

@@ -50,8 +50,7 @@ class LagrangeInstance:
                 node_costs[nid] = fn.precompose(sub, t)
             else:
                 node_costs[nid] = fn.precompose(M, t)
-        return StageProblem(self.tree, [self.d] * (self.tree.T + 1),
-                            "stage_additive", node_costs=node_costs)
+        return StageProblem(self.tree, [self.d] * (self.tree.T + 1), node_costs=node_costs)
 
 
 class ValueV:

@@ -1,7 +1,7 @@
 """Golden-section line search and the coordinate descent built on it.
 
-Used by the flat solver of sampled compositions and the exponential-loss
-hedge.  golden_min brackets a minimum of a convex function given as a
+Used by the flat solver off its exact paths (see extensive) and the
+exponential-loss hedge.  golden_min brackets a minimum of a convex function given as a
 black box returning +inf outside its domain, runs golden-section to a
 width tolerance, then sharpens with a parabolic fit (the fit recovers
 argmin accuracy near 1e-9 where pure golden-section stalls at the noise

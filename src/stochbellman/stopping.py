@@ -170,7 +170,7 @@ def ros_as_bellman(R):
             costs[nid] = Polyhedral([[-r]], [0.0], [[-1.0], [1.0]], [0.0, 1.0])
         else:
             costs[nid] = Polyhedral([[r, -r]], [0.0], [[1.0, -1.0], [0.0, 1.0]], [0.0, 1.0])
-    problem = StageProblem(tree, [1] * (tree.T + 1), "stage_additive", node_costs=costs)
+    problem = StageProblem(tree, [1] * (tree.T + 1), node_costs=costs)
     sol = solve_be(problem)
     return sol, -sol.value
 

@@ -36,7 +36,7 @@ def test_solve_be_deterministic_chain_separable():
     costs = {"n0": Polyhedral([[1.0], [-1.0]], [1.0, 1.0]),       # |x0| + 1
              "n1": Polyhedral([[0.0, 1.0], [0.0, -1.0]], [2.0, 2.0]),
              "n2": Polyhedral([[0.0, 1.0], [0.0, -1.0]], [3.0, 3.0])}
-    p = StageProblem(tree, [1, 1, 1], "stage_additive", node_costs=costs)
+    p = StageProblem(tree, [1, 1, 1], node_costs=costs)
     sol = solve_be(p)
     assert sol.value == pytest.approx(6.0, abs=1e-10)
 
@@ -47,7 +47,7 @@ def always_up_shortfall_problem():
     costs = {"r": Polyhedral.affine([0.0]),
              "a": Polyhedral([[-1.0], [0.0]], [0.0, 0.0]),
              "b": Polyhedral([[-2.0], [0.0]], [0.0, 0.0])}
-    return StageProblem(tree, [1, 0], "stage_additive", node_costs=costs)
+    return StageProblem(tree, [1, 0], node_costs=costs)
 
 
 def test_solve_be_arbitrage_trips_nonlinear_recession():
@@ -64,8 +64,7 @@ def test_optimum_value_all_stages():
 
 def test_optimum_value_single_node():
     tree = validate_tree([{"id": "r", "parent": None, "prob": 1.0, "stage": 0}])
-    p = StageProblem(tree, [1], "stage_additive",
-                     node_costs={"r": Quadratic([[2.0]], [-2.0], 3.0)})
+    p = StageProblem(tree, [1], node_costs={"r": Quadratic([[2.0]], [-2.0], 3.0)})
     sol = solve_be(p)
     assert optimum_value(sol, 0) == pytest.approx(2.0, abs=1e-10)
     assert sol.value == pytest.approx(2.0, abs=1e-10)
@@ -99,8 +98,7 @@ def test_extract_policy_free_coordinate_zeroed():
     tree = validate_tree([{"id": "r", "parent": None, "prob": 1.0, "stage": 0}])
     Q = np.zeros((2, 2))
     Q[0, 0] = 2.0
-    p = StageProblem(tree, [2], "stage_additive",
-                     node_costs={"r": Quadratic(Q, [-2.0, 0.0])})
+    p = StageProblem(tree, [2], node_costs={"r": Quadratic(Q, [-2.0, 0.0])})
     pol = extract_policy(solve_be(p))
     assert pol.decisions["r"][0] == pytest.approx(1.0, abs=1e-10)
     assert pol.decisions["r"][1] == pytest.approx(0.0, abs=1e-12)
@@ -155,7 +153,7 @@ def martingale_market_problem():
     costs = {"r": Quadratic(np.zeros((1, 1)), np.zeros(1)),
              "a": Quadratic(np.zeros((1, 1)), [-1.0], check_psd=False),
              "b": Quadratic(np.zeros((1, 1)), [0.5], check_psd=False)}
-    sp = StageProblem(tree, [1, 0], "stage_additive", node_costs=costs)
+    sp = StageProblem(tree, [1, 0], node_costs=costs)
     return sp, s
 
 
@@ -246,8 +244,7 @@ def test_tower_collapse_of_deterministic_stages():
     c0 = Quadratic([[2.0]], [0.0])                                # x0^2
     c1 = Quadratic([[2.0, -2.0], [-2.0, 2.0]], [0.0, 0.0])        # (x1 - x0)^2
     c2 = Quadratic([[2.0, -2.0], [-2.0, 2.0]], [2.0, -2.0], 1.0)  # (x2 - x1 - 1)^2
-    p3 = StageProblem(tree3, [1, 1, 1], "stage_additive",
-                      node_costs={"n0": c0, "n1": c1, "n2": c2})
+    p3 = StageProblem(tree3, [1, 1, 1], node_costs={"n0": c0, "n1": c1, "n2": c2})
     sol3 = solve_be(p3)
     # merge the two middle costs over the internal point x1: build the sum
     # on the ordering (x0, x2, x1) and minimize the trailing coordinate out
@@ -256,8 +253,7 @@ def test_tower_collapse_of_deterministic_stages():
             .add(c2.precompose(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), np.zeros(2)))
     merged = partial_min(g12, over=1).fn
     tree2 = chain_tree(1)
-    p2 = StageProblem(tree2, [1, 1], "stage_additive",
-                      node_costs={"n0": c0, "n1": merged})
+    p2 = StageProblem(tree2, [1, 1], node_costs={"n0": c0, "n1": merged})
     sol2 = solve_be(p2)
     assert sol2.value == pytest.approx(sol3.value, abs=1e-10)
 
@@ -294,7 +290,7 @@ def test_random_polyhedral_instances_match_simplex(rng):
             pb = rng.standard_normal(k)
             box = np.vstack([np.eye(d), -np.eye(d)])
             costs[nid] = Polyhedral(pa, pb, box, 3.0 * np.ones(2 * d))
-        p = StageProblem(tree, [1, 1], "stage_additive", node_costs=costs)
+        p = StageProblem(tree, [1, 1], node_costs=costs)
         sol = solve_be(p)
         ext, _, _ = solve_ext(build_flat(p))
         assert sol.value == pytest.approx(ext, abs=1e-8)
@@ -308,7 +304,7 @@ def test_certificates_require_tilt_for_unbounded_objective():
     costs = {"r": Quadratic(np.zeros((1, 1)), np.zeros(1)),
              "a": Polyhedral([[1.0 - 2.0], [-1.0 - 2.0]], [0.0, 0.0]),
              "b": Polyhedral([[1.0 + 2.0], [-1.0 + 2.0]], [0.0, 0.0])}
-    sp = StageProblem(tree, [1, 0], "stage_additive", node_costs=costs)
+    sp = StageProblem(tree, [1, 0], node_costs=costs)
     plain = check_assumptions(sp, v=None, eps=0.1)
     assert not plain.lower_bound_ok
 
@@ -331,7 +327,7 @@ def test_check_assumptions_conjugates_once_per_untilted_node(monkeypatch):
     costs = {"r": Quadratic(np.zeros((1, 1)), np.zeros(1)),
              "a": Polyhedral([[1.0 - 2.0], [-1.0 - 2.0]], [0.0, 0.0]),
              "b": Polyhedral([[1.0 + 2.0], [-1.0 + 2.0]], [0.0, 0.0])}
-    sp = StageProblem(tree, [1, 0], "stage_additive", node_costs=costs)
+    sp = StageProblem(tree, [1, 0], node_costs=costs)
     names = {id(fn): nid for nid, fn in costs.items()}
     calls = []
     for cls in (Quadratic, Polyhedral):

@@ -12,6 +12,7 @@ from stochbellman import bellman, cli, treeio
 from stochbellman.cli import main
 from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D
 from stochbellman.generators import random_tree, tracking_stage_problem
+from stochbellman.tree import validate_tree
 
 from helpers import binary_tree, random_stage_cost, same_fn
 
@@ -333,6 +334,37 @@ def test_mixed_backend_sum_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, command, "--input", str(path))
         assert code == 2, (command, err)
         assert "(node r)" in err, (command, err)
+
+
+@pytest.mark.parametrize("root, node", [("quadratic", "a"), ("sampled1d", "r")])
+def test_knot_table_costs_exit_2_naming_the_node(tmp_path, capsys, root, node):
+    # a knot table is no sweep backend: under a quadratic root its children
+    # are refused, and so is an all-table file, at its first table node
+    table = Sampled1D([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
+    costs = {"r": Quadratic([[2.0]], [0.0]) if root == "quadratic" else table,
+             "a": table, "b": table}
+    overrides = {nid: {"cost": treeio.fn_to_record(fn)} for nid, fn in costs.items()}
+    path = tmp_path / "tables.json"
+    treeio.save_tree(binary_tree(), path, extra={"dims": [1, 0]}, data_overrides=overrides)
+    for command in ("solve", "oracle", "check"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (2, ""), (command, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert err.endswith(f"(node {node})\n"), (command, err)
+
+
+def test_solver_error_of_a_minimization_names_the_node(tmp_path, capsys):
+    # 202 pieces, 101 slopes of each sign: projecting the epigraph pairs
+    # 101 x 101 rows, past the Fourier-Motzkin row cap
+    slopes = np.linspace(1.0, 50.0, 101)
+    cost = Polyhedral(np.concatenate([slopes, -slopes])[:, None], -np.concatenate([slopes] * 2))
+    path = tmp_path / "big.json"
+    treeio.save_tree(validate_tree([{"id": "r", "parent": None, "prob": 1.0, "stage": 0}]),
+                     path, extra={"dims": [1]},
+                     data_overrides={"r": {"cost": treeio.fn_to_record(cost)}})
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("solver error: projection exceeded") and err.endswith("(node r)\n")
 
 
 def test_stop_output_independent_of_hash_seed(tmp_path, capsys):
