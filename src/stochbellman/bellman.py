@@ -23,10 +23,10 @@ failing node's in stage order.
 
 import numpy as np
 
-from .convexfn import (AffineSelector, Inf, Polyhedral, Quadratic, _add, _is_empty,
-                       _objects, _precompose, _quadratic_partial_min,
+from .convexfn import (AffineSelector, Inf, Polyhedral, Quadratic, _add, _conjugates,
+                       _is_empty, _objects, _precompose, _quadratic_partial_min,
                        _recessions, _scale, _settled, _Stack, _stack, _take,
-                       eval_stack, partial_min, partial_min_stack)
+                       eval_stack, partial_min)
 from .errors import (BackendClash, DimensionMismatch, Infeasible,
                      NonLinearRecession, NotPerp, SolverError,
                      StochBellmanError, UnboundedBelow, ValidationError)
@@ -424,27 +424,19 @@ def verify_optimality(policy, sol, tol=1e-8):
     return _verdict(gaps, gaps, failed, tol)
 
 
-def _tilt_vectors(problem, v):
-    """Per-node tilt folded from a perp family: node -> vector or None."""
-    tree = problem.tree
-    tilts = {nid: None for nid in tree.nodes}
-
-    def bump(nid, vec):
-        cur = tilts[nid]
-        tilts[nid] = vec if cur is None else cur + vec
-
+def _tilt_vectors(tree, dims, v):
+    """The dual point p of each node's cost folded from a perp family v, on
+    the cost's (previous decision, own decision) blocks: node -> p or None.
+    An entry v_t at stage t lands on the own block of its node, one at
+    stage t + 1 on the previous-decision block."""
+    tilts = dict.fromkeys(tree.nodes)
     for t, (stage, per_node) in v.entries.items():
-        nt = problem.dims[t]
+        prev = dims[stage - 1] if stage else 0
+        at = slice(prev, prev + dims[t]) if stage == t else slice(dims[t])
         for nid in tree.stage_nodes[stage]:
-            val = per_node[nid]
-            prev = problem._prev_dim(stage)
-            own = problem.dims[stage]
-            w = np.zeros(prev + own)
-            if stage == t:
-                w[prev:prev + nt] = -val
-            else:  # stage == t + 1: v_t multiplies the parent-slot block
-                w[:nt] = -val
-            bump(nid, w)
+            p = np.zeros(prev + dims[stage])
+            p[at] = per_node[nid]
+            tilts[nid] = p if tilts[nid] is None else tilts[nid] + p
     return tilts
 
 
@@ -452,11 +444,9 @@ def tilt_by_p(problem, v, tol=1e-12):
     """Stage costs tilted by -x_t . v_t for a family with E_t v_t = 0."""
     if not perp_check(v, tol=tol):
         raise NotPerp("tilt process fails E_t[v_t] = 0")
-    tilts = _tilt_vectors(problem, v)
-    costs = {}
-    for nid, fn in problem.node_costs.items():
-        w = tilts[nid]
-        costs[nid] = fn if w is None else fn.tilt(w)
+    tilts = _tilt_vectors(problem.tree, problem.dims, v)
+    costs = {nid: fn if tilts[nid] is None else fn.tilt(-tilts[nid])
+             for nid, fn in problem.node_costs.items()}
     return StageProblem(problem.tree, problem.dims, node_costs=costs)
 
 
@@ -493,53 +483,27 @@ def recession_probe(problem):
     return True, ""
 
 
-def _conjugates_at_zero(fns):
-    """f*(0) = -min f for each function, with the bits of f.conjugate(0).
-
-    Quadratics of one dim and row count run as one partial_min_stack over
-    all coordinates, evaluated as stacks; a member unbounded below gets Inf,
-    as Quadratic.conjugate gives it.  Other functions take conjugate.
-    """
-    out = [None] * len(fns)
-    groups, rest = _split([(f.dim, f.A.shape[0]) if isinstance(f, Quadratic) and f.dim
-                           else None for f in fns])
-    for idx in groups:
-        pms = partial_min_stack([fns[i] for i in idx], fns[idx[0]].dim, skip_unbounded=True)
-        vals = _evals([None if pm is None else pm.fn for pm in pms], np.zeros((len(pms), 0)), {})
-        for i, pm, val in zip(idx, pms, vals.tolist()):
-            # -inf when the domain is empty
-            out[i] = Inf if pm is None else -val
-    for i in rest:
-        out[i] = fns[i].conjugate(np.zeros(fns[i].dim))
-    return out
-
-
 def check_assumptions(problem, v=None, eps=0.1, solution=None):
-    """Diagnostics, never gates: lower-bound certificates via per-node
-    conjugates at the tilt point, a linearity verdict from the recession
-    recursion, and a solve probe.  With no tilt, a solution already swept
+    """Diagnostics, never gates: lower-bound certificates, a linearity
+    verdict from the recession recursion, and a solve probe.  A node's
+    certificates are m = f*(lambda p) for lambda in (1 - eps, 1, 1 + eps),
+    p its dual point from the perp family v: one stacked conjugate call
+    over every (node, lambda) point, one point for a node without a tilt
+    (p = 0 serves every lambda).  With no tilt, a solution already swept
     from `problem` is the solve probe's result when it is given.
     """
-    tree = problem.tree
     base = problem if v is None else tilt_by_p(problem, v)
-    tilts = (_tilt_vectors(problem, v) if v is not None else
-             {nid: None for nid in tree.nodes})
-
-    certificates = {}
-    lower_ok = True
-    plain = [nid for nid in problem.node_costs if tilts[nid] is None]
-    at_zero = dict(zip(plain, _conjugates_at_zero([problem.node_costs[nid] for nid in plain])))
-    for nid, fn in problem.node_costs.items():
-        w = tilts[nid]
-        # tilt vectors store -p; the certificate is m >= f*(lambda p)
-        lams = (1.0 - eps, 1.0, 1.0 + eps)
-        if w is None:  # p = 0: one conjugate serves every lambda
-            per_lambda = dict.fromkeys(lams, at_zero[nid])
-        else:
-            per_lambda = {lam: fn.conjugate(lam * -w) for lam in lams}
-        if any(m == Inf for m in per_lambda.values()):
-            lower_ok = False
-        certificates[nid] = per_lambda
+    tilts = {} if v is None else _tilt_vectors(problem.tree, problem.dims, v)
+    lams = (1.0 - eps, 1.0, 1.0 + eps)
+    points = [(nid, lam) for nid in problem.node_costs
+              for lam in ((None,) if tilts.get(nid) is None else lams)]
+    fns = [problem.node_costs[nid] for nid, _ in points]
+    ms = _conjugates(fns, [np.zeros(f.dim) if lam is None else lam * tilts[nid]
+                           for f, (nid, lam) in zip(fns, points)])
+    certificates = {nid: {} for nid in problem.node_costs}
+    for (nid, lam), m in zip(points, ms):
+        certificates[nid].update(dict.fromkeys(lams, m) if lam is None else {lam: m})
+    lower_ok = Inf not in ms
 
     linearity_ok, linearity_detail = recession_probe(_recession_problem(base))
 

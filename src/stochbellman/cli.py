@@ -23,7 +23,7 @@ from .extensive import solve_extensive
 from .generators import (binomial_market, lq_instance,
                          markov_reward_tree, quadratic_lagrange_instance)
 from .hedging import MarketModel, exp_utility, na_check, solve_alm
-from .lagrange import lp_recursion
+from .lagrange import lagrange_policy, lp_recursion
 from .stopping import markov_check, optimal_stop, snell
 from .tree import AdaptedProcess, is_markov
 
@@ -60,6 +60,8 @@ def _load_problem(path):
     dims = doc.get("dims")
     if dims is None:
         raise ValidationError("tree file is missing top-level `dims`")
+    if not isinstance(dims, list) or not all(isinstance(k, int) and k >= 0 for k in dims):
+        raise ValidationError(f"`dims` is not a list of decision dimensions: {dims!r}")
     costs = dict.fromkeys(tree.nodes)  # in tree order, built a stage at a time
     for nid, node in tree.nodes.items():
         if "cost" not in node.data:
@@ -128,10 +130,7 @@ def cmd_stop(args):
 
 def _side(value, key, nid):
     """Row count of a square weight matrix entry."""
-    try:
-        return len(np.atleast_2d(np.asarray(value, dtype=float)))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key} at {nid!r} is not a numeric array") from exc
+    return len(np.atleast_2d(treeio._numeric(value, f"{key} at {nid!r}")))
 
 
 def cmd_control(args):
@@ -181,17 +180,20 @@ def cmd_control(args):
 
 def cmd_lagrange(args):
     tree, doc = treeio.load_tree(args.input)
-    d = int(doc.get("d", 1))
+    try:
+        d = int(doc.get("d", 1))
+    except (TypeError, ValueError):
+        raise ValidationError(f"`d` is not an integer: {doc['d']!r}") from None
     data = {}
     for nid, node in tree.nodes.items():
-        entry = {k: node.data[k] for k in ("T", "W", "b", "c") if k in node.data}
+        entry = {k: treeio._numeric(node.data[k], f"{k} at {nid!r}") for k in ("T", "W", "b", "c")
+                 if k in node.data}
         if len(entry) != 4:
             raise ValidationError(f"node {nid!r} is missing LP entries")
         if "C" in node.data:
             entry["C"] = node.data["C"]
         data[nid] = entry
     vv = lp_recursion(tree, d, data)
-    from .lagrange import lagrange_policy
     policy = lagrange_policy(vv)
     report = {"value": vv.value,
               "policy": {nid: [float(v) for v in policy.decisions[nid]] for nid in tree.nodes},
@@ -208,12 +210,14 @@ def _load_market(path):
     for nid, node in tree.nodes.items():
         if "s" not in node.data:
             raise ValidationError(f"node {nid!r} has no price entry `s`")
-        prices[nid] = np.atleast_1d(np.asarray(node.data["s"], dtype=float))
+        prices[nid] = np.atleast_1d(treeio._numeric(node.data["s"], f"s at {nid!r}"))
         if "D" in node.data:
             rows = node.data["D"]
-            D[nid] = (rows["G"], rows["g"])
+            if not isinstance(rows, dict) or not {"G", "g"} <= rows.keys():
+                raise ValidationError(f"position rows `D` at {nid!r} need `G` and `g`")
+            D[nid] = tuple(treeio._numeric(rows[k], f"`D`'s `{k}` at {nid!r}") for k in "Gg")
         if tree.stage(nid) == tree.T and "c" in node.data:
-            c[nid] = float(node.data["c"])
+            c[nid] = float(treeio._numeric(node.data["c"], f"claim `c` at {nid!r}"))
     return MarketModel(tree, AdaptedProcess(tree, prices), D=D or None, c=c)
 
 
@@ -234,9 +238,13 @@ def cmd_hedge(args):
         if args.loss == "quad":
             loss = Quadratic([[2.0]], [0.0])
         elif args.loss.startswith("grid:"):
-            with open(args.loss[5:]) as fh:
+            path = args.loss[5:]
+            with open(path) as fh:
                 spec = json.load(fh)
-            loss = Sampled1D(spec["knots"], spec["values"])
+            if not isinstance(spec, dict) or not {"knots", "values"} <= spec.keys():
+                raise ValidationError(f"grid loss file {path!r} needs `knots` and `values`")
+            loss = Sampled1D(*(treeio._numeric(spec[k], f"{k} in {path!r}")
+                               for k in ("knots", "values")))
         else:
             raise ValidationError(f"unknown loss {args.loss!r}")
         res = solve_alm(market, loss, wealth=args.wealth,

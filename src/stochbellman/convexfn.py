@@ -20,11 +20,11 @@ backend: an affine Quadratic joins a Polyhedral as one piece, and any other
 cross-backend sum raises BackendClash.  Recession functions are backend
 objects and lineality spaces are orthonormal basis arrays.
 
-The Quadratic algebra (precompose, scale, add, partial minimization) is
-written once over a stack: arrays with a leading member axis, for
-Quadratics of one dimension and row count.  A method call on one object
-is a stack of one; the backward sweep keeps its stacks from step to step
-and makes objects for its records only.  The promise for each member is
+The Quadratic algebra (precompose, scale, add, partial minimization,
+conjugates) is written once over a stack: arrays with a leading member
+axis, for Quadratics of one dimension and row count.  A method call on
+one object is a stack of one; the backward sweep keeps its stacks from
+step to step and makes objects for its records only.  The promise for each member is
 the README's Numerical contract (the tests also freeze per-member bits).
 """
 
@@ -242,14 +242,6 @@ def _add(S, T):
                   np.concatenate([S.b, T.b], axis=1), S.psd & T.psd)
 
 
-def partial_min_stack(fs, over, nodes=None, skip_unbounded=False):
-    """partial_min(f, over) for each Quadratic of fs (one dim and row count);
-    an error names nodes[i] of the first failing member when nodes are
-    given.  With skip_unbounded, a member unbounded below gives None instead
-    of raising."""
-    return _quadratic_partial_min(_stack(fs), over, nodes, skip_unbounded)[1]
-
-
 def eval_stack(fs, X):
     """f_i(X_i) = 1/2 X_i.Q_i X_i + q_i.X_i + c_i for Quadratics fs of one
     dim and row count, X (n, dim); Inf where max |A_i X_i - b_i| exceeds
@@ -406,13 +398,7 @@ class Quadratic(ConvexFn):
         return _recessions([self])[0]
 
     def conjugate(self, v):
-        v = np.asarray(v, dtype=float).ravel()
-        try:
-            pm = partial_min(self.tilt(-v), over=self.dim)
-        except UnboundedBelow:
-            return Inf
-        val = pm.fn.eval(np.zeros(0))
-        return -val  # -inf when the domain is empty (val = +inf)
+        return _conjugates([self], [np.asarray(v, dtype=float).ravel()])[0]
 
 
 class Polyhedral(ConvexFn):
@@ -645,16 +631,15 @@ def lineality_space(fn):
     raise BackendClash(f"no lineality rule for {type(fn).__name__}")
 
 
-def _quadratic_partial_min(S, over, nodes=None, skip_unbounded=False):
+def _kkt_minima(S, over):
     """Minimize each member of a _Stack over its trailing `over`
-    coordinates: the value functions as _settled groups, and a list of
-    PartialMin.
+    coordinates: the value functions as _settled groups, the minimizer
+    maps x -> F_i x + g_i as stacks F and g, the lineality bases, and
+    {member: reason} of the members unbounded below, in member order.
 
-    Null bases of [Quu; Au] come from one batched SVD; the coupling and
-    drift checks run on the members with flat directions, in order, and the
-    first failure raises UnboundedBelow naming nodes[i] when nodes are
-    given; with skip_unbounded a failing member's entry is None instead.
-    The KKT systems take one batched pinv.
+    Null bases of [Quu; Au] come from one batched SVD, and the coupling
+    and drift checks run on the members with flat directions.  The KKT
+    systems take one batched pinv.
     """
     n, d = S.q.shape
     d1, d2 = d - over, over
@@ -665,7 +650,7 @@ def _quadratic_partial_min(S, over, nodes=None, skip_unbounded=False):
     sub_t = np.zeros((n, d))
     F, g = sub_M[:, d1:], sub_t[:, d1:]
     lin = [np.zeros((d2, 0))] * n
-    unbounded = set()
+    unbounded = {}
     # an empty member (the row 0.x = 1) is +inf at every kept point; its
     # restriction to u = 0 stays empty
     live = np.flatnonzero(S.A.any(axis=(1, 2))) if m == 1 else np.arange(n)
@@ -679,20 +664,14 @@ def _quadratic_partial_min(S, over, nodes=None, skip_unbounded=False):
         flat = [j for j, Kj in enumerate(K) if Kj.size]
         for j in flat:
             Kj = K[j]
-            node = None if nodes is None else nodes[live[j]]
             qu = q[j, d1:]
             # joint convexity gives Qxu d = 0 on K; outside that regime the
             # value would depend on x with the wrong sign: unbounded territory
             if np.max(np.abs(Qxu[j] @ Kj), initial=0.0) > \
                     _LIN_TOL * (1.0 + np.max(np.abs(Qxu[j]), initial=0.0)):
-                why = "free direction couples to kept coordinates"
+                unbounded[live[j]] = "free direction couples to kept coordinates"
             elif np.max(np.abs(Kj.T @ qu), initial=0.0) > _LIN_TOL * (1.0 + np.linalg.norm(qu)):
-                why = "linear drift along a zero-curvature direction"
-            else:
-                continue
-            if not skip_unbounded:
-                raise UnboundedBelow(why, node=node)
-            unbounded.add(live[j])
+                unbounded[live[j]] = "linear drift along a zero-curvature direction"
         KKT = Quu  # with no rows the KKT matrix is Quu itself
         if m:
             KKT = np.zeros((live.size, d2 + m, d2 + m))
@@ -710,9 +689,42 @@ def _quadratic_partial_min(S, over, nodes=None, skip_unbounded=False):
             lin[i] = Kj
             F[i] = Fl[j] - Kj @ (Kj.T @ Fl[j])
             g[i] = gl[j] - Kj @ (Kj.T @ gl[j])
-    post = _settled(_precompose(S, sub_M, sub_t))
-    return post, [None if i in unbounded else PartialMin(fn, _selector(Fi, gi), Ki)
-                  for i, (fn, Fi, gi, Ki) in enumerate(zip(_objects(post, n), F, g, lin))]
+    return _settled(_precompose(S, sub_M, sub_t)), F, g, lin, unbounded
+
+
+def _quadratic_partial_min(S, over, nodes=None):
+    """_kkt_minima with a PartialMin per member: the value functions as
+    _settled groups, and a list of PartialMin.  The first member unbounded
+    below raises UnboundedBelow, naming nodes[i] when nodes are given."""
+    post, F, g, lin, unbounded = _kkt_minima(S, over)
+    if unbounded:
+        i, why = next(iter(unbounded.items()))
+        raise UnboundedBelow(why, node=None if nodes is None else nodes[i])
+    return post, [PartialMin(fn, _selector(Fi, gi), Ki)
+                  for fn, Fi, gi, Ki in zip(_objects(post, len(F)), F, g, lin)]
+
+
+def _conjugates(fns, V):
+    """f_i*(v_i) = sup_x v_i.x - f_i(x) for each function and dual point,
+    as a list: Inf where f_i - v_i.x is unbounded below, -Inf on an empty
+    domain.  Quadratics of one dim and row count take one _kkt_minima of
+    the tilted stack over every coordinate, and read the constants of its
+    dimension-0 value stacks (a stack with the row 0.x = 1 is empty);
+    other functions take their conjugate, the epigraph LP."""
+    out, groups = [None] * len(fns), {}
+    for i, f in enumerate(fns):
+        if isinstance(f, Quadratic):
+            groups.setdefault((f.dim, f.A.shape[0]), []).append(i)
+        else:
+            out[i] = f.conjugate(V[i])
+    for pos in groups.values():
+        S = _stack([fns[i] for i in pos])
+        S = S._replace(q=S.q - np.array([V[i] for i in pos]))
+        post, *_, unbounded = _kkt_minima(S, S.q.shape[1])
+        for idx, P in post:
+            for j, val in zip(idx.tolist(), [-Inf] * len(idx) if P.A.shape[1] else (-P.c).tolist()):
+                out[pos[j]] = Inf if j in unbounded else val
+    return out
 
 
 def _polyhedral_cone_checks(f, keep):

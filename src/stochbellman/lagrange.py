@@ -12,8 +12,8 @@ The block-diagonal LP specialization builds polyhedral node costs from
 
 import numpy as np
 
-from .bellman import StageProblem, recession_probe, solve_be
-from .convexfn import Inf, Polyhedral, _recessions
+from .bellman import StageProblem, _tilt_vectors, extract_policy, recession_probe, solve_be
+from .convexfn import Inf, Polyhedral, _conjugates, _recessions
 from .errors import Infeasible, NotPerp, StochBellmanError, ValidationError
 from .polyhedra import cone_from_generators, is_infeasible_marker
 from .simplex import solve_lp
@@ -85,7 +85,6 @@ def solve_lagrange(instance):
 
 
 def lagrange_policy(vv):
-    from .bellman import extract_policy
     return extract_policy(vv.solution)
 
 
@@ -169,46 +168,38 @@ class LagrangeBoundsReport:
 def check_lagrange_bounds(instance, v=None, y=None, eps=0.1):
     """Certificates K_t(x, dx) >= x.(lambda p + dy) + dx.y - m, nodewise.
 
-    v is a perp family supplying p (zero when omitted); y is an adapted
-    R^d process (zero when omitted).  Certificates are conjugate values of
-    each node cost at the dual point, one per (node, child, lambda); the
+    v is a perp family supplying p (zero when omitted), read as
+    check_assumptions reads it: an entry at stage t is the node's own, one
+    at stage t + 1 the child's.  y is an adapted R^d process (zero when
+    omitted), and dy = y_k - y_n, with y_k = 0 past a leaf.  The
+    certificate m of (node n, child k, lambda) is K_n*(lambda p + dy, y_n),
+    from one stacked conjugate call over every (node, child, lambda); the
     linearity verdict reruns the sweep on the recession costs.
     """
-    tree = instance.tree
-    d = instance.d
+    tree, d = instance.tree, instance.d
     if v is not None and not perp_check(v):
         raise NotPerp("supplied tilt family fails E_t[v_t] = 0")
-
-    def p_at(t, nid_stage_t, child):
-        if v is None or t not in v.entries:
-            return np.zeros(d)
-        stage, per = v.entries[t]
-        if stage == t:
-            return per[nid_stage_t]
-        return per[child]
-
-    def y_at(nid):
-        if y is None:
-            return np.zeros(d)
-        return np.atleast_1d(np.asarray(y[nid], dtype=float))
-
-    certificates = {}
-    ok = True
+    zero = np.zeros(d)
+    # own block of a node's dual point, and the previous-decision block of
+    # its child's, as the stage problem's costs on (x_{t-1}, x_t) hold them
+    tilts = {} if v is None else _tilt_vectors(tree, [d] * (tree.T + 1), v)
+    own = {nid: zero if p is None else p[-d:] for nid, p in tilts.items()}
+    slot = {nid: zero if p is None else p[:d] for nid, p in tilts.items()}
+    Y = {nid: zero if y is None else np.atleast_1d(np.asarray(y[nid], dtype=float))
+         for nid in tree.nodes}
+    keys, duals = [], []
     for t in range(tree.T + 1):
         for nid in tree.stage_nodes[t]:
-            kids = tree.children[nid] or [None]
-            rows = {}
-            for k in kids:
-                ynext = y_at(k) if k is not None else np.zeros(d)
-                dy = ynext - y_at(nid)
+            for k in tree.children[nid] or [None]:
+                p = own.get(nid, zero) + slot.get(k, zero)
+                dy = Y.get(k, zero) - Y[nid]
                 for lam in (1.0 - eps, 1.0 + eps):
-                    p = p_at(t, nid, k)
-                    dual = np.concatenate([lam * p + dy, y_at(nid)])
-                    m = instance.costs[nid].conjugate(dual)
-                    rows[(k, lam)] = m
-                    if m == Inf:
-                        ok = False
-            certificates[nid] = rows
+                    keys.append((nid, k, lam))
+                    duals.append(np.concatenate([lam * p + dy, Y[nid]]))
+    ms = _conjugates([instance.costs[nid] for nid, _, _ in keys], duals)
+    certificates = {}
+    for (nid, k, lam), m in zip(keys, ms):
+        certificates.setdefault(nid, {})[(k, lam)] = m
     rec_costs = dict(zip(instance.costs, _recessions(list(instance.costs.values()))))
     lin_ok, detail = recession_probe(LagrangeInstance(tree, d, rec_costs).as_stage_problem())
-    return LagrangeBoundsReport(certificates, ok, lin_ok, detail)
+    return LagrangeBoundsReport(certificates, Inf not in ms, lin_ok, detail)

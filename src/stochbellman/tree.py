@@ -13,6 +13,7 @@ increments use m_t = t + 1.  That covers every construction used here, and
 keeps tilts local to a single node's stage cost.
 """
 
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -154,16 +155,20 @@ class ScenarioTree:
 def validate_tree(raw, exact=False):
     """Build a ScenarioTree from records {id, parent, prob, stage[, data]}."""
     nodes = []
-    for rec in raw:
+    for i, rec in enumerate(raw):
         if isinstance(rec, Node):
             nodes.append(rec)
             continue
-        prob = rec["prob"]
+        if not isinstance(rec, dict) or "id" not in rec:
+            raise ValidationError(f"node record {i} has no `id`")
+        nid, prob, stage = str(rec["id"]), rec.get("prob"), rec.get("stage")
+        for key, value in (("prob", prob), ("stage", stage)):
+            if not isinstance(value, (int, float, numbers.Real)):  # the ABC check last: slow
+                raise ValidationError(f"node {nid!r} has no numeric `{key}`: {value!r}")
         if exact and not isinstance(prob, Fraction):
             prob = Fraction(prob)
-        nodes.append(Node(str(rec["id"]),
-                          None if rec.get("parent") is None else str(rec["parent"]),
-                          int(rec["stage"]), prob, rec.get("data")))
+        nodes.append(Node(nid, None if rec.get("parent") is None else str(rec["parent"]),
+                          int(stage), prob, rec.get("data")))
     return ScenarioTree(nodes, exact=exact)
 
 

@@ -41,25 +41,42 @@ def fn_to_record(fn):
     raise ValidationError(f"cannot serialize {type(fn).__name__}")
 
 
+def _numeric(value, what):
+    """value as a float array; ValidationError naming `what` if it is not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a numeric array") from None
+
+
 def fn_from_record(rec):
-    kind = rec.get("kind")
+    kind = rec.get("kind") if isinstance(rec, dict) else None
+    need = {"quadratic": ("Q", "q"), "polyhedral": ("pieces",), "sampled1d": ("knots", "values")}
+    if kind not in need:
+        raise ValidationError(f"unknown function record kind {kind!r}")
+    for key in need[kind]:
+        if key not in rec:
+            raise ValidationError(f"{kind} record has no `{key}`")
+    keys = ("Q", "q", "c", "A", "b", "C", "d", "knots", "values")
+    arr = {k: _numeric(rec[k], f"`{k}` of a {kind} record") for k in keys if rec.get(k) is not None}
     if kind == "quadratic":
-        return Quadratic(rec["Q"], rec["q"], rec.get("c", 0.0),
-                         rec.get("A"), rec.get("b"))
-    if kind == "polyhedral":
-        grads = [p[0] for p in rec["pieces"]]
-        offs = [p[1] for p in rec["pieces"]]
-        return Polyhedral(grads, offs, rec.get("C"), rec.get("d"))
+        return Quadratic(arr["Q"], arr["q"], arr.get("c", 0.0), arr.get("A"), arr.get("b"))
     if kind == "sampled1d":
-        return Sampled1D(rec["knots"], rec["values"])
-    raise ValidationError(f"unknown function record kind {kind!r}")
+        return Sampled1D(arr["knots"], arr["values"])
+    try:
+        grads, offs = (np.array([p[i] for p in rec["pieces"]], dtype=float) for i in (0, 1))
+    except (TypeError, ValueError, IndexError, KeyError):
+        raise ValidationError("`pieces` of a polyhedral record are not "
+                              "[gradient, offset] pairs") from None
+    return Polyhedral(grads, offs, arr.get("C"), arr.get("d"))
 
 
 def fns_from_records(recs, names):
     """fn_from_record of each record: quadratic records whose arrays stack in
-    one convexfn.quadratics call, an error naming names[i]; others one by one."""
+    one convexfn.quadratics call, an error naming names[i]; others one by
+    one, an error of a record naming its node."""
     try:
-        if all(rec.get("kind") == "quadratic" for rec in recs):
+        if all(isinstance(rec, dict) and rec.get("kind") == "quadratic" for rec in recs):
             Q, q, c = (np.array([rec.get(k, 0.0) for rec in recs], dtype=float) for k in "Qqc")
             A, b = (np.array([rec.get(k) or [] for rec in recs], dtype=float) for k in "Ab")
             n, d = q.shape
@@ -68,7 +85,13 @@ def fns_from_records(recs, names):
                 return quadratics(Q, q, c, A, b, names)
     except (TypeError, ValueError):
         pass
-    return [fn_from_record(rec) for rec in recs]
+    fns = []
+    for rec, name in zip(recs, names):
+        try:
+            fns.append(fn_from_record(rec))
+        except ValidationError as exc:
+            raise type(exc)(f"{exc} at node {name!r}") from exc
+    return fns
 
 
 def load_tree(path_or_file):
@@ -78,13 +101,9 @@ def load_tree(path_or_file):
     else:
         with open(path_or_file) as fh:
             doc = json.load(fh)
-    if "nodes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise ValidationError("tree file has no `nodes` array")
-    tree = validate_tree(doc["nodes"])
-    for rec in doc["nodes"]:
-        node = tree.nodes[str(rec["id"])]
-        node.data.update(rec.get("data", {}))
-    return tree, doc
+    return validate_tree(doc["nodes"]), doc
 
 
 def dump_tree(tree, extra=None, data_overrides=None):

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochbellman import bellman
+from stochbellman import bellman, convexfn
 from stochbellman.bellman import (Policy, StageProblem, build_flat, check_assumptions,
                                   extract_policy, optimum_value, solve_be,
                                   tilt_by_p, verify_optimality)
@@ -17,6 +19,7 @@ from stochbellman.tree import (AdaptedProcess, PerpProcess,
                                martingale_increments, perp_check,
                                validate_tree)
 
+import helpers
 from helpers import (binary_tree, chain_tree, outcome, random_stage_cost,
                      ref_extract_policy, ref_solve_be, ref_verify_optimality,
                      same_bits, same_fn, same_outcome, shuffled)
@@ -321,41 +324,50 @@ def test_certificates_require_tilt_for_unbounded_objective():
 
 
 def test_check_assumptions_conjugates_once_per_untilted_node(monkeypatch):
-    # p = 0 at a node without a tilt: one conjugate serves all three lambdas;
-    # a tilted node needs one per lambda
-    tree = binary_tree()
-    costs = {"r": Quadratic(np.zeros((1, 1)), np.zeros(1)),
-             "a": Polyhedral([[1.0 - 2.0], [-1.0 - 2.0]], [0.0, 0.0]),
-             "b": Polyhedral([[1.0 + 2.0], [-1.0 + 2.0]], [0.0, 0.0])}
-    sp = StageProblem(tree, [1, 0], node_costs=costs)
-    names = {id(fn): nid for nid, fn in costs.items()}
-    calls = []
-    for cls in (Quadratic, Polyhedral):
-        def counted(self, v, _orig=cls.conjugate):
-            calls.append(names.get(id(self), "other"))
-            return _orig(self, v)
-        monkeypatch.setattr(cls, "conjugate", counted)
+    # the certificates take one point per untilted node (p = 0 serves every
+    # lambda) and three per tilted one, in one stacked conjugate call: one
+    # minimization per (dim, row count) group of Quadratic costs, tilted or
+    # not, one LP per Polyhedral point, and no PartialMin or selector.  The
+    # sweeps are stubbed out, so the mixed backends never meet in a sum
+    tree = helpers.two_stage_binary()
+    row, box = ([[1.0, -1.0]], [0.5]), np.vstack([np.eye(2), -np.eye(2)])
+    costs = {"r": Quadratic([[1.0]], [0.5]), "u": Quadratic(np.eye(2), [1.0, 0.0]),
+             "d": Quadratic(np.eye(2), [0.0, 1.0], 0.0, *row),
+             "uu": Quadratic(2.0 * np.eye(2), [0.0, 0.5]),
+             "ud": Polyhedral([[1.0, 0.0], [-1.0, 1.0]], [0.0, 0.5], box, np.ones(4)),
+             "du": Quadratic(np.eye(2), [0.5, 0.5], 1.0, *row),
+             "dd": Polyhedral([[0.0, -1.0]], [1.0], box, np.ones(4))}
+    sp = StageProblem(tree, [1, 1, 1], node_costs=costs)
+    monkeypatch.setattr(bellman, "recession_probe", lambda problem: (True, ""))
+    monkeypatch.setattr(bellman, "solve_be", lambda problem: SimpleNamespace(value=0.0))
+    sizes, lps, built = [], [], []
 
-    # an untilted Quadratic's conjugate is a member of a stacked partial
-    # minimization; the sweeps' stacks hold no node cost here (the root's
-    # tail is added first)
-    def stacked(fs, *args, _orig=bellman.partial_min_stack, **kw):
-        calls.extend(names[id(f)] for f in fs if id(f) in names)
-        return _orig(fs, *args, **kw)
-    monkeypatch.setattr(bellman, "partial_min_stack", stacked)
+    def minima(S, over, _orig=convexfn._kkt_minima):
+        sizes.append(len(S.c))
+        return _orig(S, over)
+
+    def lp(self, v, _orig=Polyhedral.conjugate):
+        lps.append(self)
+        return _orig(self, v)
+
+    monkeypatch.setattr(convexfn, "_kkt_minima", minima)
+    monkeypatch.setattr(Polyhedral, "conjugate", lp)
+    monkeypatch.setattr(convexfn, "PartialMin", lambda *a: built.append(a))
+    monkeypatch.setattr(convexfn, "_selector", lambda *a: built.append(a))
+    monkeypatch.setattr(AffineSelector, "__init__", lambda self, *a: built.append(a))
 
     plain = check_assumptions(sp, v=None, eps=0.1)
-    assert sorted(calls) == ["a", "b", "r"]
-    for per_lambda in plain.certificates.values():
+    assert (sizes, len(lps), built) == ([1, 2, 2], 2, [])
+    for nid, per_lambda in plain.certificates.items():
         assert list(per_lambda) == [0.9, 1.0, 1.1]
         assert len(set(per_lambda.values())) == 1
+        assert per_lambda[1.0] == pytest.approx(costs[nid].conjugate(np.zeros(costs[nid].dim)))
 
-    calls.clear()
-    entries = {0: (1, {"a": np.array([-2.0]), "b": np.array([2.0])}),
-               1: (1, {"a": np.zeros(0), "b": np.zeros(0)})}
-    tilted = check_assumptions(sp, v=PerpProcess(tree, entries), eps=0.1)
-    assert sorted(calls) == ["a"] * 3 + ["b"] * 3 + ["r"]
-    assert tilted.lower_bound_ok
+    sizes.clear(), lps.clear()
+    zero = check_assumptions(sp, v=PerpProcess.zero(tree, [1, 1, 1]), eps=0.1)
+    assert (sizes, len(lps), built) == ([3, 6, 6], 6, [])
+    assert zero.certificates == plain.certificates
+    assert zero.lower_bound_ok and plain.lower_bound_ok
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -469,3 +481,25 @@ def test_assumption_checks_take_a_bounded_number_of_svds_per_stage(monkeypatch):
             report = check_assumptions(problem, solution=sol)
             assert report.linearity_ok and report.lower_bound_ok
             assert len(calls) <= (3 + 2 * branching) * (T + 1)
+
+
+@pytest.mark.parametrize("free", [[0.0, 1.0], [1.0, -1.0]])
+def test_polyhedral_selector_projects_out_the_lineality_space(free):
+    # the children's costs |u.w - x0| and |u.w - x0| + u.w / 2, w orthogonal
+    # to `free`, ignore the own direction `free` (an own coordinate, or the
+    # difference of the two): the decision is orthogonal to the node's
+    # lineality basis, and the policy attains the sweep value
+    tree = binary_tree()
+    w = np.array([free[1], -free[0]]) / np.linalg.norm(free)
+    child = Polyhedral([np.r_[-1.0, w], np.r_[1.0, -w]], [0.0, 0.0])
+    costs = {"r": Polyhedral([[1.0], [-1.0]], [-0.5, 0.5], [[1.0], [-1.0]], [1.0, 1.0]),
+             "a": child, "b": child.tilt(np.r_[0.0, 0.5 * w])}
+    sol = solve_be(StageProblem(tree, [1, 2], node_costs=costs))
+    policy = extract_policy(sol)
+    for nid in "ab":
+        L = sol.records[nid]["N"]
+        assert L.shape == (2, 1) and abs(L[:, 0] @ free) == pytest.approx(np.linalg.norm(free))
+        assert np.abs(L.T @ policy.decisions[nid]).max() <= 1e-12
+    assert policy.value == pytest.approx(sol.value, abs=1e-9)
+    assert sol.value == pytest.approx(0.125, abs=1e-9)
+    assert policy.residual_max <= 1e-9

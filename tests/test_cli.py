@@ -239,6 +239,85 @@ def test_control_malformed_node_exits_2(tmp_path, capsys, node, key, value, mess
     assert message in err
 
 
+def _node(doc, nid):
+    return next(rec for rec in doc["nodes"] if rec["id"] == nid)
+
+
+def _set(target, key, value):
+    target[key] = value
+
+
+# (input file, command, edit of the file's document, extra arguments, the
+# node or key the one error line names); `{grid}` is a grid loss file that
+# has knots and no values
+EXIT_2 = {
+    "no dims": ("problem", "solve", lambda doc: doc.pop("dims"), [], "`dims`"),
+    "dims not a list": ("problem", "check", lambda doc: _set(doc, "dims", 3), [], "`dims`"),
+    "no cost": ("problem", "oracle", lambda doc: _node(doc, "a")["data"].pop("cost"), [],
+                "node 'a' has no `cost`"),
+    "no Q": ("problem", "solve", lambda doc: _node(doc, "b")["data"]["cost"].pop("Q"), [],
+             "no `Q` at node 'b'"),
+    "Q not numeric": ("problem", "solve", lambda doc: _set(
+        _node(doc, "a")["data"]["cost"], "Q", [["x"]]), [], "`Q` of a quadratic record is not a "
+        "numeric array at node 'a'"),
+    "c not numeric": ("problem", "solve", lambda doc: _set(
+        _node(doc, "b")["data"]["cost"], "c", "x"), [], "`c` of a quadratic record is not a "
+        "numeric array at node 'b'"),
+    "no pieces": ("problem", "check", lambda doc: _set(
+        _node(doc, "a")["data"], "cost", {"kind": "polyhedral"}), [], "no `pieces` at node 'a'"),
+    "no stage": ("problem", "solve", lambda doc: _node(doc, "b").pop("stage"), [],
+                 "node 'b' has no numeric `stage`"),
+    "prob not numeric": ("problem", "solve", lambda doc: _set(_node(doc, "a"), "prob", "half"),
+                         [], "node 'a' has no numeric `prob`"),
+    "nodes not a list": ("problem", "solve", lambda doc: _set(doc, "nodes", 5), [], "`nodes`"),
+    "no R": ("reward", "stop", lambda doc: _node(doc, "n1")["data"].pop("R"), [],
+             "node 'n1' has no reward entry `R`"),
+    "x0 not numeric": ("lq", "control", lambda doc: _set(doc, "x0", "up"), [], "`x0`"),
+    "x0 wrong shape": ("lq", "control", lambda doc: _set(doc, "x0", [0.5]), [], "`x0`"),
+    "no LP entry": ("lp", "lagrange", lambda doc: _node(doc, "a")["data"].pop("W"), [],
+                    "node 'a' is missing LP entries"),
+    "d not an integer": ("lp", "lagrange", lambda doc: _set(doc, "d", "x"), [], "`d`"),
+    "T not numeric": ("lp", "lagrange", lambda doc: _set(_node(doc, "b")["data"], "T", [["x"]]),
+                      [], "T at 'b'"),
+    "D without G": ("market", "hedge", lambda doc: _set(
+        _node(doc, "n0")["data"], "D", {"g": [0.0]}), [], "`D` at 'n0' need `G` and `g`"),
+    "D rows not numeric": ("market", "hedge", lambda doc: _set(
+        _node(doc, "n0")["data"], "D", {"G": "x", "g": [0.0]}), [], "`G` at 'n0'"),
+    "claim not numeric": ("market", "hedge", lambda doc: _set(
+        _node(doc, "n3")["data"], "c", "x"), [], "`c` at 'n3'"),
+    "unknown loss": ("market", "hedge", None, ["--loss", "cubic"], "'cubic'"),
+    "grid without values": ("market", "hedge", None, ["--loss", "grid:{grid}"], "`values`"),
+    "unknown gen kind": (None, "gen", None, ["--kind", "maze", "--out", "{grid}.out"], "'maze'"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_2))
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    # each case exits 2 with nothing on stdout and one `error:` line on
+    # stderr that names the node or the key, never a traceback
+    base, command, edit, extra, names = EXIT_2[case]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"knots": [0.0, 1.0]}))
+    argv = [command] + [a.format(grid=grid) for a in extra]
+    if base is not None:
+        path = tmp_path / f"{base}.json"
+        if base == "problem":
+            write_tracking(tmp_path).rename(path)
+        elif base == "lp":
+            treeio.save_tree(binary_tree(), path, extra={"d": 1}, data_overrides={
+                nid: {"T": [[0.0]], "W": [[1.0]], "b": [0.0], "c": [1.0]} for nid in "rab"})
+        else:
+            run(capsys, "gen", "--kind", base, "--seed", "3", "--out", str(path))
+        if edit is not None:
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+        argv += ["--input", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
+
+
 def test_unbounded_exits_3(tmp_path, capsys):
     tree = binary_tree()
     costs = {"r": Quadratic([[0.0]], [1.0]),

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochbellman import bellman, convexfn, treeio
-from stochbellman.bellman import StageProblem, _conjugates_at_zero, solve_be
+from stochbellman.bellman import StageProblem, solve_be
 from stochbellman.convexfn import (EQ_TOL, Inf, Polyhedral, Quadratic, Sampled1D,
                                    _canonical_rows, _canonical_stack,
                                    _null_basis, _polyhedral_cone_checks,
                                    cond_expect_fn, eval_stack, lineality_space,
-                                   partial_min, partial_min_stack, recession)
+                                   partial_min, recession)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
-                                 NonLinearRecession, ProbabilityMass,
+                                 NonLinearRecession, ProbabilityMass, Unbounded,
                                  UnboundedBelow, ValidationError)
+from stochbellman.extensive import FlatProgram, Term, solve_extensive
 from stochbellman.generators import random_tree
 from stochbellman.simplex import solve_lp
 
@@ -625,11 +626,12 @@ def test_stacked_partial_min_matches_the_node_by_node_kernel(d, n, seed, kinds):
             break
     if first is not None:
         with pytest.raises(UnboundedBelow) as got:
-            partial_min_stack(fs, d - keep, names)
+            convexfn._quadratic_partial_min(convexfn._stack(fs), d - keep, names)
         assert got.value.node == first[0]
         assert str(got.value) == f"{first[1]} (node {first[0]})"
         return
-    for f, got, ref in zip(fs, partial_min_stack(fs, d - keep, names), want):
+    _, got = convexfn._quadratic_partial_min(convexfn._stack(fs), d - keep, names)
+    for f, got, ref in zip(fs, got, want):
         for pm in (got, partial_min(f, d - keep)):
             assert same_bits(pm.selector.F, ref.selector.F)
             assert same_bits(pm.selector.g, ref.selector.g)
@@ -654,34 +656,57 @@ def test_quadratic_algebra_matches_the_node_by_node_formulas(d, k, seed, kind):
     assert _same_quadratic(g.add(f), ref_add(g, f))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+def _flat_conjugate(f, v):
+    """f*(v) = -min (f - v.x) by the flat solver on the tilted function:
+    Inf where it is Unbounded and -Inf where it is Infeasible."""
+    try:
+        val, _, _ = solve_extensive(FlatProgram(f.dim, [Term(1.0, f.tilt(-v), range(f.dim))]))
+    except Unbounded:
+        return Inf
+    except Infeasible:
+        return -Inf
+    return -val
+
+
+def _near(got, want, rtol=1e-9):
+    return all(m == w if abs(w) == Inf else abs(m - w) <= rtol * (1.0 + abs(w))
+               for m, w in zip(got, want))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(d=st.integers(1, 4), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_stacked_conjugates_match_conjugate(d, n, seed):
-    # f*(0) for Quadratics of mixed dims and row counts, stacked per group,
-    # next to Polyhedral members: the bits of f.conjugate(0), Inf for an
-    # unbounded member anywhere in its group and -Inf for an empty domain
+def test_conjugates_match_the_flat_solver_on_the_tilted_function(d, n, seed):
+    # f*(v) for Quadratics of every _random_member kind, of mixed dims and
+    # row counts and stacked per group, next to Polyhedral members: half of
+    # the dual points random (mostly off dom f* for a flat member), half in
+    # dom f* = q + range Q + range A^T
     rng = np.random.default_rng(seed)
-    fs = []
+    fs, V = [], []
     for _ in range(n):
         dim = int(rng.integers(1, d + 1))
         kind = str(rng.choice(["pd", "flat", "zero", "drift", "coupled", "empty", "poly"]))
         if kind == "poly":
-            fs.append(Polyhedral(rng.integers(-2, 3, (2, dim)).astype(float),
-                                 rng.standard_normal(2), np.vstack([np.eye(dim), -np.eye(dim)]),
-                                 np.ones(2 * dim)))
+            f = Polyhedral(rng.integers(-2, 3, (2, dim)).astype(float), rng.standard_normal(2),
+                           np.vstack([np.eye(dim), -np.eye(dim)]), np.ones(2 * dim))
+            v = 2.0 * rng.standard_normal(dim)
         else:
             m = 1 if kind == "empty" else int(rng.integers(0, min(dim, 2) + 1))
-            fs.append(_random_member(rng, dim, 0, m, kind))
-    got = _conjugates_at_zero(fs)
-    assert same_bits(np.array(got), np.array([f.conjugate(np.zeros(f.dim)) for f in fs]))
+            f = _random_member(rng, dim, 0, m, kind)
+            v = rng.standard_normal(dim)
+            if rng.random() < 0.5:
+                v = f.q + f.Q @ v + f.A.T @ rng.standard_normal(f.A.shape[0])
+        fs.append(f)
+        V.append(v)
+    got = convexfn._conjugates(fs, V)
+    assert _near(got, [_flat_conjugate(f, v) for f, v in zip(fs, V)])
 
 
 def test_unbounded_conjugates_take_one_stack_per_group(monkeypatch):
     # a group where every member drifts along a flat direction, a group
     # where most do and a one-row group with empty members ahead of
-    # unbounded ones: one stacked call per group however many are
-    # unbounded, Inf for each of them and the bits of f.conjugate(0) for
-    # the rest
+    # unbounded ones: one stacked minimization per group however many are
+    # unbounded, Inf for each of them and the flat solver's value for the
+    # rest
     rng = np.random.default_rng(7)
     fs = [_random_member(rng, 3, 0, 0, "drift") for _ in range(200)]
     fs += [_random_member(rng, 2, 0, 0, "pd" if i % 5 == 0 else "drift") for i in range(50)]
@@ -689,15 +714,15 @@ def test_unbounded_conjugates_take_one_stack_per_group(monkeypatch):
            for kind in ("empty", "coupled", "pd", "empty", "coupled")]
     sizes = []
 
-    def stacked(fs, *args, **kw):
-        sizes.append(len(fs))
-        return partial_min_stack(fs, *args, **kw)
+    def stacked(S, *args, _orig=convexfn._kkt_minima):
+        sizes.append(len(S.c))
+        return _orig(S, *args)
 
-    monkeypatch.setattr(bellman, "partial_min_stack", stacked)
-    got = _conjugates_at_zero(fs)
+    monkeypatch.setattr(convexfn, "_kkt_minima", stacked)
+    got = convexfn._conjugates(fs, [np.zeros(f.dim) for f in fs])
     assert sizes == [200, 50, 5]
     assert sum(m == Inf for m in got) == 242
-    assert same_bits(np.array(got), np.array([f.conjugate(np.zeros(f.dim)) for f in fs]))
+    assert _near(got, [_flat_conjugate(f, np.zeros(f.dim)) for f in fs])
 
 
 def _cone_case(rng, keep, own, kind):

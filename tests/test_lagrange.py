@@ -4,7 +4,7 @@ import pytest
 from stochbellman import convexfn, lagrange
 from stochbellman.bellman import build_flat, optimum_value, solve_be
 from stochbellman.control import as_stage_problem, lq_costs, solve_oc
-from stochbellman.convexfn import Polyhedral, Quadratic
+from stochbellman.convexfn import Inf, Polyhedral, Quadratic
 from stochbellman.errors import (Infeasible, NotPerp, StochBellmanError,
                                  UnboundedBelow)
 from stochbellman.extensive import solve_extensive
@@ -12,7 +12,7 @@ from stochbellman.generators import quadratic_lagrange_instance, random_tree
 from stochbellman.lagrange import (LagrangeInstance, check_lagrange_bounds,
                                    lagrange_policy, lp_recursion,
                                    solve_lagrange)
-from stochbellman.tree import AdaptedProcess, validate_tree
+from stochbellman.tree import AdaptedProcess, PerpProcess, validate_tree
 
 import helpers
 from helpers import (binary_tree, chain_tree, ref_polyhedral_cone_checks,
@@ -170,6 +170,85 @@ def test_bounds_requires_perp():
     bad = AdaptedProcess(inst.tree, {inst.tree.root: np.array([1.0])})
     with pytest.raises(NotPerp):
         check_lagrange_bounds(inst, v=bad)
+
+
+def _diag_cost(a, b, q1, q2, c):
+    """K(x, dx) = 1/2 (a x^2 + b dx^2) + q1 x + q2 dx + c on R^2."""
+    return Quadratic([[a, 0.0], [0.0, b]], [q1, q2], c)
+
+
+def _diag_conjugate(a, b, q1, q2, c, v):
+    """K*(v) by hand: the sum of the two 1-D conjugates, Inf where a zero
+    curvature meets a dual coordinate off its slope."""
+    out = -c
+    for curv, slope, vi in ((a, q1, v[0]), (b, q2, v[1])):
+        if curv:
+            out += (vi - slope) ** 2 / (2.0 * curv)
+        elif vi != slope:
+            return Inf
+    return out
+
+
+# perp family on two_stage_binary: v_0 at stage 0 (the root's own entry,
+# zero as E_0 v_0 = v_0 forces) and v_1 at stage 2 (children's entries with
+# conditional mean zero); y is an adapted R^1 process
+_PERP = {0: (0, {"r": [0.0]}),
+         1: (2, {"uu": [3.0], "ud": [-3.0], "du": [0.5], "dd": [-0.5]})}
+_Y = {"r": 0.25, "u": 1.0, "d": -0.5, "uu": 2.0, "ud": 0.0, "du": -1.0, "dd": 0.75}
+
+
+def _pinned_certificates(tree, coefs, eps):
+    """Certificates m(n, k, lambda) = K_n*(lambda p + y_k - y_n, y_n) by
+    hand, with p from _PERP (per node at stage t, per child at stage t + 1)
+    and y_k = 0 at a leaf."""
+    p_child = {k: v[0] for k, v in _PERP[1][1].items()}
+    out = {}
+    for nid in tree.nodes:
+        kids = tree.children[nid] or [None]
+        out[nid] = {(k, lam): _diag_conjugate(
+            *coefs[nid], (lam * p_child.get(k, 0.0) + (_Y[k] if k else 0.0) - _Y[nid], _Y[nid]))
+            for k in kids for lam in (1.0 - eps, 1.0 + eps)}
+    return out
+
+
+def test_bounds_perp_family_certificates_by_hand():
+    # entries at stage t (the root) and at stage t + 1 (the stage-1 nodes'
+    # children) with an adapted y: every certificate is the hand conjugate
+    tree = helpers.two_stage_binary()
+    coefs = {"r": (2.0, 1.0, 0.5, -1.0, 0.25), "u": (1.0, 4.0, -0.5, 0.0, 1.0),
+             "d": (0.5, 2.0, 1.0, 0.5, -0.5), "uu": (1.0, 1.0, 0.0, 0.0, 0.0),
+             "ud": (3.0, 0.5, 0.25, -0.25, 2.0), "du": (2.0, 2.0, -1.0, 1.0, 0.0),
+             "dd": (1.0, 0.25, 0.5, 0.5, -1.0)}
+    inst = LagrangeInstance(tree, 1, {nid: _diag_cost(*c) for nid, c in coefs.items()})
+    y = AdaptedProcess(tree, {nid: np.array([val]) for nid, val in _Y.items()})
+    rep = check_lagrange_bounds(inst, v=PerpProcess(tree, _PERP), y=y, eps=0.1)
+    want = _pinned_certificates(tree, coefs, 0.1)
+    assert list(rep.certificates) == list(tree.nodes)
+    for nid, rows in rep.certificates.items():
+        assert list(rows) == list(want[nid])
+        for key, m in rows.items():
+            assert m == pytest.approx(want[nid][key], rel=1e-12, abs=1e-12)
+    assert rep.lower_bound_ok and rep.linearity_ok
+
+
+def test_bounds_unbounded_dual_fails_the_lower_bound():
+    # K = 1/2 dx^2 + x at r and u: K*(v) is finite only where v_1 = 1.  At
+    # r (p = 0) that holds for child u (y_u - y_r = 1 at lambda 0.9 and
+    # 1.1 alike) and fails for child d; at u (p = +-3) it fails for both
+    tree = helpers.two_stage_binary()
+    coefs = {nid: (1.0, 1.0, 0.0, 0.0, 0.0) for nid in tree.nodes}
+    coefs["r"] = coefs["u"] = (0.0, 1.0, 1.0, 0.0, 0.0)
+    y = dict(_Y, r=0.0)
+    inst = LagrangeInstance(tree, 1, {nid: _diag_cost(*c) for nid, c in coefs.items()})
+    rep = check_lagrange_bounds(inst, v=PerpProcess(tree, _PERP), eps=0.1,
+                                y=AdaptedProcess(tree, {k: np.array([v]) for k, v in y.items()}))
+    assert not rep.lower_bound_ok
+    r, u = rep.certificates["r"], rep.certificates["u"]
+    assert r[("u", 0.9)] == r[("u", 1.1)] == pytest.approx(0.0, abs=1e-12)
+    assert r[("d", 0.9)] == r[("d", 1.1)] == Inf
+    assert set(u.values()) == {Inf}
+    assert all(m < Inf for nid in ("d", "uu", "ud", "du", "dd")
+               for m in rep.certificates[nid].values())
 
 
 def test_control_encoded_as_lagrange_matches():
