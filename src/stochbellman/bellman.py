@@ -6,8 +6,11 @@ previous decision.
 
 backward_sweep, the one backward recursion, runs a stage at a time: its
 Quadratic nodes stay stacks from the children's value functions to the
-records.  Its mirror forward_sweep applies the recorded minimizers and
-evaluates the nodewise optimality gaps, also a stage at a time.  Both are
+records, which it returns as a tree.StageMap of stage stacks; a node's
+record is made when it is read.  Its mirror forward_sweep applies the
+recorded minimizers and evaluates the nodewise optimality gaps, also a
+stage at a time, on the records' stacks, and returns its states and
+decisions as stage stacks too.  Both are
 held to the README's Numerical contract: bit-identical across runs, and
 within stated tolerances of independent oracles (the tests also hold
 every node to the bits of frozen node-by-node loops).
@@ -21,17 +24,20 @@ backend can add to the node's cost (BackendClash); the error is the first
 failing node's in stage order.
 """
 
+from collections import namedtuple
+from operator import getitem
+
 import numpy as np
 
-from .convexfn import (AffineSelector, Inf, Polyhedral, Quadratic, _add, _conjugates,
-                       _is_empty, _objects, _precompose, _quadratic_partial_min,
-                       _recessions, _scale, _settled, _Stack, _stack, _take,
-                       eval_stack, partial_min)
+from .convexfn import (Inf, PartialMin, Polyhedral, Quadratic, _add, _conjugates,
+                       _kkt_minima, _member, _objects, _precompose, _recessions,
+                       _scale, _selector, _settled, _Stack, _stack, _take, eval_stack,
+                       partial_min)
 from .errors import (BackendClash, DimensionMismatch, Infeasible,
                      NonLinearRecession, NotPerp, SolverError,
                      StochBellmanError, UnboundedBelow, ValidationError)
 from .extensive import FlatProgram, Term, solve_extensive
-from .tree import perp_check
+from .tree import StageMap, perp_check
 
 
 class StageProblem:
@@ -72,7 +78,7 @@ class StageProblem:
 class BellmanSolution:
     def __init__(self, problem, records, value):
         self.problem = problem
-        self.records = records  # node id -> dict(pre, post, selector, N, tail)
+        self.records = records  # node id -> dict(pre, post, selector, N, tail), a StageMap
         self.value = value
 
 
@@ -163,40 +169,78 @@ def _summed(acc, other, nodes, failed, dst=None):
     return _grouped(pieces + [(np.array(list(sums), dtype=int), list(sums.values()))])
 
 
-def _minimized(layer, fns, over, nodes, failed):
-    """partial_min over the trailing `over` coordinates before the first
-    failure: the value functions as a layer and the PartialMins by position.
-    One stacked call per _Stack, others node by node; a node's error is
-    recorded in failed."""
-    lim, pms, post, objs = min(failed, default=len(fns)), {}, [], {}
+def _minimized(layer, over, width, nodes, failed):
+    """partial_min over the trailing `over` of `width` coordinates before the
+    first failure: the value functions and the minimizer maps as layers, and
+    the lineality bases by position.  One _kkt_minima per _Stack, its maps
+    x -> F x + g kept as one (F, g) stack; others node by node, their
+    selectors in a list.  A node's error is recorded in failed."""
+    n, lim = len(nodes), min(failed, default=len(nodes))
     if not over:  # partial_min(f, 0) keeps f
-        return layer, {i: partial_min(f, 0) for i, f in enumerate(fns[:lim])}
-    for idx, F in layer:
+        return layer, [(np.arange(n), (np.zeros((n, 0, width)), np.zeros((n, 0))))], \
+            [np.zeros((0, 0))] * n
+    F, g, lin = np.zeros((n, over, width - over)), np.zeros((n, over)), [None] * n
+    post, aff, pms = [], [], {}
+    for idx, G in layer:
         idx = idx[:np.searchsorted(idx, lim)]
-        if not isinstance(F, _Stack):
-            for i in idx.tolist():
+        if not isinstance(G, _Stack):
+            for i, f in zip(idx.tolist(), G):
                 try:
-                    pms[i] = objs[i] = partial_min(fns[i], over)
+                    pms[i] = partial_min(f, over)
                 except SolverError as exc:
                     failed[i] = exc if exc.node is not None else type(exc)(str(exc), node=nodes[i])
                 except StochBellmanError as exc:
                     failed[i] = exc
         elif len(idx):
-            names = [nodes[i] for i in idx.tolist()]
-            try:
-                groups, got = _quadratic_partial_min(_take(F, np.arange(len(idx))), over, names)
-            except SolverError as exc:
-                failed[idx[names.index(exc.node)]] = exc
+            groups, F[idx], g[idx], K, unbounded = _kkt_minima(
+                G if len(idx) == len(G.c) else _take(G, np.arange(len(idx))), over)
+            if unbounded:
+                j, why = next(iter(unbounded.items()))
+                failed[idx[j]] = UnboundedBelow(why, node=nodes[idx[j]])
                 continue
             post += [(idx[j], T) for j, T in groups]
-            pms.update(zip(idx.tolist(), got))
-    rest = [(np.array(list(objs), dtype=int), [pm.fn for pm in objs.values()])]
-    return _grouped(post + rest), pms
+            aff.append(idx)
+            for i, Ki in zip(idx.tolist(), K):
+                lin[i] = Ki
+    for i, pm in pms.items():
+        lin[i] = pm.lineality
+    rest = np.array(list(pms), dtype=int)
+    aff = np.sort(np.concatenate(aff)) if aff else rest[:0]
+    sel = [(aff, (F, g) if len(aff) == n else (F[aff], g[aff])),
+           (rest, [pm.selector for pm in pms.values()])]
+    return _grouped(post + [(rest, [pm.fn for pm in pms.values()])]), sel, lin
+
+
+def _cost_layer(costs, t, nodes, width):
+    """Stage t's costs as a layer, and {position: DimensionMismatch} of the
+    costs not of dimension `width`; the layer ends before the first of
+    them.  Costs held as _Stack layers (lq_costs) give their own groups."""
+    if isinstance(costs, StageMap) and costs.member is _member:
+        failed = {i: _wrong_dim(nodes[i]) for idx, S in costs.held[t]
+                  if S.q.shape[1] != width for i in idx.tolist()}
+        return [(idx, S) for idx, S in costs.held[t] if S.q.shape[1] == width], failed
+    fns = [costs[nid] for nid in nodes]
+    failed = {i: _wrong_dim(nid) for i, (nid, f) in enumerate(zip(nodes, fns)) if f.dim != width}
+    groups, rest = _split([f.A.shape[0] if isinstance(f, Quadratic) else None
+                           for f in fns[:min(failed, default=len(fns))]])
+    return _grouped([(np.array(idx), _stack([fns[i] for i in idx])) for idx in groups]
+                    + [(np.array(rest, dtype=int), [fns[i] for i in rest])]), failed
+
+
+def _wrong_dim(nid):
+    return DimensionMismatch(f"cost at {nid!r} has wrong dimension")
+
+
+# A stage of a sweep's records by position: the pre, post and tail functions
+# (no tails unless kept) and the selectors as layers, and the lineality bases.
+_Swept = namedtuple("_Swept", "pre post sel lin tails")
 
 
 def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=False,
                    with_tails=False):
-    """The backward recursion: node id -> record(pre, PartialMin, tail).
+    """The backward recursion: node id -> record(pre, PartialMin, tail), a
+    StageMap that holds each stage as a _Swept and makes a node's record
+    when it is read.
 
     A stage-t cost takes a kept block of width keep[t], then the own block
     of width over[t].  A node's tail sums p_k V_k(m_k(.)) over its children
@@ -205,24 +249,19 @@ def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=Fals
     the own block, and the tail is lifted to both blocks.  The cost is
     added once, an empty Quadratic raises Infeasible if empty_raises, and
     the own block is minimized out.  The error raised is the first failing
-    node's.  Objects are made once a stage for the records (see _grouped),
-    tails only with_tails."""
-    records, post = {}, None
+    node's.  Quadratics stay stacks throughout (see _grouped); tails are
+    kept only with_tails."""
+    held, post = {}, None
     for t in range(tree.T, -1, -1):
         nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
-        fns, tails = [costs[nid] for nid in nodes], []
-        failed = {i: DimensionMismatch(f"cost at {nid!r} has wrong dimension")
-                  for i, (nid, f) in enumerate(zip(nodes, fns)) if f.dim != keep[t] + over[t]}
-        groups, rest = _split([f.A.shape[0] if isinstance(f, Quadratic) else None
-                               for f in fns[:min(failed, default=n)]])
-        pre = _grouped([(np.array(idx), _stack([fns[i] for i in idx])) for idx in groups]
-                       + [(np.array(rest, dtype=int), [fns[i] for i in rest])])
+        pre, failed = _cost_layer(costs, t, nodes, keep[t] + over[t])
+        tails = []
         if t < tree.T:
             kids = tree.stage_nodes[t + 1]
             p = np.array([float(tree.nodes[k].prob) for k in kids])
             I = _mapped(post, p, *(maps(t + 1) if maps else ()))
-            up = {nid: i for i, nid in enumerate(nodes)}  # a child's parent and slot:
-            par, slot = np.array([(up[u], tree.children[u].index(k))
+            # a child's parent and slot
+            par, slot = np.array([(tree.index[u][1], tree.children[u].index(k))
                                   for k in kids for u in [tree.nodes[k].parent]]).T
             for s in range(slot.max() + 1):
                 tails = _summed(tails, I, nodes, failed, np.where(slot == s, par, -1))
@@ -230,18 +269,19 @@ def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=Fals
             pre = _summed(pre, _mapped(tails, M=np.broadcast_to(L, (n,) + L.shape),
                                        W=np.zeros((n, over[t]))) if maps is None else tails,
                           nodes, failed)
-        fns = _objects(pre, n)
-        empty = [i for i in range(min(failed, default=n)) if empty_raises
-                 and isinstance(fns[i], Quadratic) and _is_empty(fns[i])]
-        if empty:
-            failed[empty[0]] = Infeasible("problem is infeasible", node=nodes[empty[0]])
-        post, pms = _minimized(pre, fns, over[t], nodes, failed)
+        if empty_raises:  # the row 0.x = 1
+            lim = min(failed, default=n)
+            empty = [i for idx, S in pre if isinstance(S, _Stack) and S.A.shape[1] == 1
+                     for i in idx[~S.A.any(axis=(1, 2))].tolist() if i < lim]
+            if empty:
+                failed[min(empty)] = Infeasible("problem is infeasible", node=nodes[min(empty)])
+        post, sel, lin = _minimized(pre, over[t], keep[t] + over[t], nodes, failed)
         if failed:
             raise failed[min(failed)]
-        tails = _objects(tails, n) if with_tails else [None] * n
-        records.update((nid, record(fns[i], pms[i], tail))
-                       for i, (nid, tail) in enumerate(zip(nodes, tails)))
-    return records
+        held[t] = _Swept(pre, post, sel, lin, tails if with_tails else [])
+    return StageMap(tree, held, lambda s, i: record(
+        _member(s.pre, i), PartialMin(_member(s.post, i), _member(s.sel, i), s.lin[i]),
+        _member(s.tails, i)))
 
 
 def solve_be(problem):
@@ -316,77 +356,102 @@ def _stacked(vs):
     return arr if arr.ndim == 2 else vs
 
 
-def apply_selectors(sels, S):
-    """sels[i](S[i]) for each selector, in order: AffineSelectors as one
-    F x + g stack per shape of F, others one by one."""
-    out = [None] * len(sels)
-    groups, rest = _split([s.F.shape if isinstance(s, AffineSelector) and isinstance(S, np.ndarray)
-                           and s.F.shape[1] == S.shape[1] else None for s in sels])
-    for idx in groups:
-        F, g = np.array([sels[i].F for i in idx]), np.array([sels[i].g for i in idx])
-        for i, d in zip(idx, np.matvec(F, S[idx]) + g):
+def _stage_values(values, tree, t):
+    """The values of stage t's nodes in stage order: a StageMap of its
+    stages' values hands over its stage's data."""
+    if isinstance(values, StageMap) and values.member is getitem and t in values.held:
+        return values.held[t]
+    return [values[nid] for nid in tree.stage_nodes[t]]
+
+
+def _stage_layers(records, tree, t, pre="pre", post="post"):
+    """Stage t of a solution's records as (pre, post, selector) layers: a
+    sweep's own, or one list group each of the records' entries."""
+    if isinstance(records, StageMap) and isinstance(records.held.get(t), _Swept):
+        s = records.held[t]
+        return s.pre, s.post, s.sel
+    recs = [records[nid] for nid in tree.stage_nodes[t]]
+    idx = np.arange(len(recs))
+    return tuple([(idx, [r[k] for r in recs])] for k in (pre, post, "selector"))
+
+
+def _decisions(sel, S):
+    """A stage's decisions at the states S from its selector layer: an
+    (F, g) stack as one F x + g where S is stacked and of F's width, each
+    other selector one by one."""
+    out, stacked = [None] * len(S), isinstance(S, np.ndarray)
+    for idx, G in sel:
+        if isinstance(G, tuple) and stacked and G[0].shape[2] == S.shape[1]:
+            vals = np.matvec(G[0], S[idx]) + G[1]
+        else:
+            sels = G if isinstance(G, list) else [_selector(F, g) for F, g in zip(*G)]
+            vals = [np.atleast_1d(f(S[i])) for i, f in zip(idx.tolist(), sels)]
+        for i, d in zip(idx.tolist(), vals):
             out[i] = d
-    for i in rest:
-        out[i] = np.atleast_1d(sels[i](S[i]))
     return out
 
 
-def _evals(fns, xs, failed):
-    """fns[i](xs[i]) where fns[i] is given and node i has not failed, 0.0
-    elsewhere: Quadratics as one eval_stack per row count, others one by
-    one.  A node's error is recorded in failed."""
-    out = np.zeros(len(fns))
+def _evals(layer, xs, failed, where=None):
+    """f_i(xs[i]) by position for the functions of a layer, 0.0 where there
+    is none: each _Stack of the points' width as one eval_stack, others one
+    by one where node i has not failed and where[i] holds (if given).  A
+    node's error is recorded in failed."""
+    out = np.zeros(len(xs))
     width = xs.shape[1] if isinstance(xs, np.ndarray) else None
-    groups, rest = _split([f.A.shape[0] if isinstance(f, Quadratic) and f.dim == width else None
-                           for f in fns])
-    for idx in groups:
-        out[idx] = eval_stack([fns[i] for i in idx], xs[idx])
-    for i in (i for i in rest if fns[i] is not None and i not in failed):
-        try:
-            out[i] = fns[i].eval(xs[i])
-        except StochBellmanError as exc:
-            failed[i] = exc
+    for idx, G in layer:
+        if isinstance(G, _Stack) and G.q.shape[1] == width:
+            out[idx] = eval_stack(G, xs[idx])
+            continue
+        fs = G if isinstance(G, list) else _objects([(np.arange(len(idx)), G)], len(idx))
+        for i, f in zip(idx.tolist(), fs):
+            if f is None or i in failed or (where is not None and not where[i]):
+                continue
+            try:
+                out[i] = f.eval(xs[i])
+            except StochBellmanError as exc:
+                failed[i] = exc
     return out
 
 
 def forward_sweep(tree, decide, x0=(), maps=None, states=None, check=None):
-    """The forward pass, one stage at a time: (X, U, gaps, failed), dicts by
-    node id of the states, decisions, gaps and errors.
+    """The forward pass, one stage at a time: (X, U, gaps, failed), the
+    states and decisions as StageMaps of their stage stacks, and dicts by
+    node id of the gaps and errors.
 
     The root's state is x0, a child's is its parent's decision, or m_k of
     the parent's (state, decision) with m_k the child's step map from
     maps(t) = (M, W) stacked in stage order; states (node id -> state)
     replace them when given.  decide(t, S) gives the stage-t decisions at
-    the states S, stacked when they have one length.  With check(nid) =
-    (pre, post), a node's gap is pre(state, decision) - post(state), None
-    without pre, and an error of either is kept in failed, in stage order.
+    the states S, stacked when they have one length.  With check(t) =
+    (pre, post) layers of stage t, a node's gap is pre(state, decision) -
+    post(state), None without pre, and an error of either is kept in
+    failed, in stage order.
     """
     X, U, gaps, failed = {}, {}, {}, {}
     S = [np.atleast_1d(x0)]
     for t in range(tree.T + 1):
         nodes, bad = tree.stage_nodes[t], {}
-        S = _stacked(S if states is None else [states[nid] for nid in nodes])
-        D = _stacked(decide(t, S))
+        S = X[t] = _stacked(S if states is None else _stage_values(states, tree, t))
+        D = U[t] = _stacked(decide(t, S))
         stacked = isinstance(S, np.ndarray) and isinstance(D, np.ndarray)
         Z = np.concatenate([S, D], axis=1) if stacked else [np.concatenate(z) for z in zip(S, D)]
-        X.update(zip(nodes, S))
-        U.update(zip(nodes, D))
         if check is not None:
-            pre, post = zip(*map(check, nodes))
-            vals = zip(_evals(pre, Z, bad).tolist(), _evals(
-                [g if f is not None else None for f, g in zip(pre, post)], S, bad).tolist())
-            gaps.update((nid, None if f is None or i in bad else a - b)
-                        for i, (nid, f, (a, b)) in enumerate(zip(nodes, pre, vals)))
+            pre, post = check(t)
+            has = np.zeros(len(nodes), dtype=bool)
+            for idx, G in pre:
+                has[idx] = [f is not None for f in G] if isinstance(G, list) else True
+            vals = zip(_evals(pre, Z, bad).tolist(), _evals(post, S, bad, has).tolist())
+            gaps.update((nid, a - b if h and i not in bad else None)
+                        for i, (nid, h, (a, b)) in enumerate(zip(nodes, has.tolist(), vals)))
             failed.update((nodes[i], bad[i]) for i in sorted(bad))
         if t < tree.T and states is None:
-            slot = {nid: i for i, nid in enumerate(nodes)}
-            up = [slot[tree.nodes[k].parent] for k in tree.stage_nodes[t + 1]]
+            up = [tree.index[tree.nodes[k].parent][1] for k in tree.stage_nodes[t + 1]]
             if maps is None:
                 S = [D[i] for i in up]
             else:
                 M, W = maps(t + 1)
                 S = np.matvec(M, Z[up]) + W
-    return X, U, gaps, failed
+    return StageMap(tree, X), StageMap(tree, U), gaps, failed
 
 
 def _verdict(order, gaps, failed, tol):
@@ -403,10 +468,10 @@ def _verdict(order, gaps, failed, tol):
 def extract_policy(sol):
     """Forward sweep through the recorded minimizer maps."""
     problem, recs = sol.problem, sol.records
-    stages = problem.tree.stage_nodes
-    _, decisions, gaps, failed = forward_sweep(problem.tree, lambda t, S: apply_selectors(
-        [recs[nid]["selector"] for nid in stages[t]], S),
-        check=lambda nid: (recs[nid]["pre"], recs[nid]["post"]))
+    tree = problem.tree
+    _, decisions, gaps, failed = forward_sweep(
+        tree, lambda t, S: _decisions(_stage_layers(recs, tree, t)[2], S),
+        check=lambda t: _stage_layers(recs, tree, t)[:2])
     if failed:
         raise next(iter(failed.values()))
     fp = build_flat(problem)
@@ -419,8 +484,8 @@ def verify_optimality(policy, sol, tol=1e-8):
     """Nodewise argmin test of a policy against a solved recursion."""
     tree, recs = sol.problem.tree, sol.records
     _, _, gaps, failed = forward_sweep(
-        tree, lambda t, S: [policy.decisions[nid] for nid in tree.stage_nodes[t]],
-        check=lambda nid: (recs[nid]["pre"], recs[nid]["post"]))
+        tree, lambda t, S: _stage_values(policy.decisions, tree, t),
+        check=lambda t: _stage_layers(recs, tree, t)[:2])
     return _verdict(gaps, gaps, failed, tol)
 
 

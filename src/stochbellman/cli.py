@@ -20,8 +20,6 @@ from .control import (ControlSystem, lq_costs, riccati, riccati_policy,
 from .convexfn import Quadratic, Sampled1D
 from .errors import SolverError, StochBellmanError, ValidationError
 from .extensive import solve_extensive
-from .generators import (binomial_market, lq_instance,
-                         markov_reward_tree, quadratic_lagrange_instance)
 from .hedging import MarketModel, exp_utility, na_check, solve_alm
 from .lagrange import lagrange_policy, lp_recursion
 from .stopping import markov_check, optimal_stop, snell
@@ -256,8 +254,7 @@ def cmd_hedge(args):
     return 0
 
 
-def _gen_lagrange(seed, path):
-    inst = quadratic_lagrange_instance(seed)
+def _gen_lagrange(inst, path):
     sp = inst.as_stage_problem()
     overrides = {nid: {"cost": treeio.fn_to_record(fn)}
                  for nid, fn in sp.node_costs.items()}
@@ -265,8 +262,8 @@ def _gen_lagrange(seed, path):
                      data_overrides=overrides)
 
 
-def _gen_lq(seed, path):
-    sys_, Qm, Rm = lq_instance(seed)
+def _gen_lq(instance, path):
+    sys_, Qm, Rm = instance
     overrides = {}
     for nid in sys_.tree.nodes:
         entry = {"Q": np.asarray(Qm[nid]).tolist(), "R": np.asarray(Rm[nid]).tolist()}
@@ -278,8 +275,7 @@ def _gen_lq(seed, path):
                      data_overrides=overrides)
 
 
-def _gen_market(seed, path):
-    market = binomial_market(seed)
+def _gen_market(market, path):
     overrides = {}
     for nid in market.tree.nodes:
         entry = {"s": market.price(nid).tolist()}
@@ -289,19 +285,24 @@ def _gen_market(seed, path):
     treeio.save_tree(market.tree, path, data_overrides=overrides)
 
 
-def _gen_reward(seed, path):
-    tree, R = markov_reward_tree(seed)
+def _gen_reward(instance, path):
+    tree, R = instance
     overrides = {nid: {"R": float(R[nid])} for nid in tree.nodes}
     treeio.save_tree(tree, path, data_overrides=overrides)
 
 
 def cmd_gen(args):
+    # the only command that needs the generators: the others skip their import
+    from .generators import (binomial_market, lq_instance, markov_reward_tree,
+                             quadratic_lagrange_instance)
     out = args.out or f"{args.kind}-{args.seed}.json"
-    gens = {"lagrange": _gen_lagrange, "lq": _gen_lq,
-            "market": _gen_market, "reward": _gen_reward}
+    gens = {"lagrange": (quadratic_lagrange_instance, _gen_lagrange),
+            "lq": (lq_instance, _gen_lq), "market": (binomial_market, _gen_market),
+            "reward": (markov_reward_tree, _gen_reward)}
     if args.kind not in gens:
         raise ValidationError(f"unknown kind {args.kind!r}")
-    gens[args.kind](args.seed, out)
+    make, write = gens[args.kind]
+    write(make(args.seed), out)
     _emit(args, {"written": out, "kind": args.kind, "seed": args.seed})
     return 0
 

@@ -9,17 +9,21 @@ the current state.
 The sweep is symbolic: quadratic/polyhedral stage costs stay in their
 backend.  solve_oc runs bellman.backward_sweep with the stacked step maps,
 and the forward passes run bellman.forward_sweep with the same maps;
-riccati runs one batched svd/inv per stage.  Sampled wealth tables are
+riccati runs one batched svd/inv per stage.  The dynamics, lq_costs, the
+records, the Riccati tables and the forward states and controls stay
+stage stacks, read by node id through tree.StageMap; a node's matrices
+and objects are made when it is read.  Sampled wealth tables are
 built by the hedging layer, which knows their cost structure
 (hedging.solve_alm); their records carry no symbolic Q factor.
 """
 
 import numpy as np
 
-from .bellman import (StageProblem, _verdict, apply_selectors, backward_sweep,
-                      forward_sweep)
-from .convexfn import Inf, Quadratic, quadratics
+from .bellman import (StageProblem, _decisions, _stage_layers, _stage_values, _verdict,
+                      backward_sweep, forward_sweep)
+from .convexfn import Inf, Quadratic, _forms, _member, _Stack
 from .errors import DimensionMismatch, SingularRiccati, ValidationError
+from .tree import StageMap
 
 RICCATI_NOTE = (
     "K recursion uses the full Schur-complement cross term S2 S3^{-1} S2^T "
@@ -43,18 +47,17 @@ def _matrix(value, name, nid, shape):
 
 
 class ControlSystem:
-    """Per-node dynamics matrices for stages 1..T.
-
-    The step maps of each stage are also kept stacked, in stage_nodes
-    order: `stage_maps(t)` gives ([I + A | B] of shape (n, N, N + M), W of
-    shape (n, N)).
+    """Dynamics matrices for stages 1..T, kept stacked a stage at a time in
+    stage_nodes order: A, B and W are StageMaps over the stacks, and
+    `stage_maps(t)` gives ([I + A | B] of shape (n, N, N + M), W of shape
+    (n, N)).
     """
 
     def __init__(self, tree, N, M, A, B, W):
         self.tree = tree
         self.N = int(N)
         self.M = int(M)
-        self.A, self.B, self.W = {}, {}, {}
+        held = {}
         self._maps = {}
         shapes = ((self.N, self.N), (self.N, self.M), (self.N,))
         for t in range(1, tree.T + 1):
@@ -67,10 +70,10 @@ class ControlSystem:
                 # find the first faulty node, checked node by node
                 stacks = [np.array(x) for x in zip(*(self._dynamics(nid, A, B, W, shapes)
                                                      for nid in nodes))]
-            As, Bs, Ws = stacks
-            for table, stack in zip((self.A, self.B, self.W), stacks):
-                table.update(zip(nodes, stack))
+            As, Bs, Ws = held[t] = stacks
             self._maps[t] = (np.concatenate([np.eye(self.N) + As, Bs], axis=2), Ws)
+        self.A, self.B, self.W = (StageMap(tree, {t: s[k] for t, s in held.items()})
+                                  for k in range(3))
 
     @staticmethod
     def _dynamics(nid, A, B, W, shapes):
@@ -86,9 +89,9 @@ class ControlSystem:
 
 class ControlSolution:
     """Per-node records: Q (pre-min over (X,U)), J (post-min over X),
-    selector, and lineality basis of the flat control directions.  A
-    wealth-grid hedge (hedging.solve_alm) keeps J, selector and Q = None
-    only."""
+    selector, and lineality basis of the flat control directions; solve_oc
+    gives them as a StageMap of the sweep's stacks.  A wealth-grid hedge
+    (hedging.solve_alm) keeps a dict of J, selector and Q = None only."""
 
     def __init__(self, sys, records):
         self.sys = sys
@@ -107,9 +110,10 @@ class ControlSolution:
 def solve_oc(sys, costs):
     """Backward sweep producing per-node value functions.
 
-    costs maps every node to a ConvexFn over (X, U).  This is
-    bellman.backward_sweep with each child's value function precomposed
-    with the child's step map, and U minimized out.
+    costs maps every node to a ConvexFn over (X, U) (lq_costs gives them
+    as stage stacks).  This is bellman.backward_sweep with each child's
+    value function precomposed with the child's step map, and U minimized
+    out; a node's record is made when it is read.
     """
     T = sys.tree.T
     return ControlSolution(sys, backward_sweep(
@@ -130,9 +134,9 @@ def q_factors(solution):
 
 def extract_oc_policy(sys, solution, x0):
     """Forward pass: per-node state and control under the recorded selectors."""
-    stages, recs = sys.tree.stage_nodes, solution.records
-    X, U, _, _ = forward_sweep(sys.tree, lambda t, S: apply_selectors(
-        [recs[nid]["selector"] for nid in stages[t]], S), x0, sys.stage_maps)
+    tree, recs = sys.tree, solution.records
+    X, U, _, _ = forward_sweep(tree, lambda t, S: _decisions(
+        _stage_layers(recs, tree, t, "Q", "J")[2], S), x0, sys.stage_maps)
     return X, U
 
 
@@ -140,12 +144,14 @@ def verify_oc_policy(sys, solution, X, U, tol=1e-8):
     """Nodewise argmin residuals of a state/control assignment."""
     tree, recs = sys.tree, solution.records
     _, _, gaps, failed = forward_sweep(
-        tree, lambda t, S: [U[nid] for nid in tree.stage_nodes[t]], states=X,
-        check=lambda nid: (recs[nid]["Q"], recs[nid]["J"]))
+        tree, lambda t, S: _stage_values(U, tree, t), states=X,
+        check=lambda t: _stage_layers(recs, tree, t, "Q", "J")[:2])
     return _verdict(tree.nodes, gaps, failed, tol)
 
 
 class RiccatiData:
+    """K, Lam and offset: StageMaps over the stage stacks of riccati."""
+
     def __init__(self, K, Lam, offset, diagnostics):
         self.K = K
         self.Lam = Lam
@@ -162,12 +168,11 @@ class RiccatiData:
         """Stage-indexed K and gain tables when constant across each stage."""
         Ks, Ls = [], []
         for t in range(tree.T + 1):
-            nodes = tree.stage_nodes[t]
             for table, out in ((self.K, Ks), (self.Lam, Ls)):
-                stack = np.array([table[n] for n in nodes])
+                stack = table.held[t]
                 if np.any(np.max(np.abs(stack - stack[0]), axis=(1, 2)) > tol):
                     return None
-                out.append(table[nodes[0]])
+                out.append(stack[0])
         return Ks, Ls
 
 
@@ -190,11 +195,12 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
     noise term W must have zero conditional mean for the offsets to be the
     true values; a diagnostic records the residual coupling norms.  Each
     stage runs as stacked arrays: the children are summed into their parents
-    slot by slot in child order, with one svd and one inv per stage.
+    slot by slot in child order, with one svd and one inv per stage, and
+    the tables stay stage stacks.
     """
     tree = sys.tree
     N, M = sys.N, sys.M
-    K, Lam, offset = {}, {}, {}
+    K, Lam, offset = {}, {}, {}  # stage -> stack
     diag = {"cross_norm": 0.0, "w_mean_norm": 0.0}
     for t in range(tree.T, -1, -1):
         nodes = tree.stage_nodes[t]
@@ -210,13 +216,11 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
             wmean = np.zeros((len(par), N))
             cross = np.zeros((len(par), N))
             kids = tree.stage_nodes[t + 1]
-            slot = {k: j for j, k in enumerate(kids)}
             Mmat, W = sys.stage_maps(t + 1)
-            Kb = np.array([K[k] for k in kids])
-            ob = np.array([offset[k] for k in kids])
+            Kb, ob = K[t + 1], offset[t + 1]
             for s in range(max(len(tree.children[nodes[i]]) for i in par)):
                 rows = [r for r, i in enumerate(par) if len(tree.children[nodes[i]]) > s]
-                ks = [slot[tree.children[nodes[par[r]]][s]] for r in rows]
+                ks = [tree.index[tree.children[nodes[par[r]]][s]][1] for r in rows]
                 pi = np.array([float(tree.nodes[kids[j]].prob) for j in ks])
                 IA = np.ascontiguousarray(Mmat[ks, :, :N])
                 Bk = np.ascontiguousarray(Mmat[ks, :, N:])
@@ -241,29 +245,35 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
             for name, v in (("w_mean_norm", wmean), ("cross_norm", cross)):
                 norms = np.sqrt(np.vecdot(v, v))
                 diag[name] = max([diag[name]] + norms.tolist())
-        for i, nid in enumerate(nodes):
-            K[nid], Lam[nid], offset[nid] = Ks[i], Ls[i], offs[i]
-    return RiccatiData(K, Lam, offset, diag)
+        K[t], Lam[t], offset[t] = Ks, Ls, offs
+    return RiccatiData(*(StageMap(tree, d) for d in (K, Lam, offset)), diag)
 
 
 def riccati_policy(sys, rd, x0):
     """Forward simulation of the feedback rule U = -Lambda X."""
-    stages = sys.tree.stage_nodes
-    X, U, _, _ = forward_sweep(sys.tree, lambda t, S: np.matvec(
-        -np.array([rd.Lam[nid] for nid in stages[t]]), S), x0, sys.stage_maps)
+    X, U, _, _ = forward_sweep(sys.tree, lambda t, S: np.matvec(-rd.Lam.held[t], S),
+                               x0, sys.stage_maps)
     return X, U
 
 
 def lq_costs(sys, Qmats, Rmats):
-    """ConvexFn stage costs matching the riccati data, for the symbolic
-    driver.  The PSD check is one eigvalsh over the stacked costs; an error
-    names the first failing node in tree order."""
-    nodes = list(sys.tree.nodes)
-    N, M = sys.N, sys.M
-    big = np.zeros((len(nodes), N + M, N + M))
+    """Quadratic stage costs matching the riccati data, for the symbolic
+    driver: a StageMap of one rowless _Stack per stage, whose members are
+    made when read.  The PSD check is one eigvalsh over the stacked costs;
+    an error names the first failing node in tree order."""
+    tree, N, M = sys.tree, sys.N, sys.M
+    nodes, d = list(tree.nodes), sys.N + sys.M
+    big = np.zeros((len(nodes), d, d))
     big[:, :N, :N] = _weights(Qmats, nodes, "Q", N)
     big[:, N:, N:] = _weights(Rmats, nodes, "R", M)
-    return dict(zip(nodes, quadratics(big, np.zeros((len(nodes), N + M)), names=nodes)))
+    Q, at = _forms(big, check_psd=True, names=nodes), {nid: i for i, nid in enumerate(nodes)}
+    held = {}
+    for t, stage in enumerate(tree.stage_nodes):
+        n = len(stage)
+        held[t] = [(np.arange(n), _Stack(Q[[at[nid] for nid in stage]], np.zeros((n, d)),
+                                         np.zeros(n), np.zeros((n, 0, d)), np.zeros((n, 0)),
+                                         np.ones(n, dtype=bool)))]
+    return StageMap(tree, held, _member)
 
 
 def _lift_with_dynamics(sys, nid, fn, x0=None):

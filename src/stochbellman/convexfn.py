@@ -24,8 +24,9 @@ The Quadratic algebra (precompose, scale, add, partial minimization,
 conjugates) is written once over a stack: arrays with a leading member
 axis, for Quadratics of one dimension and row count.  A method call on
 one object is a stack of one; the backward sweep keeps its stacks from
-step to step and makes objects for its records only.  The promise for each member is
-the README's Numerical contract (the tests also freeze per-member bits).
+step to step and into its records, and a member becomes an object (_member)
+when it is read.  The promise for each member is the README's Numerical
+contract (the tests also freeze per-member bits).
 """
 
 from collections import namedtuple
@@ -178,22 +179,38 @@ def _settled(S, new_rows=True):
             for idx, A, b in groups]
 
 
+def _at(G, j):
+    """Member j of a group: a _Stack's as a Quadratic, an (F, g) stack's as
+    an AffineSelector, a list's as it is."""
+    if isinstance(G, list):
+        return G[j]
+    if not isinstance(G, _Stack):
+        return _selector(G[0][j], G[1][j])
+    f = Quadratic.__new__(Quadratic)
+    f.dim, m = G.q.shape[1], G.A.shape[1]
+    f.Q, f.q, f.c, f.psd = G.Q[j], G.q[j], float(G.c[j]), bool(G.psd[j])
+    # no elements: a rowless member's rows are made, not viewed
+    f.A, f.b = (G.A[j], G.b[j]) if m else (np.zeros((0, f.dim)), np.zeros(0))
+    return f
+
+
+def _member(layer, i):
+    """Position i of a layer, a stage's (positions, group) pairs, made by
+    _at; None where no group holds it."""
+    for idx, G in layer:
+        j = int(idx.searchsorted(i))
+        if j < len(idx) and idx[j] == i:
+            return _at(G, j)
+    return None
+
+
 def _objects(groups, n):
-    """The members of (positions, _Stack or list) groups by position in a
-    list of n, None where no group has one; a stack's as Quadratics."""
+    """The members of (positions, group) groups by position in a list of n,
+    None where no group has one, made by _at."""
     out = [None] * n
-    for idx, S in groups:
-        if not isinstance(S, _Stack):
-            for i, f in zip(idx.tolist(), S):
-                out[i] = f
-            continue
-        dim, m = S.q.shape[1], S.A.shape[1]
-        # no elements: rowless members share them
-        rows = zip(S.A, S.b) if m else [(np.zeros((0, dim)), np.zeros(0))] * len(idx)
-        for i, Q, q, c, psd, (A, b) in zip(idx.tolist(), S.Q, S.q, S.c.tolist(),
-                                           S.psd.tolist(), rows):
-            f = out[i] = Quadratic.__new__(Quadratic)
-            f.dim, f.Q, f.q, f.c, f.psd, f.A, f.b = dim, Q, q, c, psd, A, b
+    for idx, G in groups:
+        for j, i in enumerate(idx.tolist()):
+            out[i] = _at(G, j)
     return out
 
 
@@ -242,15 +259,14 @@ def _add(S, T):
                   np.concatenate([S.b, T.b], axis=1), S.psd & T.psd)
 
 
-def eval_stack(fs, X):
-    """f_i(X_i) = 1/2 X_i.Q_i X_i + q_i.X_i + c_i for Quadratics fs of one
-    dim and row count, X (n, dim); Inf where max |A_i X_i - b_i| exceeds
+def eval_stack(S, X):
+    """f_i(X_i) = 1/2 X_i.Q_i X_i + q_i.X_i + c_i for the members of a
+    _Stack S, X (n, dim); Inf where max |A_i X_i - b_i| exceeds
     EQ_TOL (1 + max |b_i|).  A stack of one is evaluated at every row of X."""
-    Q, q = np.array([f.Q for f in fs]), np.array([f.q for f in fs])
-    val = np.vecdot(np.vecmat(0.5 * X, Q), X) + np.vecdot(q, X) + np.array([f.c for f in fs])
-    if fs[0].A.shape[0]:
-        A, b = np.array([f.A for f in fs]), np.array([f.b for f in fs])
-        val[np.abs(np.matvec(A, X) - b).max(axis=1) > EQ_TOL * (1.0 + np.abs(b).max(axis=1))] = Inf
+    val = np.vecdot(np.vecmat(0.5 * X, S.Q), X) + np.vecdot(S.q, X) + S.c
+    if S.A.shape[1]:
+        off = np.abs(np.matvec(S.A, X) - S.b).max(axis=1)
+        val[off > EQ_TOL * (1.0 + np.abs(S.b).max(axis=1))] = Inf
     return val
 
 
@@ -370,7 +386,7 @@ class Quadratic(ConvexFn):
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.size}")
-        return float(eval_stack([self], x[None])[0])
+        return float(eval_stack(_stack([self]), x[None])[0])
 
     def add(self, other):
         if isinstance(other, Quadratic):
@@ -488,6 +504,7 @@ class Polyhedral(ConvexFn):
 
     def conjugate(self, v):
         v = np.asarray(v, dtype=float).ravel()
+        _dual_point(self, v)
         # min (tau - v.x) over the epigraph
         res = solve_lp(np.concatenate([-v, [1.0]]), *self.epigraph())
         if res.status == "unbounded":
@@ -704,15 +721,23 @@ def _quadratic_partial_min(S, over, nodes=None):
                   for fn, Fi, gi, Ki in zip(_objects(post, len(F)), F, g, lin)]
 
 
+def _dual_point(f, v):
+    """Raise DimensionMismatch unless v is a vector of f's dim."""
+    if np.shape(v) != (f.dim,):
+        raise DimensionMismatch(f"expected a dual point of dim {f.dim}, got {np.size(v)}")
+
+
 def _conjugates(fns, V):
     """f_i*(v_i) = sup_x v_i.x - f_i(x) for each function and dual point,
     as a list: Inf where f_i - v_i.x is unbounded below, -Inf on an empty
     domain.  Quadratics of one dim and row count take one _kkt_minima of
     the tilted stack over every coordinate, and read the constants of its
     dimension-0 value stacks (a stack with the row 0.x = 1 is empty);
-    other functions take their conjugate, the epigraph LP."""
+    other functions take their conjugate, the epigraph LP.  A dual point
+    that is not a vector of its function's dim raises DimensionMismatch."""
     out, groups = [None] * len(fns), {}
     for i, f in enumerate(fns):
+        _dual_point(f, V[i])
         if isinstance(f, Quadratic):
             groups.setdefault((f.dim, f.A.shape[0]), []).append(i)
         else:

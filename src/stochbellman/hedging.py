@@ -15,7 +15,7 @@ arbitrage cone is positively homogeneous.
 import numpy as np
 
 from .control import ControlSolution, ControlSystem, extract_oc_policy, solve_oc
-from .convexfn import Inf, Quadratic, Sampled1D, eval_stack
+from .convexfn import Inf, Quadratic, Sampled1D, _stack, eval_stack
 from .errors import (ArbitrageRefusal, Infeasible, IterationLimit, NonMonotone,
                      SolverError, Unbounded, UnboundedExp, ValidationError)
 from .numeric import MAX_SWEEPS, VALUE_TOL, coordinate_descent
@@ -284,7 +284,7 @@ def _tabulate(loss, u):
         inside = (u >= kn[0] - 1e-12) & (u <= kn[-1] + 1e-12)
         return np.where(inside, np.interp(u, kn, loss.values), Inf)
     if isinstance(loss, Quadratic):
-        return eval_stack([loss], u[:, None])
+        return eval_stack(_stack([loss]), u[:, None])
     return np.array([loss.eval([v]) for v in u])
 
 

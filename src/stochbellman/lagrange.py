@@ -12,6 +12,7 @@ The block-diagonal LP specialization builds polyhedral node costs from
 
 import numpy as np
 
+from . import treeio
 from .bellman import StageProblem, _tilt_vectors, extract_policy, recession_probe, solve_be
 from .convexfn import Inf, Polyhedral, _conjugates, _recessions
 from .errors import Infeasible, NotPerp, StochBellmanError, ValidationError
@@ -88,18 +89,19 @@ def lagrange_policy(vv):
     return extract_policy(vv.solution)
 
 
-def _cone_rows(cone):
-    """Inequality rows G with cone = {y : G y <= 0} from either form."""
+def _cone_rows(cone, nid):
+    """Inequality rows G with cone = {y : G y <= 0} from either form; a
+    cone that is not numeric raises ValidationError naming the node."""
     if cone is None:
         return None
     if isinstance(cone, dict):
-        if "rows" in cone:
-            return np.atleast_2d(np.asarray(cone["rows"], dtype=float))
-        if "generators" in cone:
-            G, h = cone_from_generators(cone["generators"])
-            return G
-        raise ValidationError("cone needs 'rows' or 'generators'")
-    return np.atleast_2d(np.asarray(cone, dtype=float))
+        if "generators" in cone and "rows" not in cone:
+            rays = treeio._numeric(cone["generators"], f"cone generators at {nid!r}")
+            return cone_from_generators(rays)[0]
+        if "rows" not in cone:
+            raise ValidationError(f"cone at {nid!r} needs 'rows' or 'generators'")
+        cone = cone["rows"]
+    return np.atleast_2d(treeio._numeric(cone, f"cone C at {nid!r}"))
 
 
 def lp_costs(tree, d, data):
@@ -107,7 +109,9 @@ def lp_costs(tree, d, data):
 
     data maps node -> dict with entries T, W, b, c and optional C
     (inequality rows or {"generators": [...]}).  The cone inequality
-    G(T dx + W x - b) <= 0 lands on the (x, dx) block pair.
+    G(T dx + W x - b) <= 0 lands on the (x, dx) block pair.  T and W must
+    be len(b) x d, c of length d and C of width len(b); a ValidationError
+    names the node otherwise.
     """
     costs = {}
     for nid in tree.nodes:
@@ -116,9 +120,13 @@ def lp_costs(tree, d, data):
         Wm = np.atleast_2d(np.asarray(rec["W"], dtype=float))
         b = np.atleast_1d(np.asarray(rec["b"], dtype=float))
         c = np.atleast_1d(np.asarray(rec["c"], dtype=float))
-        G = _cone_rows(rec.get("C"))
+        G = _cone_rows(rec.get("C"), nid)
         if G is None:
             G = -np.eye(b.size)  # default cone: componentwise >= 0
+        for name, arr, shape in (("T", Tm, (b.size, d)), ("W", Wm, (b.size, d)), ("c", c, (d,)),
+                                 ("cone C", G, (G.shape[0], b.size))):
+            if arr.shape != shape:
+                raise ValidationError(f"{name} at {nid!r} has shape {arr.shape}, expected {shape}")
         piece = np.concatenate([c, np.zeros(d)])
         rows = np.hstack([G @ Wm, G @ Tm])
         rhs = G @ b

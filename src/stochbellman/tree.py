@@ -11,10 +11,16 @@ by `PerpProcess`: a per-index family where entry t lives at a measurability
 stage m_t in {t, t+1}.  Adapted candidates use m_t = t; martingale
 increments use m_t = t + 1.  That covers every construction used here, and
 keeps tilts local to a single node's stage cost.
+
+Data computed a stage at a time stays in that form: a `StageMap` maps node
+ids to values held as per-stage data, and makes a node's value when it is
+first read.
 """
 
 import numbers
+from collections.abc import Mapping
 from fractions import Fraction
+from operator import getitem
 
 import numpy as np
 
@@ -109,6 +115,9 @@ class ScenarioTree:
             self.stage_nodes[n.stage].append(nid)
         for layer in self.stage_nodes:
             layer.sort(key=order.__getitem__)
+        # node -> (stage, position in stage_nodes)
+        self.index = {nid: (t, i) for t, layer in enumerate(self.stage_nodes)
+                      for i, nid in enumerate(layer)}
 
     def prob(self, nid):
         """Unconditional probability: product of branch probabilities."""
@@ -150,6 +159,43 @@ class ScenarioTree:
 
     def n_nodes(self):
         return len(self.nodes)
+
+
+_UNMADE = object()
+
+
+class StageMap(Mapping):
+    """Node id -> value for the nodes of some stages, held a stage at a time.
+
+    `held` maps each stage, in iteration order, to its data; member(data, i)
+    makes the value of the stage's i-th node (stage_nodes order) when it is
+    first read, and the value is kept.  By default a stage's data is a
+    sequence of its values.  Keys, iteration order and KeyErrors are those of
+    a dict filled a stage at a time in that order; a read is O(1) through
+    the tree's index.
+    """
+
+    def __init__(self, tree, held, member=getitem):
+        self.tree, self.held, self.member, self._made = tree, held, member, {}
+
+    def __getitem__(self, nid):
+        value = self._made.get(nid, _UNMADE)
+        if value is _UNMADE:
+            t, i = self.tree.index.get(nid, (None, None))
+            if t not in self.held:
+                raise KeyError(nid)
+            value = self._made[nid] = self.member(self.held[t], i)
+        return value
+
+    def __contains__(self, nid):
+        return self.tree.index.get(nid, (None,))[0] in self.held
+
+    def __iter__(self):
+        for t in self.held:
+            yield from self.tree.stage_nodes[t]
+
+    def __len__(self):
+        return sum(len(self.tree.stage_nodes[t]) for t in self.held)
 
 
 def validate_tree(raw, exact=False):

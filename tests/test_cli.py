@@ -279,6 +279,14 @@ EXIT_2 = {
     "d not an integer": ("lp", "lagrange", lambda doc: _set(doc, "d", "x"), [], "`d`"),
     "T not numeric": ("lp", "lagrange", lambda doc: _set(_node(doc, "b")["data"], "T", [["x"]]),
                       [], "T at 'b'"),
+    "cone not numeric": ("lp", "lagrange", lambda doc: _set(_node(doc, "a")["data"], "C", "x"),
+                         [], "cone C at 'a'"),
+    "cone too wide": ("lp", "lagrange", lambda doc: _set(
+        _node(doc, "b")["data"], "C", {"rows": [[1.0, 2.0]]}), [], "cone C at 'b'"),
+    "cone generators not numeric": ("lp", "lagrange", lambda doc: _set(
+        _node(doc, "r")["data"], "C", {"generators": [["x"]]}), [], "cone generators at 'r'"),
+    "T taller than b": ("lp", "lagrange", lambda doc: _set(
+        _node(doc, "a")["data"], "T", [[0.0], [1.0]]), [], "T at 'a' has shape (2, 1)"),
     "D without G": ("market", "hedge", lambda doc: _set(
         _node(doc, "n0")["data"], "D", {"g": [0.0]}), [], "`D` at 'n0' need `G` and `g`"),
     "D rows not numeric": ("market", "hedge", lambda doc: _set(

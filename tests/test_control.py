@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochbellman import bellman, convexfn
-from stochbellman.bellman import (Policy, build_flat, solve_be,
+from stochbellman import bellman, control, convexfn
+from stochbellman.bellman import (Policy, build_flat, extract_policy, solve_be,
                                   verify_optimality)
 from stochbellman.control import (ControlSystem, as_stage_problem,
                                   extract_oc_policy, independence_reduction,
@@ -20,7 +20,7 @@ from stochbellman.tree import validate_tree
 
 from helpers import (binary_tree, chain_tree, outcome, random_stage_cost,
                      ref_extract_oc_policy, ref_riccati, ref_riccati_policy,
-                     ref_solve_oc, ref_verify_oc_policy, same_bits, same_fn,
+                     ref_solve_be, ref_solve_oc, ref_verify_oc_policy, same_bits, same_fn,
                      same_outcome, shuffled)
 
 
@@ -302,10 +302,9 @@ def test_stage_sweep_matches_the_node_by_node_sweep(kind, seed):
 
 def test_stage_sweep_builds_objects_a_bounded_number_of_times_per_stage(monkeypatch):
     # a stage's Quadratics stay stacked through the sweep: on all-Quadratic,
-    # rowless trees of 4 stages, costs are stacked once a stage and per-node
-    # objects are built from stacks twice a stage (the records' pre and post
-    # functions; solve_oc keeps no tails), whatever the branching and the
-    # node count
+    # rowless trees of 4 stages, lq_costs hands over its stage stacks and the
+    # records are made when read, so solve_oc stacks no objects and builds
+    # none from stacks, whatever the branching and the node count
     counts = {"_stack": 0, "_objects": 0}
     for name in ("_stack", "_objects"):
         def counted(*args, _name=name, _orig=getattr(convexfn, name)):
@@ -322,7 +321,105 @@ def test_stage_sweep_builds_objects_a_bounded_number_of_times_per_stage(monkeypa
         seen.append(dict(counts))
         want = ref_solve_oc(sys_, costs)
         assert all(same_fn(sol.J(nid), want.J(nid)) for nid in sys_.tree.nodes)
-    assert seen[0] == seen[1] == {"_stack": 4, "_objects": 8}
+    assert seen[0] == seen[1] == {"_stack": 0, "_objects": 0}
+
+
+@pytest.mark.parametrize("T", [3, 5])
+def test_control_steps_make_objects_for_the_root_record_only(monkeypatch, T):
+    # the steps of a `control` session keep every per-node table in stage
+    # stacks: solve_oc, riccati, riccati_policy, verify_oc_policy and the
+    # value at x0 make the root's record only (its pre and post Quadratics,
+    # selector and tail read from the stacks), construct no Quadratic, and
+    # stack objects into arrays once, for J_root.eval
+    counts = dict.fromkeys(("_stack", "_objects", "_member", "Quadratic"), 0)
+    for name in ("_stack", "_objects", "_member"):
+        def counted(*args, _name=name, _orig=getattr(convexfn, name)):
+            counts[_name] += 1
+            return _orig(*args)
+        for module in (convexfn, bellman, control):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    def init(self, *args, _orig=Quadratic.__init__, **kwargs):
+        counts["Quadratic"] += 1
+        _orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(Quadratic, "__init__", init)
+    seen = []
+    for branching in (2, 3):
+        sys_, Qm, Rm = lq_instance(5, T=T, branching=branching)
+        costs, x0 = lq_costs(sys_, Qm, Rm), np.array([0.5, -0.3])
+        counts.update(dict.fromkeys(counts, 0))
+        sol = solve_oc(sys_, costs)
+        rd = riccati(sys_, Qm, Rm)
+        X, U = riccati_policy(sys_, rd, x0)
+        ok, value = verify_oc_policy(sys_, sol, X, U), sol.value(x0)
+        seen.append(dict(counts))
+        assert ok and value == pytest.approx(rd.value(sys_.tree, x0), abs=1e-8)
+        assert list(sol.records._made) == [sys_.tree.root]
+    assert seen == [{"_stack": 1, "_objects": 0, "_member": 4, "Quadratic": 0}] * 2
+
+
+def test_stage_maps_read_as_the_dicts_they_replace():
+    # dynamics, Riccati tables, records and forward-pass states are StageMaps
+    # over stage stacks: their keys, order and KeyErrors are those of the
+    # dicts filled a stage at a time, and a record is made once
+    sys_, Qm, Rm = lq_instance(2, T=3, branching=3)
+    tree, root = sys_.tree, sys_.tree.root
+    up = [nid for t in range(tree.T + 1) for nid in tree.stage_nodes[t]]
+    down = [nid for t in range(tree.T, -1, -1) for nid in tree.stage_nodes[t]]
+    for table in (sys_.A, sys_.B, sys_.W):
+        assert root not in table and "no such node" not in table and up[1] in table
+        assert list(table) == up[1:] and len(table) == len(up) - 1
+        for key in (root, "no such node"):
+            with pytest.raises(KeyError):
+                table[key]
+    rd, (K, Lam, offset, _) = riccati(sys_, Qm, Rm), ref_riccati(sys_, Qm, Rm)
+    assert [nid for nid, _ in rd.K.items()] == list(K) == down
+    assert list(rd.Lam) == list(Lam) and list(rd.offset) == list(offset)
+    sol, want = solve_oc(sys_, lq_costs(sys_, Qm, Rm)), ref_solve_oc(sys_, lq_costs(sys_, Qm, Rm))
+    assert list(sol.records) == list(want.records) == down
+    assert sol.records[up[4]] is sol.records[up[4]]
+    X, U = riccati_policy(sys_, rd, [0.5, -0.3])
+    assert list(X) == list(U) == up and dict(X).keys() == dict(U).keys()
+    X2, U2 = extract_oc_policy(sys_, sol, [0.5, -0.3])
+    assert list(X2) == list(U2) == up
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["lq", "rows", "flat", "poly"]), seed=st.integers(0, 2**32 - 1))
+def test_records_read_after_the_forward_pass_keep_their_bits(kind, seed):
+    # records made after extract_oc_policy and verify_oc_policy have read
+    # the stage stacks (and after a few were read before) still have the
+    # bits of the frozen node-by-node sweep, as do the solve_be records
+    # read after extract_policy
+    rng = np.random.default_rng(seed)
+    sys_ = _random_control(rng, kind, shuffle=True)
+    costs = {nid: random_stage_cost(rng, sys_.N, sys_.M, kind) for nid in sys_.tree.nodes}
+    sol, err = outcome(solve_oc, sys_, costs)
+    if err is not None:
+        return
+    early = sys_.tree.leaves()[0]
+    sol.records[early]
+    X, U = extract_oc_policy(sys_, sol, rng.standard_normal(sys_.N))
+    verify_oc_policy(sys_, sol, X, U)
+    want = ref_solve_oc(sys_, costs)
+    for nid in sys_.tree.nodes:
+        g, w = sol.records[nid], want.records[nid]
+        assert same_fn(g["Q"], w["Q"]) and same_fn(g["J"], w["J"])
+        assert type(g["selector"]) is type(w["selector"]) and same_bits(g["N"], w["N"])
+        if isinstance(w["J"], Quadratic):
+            assert same_bits(g["selector"].F, w["selector"].F)
+            assert same_bits(g["selector"].g, w["selector"].g)
+    sp = as_stage_problem(sys_, costs, x0=np.zeros(sys_.N))
+    got, err = outcome(solve_be, sp)
+    if err is None:
+        extract_policy(got)
+        ref = ref_solve_be(sp)
+        for nid in sys_.tree.nodes:
+            g, w = got.records[nid], ref.records[nid]
+            assert same_fn(g["pre"], w["pre"]) and same_fn(g["post"], w["post"])
+            assert same_fn(g["tail"], w["tail"]) if w["tail"] is not None else g["tail"] is None
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -481,7 +578,7 @@ def test_verify_oc_policy_rejects_a_perturbed_deep_control():
 def test_verify_oc_policy_rejects_a_state_off_the_value_rows():
     # x0 pinned by an equality row at the root: J_root is +inf off x0
     sys_, Qm, Rm = lq_instance(4, T=2, N=2, M=1)
-    costs = lq_costs(sys_, Qm, Rm)
+    costs = dict(lq_costs(sys_, Qm, Rm))  # a read-only mapping of stage stacks
     root = sys_.tree.root
     costs[root] = costs[root].add(Quadratic(np.zeros((3, 3)), np.zeros(3), 0.0,
                                             [[1.0, 0.0, 0.0]], [0.25]))

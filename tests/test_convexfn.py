@@ -9,7 +9,7 @@ from stochbellman import bellman, convexfn, treeio
 from stochbellman.bellman import StageProblem, solve_be
 from stochbellman.convexfn import (EQ_TOL, Inf, Polyhedral, Quadratic, Sampled1D,
                                    _canonical_rows, _canonical_stack,
-                                   _null_basis, _polyhedral_cone_checks,
+                                   _null_basis, _polyhedral_cone_checks, _stack,
                                    cond_expect_fn, eval_stack, lineality_space,
                                    partial_min, recession)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
@@ -327,6 +327,18 @@ def test_conjugates():
     g = Polyhedral([[1.0], [-1.0]], [0.0, 0.0])
     assert g.conjugate([0.5]) == pytest.approx(0.0, abs=1e-10)
     assert g.conjugate([2.0]) == Inf
+
+
+def test_conjugate_of_a_dual_point_of_the_wrong_length_is_a_dimension_mismatch():
+    # as eval: one message for Quadratic, Polyhedral and the stacked kernel
+    f = Quadratic(np.eye(2), np.zeros(2))
+    g = Polyhedral([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0])
+    for fn in (f, g):
+        with pytest.raises(DimensionMismatch, match="expected a dual point of dim 2, got 3"):
+            fn.conjugate([1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        convexfn._conjugates([f, f, g], [np.zeros(2), np.zeros(3), np.zeros(2)])
+    assert convexfn._conjugates([f, g], [np.zeros(2), np.zeros(2)]) == [0.0, 0.0]
 
 
 def test_precompose_affine():
@@ -831,7 +843,8 @@ def test_stacked_eval_matches_eval(d, m, seed):
     for f, x in zip(fs, xs):
         groups.setdefault(f.A.shape[0], []).append((f, x))
     for members in groups.values():
-        got = eval_stack([f for f, _ in members], np.array([x for _, x in members]).reshape(len(members), d))
+        got = eval_stack(_stack([f for f, _ in members]),
+                         np.array([x for _, x in members]).reshape(len(members), d))
         for g, (f, x) in zip(got, members):
             want = np.float64(ref_quadratic_eval(f, x))
             assert same_bits(g, want) and same_bits(np.float64(f.eval(x)), want)
