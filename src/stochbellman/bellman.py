@@ -4,16 +4,16 @@ Costs are stage-additive: each node at stage t carries a cost
 g_t(x_{t-1}, x_t), and the sweep computes per-node value functions of the
 previous decision.
 
-backward_sweep, the one backward recursion, runs a stage at a time: its
-Quadratic nodes stay stacks from the children's value functions to the
-records, which it returns as a tree.StageMap of stage stacks; a node's
-record is made when it is read.  Its mirror forward_sweep applies the
-recorded minimizers and evaluates the nodewise optimality gaps, also a
-stage at a time, on the records' stacks, and returns its states and
-decisions as stage stacks too.  Both are
-held to the README's Numerical contract: bit-identical across runs, and
-within stated tolerances of independent oracles (the tests also hold
-every node to the bits of frozen node-by-node loops).
+backward_sweep, the one backward recursion, runs a stage at a time over
+the tree's stage map: its Quadratic nodes stay stacks from the children's
+value functions to the records, which it returns as a tree.StageMap of
+stage stacks; a node's record is made when it is read.  Its mirror
+forward_sweep, over the same map, applies the recorded minimizers and
+evaluates the nodewise optimality gaps, also a stage at a time, on the
+records' stacks, and returns its states and decisions as stage stacks
+too.  Both are held to the README's Numerical contract: bit-identical
+across runs, and within stated tolerances of independent oracles (the
+tests also hold every node to the bits of frozen node-by-node loops).
 
 At every node the sweep records the pre-minimization function, the value
 function after minimizing the node's own block, the minimizer map, and the
@@ -244,27 +244,23 @@ def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=Fals
 
     A stage-t cost takes a kept block of width keep[t], then the own block
     of width over[t].  A node's tail sums p_k V_k(m_k(.)) over its children
-    slot by slot in child order, m_k the child's step map from maps(t) =
-    (M, W) stacked in stage order.  Without maps each V_k is a function of
-    the own block, and the tail is lifted to both blocks.  The cost is
-    added once, an empty Quadratic raises Infeasible if empty_raises, and
-    the own block is minimized out.  The error raised is the first failing
-    node's.  Quadratics stay stacks throughout (see _grouped); tails are
-    kept only with_tails."""
+    slot by slot in child order (the tree's stage map), m_k the child's
+    step map from maps(t) = (M, W) stacked in stage order.  Without maps
+    each V_k is a function of the own block, and the tail is lifted to both
+    blocks.  The cost is added once, an empty Quadratic raises Infeasible
+    if empty_raises, and the own block is minimized out.  The error raised
+    is the first failing node's.  Quadratics stay stacks throughout (see
+    _grouped); tails are kept only with_tails."""
     held, post = {}, None
     for t in range(tree.T, -1, -1):
         nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
         pre, failed = _cost_layer(costs, t, nodes, keep[t] + over[t])
         tails = []
         if t < tree.T:
-            kids = tree.stage_nodes[t + 1]
-            p = np.array([float(tree.nodes[k].prob) for k in kids])
-            I = _mapped(post, p, *(maps(t + 1) if maps else ()))
-            # a child's parent and slot
-            par, slot = np.array([(tree.index[u][1], tree.children[u].index(k))
-                                  for k in kids for u in [tree.nodes[k].parent]]).T
+            up, slot = tree.up[t + 1], tree.slot[t + 1]
+            I = _mapped(post, tree.branch[t + 1], *(maps(t + 1) if maps else ()))
             for s in range(slot.max() + 1):
-                tails = _summed(tails, I, nodes, failed, np.where(slot == s, par, -1))
+                tails = _summed(tails, I, nodes, failed, np.where(slot == s, up, -1))
             L = np.eye(keep[t] + over[t])[keep[t]:]
             pre = _summed(pre, _mapped(tails, M=np.broadcast_to(L, (n,) + L.shape),
                                        W=np.zeros((n, over[t]))) if maps is None else tails,
@@ -341,8 +337,8 @@ def optimum_value(sol, t):
     if t == tree.T:
         fp = build_flat(problem)
     else:
-        tails = {nid: sol.records[nid]["tail"] for nid in tree.stage_nodes[t]}
-        fp = build_flat(problem, upto=t, tails=tails)
+        tails = _objects(_stage_layers(sol.records, tree, t)[3], len(tree.stage_nodes[t]))
+        fp = build_flat(problem, upto=t, tails=dict(zip(tree.stage_nodes[t], tails)))
     value, _, _ = solve_extensive(fp)
     return value
 
@@ -365,14 +361,15 @@ def _stage_values(values, tree, t):
 
 
 def _stage_layers(records, tree, t, pre="pre", post="post"):
-    """Stage t of a solution's records as (pre, post, selector) layers: a
-    sweep's own, or one list group each of the records' entries."""
+    """Stage t of a solution's records as (pre, post, selector, tail)
+    layers: a sweep's own, or one list group each of the records' entries."""
     if isinstance(records, StageMap) and isinstance(records.held.get(t), _Swept):
         s = records.held[t]
-        return s.pre, s.post, s.sel
+        return s.pre, s.post, s.sel, s.tails
     recs = [records[nid] for nid in tree.stage_nodes[t]]
     idx = np.arange(len(recs))
-    return tuple([(idx, [r[k] for r in recs])] for k in (pre, post, "selector"))
+    layers = [[(idx, [r[k] for r in recs])] for k in (pre, post, "selector")]
+    return (*layers, [(idx, [r.get("tail") for r in recs])])
 
 
 def _decisions(sel, S):
@@ -445,9 +442,9 @@ def forward_sweep(tree, decide, x0=(), maps=None, states=None, check=None):
                         for i, (nid, h, (a, b)) in enumerate(zip(nodes, has.tolist(), vals)))
             failed.update((nodes[i], bad[i]) for i in sorted(bad))
         if t < tree.T and states is None:
-            up = [tree.index[tree.nodes[k].parent][1] for k in tree.stage_nodes[t + 1]]
+            up = tree.up[t + 1]
             if maps is None:
-                S = [D[i] for i in up]
+                S = [D[i] for i in up.tolist()]
             else:
                 M, W = maps(t + 1)
                 S = np.matvec(M, Z[up]) + W

@@ -221,17 +221,10 @@ def _load_market(path):
 
 def cmd_hedge(args):
     market = _load_market(args.input)
-    verdict = na_check(market)
-    report = {"na": "PASS" if verdict.passed else "FAIL",
-              "arbitrage_gain": verdict.optimum}
-    if not verdict.passed:
-        report["arbitrage_direction"] = {
-            nid: [float(v) for v in vec] for nid, vec in verdict.direction.items()}
     if args.loss == "exp":
+        verdict = na_check(market)
         res = exp_utility(market, rho=args.rho)
-        report["value"] = float(res.value(market.tree, args.wealth))
-        report["controls"] = {nid: [float(v) for v in res.controls[nid]]
-                              for nid in market.tree.nodes}
+        value = float(res.value(market.tree, args.wealth))
     else:
         if args.loss == "quad":
             loss = Quadratic([[2.0]], [0.0])
@@ -247,9 +240,15 @@ def cmd_hedge(args):
             raise ValidationError(f"unknown loss {args.loss!r}")
         res = solve_alm(market, loss, wealth=args.wealth,
                         refuse_arbitrage=not args.force)
-        report["value"] = res.value
-        report["controls"] = {nid: [float(v) for v in res.controls[nid]]
-                              for nid in market.tree.nodes}
+        verdict, value = res.verdict, res.value
+    report = {"na": "PASS" if verdict.passed else "FAIL",
+              "arbitrage_gain": verdict.optimum}
+    if not verdict.passed:
+        report["arbitrage_direction"] = {
+            nid: [float(v) for v in vec] for nid, vec in verdict.direction.items()}
+    report["value"] = value
+    report["controls"] = {nid: [float(v) for v in res.controls[nid]]
+                          for nid in market.tree.nodes}
     _emit(args, report)
     return 0
 

@@ -9,11 +9,12 @@ the current state.
 The sweep is symbolic: quadratic/polyhedral stage costs stay in their
 backend.  solve_oc runs bellman.backward_sweep with the stacked step maps,
 and the forward passes run bellman.forward_sweep with the same maps;
-riccati runs one batched svd/inv per stage.  The dynamics, lq_costs, the
-records, the Riccati tables and the forward states and controls stay
-stage stacks, read by node id through tree.StageMap; a node's matrices
-and objects are made when it is read.  Sampled wealth tables are
-built by the hedging layer, which knows their cost structure
+riccati sums each term of the children into their parents by one
+np.add.at over the tree's stage map, and runs one batched svd/inv per
+stage.  The dynamics, lq_costs, the records, the Riccati tables and the
+forward states and controls stay stage stacks, read by node id through
+tree.StageMap; a node's matrices and objects are made when it is read.
+Sampled wealth tables are built by the hedging layer, which knows their cost structure
 (hedging.solve_alm); their records carry no symbolic Q factor.
 """
 
@@ -49,8 +50,8 @@ def _matrix(value, name, nid, shape):
 class ControlSystem:
     """Dynamics matrices for stages 1..T, kept stacked a stage at a time in
     stage_nodes order: A, B and W are StageMaps over the stacks, and
-    `stage_maps(t)` gives ([I + A | B] of shape (n, N, N + M), W of shape
-    (n, N)).
+    `stage_maps(t)` makes ([I + A | B] of shape (n, N, N + M), W of shape
+    (n, N)) from them.
     """
 
     def __init__(self, tree, N, M, A, B, W):
@@ -58,7 +59,6 @@ class ControlSystem:
         self.N = int(N)
         self.M = int(M)
         held = {}
-        self._maps = {}
         shapes = ((self.N, self.N), (self.N, self.M), (self.N,))
         for t in range(1, tree.T + 1):
             nodes = tree.stage_nodes[t]
@@ -70,8 +70,7 @@ class ControlSystem:
                 # find the first faulty node, checked node by node
                 stacks = [np.array(x) for x in zip(*(self._dynamics(nid, A, B, W, shapes)
                                                      for nid in nodes))]
-            As, Bs, Ws = held[t] = stacks
-            self._maps[t] = (np.concatenate([np.eye(self.N) + As, Bs], axis=2), Ws)
+            held[t] = stacks
         self.A, self.B, self.W = (StageMap(tree, {t: s[k] for t, s in held.items()})
                                   for k in range(3))
 
@@ -83,8 +82,10 @@ class ControlSystem:
                      for D, name, shape in zip((A, B, W), "ABW", shapes))
 
     def stage_maps(self, t):
-        """Stacked step maps of the stage-t nodes (t >= 1), in stage order."""
-        return self._maps[t]
+        """Stacked step maps of the stage-t nodes (t >= 1), in stage order,
+        made on each call."""
+        return np.concatenate([np.eye(self.N) + self.A.held[t], self.B.held[t]],
+                              axis=2), self.W.held[t]
 
 
 class ControlSolution:
@@ -194,54 +195,39 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
     Stage costs are 1/2 X.Q X + 1/2 U.R U with PSD Q, R per node.  The
     noise term W must have zero conditional mean for the offsets to be the
     true values; a diagnostic records the residual coupling norms.  Each
-    stage runs as stacked arrays: the children are summed into their parents
-    slot by slot in child order, with one svd and one inv per stage, and
-    the tables stay stage stacks.
+    stage runs as stacked arrays: each term is summed from the children into
+    their parents by one np.add.at over the tree's stage map, in child
+    order, with one svd and one inv per stage; the tables stay stage stacks.
     """
     tree = sys.tree
     N, M = sys.N, sys.M
     K, Lam, offset = {}, {}, {}  # stage -> stack
     diag = {"cross_norm": 0.0, "w_mean_norm": 0.0}
     for t in range(tree.T, -1, -1):
-        nodes = tree.stage_nodes[t]
+        nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
         Ks = _weights(Qmats, nodes, "Q", N)
-        Ls = np.zeros((len(nodes), M, N))
-        offs = np.zeros(len(nodes))
-        par = [i for i, nid in enumerate(nodes) if tree.children[nid]]
-        if par:
-            S1 = Ks[par]
-            S2 = np.zeros((len(par), N, M))
-            S3 = _weights(Rmats, [nodes[i] for i in par], "R", M)
-            off = np.zeros(len(par))
-            wmean = np.zeros((len(par), N))
-            cross = np.zeros((len(par), N))
-            kids = tree.stage_nodes[t + 1]
-            Mmat, W = sys.stage_maps(t + 1)
-            Kb, ob = K[t + 1], offset[t + 1]
-            for s in range(max(len(tree.children[nodes[i]]) for i in par)):
-                rows = [r for r, i in enumerate(par) if len(tree.children[nodes[i]]) > s]
-                ks = [tree.index[tree.children[nodes[par[r]]][s]][1] for r in rows]
-                pi = np.array([float(tree.nodes[kids[j]].prob) for j in ks])
-                IA = np.ascontiguousarray(Mmat[ks, :, :N])
-                Bk = np.ascontiguousarray(Mmat[ks, :, N:])
-                Wk, Kk = W[ks], Kb[ks]
-                pIAt = pi[:, None, None] * np.swapaxes(IA, 1, 2)
-                S1[rows] += pIAt @ Kk @ IA
-                S2[rows] += pIAt @ Kk @ Bk
-                S3[rows] += pi[:, None, None] * np.swapaxes(Bk, 1, 2) @ Kk @ Bk
-                off[rows] += pi * (ob[ks] + np.vecdot(np.vecmat(0.5 * Wk, Kk), Wk))
-                wmean[rows] += pi[:, None] * Wk
-                cross[rows] += np.matvec(pIAt @ Kk, Wk)
+        Ls, offs = np.zeros((n, M, N)), np.zeros(n)
+        if t < tree.T:  # every node before the horizon has children
+            S2, S3 = np.zeros((n, N, M)), _weights(Rmats, nodes, "R", M)
+            wmean, cross = np.zeros((n, N)), np.zeros((n, N))
+            up, p, Kk = tree.up[t + 1], tree.branch[t + 1], K[t + 1]
+            IA, B, W = np.eye(N) + sys.A.held[t + 1], sys.B.held[t + 1], sys.W.held[t + 1]
+            # one np.add.at per term: each parent sums its children in child order
+            pK = p[:, None, None] * np.swapaxes(IA, 1, 2) @ Kk
+            np.add.at(Ks, up, pK @ IA)
+            np.add.at(S2, up, pK @ B)
+            np.add.at(S3, up, p[:, None, None] * np.swapaxes(B, 1, 2) @ Kk @ B)
+            np.add.at(offs, up, p * (offset[t + 1] + np.vecdot(np.vecmat(0.5 * W, Kk), W)))
+            np.add.at(wmean, up, p[:, None] * W)
+            np.add.at(cross, up, np.matvec(pK, W))
             sv = np.linalg.svd(S3, compute_uv=False)
             singular = sv[:, -1] < sv_tol * np.maximum(1.0, sv[:, 0])
             if np.any(singular):
                 raise SingularRiccati("control curvature matrix is singular",
-                                      node=nodes[par[int(np.argmax(singular))]])
+                                      node=nodes[int(np.argmax(singular))])
             S3inv = np.linalg.inv(S3)
             S2t = np.swapaxes(S2, 1, 2)
-            Ks[par] = S1 - S2 @ S3inv @ S2t
-            Ls[par] = S3inv @ S2t
-            offs[par] = off
+            Ks, Ls = Ks - S2 @ S3inv @ S2t, S3inv @ S2t
             for name, v in (("w_mean_norm", wmean), ("cross_norm", cross)):
                 norms = np.sqrt(np.vecdot(v, v))
                 diag[name] = max([diag[name]] + norms.tolist())

@@ -533,10 +533,12 @@ class Sampled1D(ConvexFn):
                 raise ValidationError("secant slopes must be nondecreasing")
 
     def eval(self, x):
-        x = float(np.asarray(x, dtype=float).ravel()[0]) if np.ndim(x) else float(x)
-        if x < self.knots[0] - 1e-12 or x > self.knots[-1] + 1e-12:
+        x = np.asarray(x, dtype=float).ravel()
+        if x.size != 1:
+            raise DimensionMismatch(f"expected dim 1, got {x.size}")
+        if x[0] < self.knots[0] - 1e-12 or x[0] > self.knots[-1] + 1e-12:
             return Inf
-        return float(np.interp(x, self.knots, self.values))
+        return float(np.interp(x[0], self.knots, self.values))
 
 
 def _prune_pieces(pa, pb, C, d):

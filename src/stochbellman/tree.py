@@ -12,6 +12,10 @@ stage m_t in {t, t+1}.  Adapted candidates use m_t = t; martingale
 increments use m_t = t + 1.  That covers every construction used here, and
 keeps tilts local to a single node's stage cost.
 
+A tree builds its stage map once: for each stage t >= 1, by position in
+the stage, a child's parent position (`up`), slot (`slot`) and float
+branch probability (`branch`), read by the sweeps and Riccati.
+
 Data computed a stage at a time stays in that form: a `StageMap` maps node
 ids to values held as per-stage data, and makes a node's value when it is
 first read.
@@ -110,14 +114,21 @@ class ScenarioTree:
                 if self.nodes[nid].stage != self.T:
                     raise StageGap(f"leaf {nid!r} at stage {self.nodes[nid].stage}, horizon is {self.T}")
         self.stage_nodes = [[] for _ in range(self.T + 1)]
-        order = {nid: i for i, nid in enumerate(self.nodes)}
         for nid, n in self.nodes.items():
             self.stage_nodes[n.stage].append(nid)
-        for layer in self.stage_nodes:
-            layer.sort(key=order.__getitem__)
         # node -> (stage, position in stage_nodes)
         self.index = {nid: (t, i) for t, layer in enumerate(self.stage_nodes)
                       for i, nid in enumerate(layer)}
+        # the stage map (None at stage 0): stages list nodes in tree order,
+        # so siblings lie in child order, and a slot is a rank among siblings
+        self.up, self.slot, self.branch = [None], [None], [None]
+        for layer in self.stage_nodes[1:]:
+            up = np.fromiter((self.index[self.nodes[k].parent][1] for k in layer), int, len(layer))
+            order = np.argsort(up, kind="stable")
+            self.slot.append(np.empty_like(up))
+            self.slot[-1][order] = np.arange(len(up)) - np.searchsorted(up[order], up[order])
+            self.up.append(up)
+            self.branch.append(np.fromiter((self.nodes[k].prob for k in layer), float, len(layer)))
 
     def prob(self, nid):
         """Unconditional probability: product of branch probabilities."""

@@ -65,6 +65,19 @@ def test_optimum_value_all_stages():
     assert optimum_value(sol, 1) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_optimum_value_makes_the_tails_only(monkeypatch):
+    # the head problems read the records' tails and make no selector; a
+    # solution whose records are plain dicts gives the same bits
+    sol = solve_be(quadratic_lagrange_instance(11, T=3, d=2).as_stage_problem())
+    made = []
+    monkeypatch.setattr(convexfn, "_selector",
+                        lambda *a, _orig=convexfn._selector: made.append(a) or _orig(*a))
+    vals = [optimum_value(sol, t) for t in range(4)]
+    assert made == []
+    as_dicts = bellman.BellmanSolution(sol.problem, dict(sol.records), sol.value)
+    assert all(same_bits(optimum_value(as_dicts, t), v) for t, v in enumerate(vals))
+
+
 def test_optimum_value_single_node():
     tree = validate_tree([{"id": "r", "parent": None, "prob": 1.0, "stage": 0}])
     p = StageProblem(tree, [1], node_costs={"r": Quadratic([[2.0]], [-2.0], 3.0)})

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochbellman import bellman, cli, treeio
+from stochbellman import bellman, cli, hedging, treeio
 from stochbellman.cli import main
 from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D
 from stochbellman.generators import random_tree, tracking_stage_problem
@@ -367,6 +367,26 @@ def test_hedge_exp_flags(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["na"] == "PASS"
     assert doc["value"] > 0
+
+
+@pytest.mark.parametrize("loss", ["quad", "exp", "grid"])
+def test_hedge_runs_the_no_arbitrage_lp_once(tmp_path, capsys, monkeypatch, loss):
+    # the quad and grid losses report the verdict solve_alm computed
+    calls = []
+
+    def counted(*args, _orig=hedging.na_check, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+
+    for module in (cli, hedging):
+        monkeypatch.setattr(module, "na_check", counted)
+    path, grid = tmp_path / "m.json", tmp_path / "loss.json"
+    run(capsys, "gen", "--kind", "market", "--seed", "5", "--out", str(path))
+    grid.write_text(json.dumps({"knots": [-50.0, 0.0, 50.0], "values": [0.0, 0.0, 50.0]}))
+    code, out, err = run(capsys, "hedge", "--input", str(path), "--format", "structured",
+                         "--loss", f"grid:{grid}" if loss == "grid" else loss)
+    assert code == 0, err
+    assert json.loads(out)["na"] == "PASS" and len(calls) == 1
 
 
 def test_hedge_exp_binding_floor(tmp_path, capsys):

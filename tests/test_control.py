@@ -423,10 +423,11 @@ def test_records_read_after_the_forward_pass_keep_their_bits(kind, seed):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["lq", "singular"]), seed=st.integers(0, 2**32 - 1))
-def test_stage_riccati_matches_the_node_by_node_recursion(kind, seed):
+@given(kind=st.sampled_from(["lq", "singular"]), shuffle=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stage_riccati_matches_the_node_by_node_recursion(kind, shuffle, seed):
     rng = np.random.default_rng(seed)
-    sys_ = _random_control(rng, kind)
+    sys_ = _random_control(rng, kind, shuffle)
     N, M = sys_.N, sys_.M
     psd = lambda n: (lambda L: L @ L.T)(rng.standard_normal((n, n)))
     Qm = {nid: psd(N) for nid in sys_.tree.nodes}

@@ -45,6 +45,16 @@ def test_eval_sampled_interpolation():
     assert f.eval(2.5) == Inf
 
 
+def test_sampled_eval_takes_one_coordinate():
+    # a scalar or a length-1 point; any other length is a DimensionMismatch,
+    # as for Quadratic and Polyhedral
+    f = Sampled1D([0, 1], [0, 1])
+    assert f.eval(0.5) == f.eval([0.5]) == f(np.array([[0.5]])) == 0.5
+    for x, k in (([0.5, 7.0], 2), ([], 0), (np.zeros((2, 2)), 4)):
+        with pytest.raises(DimensionMismatch, match=f"expected dim 1, got {k}"):
+            f.eval(x)
+
+
 def test_sampled_rejects_nonconvex():
     with pytest.raises(ValidationError):
         Sampled1D([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])

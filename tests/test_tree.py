@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochbellman.errors import (NotMarkov, OrphanNode, ProbabilityMass,
                                  StageGap, StageOrder)
+from stochbellman.generators import random_tree
 from stochbellman.tree import (AdaptedProcess, PerpProcess, cond_expect_scalar,
                                expected_pairing, is_markov,
                                markov_witness, martingale_increments,
@@ -204,3 +207,31 @@ def test_conditional_independence_on_product_tree():
     assert down["u"] == pytest.approx(down["d"], abs=TOL)
     pooled = 0.3 * 2.0 + 0.7 * (-1.0)
     assert down["u"] == pytest.approx(pooled, abs=TOL)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(T=st.integers(0, 4), exact=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stage_map_agrees_with_the_children_lists(T, exact, seed):
+    # uneven trees in shuffled node order, float or exact Fraction
+    # probabilities: the parent position, slot and branch probability of
+    # every child at stage t >= 1 read back its children list and its node,
+    # and a stage lists each parent's children in slot order
+    rng = np.random.default_rng(seed)
+    base = random_tree(rng, T, 3)  # 1 to 3 children per node
+    recs = [{"id": n.id, "parent": n.parent, "stage": n.stage,
+             "prob": (Fraction(1, len(base.children[n.parent])) if n.parent else Fraction(1))
+             if exact else n.prob} for n in base.nodes.values()]
+    tree = validate_tree([recs[i] for i in rng.permutation(len(recs))], exact=exact)
+    assert len(tree.up) == len(tree.slot) == len(tree.branch) == T + 1
+    assert tree.up[0] is None and tree.slot[0] is None and tree.branch[0] is None
+    for t in range(1, T + 1):
+        layer, parents = tree.stage_nodes[t], tree.stage_nodes[t - 1]
+        up, slot, branch = tree.up[t], tree.slot[t], tree.branch[t]
+        assert up.shape == slot.shape == branch.shape == (len(layer),)
+        assert branch.dtype == np.float64
+        for j, k in enumerate(layer):
+            assert tree.children[parents[up[j]]][slot[j]] == k
+            assert branch[j] == float(tree.nodes[k].prob)
+        for i, u in enumerate(parents):
+            assert [layer[j] for j in np.flatnonzero(up == i)] == tree.children[u]
+            assert slot[up == i].tolist() == list(range(len(tree.children[u])))
