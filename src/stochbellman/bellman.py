@@ -490,9 +490,16 @@ def _tilt_vectors(tree, dims, v):
     """The dual point p of each node's cost folded from a perp family v, on
     the cost's (previous decision, own decision) blocks: node -> p or None.
     An entry v_t at stage t lands on the own block of its node, one at
-    stage t + 1 on the previous-decision block."""
+    stage t + 1 on the previous-decision block.  An entry's size must be
+    its stage's dimension, unless the entry is zero (as the horizon padding
+    of `martingale_increments` is): then it tilts nothing."""
     tilts = dict.fromkeys(tree.nodes)
     for t, (stage, per_node) in v.entries.items():
+        size = next(iter(per_node.values())).size
+        if size != dims[t]:
+            if not any(vec.any() for vec in per_node.values()):
+                continue
+            raise ValidationError(f"perp entry {t} has size {size}, stage {t} has dimension {dims[t]}")
         prev = dims[stage - 1] if stage else 0
         at = slice(prev, prev + dims[t]) if stage == t else slice(dims[t])
         for nid in tree.stage_nodes[stage]:

@@ -303,29 +303,6 @@ def as_stage_problem(sys, costs, x0=None):
     return StageProblem(tree, [d] * (tree.T + 1), node_costs=node_costs)
 
 
-def conditional_matrix_diagnostic(sys, y_leaf):
-    """Largest gap between E_t[A^T y] and A^T E_t[y] over stage >= 1 nodes.
-
-    y_leaf maps leaves to R^N vectors.  A node's matrix is constant on its
-    own conditioning cell, so pulling it out of the conditional sum is
-    always legitimate here and the gap is pure float rounding; the check
-    exists to make that assumption executable instead of implicit.
-    """
-    tree = sys.tree
-    worst = 0.0
-    for t in range(1, tree.T + 1):
-        for nid in tree.stage_nodes[t]:
-            leaves = tree.descendants_at(nid, tree.T)
-            pnid = float(tree.prob(nid))
-            weights = [float(tree.prob(l)) / pnid for l in leaves]
-            inside = sum(w * (sys.A[nid].T @ np.atleast_1d(y_leaf[l]))
-                         for w, l in zip(weights, leaves))
-            outside = sys.A[nid].T @ sum(w * np.atleast_1d(y_leaf[l])
-                                         for w, l in zip(weights, leaves))
-            worst = max(worst, float(np.max(np.abs(inside - outside), initial=0.0)))
-    return worst
-
-
 class IndependenceReport:
     def __init__(self, ok, witnesses, deterministic_stages):
         self.ok = ok

@@ -479,10 +479,9 @@ def support_function_diagnostics(market, y):
     tree = market.tree
     out = {}
     for t in range(tree.T):
-        for nid in tree.stage_nodes[t]:
-            kids = tree.children[nid]
-            m = sum(float(tree.nodes[k].prob) * float(y[k]) * market.increment(k)
-                    for k in kids)
+        moments = tree.expect(t, [float(y[k]) * market.increment(k)
+                                  for k in tree.stage_nodes[t + 1]])
+        for nid, m in zip(tree.stage_nodes[t], moments.astype(float)):
             if nid not in market.D:
                 out[nid] = 0.0 if np.max(np.abs(m), initial=0.0) <= 1e-12 else Inf
                 continue

@@ -56,12 +56,13 @@ class StoppingTime:
 def snell(R):
     """Smallest supermartingale dominating the positive part of the reward."""
     tree = R.tree
-    S = {}
+    S, cont = {}, 0.0
     for t in range(tree.T, -1, -1):
-        for nid in tree.stage_nodes[t]:
-            kids = tree.children[nid]
-            cont = sum(float(tree.nodes[k].prob) * S[k] for k in kids) if kids else 0.0
-            S[nid] = max(float(R[nid]), cont)
+        layer = tree.stage_nodes[t]
+        St = np.maximum([float(R[nid]) for nid in layer], cont)
+        S.update(zip(layer, St.tolist()))
+        if t:
+            cont = tree.expect(t - 1, St)
     return AdaptedProcess(tree, S)
 
 

@@ -3,8 +3,7 @@
 A tree node carries its stage, its conditional branch probability, and an
 open data dict.  Unconditional probabilities are derived lazily from the
 root path, never stored.  Probabilities may be floats (default) or exact
-`fractions.Fraction` values when the tree is built with exact=True; the
-scalar conditional-expectation kernel is generic over both.
+`fractions.Fraction` values when the tree is built with exact=True.
 
 Orthogonal-complement data (processes v with E_t[v_t] = 0) is represented
 by `PerpProcess`: a per-index family where entry t lives at a measurability
@@ -14,7 +13,12 @@ keeps tilts local to a single node's stage cost.
 
 A tree builds its stage map once: for each stage t >= 1, by position in
 the stage, a child's parent position (`up`), slot (`slot`) and float
-branch probability (`branch`), read by the sweeps and Riccati.
+branch probability (`branch`), read by the sweeps and Riccati.  The
+conditional expectation E_t is one operator on that map:
+`ScenarioTree.expect(t, values)` takes a stack over stage t + 1 and sums
+each parent's branch-weighted children in child order, with the exact
+Fraction weights on an exact tree.  The conditional expectations,
+martingale increments, perp checks and pairings below are built on it.
 
 Data computed a stage at a time stays in that form: a `StageMap` maps node
 ids to values held as per-stage data, and makes a node's value when it is
@@ -160,13 +164,18 @@ class ScenarioTree:
             nid = self.nodes[nid].parent
         return out[::-1]
 
-    def descendants_at(self, nid, stage):
-        if stage < self.nodes[nid].stage:
-            raise StageOrder("descendants lie at later stages")
-        cur = [nid]
-        for _ in range(stage - self.nodes[nid].stage):
-            cur = [k for c in cur for k in self.children[c]]
-        return cur
+    def expect(self, t, values):
+        """E_t of a stack over stage t + 1 (stage_nodes order, any trailing
+        shape): the stage-t stack of branch-weighted child sums, each taken
+        in child order; exact on an exact tree."""
+        layer = self.stage_nodes[t + 1]
+        w = (np.array([self.nodes[k].prob for k in layer], dtype=object)
+             if self.exact else self.branch[t + 1])
+        values = np.asarray(values)
+        terms = w.reshape(w.shape + (1,) * (values.ndim - 1)) * values
+        acc = np.zeros((len(self.stage_nodes[t]),) + terms.shape[1:], terms.dtype)
+        np.add.at(acc, self.up[t + 1], terms)
+        return acc
 
     def n_nodes(self):
         return len(self.nodes)
@@ -274,20 +283,15 @@ def cond_expect_scalar(proc, target_stage, source_stage=None):
         if len(proc.stages) != 1:
             raise ValidationError("source stage is ambiguous; pass source_stage")
         source_stage = proc.stages[0]
-    if target_stage > source_stage:
-        raise StageOrder(f"target stage {target_stage} > source stage {source_stage}")
-    level = dict(proc.at_stage(source_stage))
-    for s in range(source_stage, target_stage, -1):
-        nxt = {}
-        for nid in tree.stage_nodes[s - 1]:
-            kids = tree.children[nid]
-            acc = None
-            for k in kids:
-                term = tree.nodes[k].prob * level[k]
-                acc = term if acc is None else acc + term
-            nxt[nid] = acc
-        level = nxt
-    return AdaptedProcess(tree, level, stages=[target_stage])
+    if not 0 <= target_stage <= source_stage:
+        raise StageOrder(f"target stage {target_stage} outside 0..{source_stage}")
+    level = np.array([proc[nid] for nid in tree.stage_nodes[source_stage]],
+                     dtype=object if tree.exact else None)
+    for s in range(source_stage - 1, target_stage - 1, -1):
+        level = tree.expect(s, level)
+    level = level.tolist() if level.ndim == 1 else list(level)
+    return AdaptedProcess(tree, dict(zip(tree.stage_nodes[target_stage], level)),
+                          stages=[target_stage])
 
 
 class PerpProcess:
@@ -301,15 +305,22 @@ class PerpProcess:
         self.tree = tree
         self.entries = {}
         for t, (stage, per_node) in entries.items():
-            if stage not in (t, t + 1):
-                raise ValidationError("measurability stage must be t or t+1")
+            if t < 0 or stage not in (t, t + 1):
+                raise ValidationError(f"perp entry {t}: index must be >= 0, "
+                                      "measurability stage t or t+1")
             if stage > tree.T:
                 raise ValidationError("measurability stage beyond horizon")
             for nid in tree.stage_nodes[stage]:
                 if nid not in per_node:
                     raise ValidationError(f"perp entry {t} missing node {nid!r}")
-            self.entries[t] = (stage, {nid: np.atleast_1d(np.asarray(per_node[nid], dtype=float))
-                                       for nid in tree.stage_nodes[stage]})
+            vecs = {nid: np.atleast_1d(np.asarray(per_node[nid], dtype=float))
+                    for nid in tree.stage_nodes[stage]}
+            first = next(iter(vecs.values()))
+            for nid, vec in vecs.items():
+                if vec.shape != first.shape:
+                    raise ValidationError(f"perp entry {t} has size {vec.size} at node {nid!r}, "
+                                          f"{first.size} at its first node")
+            self.entries[t] = (stage, vecs)
 
     @staticmethod
     def from_adapted(proc):
@@ -326,11 +337,6 @@ class PerpProcess:
             entries[t] = (t, {nid: np.zeros(d) for nid in tree.stage_nodes[t]})
         return PerpProcess(tree, entries)
 
-    def component_dim(self, t):
-        stage, per_node = self.entries[t]
-        any_node = next(iter(per_node.values()))
-        return any_node.size
-
 
 def martingale_increments(proc):
     """Increment family v_t = s_{t+1} - s_t stored at stage t + 1.
@@ -339,16 +345,11 @@ def martingale_increments(proc):
     martingale; the trailing index T is filled with zeros.
     """
     tree = proc.tree
-    entries = {}
-    d = np.atleast_1d(np.asarray(proc[tree.root], dtype=float)).size
-    for t in range(tree.T):
-        per = {}
-        for nid in tree.stage_nodes[t + 1]:
-            s_here = np.atleast_1d(np.asarray(proc[nid], dtype=float))
-            s_par = np.atleast_1d(np.asarray(proc[tree.parent(nid)], dtype=float))
-            per[nid] = s_here - s_par
-        entries[t] = (t + 1, per)
-    entries[tree.T] = (tree.T, {nid: np.zeros(d) for nid in tree.stage_nodes[tree.T]})
+    S = [np.array([np.atleast_1d(np.asarray(proc[nid], dtype=float)) for nid in layer])
+         for layer in tree.stage_nodes]
+    entries = {t: (t + 1, dict(zip(tree.stage_nodes[t + 1], S[t + 1] - S[t][tree.up[t + 1]])))
+               for t in range(tree.T)}
+    entries[tree.T] = (tree.T, dict(zip(tree.stage_nodes[tree.T], np.zeros_like(S[tree.T]))))
     return PerpProcess(tree, entries)
 
 
@@ -358,27 +359,25 @@ def perp_check(v, tol=1e-12):
         v = PerpProcess.from_adapted(v)
     tree = v.tree
     for t, (stage, per_node) in v.entries.items():
-        if v.component_dim(t) == 0:
-            continue
-        proc = AdaptedProcess(tree, per_node, stages=[stage])
-        down = cond_expect_scalar(proc, t, source_stage=stage)
-        for nid in tree.stage_nodes[t]:
-            if np.max(np.abs(np.asarray(down[nid], dtype=float))) > tol:
-                return False
+        down = np.array([per_node[nid] for nid in tree.stage_nodes[stage]])
+        if stage > t:
+            down = tree.expect(t, down)
+        if np.max(np.abs(down), initial=0.0) > tol:
+            return False
     return True
 
 
 def expected_pairing(tree, x, v):
     """E[sum_t x_t . v_t] for adapted x and a perp family v (float path)."""
-    total = 0.0
+    level = [np.zeros(len(layer)) for layer in tree.stage_nodes]
     for t, (stage, per_node) in v.entries.items():
-        for nid in tree.stage_nodes[stage]:
-            anchor = nid
-            while tree.stage(anchor) > t:
-                anchor = tree.parent(anchor)
-            xv = np.atleast_1d(np.asarray(x[anchor], dtype=float))
-            total += float(tree.prob(nid)) * float(xv @ per_node[nid])
-    return total
+        X = np.array([np.atleast_1d(np.asarray(x[nid], dtype=float))
+                      for nid in tree.stage_nodes[t]])
+        V = np.array([per_node[nid] for nid in tree.stage_nodes[stage]])
+        level[stage] = level[stage] + np.einsum("ij,ij->i", X[tree.up[stage]] if stage > t else X, V)
+    for t in range(tree.T - 1, -1, -1):
+        level[t] = level[t] + tree.expect(t, level[t + 1])
+    return float(level[0][0])
 
 
 def _quantize(value, tol):

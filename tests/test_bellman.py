@@ -11,7 +11,7 @@ from stochbellman.bellman import (Policy, StageProblem, build_flat, check_assump
                                   tilt_by_p, verify_optimality)
 from stochbellman.convexfn import (AffineSelector, Polyhedral, Quadratic,
                                    recession)
-from stochbellman.errors import NonLinearRecession, NotPerp
+from stochbellman.errors import NonLinearRecession, NotPerp, ValidationError
 from stochbellman.extensive import solve_extensive
 from stochbellman.generators import (quadratic_lagrange_instance, random_tree,
                                      tracking_stage_problem)
@@ -154,6 +154,17 @@ def test_tilt_requires_perp():
     bad = AdaptedProcess(sp.tree, {"r": np.array([1.0])})
     with pytest.raises(NotPerp):
         tilt_by_p(sp, bad)
+
+
+def test_tilt_entry_size_must_match_the_stage_dimension():
+    # a perp entry of size 2 on the one-dimensional stage 0: every tilt
+    # consumer names the entry instead of failing inside numpy
+    sp = tracking_stage_problem()
+    v = PerpProcess(sp.tree, {0: (1, {"a": [1.0, -1.0], "b": [-1.0, 1.0]})})
+    assert perp_check(v)
+    for tilted in (lambda: tilt_by_p(sp, v), lambda: check_assumptions(sp, v=v)):
+        with pytest.raises(ValidationError, match="perp entry 0 has size 2"):
+            tilted()
 
 
 def martingale_market_problem():

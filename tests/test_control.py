@@ -219,15 +219,6 @@ def test_q_factors_zero_costs():
                 assert fn.eval([x, u]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_conditional_matrix_diagnostic_noop():
-    from stochbellman.control import conditional_matrix_diagnostic
-    from stochbellman.generators import lq_instance
-    sys_, _, _ = lq_instance(2, T=2, N=2, M=1)
-    rng = np.random.default_rng(5)
-    y_leaf = {l: rng.standard_normal(2) for l in sys_.tree.leaves()}
-    assert conditional_matrix_diagnostic(sys_, y_leaf) <= 1e-12
-
-
 def test_polyhedral_control_driver():
     from stochbellman.convexfn import Polyhedral
     tree = chain_tree(1)

@@ -146,6 +146,12 @@ def test_supermartingale_domination_and_minimality(rng):
             cont = continuation_value(R, S, nid)
             assert S[nid] >= cont - 1e-12              # supermartingale
             assert S[nid] >= max(float(R[nid]), 0.0) - 1e-12  # dominates R+
+            # the recursion itself, bit for bit: optimal_stop's `>=` test
+            # relies on snell and continuation_value summing in one order
+            if tree.children[nid]:
+                assert S[nid] == max(float(R[nid]), cont)
+            else:
+                assert S[nid] == max(float(R[nid]), 0.0)
         # randomized candidate repaired to a supermartingale dominating R+
         cand = {}
         for t in range(tree.T, -1, -1):

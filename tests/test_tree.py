@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochbellman.errors import (NotMarkov, OrphanNode, ProbabilityMass,
-                                 StageGap, StageOrder)
+                                 StageGap, StageOrder, ValidationError)
 from stochbellman.generators import random_tree
 from stochbellman.tree import (AdaptedProcess, PerpProcess, cond_expect_scalar,
                                expected_pairing, is_markov,
@@ -74,13 +74,40 @@ def test_cond_expect_chain_identity():
         assert cond_expect_scalar(p, t)[f"n{t}"] == pytest.approx(7.5, abs=TOL)
 
 
-def test_cond_expect_leaf_summation_oracle():
-    # expectation to the root equals the direct sum of path prob x value
-    tree = two_stage_binary(((0.3, 0.7), (0.4, 0.6), (0.25, 0.75)))
-    vals = {"uu": 1.0, "ud": -2.0, "du": 0.5, "dd": 3.0}
-    p = AdaptedProcess(tree, vals)
-    direct = sum(tree.prob(nid) * v for nid, v in vals.items())
-    assert cond_expect_scalar(p, 0)["r"] == pytest.approx(direct, abs=TOL)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(T=st.integers(0, 4), exact=st.booleans(), dim=st.sampled_from([None, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cond_expect_leaf_summation_oracle(T, exact, dim, seed):
+    # expect chained from the leaves to stage t equals, at every stage-t
+    # node n, the direct sum over the leaves below n of prob(leaf)/prob(n)
+    # times the leaf value, on uneven trees in shuffled node order with
+    # float or exact Fraction probabilities, and scalar (dim None) or
+    # vector values
+    rng = np.random.default_rng(seed)
+    base = random_tree(rng, T, 3)  # 1 to 3 children per node
+    recs = [{"id": n.id, "parent": n.parent, "stage": n.stage,
+             "prob": (Fraction(1, len(base.children[n.parent])) if n.parent else Fraction(1))
+             if exact else n.prob} for n in base.nodes.values()]
+    tree = validate_tree([recs[i] for i in rng.permutation(len(recs))], exact=exact)
+    leaves = tree.stage_nodes[T]
+    draws = rng.integers(-9, 10, size=(len(leaves),) + ((dim,) if dim else ()))
+    if exact:
+        vals = np.array([Fraction(int(k), 7) for k in draws.ravel()],
+                        dtype=object).reshape(draws.shape)
+    else:
+        vals = draws / 7.0
+    level = vals
+    for t in range(T, -1, -1):
+        if t < T:
+            level = tree.expect(t, level)
+        assert level.shape == (len(tree.stage_nodes[t]),) + vals.shape[1:]
+        for i, nid in enumerate(tree.stage_nodes[t]):
+            oracle = sum(tree.prob(leaf) / tree.prob(nid) * vals[j]
+                         for j, leaf in enumerate(leaves) if tree.path(leaf)[t] == nid)
+            if exact:
+                assert np.all(level[i] == oracle)
+            else:
+                assert np.allclose(level[i], oracle, rtol=0.0, atol=1e-12)
 
 
 def test_stage_order_error():
@@ -88,6 +115,16 @@ def test_stage_order_error():
     p = AdaptedProcess(tree, {"r": 1.0})
     with pytest.raises(StageOrder):
         cond_expect_scalar(p, 1, source_stage=0)
+    with pytest.raises(StageOrder):
+        cond_expect_scalar(AdaptedProcess(tree, {"a": 2.0, "b": 4.0}), -1)
+
+
+def test_perp_entries_must_be_well_formed():
+    tree = binary_tree()
+    with pytest.raises(ValidationError, match="perp entry 0 .* node 'b'"):
+        PerpProcess(tree, {0: (1, {"a": [1.0], "b": [-1.0, -1.0]})})
+    with pytest.raises(ValidationError, match="perp entry -1"):
+        PerpProcess(tree, {-1: (0, {"r": [1.0]})})
 
 
 def test_tower_property_exact_fractions():
