@@ -5,10 +5,12 @@ g_t(x_{t-1}, x_t), and the sweep computes per-node value functions of the
 previous decision.
 
 backward_sweep, the one backward recursion, runs a stage at a time over
-the tree's stage map: its Quadratic nodes stay stacks from the children's
-value functions to the records, which it returns as a tree.StageMap of
-stage stacks; a node's record is made when it is read.  Its mirror
-forward_sweep, over the same map, applies the recorded minimizers and
+the tree's stage map: its Quadratic and Polyhedral nodes stay stacks
+(convexfn._Stack, _PStack) from the children's value functions to the
+records, which it returns as a tree.StageMap of stage stacks; a node's
+record is made when it is read.  Its mirror forward_sweep, over the same
+map, applies the recorded minimizers (affine maps, or back-substitution
+through the Polyhedral nodes' Fourier-Motzkin systems, no LP) and
 evaluates the nodewise optimality gaps, also a stage at a time, on the
 records' stacks, and returns its states and decisions as stage stacks
 too.  Both are held to the README's Numerical contract: bit-identical
@@ -30,13 +32,14 @@ from operator import getitem
 import numpy as np
 
 from .convexfn import (Inf, PartialMin, Polyhedral, Quadratic, _add, _conjugates,
-                       _kkt_minima, _member, _objects, _precompose, _recessions,
-                       _scale, _selector, _settled, _Stack, _stack, _take, eval_stack,
-                       partial_min)
+                       _kkt_minima, _member, _objects, _poly_minima, _precompose,
+                       _pstack, _recessions, _scale, _settled, _Stack, _stack, _take,
+                       eval_stack, partial_min)
 from .errors import (BackendClash, DimensionMismatch, Infeasible,
                      NonLinearRecession, NotPerp, SolverError,
                      StochBellmanError, UnboundedBelow, ValidationError)
 from .extensive import FlatProgram, Term, solve_extensive
+from .polyhedra import _padd, _pcat, _peval, _pick, _Picks, _pprecompose, _pscale, _PStack
 from .tree import StageMap, perp_check
 
 
@@ -94,32 +97,47 @@ class Policy:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def _split(keys):
-    """Positions grouped by key in first-seen order, and the positions whose
-    key is None."""
+def _by_backend(idx, fns):
+    """The functions fns at positions idx as (positions, F) pieces:
+    Quadratics as a _Stack per row count, Polyhedrals as one _PStack, others
+    as a list."""
     groups = {}
-    for i, k in enumerate(keys):
-        groups.setdefault(k, []).append(i)
-    rest = groups.pop(None, [])
-    return groups.values(), rest
+    for i, f in zip(idx.tolist(), fns):
+        key = f.A.shape[0] if isinstance(f, Quadratic) else "poly" if isinstance(
+            f, Polyhedral) else None
+        groups.setdefault(key, []).append((i, f))
+    make = {None: list, "poly": _pstack}
+    return [(np.array([i for i, _ in g], dtype=int), make.get(key, _stack)([f for _, f in g]))
+            for key, g in groups.items()]
 
 
 def _grouped(pieces):
     """(positions, F) pieces as a layer, a stage's functions by position:
-    F a _Stack of Quadratics, one per row count, or a list of the others,
-    positions ascending; a position in no group holds None."""
+    F a _Stack of Quadratics, one per row count, a _PStack of Polyhedrals,
+    or a list of the others, positions ascending; a position in no group
+    holds None."""
     out = {}
     for idx, F in pieces:
-        out.setdefault(F.A.shape[1] if isinstance(F, _Stack) else None, []).append((idx, F))
+        key = F.A.shape[1] if isinstance(F, _Stack) else "poly" if isinstance(
+            F, _PStack) else None
+        out.setdefault(key, []).append((idx, F))
     for key, ps in out.items():
         if len(ps) > 1 or key is None:  # a stack's piece has its positions in order
             idx = np.concatenate([i for i, _ in ps])
-            F = [f for _, F in ps for f in F] if key is None else _Stack(
+            F = [f for _, F in ps for f in F] if key is None else _pcat(
+                [F for _, F in ps]) if key == "poly" else _Stack(
                 *map(np.concatenate, zip(*(F for _, F in ps))))
             order = np.argsort(idx, kind="stable")
             ps = [(idx[order], _take(F, order))]
         out[key] = ps[0]
     return list(out.values())
+
+
+def _named(exc, nid):
+    """A solver error that names no node, named nid; others as they are."""
+    if isinstance(exc, SolverError) and exc.node is None:
+        return type(exc)(str(exc), node=nid)
+    return exc
 
 
 def _mapped(layer, p=None, M=None, W=None):
@@ -130,6 +148,9 @@ def _mapped(layer, p=None, M=None, W=None):
             S = F if M is None else _precompose(F, M[idx], W[idx])
             S = S if p is None else _scale(S, p[idx])
             out += [(idx[j], T) for j, T in _settled(S, new_rows=M is not None)]
+        elif isinstance(F, _PStack):
+            S = F if M is None else _pprecompose(F, M[idx], W[idx])
+            out.append((idx, S if p is None else _pscale(S, p[idx])))
         else:
             fs = F if M is None else [f.precompose(M[i], W[i]) for i, f in zip(idx, F)]
             out.append((idx, fs if p is None else [f.scale(p[i]) for i, f in zip(idx, fs)]))
@@ -139,8 +160,8 @@ def _mapped(layer, p=None, M=None, W=None):
 def _summed(acc, other, nodes, failed, dst=None):
     """acc + other by position, one side's function where the other holds
     none; other's position i is dst[i] if given, and left out if dst[i] < 0.
-    One stacked add per pair of _Stacks, others node by node before the
-    first failure; a node's error is recorded in failed."""
+    One stacked add per pair of _Stacks or of _PStacks, others node by node
+    before the first failure; a node's error is recorded in failed."""
     n, lim, k = len(nodes), min(failed, default=len(nodes)), len(other) + 1
     (ga, ra), (go, ro) = loc = [(np.full(n, -1), np.zeros(n, dtype=int)) for _ in "ao"]
     for (g, r), side, to in zip(loc, (acc, other), (None, dst)):  # group number and member
@@ -155,6 +176,10 @@ def _summed(acc, other, nodes, failed, dst=None):
             pieces.append((P, _take(G, ro[P]) if F is None else _take(F, ra[P])))
         elif isinstance(F, _Stack) and isinstance(G, _Stack):
             pieces += [(P[j], T) for j, T in _settled(_add(_take(F, ra[P]), _take(G, ro[P])))]
+        elif isinstance(F, _PStack) and isinstance(G, _PStack):
+            bad = {}
+            pieces.append((P, _padd(_take(F, ra[P]), _take(G, ro[P]), bad)))
+            failed.update((int(P[j]), _named(exc, nodes[P[j]])) for j, exc in bad.items())
         else:  # a list on one side at least: node by node, before the first failure
             P = P[P < lim]
             fs, gs = (_objects([(np.arange(len(P)), _take(X, r[P]))], len(P)) for X, r in
@@ -166,31 +191,40 @@ def _summed(acc, other, nodes, failed, dst=None):
                     failed[i] = BackendClash(f"{exc} (node {nodes[i]})")
                 except StochBellmanError as exc:
                     failed[i] = exc
-    return _grouped(pieces + [(np.array(list(sums), dtype=int), list(sums.values()))])
+    return _grouped(pieces + _by_backend(np.array(list(sums), dtype=int), list(sums.values())))
 
 
 def _minimized(layer, over, width, nodes, failed):
     """partial_min over the trailing `over` of `width` coordinates before the
     first failure: the value functions and the minimizer maps as layers, and
     the lineality bases by position.  One _kkt_minima per _Stack, its maps
-    x -> F x + g kept as one (F, g) stack; others node by node, their
+    x -> F x + g kept as one (F, g) stack; one _poly_minima per _PStack,
+    its minimizers selected by its _Picks; others node by node, their
     selectors in a list.  A node's error is recorded in failed."""
     n, lim = len(nodes), min(failed, default=len(nodes))
     if not over:  # partial_min(f, 0) keeps f
         return layer, [(np.arange(n), (np.zeros((n, 0, width)), np.zeros((n, 0))))], \
             [np.zeros((0, 0))] * n
     F, g, lin = np.zeros((n, over, width - over)), np.zeros((n, over)), [None] * n
-    post, aff, pms = [], [], {}
+    post, aff, picked, pms = [], [], [], {}
     for idx, G in layer:
         idx = idx[:np.searchsorted(idx, lim)]
-        if not isinstance(G, _Stack):
+        if isinstance(G, _PStack):
+            if len(idx):
+                bad = {}
+                P, picks, K = _poly_minima(G if len(idx) == G.n else _take(
+                    G, np.arange(len(idx))), over, bad, [nodes[i] for i in idx.tolist()])
+                failed.update((int(idx[j]), _named(exc, nodes[idx[j]])) for j, exc in bad.items())
+                post.append((idx, P))
+                picked.append((idx, picks))
+                for i, Ki in zip(idx.tolist(), K):
+                    lin[i] = Ki
+        elif not isinstance(G, _Stack):
             for i, f in zip(idx.tolist(), G):
                 try:
                     pms[i] = partial_min(f, over)
-                except SolverError as exc:
-                    failed[i] = exc if exc.node is not None else type(exc)(str(exc), node=nodes[i])
                 except StochBellmanError as exc:
-                    failed[i] = exc
+                    failed[i] = _named(exc, nodes[i])
         elif len(idx):
             groups, F[idx], g[idx], K, unbounded = _kkt_minima(
                 G if len(idx) == len(G.c) else _take(G, np.arange(len(idx))), over)
@@ -206,7 +240,7 @@ def _minimized(layer, over, width, nodes, failed):
         lin[i] = pm.lineality
     rest = np.array(list(pms), dtype=int)
     aff = np.sort(np.concatenate(aff)) if aff else rest[:0]
-    sel = [(aff, (F, g) if len(aff) == n else (F[aff], g[aff])),
+    sel = [(aff, (F, g) if len(aff) == n else (F[aff], g[aff])), *picked,
            (rest, [pm.selector for pm in pms.values()])]
     return _grouped(post + [(rest, [pm.fn for pm in pms.values()])]), sel, lin
 
@@ -221,10 +255,8 @@ def _cost_layer(costs, t, nodes, width):
         return [(idx, S) for idx, S in costs.held[t] if S.q.shape[1] == width], failed
     fns = [costs[nid] for nid in nodes]
     failed = {i: _wrong_dim(nid) for i, (nid, f) in enumerate(zip(nodes, fns)) if f.dim != width}
-    groups, rest = _split([f.A.shape[0] if isinstance(f, Quadratic) else None
-                           for f in fns[:min(failed, default=len(fns))]])
-    return _grouped([(np.array(idx), _stack([fns[i] for i in idx])) for idx in groups]
-                    + [(np.array(rest, dtype=int), [fns[i] for i in rest])]), failed
+    lim = min(failed, default=len(fns))
+    return _grouped(_by_backend(np.arange(lim), fns[:lim])), failed
 
 
 def _wrong_dim(nid):
@@ -249,8 +281,8 @@ def backward_sweep(tree, costs, keep, over, record, maps=None, empty_raises=Fals
     each V_k is a function of the own block, and the tail is lifted to both
     blocks.  The cost is added once, an empty Quadratic raises Infeasible
     if empty_raises, and the own block is minimized out.  The error raised
-    is the first failing node's.  Quadratics stay stacks throughout (see
-    _grouped); tails are kept only with_tails."""
+    is the first failing node's.  Quadratics and Polyhedrals stay stacks
+    throughout (see _grouped); tails are kept only with_tails."""
     held, post = {}, None
     for t in range(tree.T, -1, -1):
         nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
@@ -374,14 +406,17 @@ def _stage_layers(records, tree, t, pre="pre", post="post"):
 
 def _decisions(sel, S):
     """A stage's decisions at the states S from its selector layer: an
-    (F, g) stack as one F x + g where S is stacked and of F's width, each
-    other selector one by one."""
+    (F, g) stack as one F x + g and a _Picks as one back-substitution
+    (_pick) where S is stacked and of their width, each other selector one
+    by one."""
     out, stacked = [None] * len(S), isinstance(S, np.ndarray)
     for idx, G in sel:
-        if isinstance(G, tuple) and stacked and G[0].shape[2] == S.shape[1]:
+        if isinstance(G, _Picks) and stacked and G.post.a.shape[1] == S.shape[1]:
+            vals = _pick(G, S[idx])
+        elif type(G) is tuple and stacked and G[0].shape[2] == S.shape[1]:
             vals = np.matvec(G[0], S[idx]) + G[1]
         else:
-            sels = G if isinstance(G, list) else [_selector(F, g) for F, g in zip(*G)]
+            sels = G if isinstance(G, list) else _objects([(np.arange(len(idx)), G)], len(idx))
             vals = [np.atleast_1d(f(S[i])) for i, f in zip(idx.tolist(), sels)]
         for i, d in zip(idx.tolist(), vals):
             out[i] = d
@@ -390,7 +425,8 @@ def _decisions(sel, S):
 
 def _evals(layer, xs, failed, where=None):
     """f_i(xs[i]) by position for the functions of a layer, 0.0 where there
-    is none: each _Stack of the points' width as one eval_stack, others one
+    is none: each _Stack or _PStack of the points' width as one eval_stack
+    or _peval, others one
     by one where node i has not failed and where[i] holds (if given).  A
     node's error is recorded in failed."""
     out = np.zeros(len(xs))
@@ -398,6 +434,9 @@ def _evals(layer, xs, failed, where=None):
     for idx, G in layer:
         if isinstance(G, _Stack) and G.q.shape[1] == width:
             out[idx] = eval_stack(G, xs[idx])
+            continue
+        if isinstance(G, _PStack) and G.a.shape[1] == width:
+            out[idx] = _peval(G, xs[idx])
             continue
         fs = G if isinstance(G, list) else _objects([(np.arange(len(idx)), G)], len(idx))
         for i, f in zip(idx.tolist(), fs):

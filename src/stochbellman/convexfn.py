@@ -7,7 +7,9 @@ Two backends are closed under the operations the backward recursion needs:
                  kept canonical: orthonormal, at most dim of them, or the
                  single row 0.x = 1 for an empty domain.
 * Polyhedral  -- max of affine pieces on a polyhedron {Cx <= d}; partial
-                 minimization via Fourier-Motzkin projection of the epigraph.
+                 minimization via Fourier-Motzkin projection of the epigraph,
+                 and a minimizer by back-substitution through the projection
+                 (no LP).
 
 Sampled1D is no backend: a validated convex knot table, +inf off its range,
 for losses, wealth grids and flat-program terms.  It only evaluates; its
@@ -22,7 +24,10 @@ objects and lineality spaces are orthonormal basis arrays.
 
 The Quadratic algebra (precompose, scale, add, partial minimization,
 conjugates) is written once over a stack: arrays with a leading member
-axis, for Quadratics of one dimension and row count.  A method call on
+axis, for Quadratics of one dimension and row count.  The Polyhedral
+algebra (precompose, scale, add, eval, partial minimization and its
+selection) is written once over a ragged stack of one dimension: pieces
+and domain rows, each tagged with its member (_PStack).  A method call on
 one object is a stack of one; the backward sweep keeps its stacks from
 step to step and into its records, and a member becomes an object (_member)
 when it is read.  The promise for each member is the README's Numerical
@@ -37,9 +42,10 @@ from . import polyhedra
 from .errors import (BackendClash, DimensionMismatch, NonLinearRecession,
                      ProbabilityMass, RowBlowup, UnboundedBelow,
                      ValidationError)
+from .polyhedra import (EQ_TOL, _padd, _peval, _pick, _Picks, _picks_of, _pprecompose,
+                        _prune_index, _pscale, _PStack, _ptake)
 from .simplex import _PIVOT_EPS, solve_lp
 
-EQ_TOL = 1e-8        # membership tolerance for affine-equality domains
 RANK_TOL = 1e-10     # equality rows below RANK_TOL * max(1, s_max) are dropped
 PSD_TOL = 1e-10      # smallest admissible eigenvalue of a quadratic form
 SLOPE_TOL = 1e-12    # convexity slack for sampled knot tables
@@ -162,7 +168,9 @@ def _stack(fs):
 
 
 def _take(S, rows):
-    """The members `rows` (an index array) of a _Stack or of a list."""
+    """The members `rows` (an index array) of a _Stack, a _PStack or a list."""
+    if isinstance(S, _PStack):
+        return _ptake(S, rows)
     return _Stack(*(a[rows] for a in S)) if isinstance(S, _Stack) else [S[i] for i in rows]
 
 
@@ -180,10 +188,16 @@ def _settled(S, new_rows=True):
 
 
 def _at(G, j):
-    """Member j of a group: a _Stack's as a Quadratic, an (F, g) stack's as
-    an AffineSelector, a list's as it is."""
+    """Member j of a group: a _Stack's as a Quadratic, a _PStack's as a
+    Polyhedral, a _Picks' as a PolyhedralSelector, an (F, g) stack's as an
+    AffineSelector, a list's as it is."""
     if isinstance(G, list):
         return G[j]
+    if isinstance(G, _PStack):
+        (a0, a1), (c0, c1) = (np.searchsorted(m, [j, j + 1]) for m in (G.pm, G.cm))
+        return _polyhedral(G.a[a0:a1], G.b[a0:a1], G.C[c0:c1], G.d[c0:c1])
+    if isinstance(G, _Picks):
+        return PolyhedralSelector(_picks_of(G, j))
     if not isinstance(G, _Stack):
         return _selector(G[0][j], G[1][j])
     f = Quadratic.__new__(Quadratic)
@@ -296,30 +310,93 @@ def _selector(F, g):
     return sel
 
 
-class LPSelector:
-    """Minimizer map for polyhedral partial minimization (one LP per call)."""
+def _polyhedral(a, b, C, d):
+    """A Polyhedral of the given arrays as they are, unchecked."""
+    f = Polyhedral.__new__(Polyhedral)
+    f.pieces_a, f.pieces_b, f.C, f.d, f.dim = a, b, C, d, a.shape[1]
+    return f
 
-    def __init__(self, fn, n_keep, lineality):
-        self._fn = fn
-        self._n_keep = n_keep
-        self._lin = lineality
+
+def _pstack(fs):
+    """Polyhedrals of one dim as a _PStack."""
+    if len(fs) == 1:
+        f = fs[0]
+        return _PStack(f.pieces_a, f.pieces_b, np.zeros(f.pieces_b.size, dtype=int), f.C, f.d,
+                       np.zeros(f.d.size, dtype=int), 1)
+    k = [f.pieces_a.shape[0] for f in fs]
+    r = [f.C.shape[0] for f in fs]
+    tags = np.repeat(np.arange(len(fs)), k), np.repeat(np.arange(len(fs)), r)
+    return _PStack(np.concatenate([f.pieces_a for f in fs]),
+                   np.concatenate([f.pieces_b for f in fs]), tags[0],
+                   np.concatenate([f.C for f in fs]), np.concatenate([f.d for f in fs]),
+                   tags[1], len(fs))
+
+
+def _cone_bases(P, keep, failed):
+    """The lineality bases of the members' own blocks (the trailing
+    coordinates after `keep`), by _polyhedral_cone_checks: a member whose
+    own block unit domain rows box, with its rows far from rank deficiency,
+    has none, with no LP and no SVD; the others take the per-member checks,
+    and record UnboundedBelow or NonLinearRecession in failed.
+
+    Far from rank deficiency: for each own coordinate take its unit row with
+    the largest entry u_j.  Those rows differ from a diagonal by entries of
+    at most 1e-13, so the own-block rows R have smallest singular value at
+    least min u_j - d2 1e-13, and largest at most |R|_F.  When the first
+    exceeds 2e-10 max(rows, d2) |R|_F, the rank test of _null_basis counts
+    d2 with a margin of a factor two."""
+    d2 = P.a.shape[1] - keep
+    Cu, au = P.C[:, keep:], P.a[:, keep:]
+    s = max(_PIVOT_EPS, (d2 - 1) * 1e-13)
+    r = np.flatnonzero((np.abs(Cu) > 1e-13).sum(axis=1) == 1)
+    U, um = Cu[r], P.cm[r]
+    up, down = np.zeros((P.n, d2), dtype=bool), np.zeros((P.n, d2), dtype=bool)
+    top = np.zeros((P.n, d2))
+    np.logical_or.at(up, um, U > s)
+    np.logical_or.at(down, um, U < -s)
+    np.maximum.at(top, um, np.abs(U))
+    fro = np.sqrt(np.bincount(P.cm, np.vecdot(Cu, Cu), P.n)
+                  + np.bincount(P.pm, np.vecdot(au, au), P.n))
+    rows = np.bincount(P.cm, minlength=P.n) + np.bincount(P.pm, minlength=P.n)
+    sure = (up & down).all(axis=1) & (
+        top.min(axis=1) - d2 * 1e-13 > 2e-10 * np.maximum(rows, d2) * fro)
+    lin = [np.zeros((d2, 0))] * P.n
+    for i in np.flatnonzero(~sure).tolist():
+        try:
+            K = _polyhedral_cone_checks(_at(P, i), keep)
+        except (UnboundedBelow, NonLinearRecession) as exc:
+            failed[i] = exc
+            continue
+        lin[i] = K if K.size else np.zeros((d2, 0))
+    return lin
+
+
+def _poly_minima(P, over, failed, names=None):
+    """Minimize each member of a _PStack over its trailing `over`
+    coordinates: the value functions as a _PStack, the _Picks that select
+    the minimizers, and the lineality bases, from one cone check
+    (_cone_bases) and one projection of the members' epigraphs
+    (polyhedra._minima).  A member's first error, in the order of those
+    steps, is recorded in failed under its index; names label the _Picks'
+    errors."""
+    lin = _cone_bases(P, P.a.shape[1] - over, failed)
+    post, steps = polyhedra._minima(P, over, failed)
+    return post, _Picks(post, steps, lin, [None] * P.n if names is None else list(names)), lin
+
+
+class PolyhedralSelector:
+    """Minimizer map of polyhedral partial minimization: back-substitution
+    through the Fourier-Motzkin systems of one node (_pick), no LP."""
+
+    def __init__(self, picks):
+        self.picks = picks
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float).ravel()
-        k = self._n_keep
-        # variables (u, tau): minimize tau over the epigraph slice at x
-        G, h = self._fn.epigraph()
-        cost = np.zeros(G.shape[1] - k)
-        cost[-1] = 1.0
-        res = solve_lp(cost, G[:, k:], h - G[:, :k] @ x)
-        if res.status == "unbounded":
-            raise UnboundedBelow("selector LP unbounded")
-        if res.status == "infeasible":
-            raise ValidationError("selector LP infeasible at given point")
-        u = res.x[:-1]
-        if self._lin.size:
-            u = u - self._lin @ (self._lin.T @ u)
-        return u
+        keep = self.picks.post.a.shape[1]
+        if x.size != keep:
+            raise DimensionMismatch(f"expected dim {keep}, got {x.size}")
+        return _pick(self.picks, x[None])[0]
 
 
 def _lacks(op):
@@ -449,11 +526,7 @@ class Polyhedral(ConvexFn):
         x = np.asarray(x, dtype=float).ravel()
         if x.size != self.dim:
             raise DimensionMismatch(f"expected dim {self.dim}, got {x.size}")
-        if self.C.shape[0]:
-            scale = 1.0 + np.max(np.abs(self.d), initial=0.0)
-            if np.max(self.C @ x - self.d) > EQ_TOL * scale:
-                return Inf
-        return float(np.max(self.pieces_a @ x + self.pieces_b))
+        return float(_peval(_pstack([self]), x[None])[0])
 
     def epigraph(self):
         """Inequality system (G, h) of the epigraph over (x, tau): one row
@@ -469,11 +542,11 @@ class Polyhedral(ConvexFn):
         if isinstance(other, Polyhedral):
             if other.dim != self.dim:
                 raise DimensionMismatch("dimension mismatch in add")
-            pb = (self.pieces_b[:, None] + other.pieces_b[None, :]).reshape(-1)
-            pa = (self.pieces_a[:, None, :] + other.pieces_a[None, :, :]).reshape(pb.size, self.dim)
-            C = np.vstack([self.C, other.C])
-            d = np.concatenate([self.d, other.d])
-            return Polyhedral(*_prune_pieces(pa, pb, C, d), C, d)
+            failed = {}
+            S = _padd(_pstack([self]), _pstack([other]), failed)
+            if failed:
+                raise failed[0]
+            return _at(S, 0)
         if isinstance(other, Quadratic) and not np.any(other.Q):
             return self.add(_affine_as_polyhedral(other))
         raise BackendClash(f"cannot add {type(other).__name__} to Polyhedral")
@@ -483,20 +556,12 @@ class Polyhedral(ConvexFn):
         return Polyhedral(self.pieces_a + v, self.pieces_b, self.C, self.d)
 
     def scale(self, alpha):
-        if alpha < 0:
-            raise ValidationError("scale factor must be nonnegative")
-        if alpha == 0:
-            return Polyhedral(np.zeros((1, self.dim)), [0.0], self.C, self.d)
-        return Polyhedral(alpha * self.pieces_a, alpha * self.pieces_b, self.C, self.d)
+        return _at(_pscale(_pstack([self]), np.array([alpha], dtype=float)), 0)
 
     def precompose(self, M, t):
         M = np.atleast_2d(np.asarray(M, dtype=float))
         t = np.asarray(t, dtype=float).ravel()
-        pa = self.pieces_a @ M
-        pb = self.pieces_b + self.pieces_a @ t
-        C2 = self.C @ M
-        d2 = self.d - self.C @ t
-        return Polyhedral(pa, pb, C2, d2)
+        return _at(_pprecompose(_pstack([self]), M[None], t[None]), 0)
 
     def recession(self):
         return Polyhedral(self.pieces_a, np.zeros_like(self.pieces_b),
@@ -542,45 +607,12 @@ class Sampled1D(ConvexFn):
 
 
 def _prune_pieces(pa, pb, C, d):
-    """Pieces of max_i (pa_i.x + pb_i) on {Cx <= d} worth keeping.
-
-    Of pieces with equal gradients only the highest survives.  Above 32
-    pieces, when unit rows of C bound every coordinate both ways, pieces
-    lying below another piece on the whole box are dropped (interval
-    bound, no LP).
-    """
+    """Pieces of max_i (pa_i.x + pb_i) on {Cx <= d} worth keeping
+    (_prune_index of a stack of one)."""
     pa, pb = np.array(pa, dtype=float), np.array(pb, dtype=float)
-    keep = polyhedra.first_minimal(pa, -pb)
-    pa, pb = pa[keep], pb[keep]
-    if pa.shape[0] <= 32:
-        return pa, pb
-    lo = np.full(pa.shape[1], -np.inf)
-    hi = np.full(pa.shape[1], np.inf)
-    for row, rhs in zip(C, d):
-        nz = np.nonzero(np.abs(row) > 1e-13)[0]
-        if nz.size != 1:
-            continue
-        j = nz[0]
-        if row[j] > 0:
-            hi[j] = min(hi[j], rhs / row[j])
-        else:
-            lo[j] = max(lo[j], rhs / row[j])
-    if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(hi)):
-        return pa, pb
-    center = 0.5 * (lo + hi)
-    radius = 0.5 * (hi - lo)
-    keep = np.ones(pa.shape[0], dtype=bool)
-    for j in np.argsort(-(pa @ center + pb)):  # high pieces first as dominators
-        if not keep[j]:
-            continue
-        cand = np.nonzero(keep)[0]
-        cand = cand[cand != j]
-        if cand.size == 0:
-            break
-        da = pa[cand] - pa[j][None, :]
-        db = pb[cand] - pb[j]
-        worst = np.abs(da) @ radius + da @ center + db
-        keep[cand[worst <= -1e-12]] = False
+    C, d = np.asarray(C, dtype=float).reshape(-1, pa.shape[1]), np.asarray(d, dtype=float)
+    keep = _prune_index(_PStack(pa, pb, np.zeros(len(pb), dtype=int), C, d,
+                                np.zeros(len(d), dtype=int), 1))
     return pa[keep], pb[keep]
 
 
@@ -798,35 +830,6 @@ def _polyhedral_cone_checks(f, keep):
     return _null_basis(rows)
 
 
-def _polyhedral_partial_min(f, keep):
-    d2 = f.dim - keep
-    K = _polyhedral_cone_checks(f, keep)
-    # epigraph over column order (x, tau, u); eliminate trailing u block
-    G, h = f.epigraph()
-    G = np.hstack([G[:, :keep], G[:, -1:], G[:, keep:-1]])
-    Gp, hp = polyhedra.fm_project(G, h, d2)
-    pieces_a, pieces_b, dom_C, dom_d = [], [], [], []
-    for row, rhs in zip(Gp, hp):
-        tau = row[keep]
-        if tau < -1e-11:
-            pieces_a.append(row[:keep] / (-tau))
-            pieces_b.append(-rhs / (-tau))
-        elif tau > 1e-11:
-            raise ValidationError("epigraph projection produced an upper bound on tau")
-        else:
-            dom_C.append(row[:keep])
-            dom_d.append(rhs)
-    if not pieces_a:
-        # objective unbounded only if a tau-row vanished; with the cone checks
-        # passed this means f is an indicator: value 0 on the projected domain
-        pieces_a, pieces_b = [np.zeros(keep)], [0.0]
-    dom_C = np.array(dom_C) if dom_C else np.zeros((0, keep))
-    dom_d = np.array(dom_d) if dom_d else np.zeros(0)
-    out = Polyhedral(*_prune_pieces(pieces_a, pieces_b, dom_C, dom_d), dom_C, dom_d)
-    lin = K if K.size else np.zeros((d2, 0))
-    return PartialMin(out, LPSelector(f, keep, lin), lin)
-
-
 def partial_min(f, over):
     """Minimize f over its trailing `over` coordinates.
 
@@ -843,6 +846,10 @@ def partial_min(f, over):
     if isinstance(f, Quadratic):
         return _quadratic_partial_min(_stack([f]), over)[1][0]
     if isinstance(f, Polyhedral):
-        return _polyhedral_partial_min(f, keep)
+        failed = {}
+        post, picks, lin = _poly_minima(_pstack([f]), over, failed)
+        if failed:
+            raise failed[0]
+        return PartialMin(_at(post, 0), PolyhedralSelector(picks), lin[0])
     raise BackendClash(f"partial_min unsupported for {type(f).__name__}")
 

@@ -7,7 +7,7 @@ import numpy as np
 from stochbellman.bellman import BellmanSolution, build_flat, solve_be
 from stochbellman.control import ControlSolution
 from stochbellman.convexfn import (_LIN_TOL, EQ_TOL, AffineSelector, Inf,
-                                   PartialMin, Polyhedral, Quadratic,
+                                   PartialMin, Polyhedral, Quadratic, _at,
                                    _is_empty, _null_basis,
                                    cond_expect_fn, partial_min)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
@@ -344,6 +344,53 @@ def ref_polyhedral_cone_checks(f, keep):
             raise UnboundedBelow("strictly negative recession direction in minimized block")
         raise NonLinearRecession("zero-cost recession directions form a one-sided cone")
     return _null_basis(rows)
+
+
+def ref_cone_bases(P, keep, failed):
+    """convexfn._cone_bases with every member's cone check run by
+    ref_polyhedral_cone_checks, both LPs at every member."""
+    d2 = P.a.shape[1] - keep
+    lin = [np.zeros((d2, 0))] * P.n
+    for i in range(P.n):
+        try:
+            K = ref_polyhedral_cone_checks(_at(P, i), keep)
+        except (UnboundedBelow, NonLinearRecession) as exc:
+            failed[i] = exc
+            continue
+        if K.size:
+            lin[i] = K
+    return lin
+
+
+def ref_lp_select(f, keep, lineality, x):
+    """The polyhedral minimizer at the kept point x as the LP selector chose
+    it: min tau over the epigraph slice of f at x, then the lineality
+    component projected out."""
+    G, h = f.epigraph()
+    cost = np.zeros(G.shape[1] - keep)
+    cost[-1] = 1.0
+    res = solve_lp(cost, G[:, keep:], h - G[:, :keep] @ x)
+    if res.status == "unbounded":
+        raise UnboundedBelow("selector LP unbounded")
+    if res.status == "infeasible":
+        raise ValidationError("selector LP infeasible at given point")
+    u = res.x[:-1]
+    if lineality.size:
+        u = u - lineality @ (lineality.T @ u)
+    return u
+
+
+def ref_lp_decisions(sol):
+    """Decisions of the node-by-node forward pass, with ref_lp_select at
+    every node whose pre-minimization function is Polyhedral."""
+    tree, out = sol.problem.tree, {}
+    for t in range(tree.T + 1):
+        for nid in tree.stage_nodes[t]:
+            rec, par = sol.records[nid], tree.parent(nid)
+            x = out[par] if par is not None else np.zeros(0)
+            out[nid] = (ref_lp_select(rec["pre"], x.size, rec["N"], x)
+                        if isinstance(rec["pre"], Polyhedral) else rec["selector"](x))
+    return out
 
 
 def ref_prune_pieces(pa, pb, C, d):

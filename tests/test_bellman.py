@@ -445,7 +445,7 @@ def _same_policy(got, want):
 @given(kind=st.sampled_from(["quad", "rows", "flat", "poly"]), seed=st.integers(0, 2**32 - 1))
 def test_forward_sweep_matches_the_node_by_node_loops(kind, seed):
     # uneven trees in shuffled node order, stage dims that include 0;
-    # equality rows, flat directions and Polyhedral (LP-selector) nodes:
+    # equality rows, flat directions and Polyhedral (back-substituted) nodes:
     # decisions and residuals have the bits of the frozen loops, verdicts
     # agree on perturbed, NaN and wrong-length decisions, and an error has
     # its type, message and node
@@ -527,3 +527,24 @@ def test_polyhedral_selector_projects_out_the_lineality_space(free):
     assert policy.value == pytest.approx(sol.value, abs=1e-9)
     assert sol.value == pytest.approx(0.125, abs=1e-9)
     assert policy.residual_max <= 1e-9
+
+
+def test_polyhedral_selection_off_the_domain_names_the_node():
+    # the children's value functions live on x0 in [-1, 1] and [-2, 2]: a
+    # record's selector, and the stage's batched selection, raise
+    # ValidationError naming the first node whose domain misses its point
+    tree = binary_tree()
+    box = lambda r: ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [r, r, 3.0, 3.0])
+    costs = {"r": Polyhedral([[1.0], [-1.0]], [0.0, 0.0], [[1.0], [-1.0]], [1.0, 1.0]),
+             "a": Polyhedral([[0.0, 1.0], [0.0, -1.0]], [0.0, 0.0], *box(1.0)),
+             "b": Polyhedral([[1.0, 1.0], [-1.0, -1.0]], [0.0, 0.0], *box(2.0))}
+    sol = solve_be(StageProblem(tree, [1, 1], node_costs=costs))
+    assert sol.records["b"]["selector"]([1.5])[0] == pytest.approx(-1.5)
+    with pytest.raises(ValidationError, match=r"infeasible at given point \(node a\)$") as err:
+        sol.records["a"]["selector"]([1.5])
+    assert err.value.node == "a"
+    sel = bellman._stage_layers(sol.records, tree, 1)[2]
+    for S, nid in (([[1.5], [2.5]], "a"), ([[0.5], [2.5]], "b")):
+        with pytest.raises(ValidationError, match=rf"\(node {nid}\)$") as err:
+            bellman._decisions(sel, np.array(S))
+        assert err.value.node == nid

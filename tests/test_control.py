@@ -524,7 +524,7 @@ def _verdicts_agree(sys_, sol, X, U, rng):
 @given(kind=st.sampled_from(["lq", "rows", "flat", "poly"]), seed=st.integers(0, 2**32 - 1))
 def test_forward_pass_matches_the_node_by_node_loops(kind, seed):
     # uneven trees in shuffled node order; equality rows, flat directions
-    # and Polyhedral (LP-selector) nodes: states and controls have the bits
+    # and Polyhedral (back-substituted) nodes: states and controls have the bits
     # of the frozen loops, verdicts agree, and an error has its type,
     # message and node
     rng = np.random.default_rng(seed)

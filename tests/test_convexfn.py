@@ -858,3 +858,57 @@ def test_stacked_eval_matches_eval(d, m, seed):
         for g, (f, x) in zip(got, members):
             want = np.float64(ref_quadratic_eval(f, x))
             assert same_bits(g, want) and same_bits(np.float64(f.eval(x)), want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(keep=st.integers(1, 2), own=st.integers(1, 3), flat=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_polyhedral_selection_attains_the_lp_optimum(keep, own, flat, seed):
+    # random costs over (x, u), 1-3 own coordinates u_j, each bounded below
+    # by a domain row and only sometimes above (a piece 2 u_j bounds it
+    # then), random pieces and a coupling row, and with `flat` every own
+    # row projected orthogonal to a direction w, which f ignores: the
+    # selected u meets the domain rows, attains the LP optimum of the
+    # epigraph slice at x, and is orthogonal to the lineality basis
+    rng = np.random.default_rng(seed)
+    d = keep + own
+    k = int(rng.integers(1, 5))
+    pa = rng.integers(-3, 4, (k, d)) * rng.choice([1.0, 0.5, 0.25], (k, 1))
+    pb = rng.standard_normal(k)
+    C, dd = [np.eye(d)[:keep], -np.eye(d)[:keep]], [np.full(2 * keep, 2.0)]
+    for j in range(keep, d):
+        e = np.eye(d)[j]
+        grow = rng.integers(-2, 3, d) * 1.0
+        grow[keep:] = 2.0 * e[keep:]
+        pa, pb = np.vstack([pa, grow]), np.append(pb, rng.standard_normal())
+        C.append(-e[None]), dd.append([rng.uniform(0.5, 2.0)])
+        if rng.random() < 0.5:
+            C.append(e[None]), dd.append([rng.uniform(0.5, 2.0)])
+    C.append(rng.integers(-2, 3, (1, d)) * 1.0), dd.append([rng.uniform(1.0, 3.0)])
+    C, dd = np.vstack(C), np.concatenate(dd)
+    if flat:
+        w = rng.standard_normal(own)
+        w /= np.linalg.norm(w)
+        P = np.eye(own) - np.outer(w, w)
+        pa[:, keep:], C[:, keep:] = pa[:, keep:] @ P, C[:, keep:] @ P
+    f = Polyhedral(pa, pb, C, dd)
+    pm = partial_min(f, over=own)
+    K = pm.lineality
+    assert K.shape == (own, int(flat))
+    G, h = f.epigraph()
+    cost = np.zeros(own + 1)
+    cost[-1] = 1.0
+    tried = 0
+    for x in rng.uniform(-2.0, 2.0, (6, keep)):
+        if pm.fn.eval(x) == Inf:
+            continue
+        tried += 1
+        u = pm.selector(x)
+        z = np.concatenate([x, u])
+        scale = 1.0 + np.abs(C) @ np.abs(z) + np.abs(dd)
+        assert np.all(C @ z - dd <= 1e-9 * scale)
+        res = solve_lp(cost, G[:, keep:], h - G[:, :keep] @ x)
+        assert res.status == "optimal"
+        assert np.max(pa @ z + pb) == pytest.approx(res.value, abs=1e-9 * (1.0 + abs(res.value)))
+        assert np.abs(K.T @ u).max(initial=0.0) <= 1e-12
+    assert tried

@@ -15,8 +15,8 @@ from stochbellman.lagrange import (LagrangeInstance, check_lagrange_bounds,
 from stochbellman.tree import AdaptedProcess, PerpProcess, validate_tree
 
 import helpers
-from helpers import (binary_tree, chain_tree, ref_polyhedral_cone_checks,
-                     same_bits, same_fn, two_stage_binary)
+from helpers import (binary_tree, chain_tree, same_bits, same_fn,
+                     two_stage_binary)
 
 
 def test_frozen_decisions_instance():
@@ -341,7 +341,7 @@ def test_boxed_inventory_lp_solves_no_cone_lp(monkeypatch):
         return run
 
     monkeypatch.setattr(helpers, "solve_lp", counted("ref", helpers.solve_lp))
-    monkeypatch.setattr(convexfn, "_polyhedral_cone_checks", ref_polyhedral_cone_checks)
+    monkeypatch.setattr(convexfn, "_cone_bases", helpers.ref_cone_bases)
     want = lp_recursion(tree, 2, data)
     monkeypatch.undo()
     for name, module in (("convexfn", convexfn), ("lagrange", lagrange)):
@@ -384,33 +384,28 @@ def test_failing_lp_raises_what_the_emptiness_check_first_raised(empty, unbounde
     assert got.value.node == want.value.node == (empty or unbounded)[0]
 
 
-def test_inventory_lp_takes_at_most_half_the_pivots(monkeypatch):
-    # from the slack basis, and with no emptiness LPs after a sweep that
-    # succeeds, the sweep and the policy take at most half the pivots of an
-    # all-artificial start with every node's emptiness LP before the sweep
+def test_inventory_lp_sweep_and_policy_solve_no_lp(monkeypatch):
+    # the boxed inventory's sweep makes no cone LP and, with no emptiness
+    # LP after a sweep that succeeds and decisions by back-substitution
+    # through the Fourier-Motzkin systems, neither sweep nor policy calls
+    # solve_lp; the value has the bits of the sweep with every emptiness LP
+    # before it, and the decisions are the frozen LP selector's
     tree = random_tree(np.random.default_rng(0), 3, fixed=True)
     data = _boxed_inventory(tree)
-    before, after = [], []
-    for module in (convexfn, lagrange):
-        monkeypatch.setattr(module, "solve_lp", helpers.ref_lp(False, before))
+    pivots = []
+    for module in (convexfn, lagrange, helpers):
+        monkeypatch.setattr(module, "solve_lp", helpers.ref_lp(False, pivots))
     want = helpers.ref_lp_recursion(tree, 2, data)
-    want_policy = lagrange_policy(want)
+    want_decisions = helpers.ref_lp_decisions(want.solution)
     monkeypatch.undo()
-
-    def counted(solve):
-        def run(*args):
-            res = solve(*args)
-            after.append(res.pivots)
-            return res
-        return run
-
+    assert len(pivots) == 2 * len(tree.nodes)
+    calls = []
     for module in (convexfn, lagrange):
-        monkeypatch.setattr(module, "solve_lp", counted(module.solve_lp))
+        monkeypatch.setattr(module, "solve_lp",
+                            lambda *a, _solve=module.solve_lp: calls.append(a) or _solve(*a))
     got = lp_recursion(tree, 2, data)
     policy = lagrange_policy(got)
-    assert (len(before), len(after)) == (2 * len(tree.nodes), len(tree.nodes))
-    assert 0 < sum(after) <= sum(before) / 2
+    assert calls == []
     assert same_bits(got.value, want.value)
     for nid in tree.nodes:
-        assert policy.decisions[nid] == pytest.approx(want_policy.decisions[nid], abs=1e-12)
-
+        assert policy.decisions[nid] == pytest.approx(want_decisions[nid], abs=1e-12)

@@ -141,6 +141,42 @@ def test_piece_pruning_matches_the_loop_version(k, d, box, seed):
         C, dd = np.zeros((0, d)), np.zeros(0)
     got, want = _prune_pieces(pa, pb, C, dd), ref_prune_pieces(pa, pb, C, dd)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-    # _polyhedral_partial_min passes lists of rows
+    # lists of rows are taken as arrays
     got = _prune_pieces(list(pa), list(pb), C, dd)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), d=st.integers(2, 4), cap=st.sampled_from([10000, 40]),
+       seed=st.integers(0, 2**32 - 1))
+def test_member_aware_projection_matches_one_system_at_a_time(n, d, cap, seed):
+    # ragged stacks of messy systems: empty members, members with no
+    # positive or no negative entry in the eliminated column, zero rows, and
+    # members past the row cap, which alone record RowBlowup; every other
+    # member has the rows, order and bits of its own elimination
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(n):
+        G, h = _messy_rows(rng, int(rng.choice([0, 1, 3, 8, 24])), d)
+        sign = rng.choice([0.0, 1.0, -1.0])
+        G[:, -1] = G[:, -1] if sign == 0.0 else sign * np.abs(G[:, -1])
+        systems.append((G, h))
+    member = np.repeat(np.arange(n), [h.size for _, h in systems])
+    G, h = np.vstack([G for G, _ in systems]), np.concatenate([h for _, h in systems])
+    j, k = int(rng.integers(0, d)), int(rng.integers(1, d))
+    for run, one in ((lambda *a, **kw: eliminate_one(*a, j, cap, **kw)[:3],
+                      lambda G, h: eliminate_one(G, h, j, cap)),
+                     (lambda *a, **kw: fm_project(*a, k, cap, **kw)[:3],
+                      lambda G, h: fm_project(G, h, k, cap))):
+        failed = {}
+        got = run(G, h, member=member, failed=failed)
+        for i, (Gi, hi) in enumerate(systems):
+            try:
+                want = one(Gi, hi)
+            except RowBlowup as exc:
+                assert type(failed[i]) is RowBlowup and str(failed[i]) == str(exc)
+                assert not np.any(got[2] == i)
+                continue
+            assert i not in failed
+            mine = got[2] == i
+            assert same_bits(got[0][mine], want[0]) and same_bits(got[1][mine], want[1])

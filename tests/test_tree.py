@@ -272,3 +272,34 @@ def test_stage_map_agrees_with_the_children_lists(T, exact, seed):
         for i, u in enumerate(parents):
             assert [layer[j] for j in np.flatnonzero(up == i)] == tree.children[u]
             assert slot[up == i].tolist() == list(range(len(tree.children[u])))
+
+
+def test_expect_and_snell_sum_children_in_child_order():
+    # 3 and 4 children per node and values of mixed magnitude, so that most
+    # parents' float sums change when their children are summed in reverse:
+    # expect and snell are the in-order left fold, bit for bit
+    from stochbellman.stopping import snell
+    rng = np.random.default_rng(7)
+    tree = random_tree(rng, 4, branching=4, min_branch=3)  # 67 parents
+    sign = lambda n: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-1, 1, n)
+    reordered = 0
+    for t in range(tree.T):
+        V = sign(len(tree.stage_nodes[t + 1]))
+        v = dict(zip(tree.stage_nodes[t + 1], V))
+        got = tree.expect(t, V)
+        for nid, g in zip(tree.stage_nodes[t], got.tolist()):
+            terms = [float(tree.nodes[k].prob) * v[k] for k in tree.children[nid]]
+            fold = back = 0.0
+            for a, b in zip(terms, terms[::-1]):
+                fold, back = fold + a, back + b
+            assert g == fold and np.signbit(g) == np.signbit(fold)
+            reordered += back != fold
+    assert reordered >= 20
+    R = AdaptedProcess(tree, dict(zip(tree.nodes, sign(len(tree.nodes)))))
+    S = snell(R)
+    for t in range(tree.T, -1, -1):
+        for nid in tree.stage_nodes[t]:
+            cont = 0.0
+            for k in tree.children[nid]:
+                cont = cont + float(tree.nodes[k].prob) * S[k]
+            assert S[nid] == max(float(R[nid]), cont)
