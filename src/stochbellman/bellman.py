@@ -5,10 +5,12 @@ g_t(x_{t-1}, x_t), and the sweep computes per-node value functions of the
 previous decision.
 
 backward_sweep, the one backward recursion, runs a stage at a time over
-the tree's stage map: its Quadratic and Polyhedral nodes stay stacks
-(convexfn._Stack, _PStack) from the children's value functions to the
-records, which it returns as a tree.StageMap of stage stacks; a node's
-record is made when it is read.  Its mirror forward_sweep, over the same
+the tree's stage map, every layer a stack of Quadratics (convexfn._Stack,
+one per row count) or of Polyhedrals (_PStack) from the children's value
+functions to the records; an affine Quadratic that meets a Polyhedral in
+a sum joins it as one piece, a stage's at once (_affine_pstack).  It
+returns the records as a tree.StageMap of stage stacks; a node's record
+is made when it is read.  Its mirror forward_sweep, over the same
 map, applies the recorded minimizers (affine maps, or back-substitution
 through the Polyhedral nodes' Fourier-Motzkin systems, no LP) and
 evaluates the nodewise optimality gaps, also a stage at a time, on the
@@ -31,10 +33,11 @@ from operator import getitem
 
 import numpy as np
 
-from .convexfn import (Inf, PartialMin, Polyhedral, Quadratic, _add, _conjugates,
-                       _kkt_minima, _member, _objects, _poly_minima, _precompose,
-                       _pstack, _recessions, _scale, _settled, _Stack, _stack, _take,
-                       eval_stack, partial_min)
+# partial_min: the bench tracer (perfbench/tracer.py) finds its span through this import
+from .convexfn import (Inf, PartialMin, Polyhedral, Quadratic, _add, _affine_pstack,
+                       _conjugates, _kkt_minima, _member, _objects, _poly_minima,
+                       _precompose, _pstack, _recessions, _scale, _settled, _Stack, _stack,
+                       _take, eval_stack, partial_min)
 from .errors import (BackendClash, DimensionMismatch, Infeasible,
                      NonLinearRecession, NotPerp, SolverError,
                      StochBellmanError, UnboundedBelow, ValidationError)
@@ -62,8 +65,7 @@ class StageProblem:
         self.node_costs = dict(node_costs)
         for nid, fn in self.node_costs.items():
             if not isinstance(fn, (Quadratic, Polyhedral)):
-                raise BackendClash(f"a {type(fn).__name__} cost cannot be swept; "
-                                   f"use Quadratic or Polyhedral (node {nid})")
+                raise _unsweepable(fn, nid)
             t = tree.stage(nid)
             want = self._prev_dim(t) + self.dims[t]
             if fn.dim != want:
@@ -97,35 +99,22 @@ class Policy:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def _by_backend(idx, fns):
-    """The functions fns at positions idx as (positions, F) pieces:
-    Quadratics as a _Stack per row count, Polyhedrals as one _PStack, others
-    as a list."""
-    groups = {}
-    for i, f in zip(idx.tolist(), fns):
-        key = f.A.shape[0] if isinstance(f, Quadratic) else "poly" if isinstance(
-            f, Polyhedral) else None
-        groups.setdefault(key, []).append((i, f))
-    make = {None: list, "poly": _pstack}
-    return [(np.array([i for i, _ in g], dtype=int), make.get(key, _stack)([f for _, f in g]))
-            for key, g in groups.items()]
+def _unsweepable(fn, nid):
+    return BackendClash(f"a {type(fn).__name__} cost cannot be swept; "
+                        f"use Quadratic or Polyhedral (node {nid})")
 
 
 def _grouped(pieces):
     """(positions, F) pieces as a layer, a stage's functions by position:
-    F a _Stack of Quadratics, one per row count, a _PStack of Polyhedrals,
-    or a list of the others, positions ascending; a position in no group
-    holds None."""
+    F a _Stack of Quadratics, one per row count, or a _PStack of
+    Polyhedrals, positions ascending; a position in no group holds None."""
     out = {}
     for idx, F in pieces:
-        key = F.A.shape[1] if isinstance(F, _Stack) else "poly" if isinstance(
-            F, _PStack) else None
-        out.setdefault(key, []).append((idx, F))
+        out.setdefault(F.A.shape[1] if isinstance(F, _Stack) else "poly", []).append((idx, F))
     for key, ps in out.items():
-        if len(ps) > 1 or key is None:  # a stack's piece has its positions in order
+        if len(ps) > 1:  # a stack's piece has its positions in order
             idx = np.concatenate([i for i, _ in ps])
-            F = [f for _, F in ps for f in F] if key is None else _pcat(
-                [F for _, F in ps]) if key == "poly" else _Stack(
+            F = _pcat([F for _, F in ps]) if key == "poly" else _Stack(
                 *map(np.concatenate, zip(*(F for _, F in ps))))
             order = np.argsort(idx, kind="stable")
             ps = [(idx[order], _take(F, order))]
@@ -148,27 +137,26 @@ def _mapped(layer, p=None, M=None, W=None):
             S = F if M is None else _precompose(F, M[idx], W[idx])
             S = S if p is None else _scale(S, p[idx])
             out += [(idx[j], T) for j, T in _settled(S, new_rows=M is not None)]
-        elif isinstance(F, _PStack):
+        else:
             S = F if M is None else _pprecompose(F, M[idx], W[idx])
             out.append((idx, S if p is None else _pscale(S, p[idx])))
-        else:
-            fs = F if M is None else [f.precompose(M[i], W[i]) for i, f in zip(idx, F)]
-            out.append((idx, fs if p is None else [f.scale(p[i]) for i, f in zip(idx, fs)]))
     return _grouped(out)
 
 
 def _summed(acc, other, nodes, failed, dst=None):
     """acc + other by position, one side's function where the other holds
     none; other's position i is dst[i] if given, and left out if dst[i] < 0.
-    One stacked add per pair of _Stacks or of _PStacks, others node by node
-    before the first failure; a node's error is recorded in failed."""
-    n, lim, k = len(nodes), min(failed, default=len(nodes)), len(other) + 1
+    One stacked add per pair of groups: _add for two _Stacks, _padd
+    otherwise, the affine members of a _Stack joining a _PStack as one
+    piece each (_affine_pstack) and its curved members clashing.  A node's
+    error is recorded in failed."""
+    n, k = len(nodes), len(other) + 1
     (ga, ra), (go, ro) = loc = [(np.full(n, -1), np.zeros(n, dtype=int)) for _ in "ao"]
     for (g, r), side, to in zip(loc, (acc, other), (None, dst)):  # group number and member
         for j, (idx, _) in enumerate(side):
             pos = idx if to is None else to[idx]
             g[pos[pos >= 0]], r[pos[pos >= 0]] = j, np.flatnonzero(pos >= 0)
-    pair, pieces, sums = (ga + 1) * k + go + 1, [], {}
+    pair, pieces = (ga + 1) * k + go + 1, []
     for key in dict.fromkeys(pair[pair > 0].tolist()):
         P, (a, b) = np.flatnonzero(pair == key), divmod(key, k)
         F, G = acc[a - 1][1] if a else None, other[b - 1][1] if b else None
@@ -176,56 +164,51 @@ def _summed(acc, other, nodes, failed, dst=None):
             pieces.append((P, _take(G, ro[P]) if F is None else _take(F, ra[P])))
         elif isinstance(F, _Stack) and isinstance(G, _Stack):
             pieces += [(P[j], T) for j, T in _settled(_add(_take(F, ra[P]), _take(G, ro[P])))]
-        elif isinstance(F, _PStack) and isinstance(G, _PStack):
-            bad = {}
-            pieces.append((P, _padd(_take(F, ra[P]), _take(G, ro[P]), bad)))
-            failed.update((int(P[j]), _named(exc, nodes[P[j]])) for j, exc in bad.items())
-        else:  # a list on one side at least: node by node, before the first failure
-            P = P[P < lim]
-            fs, gs = (_objects([(np.arange(len(P)), _take(X, r[P]))], len(P)) for X, r in
-                      ((F, ra), (G, ro)))
-            for i, f, g in zip(P.tolist(), fs, gs):
-                try:
-                    sums[i] = f.add(g)
-                except BackendClash as exc:
-                    failed[i] = BackendClash(f"{exc} (node {nodes[i]})")
-                except StochBellmanError as exc:
-                    failed[i] = exc
-    return _grouped(pieces + _by_backend(np.array(list(sums), dtype=int), list(sums.values())))
+        else:
+            X, Y = _take(F, ra[P]), _take(G, ro[P])
+            S, clash = (X, "Polyhedral to Quadratic") if isinstance(X, _Stack) else (
+                Y, "Quadratic to Polyhedral")
+            if isinstance(S, _Stack):
+                curved = S.Q.any(axis=(1, 2))
+                for i in P[curved].tolist():
+                    failed.setdefault(i, BackendClash(f"cannot add {clash} (node {nodes[i]})"))
+                flat = np.flatnonzero(~curved)
+                P, X, Y = P[flat], *(_affine_pstack(_take(Z, flat)) if Z is S else _take(
+                    Z, flat) for Z in (X, Y))
+            if len(P):
+                bad = {}
+                pieces.append((P, _padd(X, Y, bad)))
+                failed.update((int(P[j]), _named(exc, nodes[P[j]])) for j, exc in bad.items())
+    return _grouped(pieces)
 
 
 def _minimized(layer, over, width, nodes, failed):
-    """partial_min over the trailing `over` of `width` coordinates before the
+    """Minimize out the trailing `over` of `width` coordinates before the
     first failure: the value functions and the minimizer maps as layers, and
     the lineality bases by position.  One _kkt_minima per _Stack, its maps
     x -> F x + g kept as one (F, g) stack; one _poly_minima per _PStack,
-    its minimizers selected by its _Picks; others node by node, their
-    selectors in a list.  A node's error is recorded in failed."""
+    its minimizers selected by its _Picks.  A node's error is recorded in
+    failed."""
     n, lim = len(nodes), min(failed, default=len(nodes))
     if not over:  # partial_min(f, 0) keeps f
         return layer, [(np.arange(n), (np.zeros((n, 0, width)), np.zeros((n, 0))))], \
             [np.zeros((0, 0))] * n
     F, g, lin = np.zeros((n, over, width - over)), np.zeros((n, over)), [None] * n
-    post, aff, picked, pms = [], [], [], {}
+    post, aff, picked = [], [], []
     for idx, G in layer:
         idx = idx[:np.searchsorted(idx, lim)]
+        if not len(idx):
+            continue
         if isinstance(G, _PStack):
-            if len(idx):
-                bad = {}
-                P, picks, K = _poly_minima(G if len(idx) == G.n else _take(
-                    G, np.arange(len(idx))), over, bad, [nodes[i] for i in idx.tolist()])
-                failed.update((int(idx[j]), _named(exc, nodes[idx[j]])) for j, exc in bad.items())
-                post.append((idx, P))
-                picked.append((idx, picks))
-                for i, Ki in zip(idx.tolist(), K):
-                    lin[i] = Ki
-        elif not isinstance(G, _Stack):
-            for i, f in zip(idx.tolist(), G):
-                try:
-                    pms[i] = partial_min(f, over)
-                except StochBellmanError as exc:
-                    failed[i] = _named(exc, nodes[i])
-        elif len(idx):
+            bad = {}
+            P, picks, K = _poly_minima(G if len(idx) == G.n else _take(
+                G, np.arange(len(idx))), over, bad, [nodes[i] for i in idx.tolist()])
+            failed.update((int(idx[j]), _named(exc, nodes[idx[j]])) for j, exc in bad.items())
+            post.append((idx, P))
+            picked.append((idx, picks))
+            for i, Ki in zip(idx.tolist(), K):
+                lin[i] = Ki
+        else:
             groups, F[idx], g[idx], K, unbounded = _kkt_minima(
                 G if len(idx) == len(G.c) else _take(G, np.arange(len(idx))), over)
             if unbounded:
@@ -236,27 +219,30 @@ def _minimized(layer, over, width, nodes, failed):
             aff.append(idx)
             for i, Ki in zip(idx.tolist(), K):
                 lin[i] = Ki
-    for i, pm in pms.items():
-        lin[i] = pm.lineality
-    rest = np.array(list(pms), dtype=int)
-    aff = np.sort(np.concatenate(aff)) if aff else rest[:0]
-    sel = [(aff, (F, g) if len(aff) == n else (F[aff], g[aff])), *picked,
-           (rest, [pm.selector for pm in pms.values()])]
-    return _grouped(post + [(rest, [pm.fn for pm in pms.values()])]), sel, lin
+    aff = np.sort(np.concatenate(aff)) if aff else np.zeros(0, dtype=int)
+    sel = [(aff, (F, g) if len(aff) == n else (F[aff], g[aff])), *picked]
+    return _grouped(post), sel, lin
 
 
 def _cost_layer(costs, t, nodes, width):
-    """Stage t's costs as a layer, and {position: DimensionMismatch} of the
-    costs not of dimension `width`; the layer ends before the first of
-    them.  Costs held as _Stack layers (lq_costs) give their own groups."""
+    """Stage t's costs as a layer, and {position: error} of the costs that
+    are no Quadratic or Polyhedral (BackendClash) or not of dimension
+    `width` (DimensionMismatch); the layer ends before the first of them.
+    Costs held as _Stack layers (lq_costs) give their own groups; the
+    others make a _Stack per row count and one _PStack."""
     if isinstance(costs, StageMap) and costs.member is _member:
         failed = {i: _wrong_dim(nodes[i]) for idx, S in costs.held[t]
                   if S.q.shape[1] != width for i in idx.tolist()}
         return [(idx, S) for idx, S in costs.held[t] if S.q.shape[1] == width], failed
     fns = [costs[nid] for nid in nodes]
-    failed = {i: _wrong_dim(nid) for i, (nid, f) in enumerate(zip(nodes, fns)) if f.dim != width}
-    lim = min(failed, default=len(fns))
-    return _grouped(_by_backend(np.arange(lim), fns[:lim])), failed
+    failed = {i: _wrong_dim(nid) if isinstance(f, (Quadratic, Polyhedral)) else _unsweepable(f, nid)
+              for i, (nid, f) in enumerate(zip(nodes, fns))
+              if not isinstance(f, (Quadratic, Polyhedral)) or f.dim != width}
+    groups = {}
+    for i, f in enumerate(fns[:min(failed, default=len(fns))]):
+        groups.setdefault(f.A.shape[0] if isinstance(f, Quadratic) else "poly", []).append(i)
+    return [(np.array(g), (_pstack if key == "poly" else _stack)([fns[i] for i in g]))
+            for key, g in groups.items()], failed
 
 
 def _wrong_dim(nid):

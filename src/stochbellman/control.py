@@ -111,10 +111,12 @@ class ControlSolution:
 def solve_oc(sys, costs):
     """Backward sweep producing per-node value functions.
 
-    costs maps every node to a ConvexFn over (X, U) (lq_costs gives them
-    as stage stacks).  This is bellman.backward_sweep with each child's
-    value function precomposed with the child's step map, and U minimized
-    out; a node's record is made when it is read.
+    costs maps every node to a Quadratic or Polyhedral over (X, U)
+    (lq_costs gives them as stage stacks); any other cost raises the
+    BackendClash StageProblem raises, and a cost of another dimension a
+    DimensionMismatch, each naming the node.  This is bellman.backward_sweep
+    with each child's value function precomposed with the child's step map,
+    and U minimized out; a node's record is made when it is read.
     """
     T = sys.tree.T
     return ControlSolution(sys, backward_sweep(

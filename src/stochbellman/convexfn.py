@@ -18,9 +18,10 @@ other operations raise BackendClash, and StageProblem refuses it as a cost.
 Values are floats with +inf for points outside the effective domain; -inf
 never occurs because every backend tracks its domain explicitly.  All
 instances are immutable; operations return new objects.  A sum stays in one
-backend: an affine Quadratic joins a Polyhedral as one piece, and any other
-cross-backend sum raises BackendClash.  Recession functions are backend
-objects and lineality spaces are orthonormal basis arrays.
+backend: an affine Quadratic joins a Polyhedral as one piece (_affine_pstack,
+a stack's affine members at once), and any other cross-backend sum raises
+BackendClash.  Recession functions are backend objects and lineality
+spaces are orthonormal basis arrays.
 
 The Quadratic algebra (precompose, scale, add, partial minimization,
 conjugates) is written once over a stack: arrays with a leading member
@@ -284,11 +285,18 @@ def eval_stack(S, X):
     return val
 
 
+def _affine_pstack(S):
+    """The members of a _Stack with Q == 0 as one-piece members of a
+    _PStack, each equality row becoming the row pair [A; -A] x <= [b; -b]."""
+    n, m, d = S.A.shape
+    C, rhs = np.concatenate([S.A, -S.A], axis=1), np.concatenate([S.b, -S.b], axis=1)
+    return _PStack(S.q, S.c, np.arange(n), C.reshape(2 * n * m, d), rhs.ravel(),
+                   np.repeat(np.arange(n), 2 * m), n)
+
+
 def _affine_as_polyhedral(f):
-    """A Quadratic with Q == 0 as a one-piece Polyhedral; each equality row
-    becomes a pair of opposite inequality rows."""
-    return Polyhedral(f.q.reshape(1, -1), [f.c],
-                      np.vstack([f.A, -f.A]), np.concatenate([f.b, -f.b]))
+    """A Quadratic with Q == 0 as a one-piece Polyhedral (_affine_pstack)."""
+    return _at(_affine_pstack(_stack([f])), 0)
 
 
 class AffineSelector:
@@ -442,8 +450,9 @@ class Quadratic(ConvexFn):
         if q.size != d:
             raise DimensionMismatch("q has wrong length")
         if A is None or (hasattr(A, "__len__") and len(A) == 0):
-            A, b = np.zeros((0, d)), np.zeros(0)
-        A, b = np.atleast_2d(np.asarray(A, dtype=float)), np.asarray(b, dtype=float).ravel()
+            A = np.zeros((0, d))
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        b = np.asarray(() if b is None else b, dtype=float).ravel()
         if A.shape != (b.size, d):
             raise DimensionMismatch("constraint block shapes disagree")
         self.Q, self.q, self.c, self.psd = _forms(Q[None], check_psd)[0], q, float(c), check_psd
@@ -508,14 +517,11 @@ class Polyhedral(ConvexFn):
         self.dim = self.pieces_a.shape[1]
         if self.pieces_b.size != self.pieces_a.shape[0]:
             raise DimensionMismatch("piece offsets disagree with gradients")
-        if C is None or (hasattr(C, "__len__") and len(C) == 0):
-            self.C = np.zeros((0, self.dim))
-            self.d = np.zeros(0)
-        else:
-            self.C = np.atleast_2d(np.asarray(C, dtype=float))
-            self.d = np.asarray(d, dtype=float).ravel()
-            if self.C.shape[1] != self.dim:
-                raise DimensionMismatch("domain rows have wrong width")
+        no_rows = C is None or (hasattr(C, "__len__") and len(C) == 0)
+        self.C = np.zeros((0, self.dim)) if no_rows else np.atleast_2d(np.asarray(C, dtype=float))
+        self.d = np.asarray(() if d is None else d, dtype=float).ravel()
+        if self.C.shape != (self.d.size, self.dim):
+            raise DimensionMismatch("domain block shapes disagree")
 
     @staticmethod
     def affine(a, b=0.0):

@@ -9,9 +9,10 @@ from stochbellman import bellman, convexfn
 from stochbellman.bellman import (Policy, StageProblem, build_flat, check_assumptions,
                                   extract_policy, optimum_value, solve_be,
                                   tilt_by_p, verify_optimality)
-from stochbellman.convexfn import (AffineSelector, Polyhedral, Quadratic,
+from stochbellman.convexfn import (AffineSelector, Polyhedral, Quadratic, Sampled1D,
                                    recession)
-from stochbellman.errors import NonLinearRecession, NotPerp, ValidationError
+from stochbellman.errors import (BackendClash, NonLinearRecession, NotPerp,
+                                 ValidationError)
 from stochbellman.extensive import solve_extensive
 from stochbellman.generators import (quadratic_lagrange_instance, random_tree,
                                      tracking_stage_problem)
@@ -548,3 +549,75 @@ def test_polyhedral_selection_off_the_domain_names_the_node():
         with pytest.raises(ValidationError, match=rf"\(node {nid}\)$") as err:
             bellman._decisions(sel, np.array(S))
         assert err.value.node == nid
+
+
+_PLAIN = {nid: Quadratic(np.eye(d), np.zeros(d)) for nid, d in (("r", 1), ("a", 2), ("b", 2))}
+
+
+@pytest.mark.parametrize("edit, kwargs, exc, message", [
+    ({}, {"mode": "nodal"}, ValidationError, "unknown mode 'nodal'"),
+    ({}, {"dims": [1, 1, 1]}, ValidationError, "need one decision dimension per stage"),
+    ({"b": Quadratic(np.eye(3), np.zeros(3))}, {}, ValidationError,
+     "cost at node 'b' has dim 3, expected 2"),
+    ({"a": None}, {}, ValidationError, "missing stage cost at node 'a'"),
+    ({"a": Sampled1D([0.0, 1.0], [0.0, 1.0])}, {}, BackendClash,
+     "a Sampled1D cost cannot be swept; use Quadratic or Polyhedral (node a)"),
+])
+def test_stage_problem_refuses_malformed_data(edit, kwargs, exc, message):
+    # each error has its type and its exact message, naming the node where
+    # the fault is a node's
+    costs = {nid: fn for nid, fn in {**_PLAIN, **edit}.items() if fn is not None}
+    with pytest.raises(exc) as err:
+        StageProblem(binary_tree(), **{"dims": [1, 1], "node_costs": costs, **kwargs})
+    assert type(err.value) is exc and str(err.value) == message
+
+
+def _affine_or_polyhedral(rng, kind, keep, own):
+    """A bounded cost over (kept block, own block): an affine Quadratic
+    whose rows fix the own block as an affine map of the kept one, or a
+    Polyhedral with random pieces on a box of the own block."""
+    d = keep + own
+    if kind == "quad":
+        A = np.hstack([rng.standard_normal((own, keep)), np.eye(own)])
+        return Quadratic(np.zeros((d, d)), rng.standard_normal(d), float(rng.standard_normal()),
+                         A, rng.standard_normal(own))
+    k = int(rng.integers(1, 3))
+    box = np.hstack([np.zeros((2 * own, keep)), np.vstack([np.eye(own), -np.eye(own)])])
+    return Polyhedral(rng.standard_normal((k, d)), rng.standard_normal(k), box,
+                      rng.uniform(0.5, 2.0, 2 * own))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(first=st.sampled_from(["quad", "poly"]), seed=st.integers(0, 2**32 - 1))
+def test_affine_quadratics_join_polyhedral_sums_as_stacks(first, seed):
+    # stages alternate affine Quadratic and Polyhedral costs, starting with
+    # `first`, and a third of the nodes after a stage's first take the other
+    # kind: costs meet tails of the other backend in both orders, and so do
+    # the children of one node.  The sweep promotes the affine members as
+    # stacks, calling no per-object add or partial_min, and its value is the
+    # flat LP's
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(1, 3))
+    tree = random_tree(rng, T, 2)
+    dims = [int(rng.integers(1, 3)) for _ in range(T + 1)]
+    other = {"quad": "poly", "poly": "quad"}
+    costs = {}
+    for t in range(T + 1):
+        for j, nid in enumerate(tree.stage_nodes[t]):
+            kind = first if t % 2 == 0 else other[first]
+            kind = other[kind] if j and rng.random() < 1 / 3 else kind
+            costs[nid] = _affine_or_polyhedral(rng, kind, dims[t - 1] if t else 0, dims[t])
+    sp = StageProblem(tree, dims, node_costs=costs)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((Quadratic, "add"), (Polyhedral, "add"), (convexfn, "partial_min"),
+                            (bellman, "partial_min"), (bellman, "_affine_pstack")):
+            mp.setattr(owner, name, counted(name, getattr(owner, name)))
+        sol = solve_be(sp)
+    assert set(calls) == {"_affine_pstack"}
+    value, _, info = solve_extensive(build_flat(sp))
+    assert info.get("lp_vertex")
+    assert abs(sol.value - value) <= 1e-9 * (1 + abs(value))

@@ -298,6 +298,21 @@ EXIT_2 = {
     "unknown gen kind": (None, "gen", None, ["--kind", "maze", "--out", "{grid}.out"], "'maze'"),
 }
 
+# domain rows without one right-hand side each: a cost record of the
+# tracking problem's node, refused by solve, oracle and check alike
+BAD_ROWS = {
+    "C without d": ("a", {"kind": "polyhedral", "pieces": [[[1.0], 0.0]], "C": [[1.0]]}),
+    "d one short": ("a", {"kind": "polyhedral", "pieces": [[[1.0], 0.0]],
+                          "C": [[1.0], [-1.0]], "d": [1.0]}),
+    "A without b": ("b", {"kind": "quadratic", "Q": [[2.0]], "q": [0.0], "A": [[1.0]]}),
+    "b one short": ("b", {"kind": "quadratic", "Q": [[2.0]], "q": [0.0],
+                          "A": [[1.0], [2.0]], "b": [1.0]}),
+}
+EXIT_2.update({f"{case}, {command}": (
+    "problem", command, lambda doc, nid=nid, rec=rec: _set(_node(doc, nid)["data"], "cost", rec),
+    [], f"block shapes disagree at node '{nid}'")
+    for case, (nid, rec) in BAD_ROWS.items() for command in ("solve", "oracle", "check")})
+
 
 @pytest.mark.parametrize("case", list(EXIT_2))
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):

@@ -10,8 +10,8 @@ from stochbellman.control import (ControlSystem, as_stage_problem,
                                   extract_oc_policy, independence_reduction,
                                   lq_costs, q_factors, riccati, riccati_policy,
                                   solve_oc, verify_oc_policy)
-from stochbellman.convexfn import Inf, Polyhedral, Quadratic
-from stochbellman.errors import (BackendClash, SingularRiccati,
+from stochbellman.convexfn import Inf, Polyhedral, Quadratic, Sampled1D
+from stochbellman.errors import (BackendClash, DimensionMismatch, SingularRiccati,
                                  UnboundedBelow, ValidationError)
 from stochbellman.extensive import solve_extensive
 from stochbellman.generators import binomial_market, lq_instance, random_tree
@@ -472,6 +472,34 @@ def test_backend_clash_in_the_sweep_names_its_node():
         with pytest.raises(BackendClash) as exc:
             sweep(sys_, costs)
         assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("node, cost, exc, message", [
+    ("b", Quadratic(np.eye(3), np.zeros(3)), DimensionMismatch, "cost at 'b' has wrong dimension"),
+    ("a", Sampled1D([0.0, 1.0], [0.0, 1.0]), BackendClash,
+     "a Sampled1D cost cannot be swept; use Quadratic or Polyhedral (node a)"),
+])
+def test_solve_oc_refuses_a_cost_naming_its_node(node, cost, exc, message):
+    # a cost over (X, U) of the wrong dimension, or one that is no sweep
+    # backend, stops the sweep at its stage with an error naming the node
+    sys_ = ControlSystem(binary_tree(), 1, 1, A={k: [[0.0]] for k in "ab"},
+                         B={k: [[1.0]] for k in "ab"}, W={k: [0.0] for k in "ab"})
+    costs = {nid: Quadratic(np.eye(2), np.zeros(2)) for nid in "rab"}
+    costs[node] = cost
+    with pytest.raises(exc) as err:
+        solve_oc(sys_, costs)
+    assert type(err.value) is exc and str(err.value) == message
+
+
+def test_solve_oc_refuses_lq_cost_stacks_of_the_wrong_dimension():
+    # lq_costs of a system with two controls handed to one with one: the
+    # stage stacks are too wide, and the first node of the last stage is named
+    wide, Qm, Rm = lq_instance(5, T=2, N=2, M=2)
+    narrow, _, _ = lq_instance(5, T=2, N=2, M=1)
+    assert list(wide.tree.nodes) == list(narrow.tree.nodes)
+    first = narrow.tree.stage_nodes[2][0]
+    with pytest.raises(DimensionMismatch, match=rf"^cost at '{first}' has wrong dimension$"):
+        solve_oc(narrow, lq_costs(wide, Qm, Rm))
 
 
 def test_non_psd_cost_names_the_first_failing_node():

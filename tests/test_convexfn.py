@@ -33,6 +33,22 @@ def test_eval_quadratic():
         f.eval([1.0, 2.0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Polyhedral([[1.0]], [0.0], [[1.0]], None),
+    lambda: Polyhedral([[1.0]], [0.0], [[1.0], [-1.0]], [1.0]),
+    lambda: Polyhedral([[1.0]], [0.0], [[1.0]], [1.0, 2.0]),
+    lambda: Quadratic([[1.0]], [0.0], 0.0, [[1.0]], None),
+    lambda: Quadratic(np.eye(2), np.zeros(2), 0.0, [[1.0, 0.0], [0.0, 1.0]], [1.0]),
+    lambda: Polyhedral([[1.0]], [0.0], None, [1.0]),
+    lambda: Quadratic([[1.0]], [0.0], 0.0, [], [1.0]),
+])
+def test_domain_rows_need_one_right_hand_side_each(make):
+    # a missing right-hand side is no domain, and a short or long one is no
+    # row count: each is refused, not read as NaN rows, broadcast or dropped
+    with pytest.raises(DimensionMismatch, match="block shapes disagree"):
+        make()
+
+
 def test_eval_polyhedral_domain_indicator():
     f = Polyhedral([[1.0], [2.0]], [0.0, 1.0], [[1.0]], [0.0])
     assert f.eval([1.0]) == Inf
