@@ -178,10 +178,9 @@ def cmd_control(args):
 
 def cmd_lagrange(args):
     tree, doc = treeio.load_tree(args.input)
-    try:
-        d = int(doc.get("d", 1))
-    except (TypeError, ValueError):
-        raise ValidationError(f"`d` is not an integer: {doc['d']!r}") from None
+    d = doc.get("d", 1)
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValidationError(f"`d` is not a positive integer: {d!r}")
     data = {}
     for nid, node in tree.nodes.items():
         entry = {k: treeio._numeric(node.data[k], f"{k} at {nid!r}") for k in ("T", "W", "b", "c")

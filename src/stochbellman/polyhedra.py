@@ -17,9 +17,11 @@ a stack of one.
 The stacks of polyhedral functions max_i (a_i.x + b_i) on {Cx <= d} that
 convexfn's Polyhedral algebra runs on are ragged stacks of such rows
 (_PStack), with their evaluation, precomposition, scaling, addition, piece
-pruning and partial minimization, the last by one projection of the
-members' epigraphs.  The projection's intermediate systems select the
-minimizers by back-substitution (_Picks, _pick), with no LP.
+pruning (duplicate gradients, then, on any member boxed by unit rows,
+pieces below another on the whole box) and partial minimization, the last
+by one projection of the members' epigraphs.  The projection's
+intermediate systems select the minimizers by back-substitution (_Picks,
+_pick), with no LP.
 """
 
 from collections import namedtuple
@@ -277,15 +279,18 @@ def _pruned(P, failed):
 def _prune_index(P):
     """Indices of the pieces of a _PStack worth keeping, member by member.
 
-    Of pieces with equal gradients only the highest survives.  Above 32
-    pieces, when unit domain rows bound every coordinate both ways, pieces
-    lying below another piece on the whole box are dropped (interval bound,
-    no LP).  This is the greedy test that takes the pieces by decreasing
-    value at the box center, each one still kept dropping those below it,
-    run on every member at once: a round takes each member's next piece.
+    Of pieces with equal gradients only the highest survives.  When unit
+    domain rows bound every coordinate both ways, pieces lying below another
+    piece on the whole box are dropped (interval bound, no LP).  This is the
+    greedy test that takes the pieces by decreasing value at the box center,
+    each one still kept dropping those below it, run on every member at
+    once: a round takes each member's next 8 pieces, tests them against each
+    other, then the rest against those left.  A piece lies below only pieces
+    higher at the center, and lying below is transitive, so this keeps what
+    taking one piece a round keeps.
     """
     keep = first_minimal(P.a, -P.b, P.pm)
-    big = np.bincount(P.pm[keep], minlength=P.n) > 32
+    big = np.bincount(P.pm[keep], minlength=P.n) > 1
     if not big.any():
         return keep
     d = P.a.shape[1]
@@ -303,23 +308,23 @@ def _prune_index(P):
     t = keep[boxed[P.pm[keep]]]
     t = t[np.lexsort((-(np.vecdot(P.a[t], center[P.pm[t]]) + P.b[t]), P.pm[t]))]
     a, b, m = P.a[t], P.b[t], P.pm[t]
+
+    def below(c, k):
+        # c lies below k on the whole box of their member
+        mc, da = m[c], a[c] - a[k]
+        worst = np.vecdot(np.abs(da), radius[mc]) + np.vecdot(da, center[mc])
+        return c[worst + (b[c] - b[k]) <= -1e-12]
+
     alive, todo = np.ones(t.size, dtype=bool), np.ones(t.size, dtype=bool)
     while todo.any():
         top = np.flatnonzero(todo)
-        top = top[_starts(m[top])]  # each member's highest
-        by = np.full(P.n, -1)
-        by[m[top]] = top
-        c = np.flatnonzero(alive & (by[m] >= 0))
-        c = c[c != by[m[c]]]
-        k, mc = by[m[c]], m[c]
-        da = a[c]
-        da -= a[k]
-        tilt = np.vecdot(da, center[mc])
-        worst = np.vecdot(np.abs(da, out=da), radius[mc])
-        worst += tilt
-        worst += b[c] - b[k]
-        alive[c[worst <= -1e-12]] = False
+        top = top[np.arange(top.size) - np.searchsorted(m[top], m[top]) < 8]
+        i, j = _pairs(m[top], m[top])
+        alive[below(top[i[i > j]], top[j[i > j]])] = False
         todo[top] = False
+        top, rest = top[alive[top]], np.flatnonzero(todo)
+        i, j = _pairs(m[rest], m[top])
+        alive[below(rest[i], top[j])] = False
         todo &= alive
     out = np.ones(P.b.size, dtype=bool)
     out[t[~alive]] = False

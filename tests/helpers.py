@@ -12,10 +12,11 @@ from stochbellman.convexfn import (_LIN_TOL, EQ_TOL, AffineSelector, Inf,
                                    cond_expect_fn, partial_min)
 from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  IterationLimit, NonLinearRecession, RowBlowup,
-                                 SingularRiccati, StochBellmanError, Unbounded,
-                                 UnboundedBelow, ValidationError)
+                                 SingularRiccati, SolverError, StochBellmanError,
+                                 Unbounded, UnboundedBelow, ValidationError)
 from stochbellman.lagrange import (LagrangeInstance, ValueV, _empty_polyhedron,
                                    lp_costs)
+from stochbellman.polyhedra import _starts, first_minimal
 from stochbellman.simplex import LPResult, solve_lp
 from stochbellman.tree import AdaptedProcess, validate_tree
 
@@ -401,7 +402,7 @@ def ref_prune_pieces(pa, pb, C, d):
             keyed[key] = (a, b)
     pa = np.array([a for a, _ in keyed.values()])
     pb = np.array([b for _, b in keyed.values()])
-    if pa.shape[0] <= 32:
+    if pa.shape[0] <= 1:
         return pa, pb
     lo = np.full(pa.shape[1], -np.inf)
     hi = np.full(pa.shape[1], np.inf)
@@ -431,6 +432,67 @@ def ref_prune_pieces(pa, pb, C, d):
         worst = np.abs(da) @ radius + da @ center + db
         keep[cand[worst <= -1e-12]] = False
     return pa[keep], pb[keep]
+
+
+def ref_gated_prune_index(P):
+    """polyhedra._prune_index as it was while the box test ran only on
+    members with more than 32 pieces, one dominator per member a round."""
+    keep = first_minimal(P.a, -P.b, P.pm)
+    big = np.bincount(P.pm[keep], minlength=P.n) > 32
+    if not big.any():
+        return keep
+    d = P.a.shape[1]
+    nz = np.abs(P.C) > 1e-13
+    r = np.flatnonzero((nz.sum(axis=1) == 1) & big[P.cm])
+    j = nz[r].argmax(axis=1)
+    bound, up = P.d[r] / P.C[r, j], P.C[r, j] > 0
+    lo, hi = np.full((P.n, d), -np.inf), np.full((P.n, d), np.inf)
+    np.minimum.at(hi, (P.cm[r][up], j[up]), bound[up])
+    np.maximum.at(lo, (P.cm[r][~up], j[~up]), bound[~up])
+    boxed = big & np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    lo[~boxed], hi[~boxed] = 0.0, 0.0
+    center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    t = keep[boxed[P.pm[keep]]]
+    t = t[np.lexsort((-(np.vecdot(P.a[t], center[P.pm[t]]) + P.b[t]), P.pm[t]))]
+    a, b, m = P.a[t], P.b[t], P.pm[t]
+    alive, todo = np.ones(t.size, dtype=bool), np.ones(t.size, dtype=bool)
+    while todo.any():
+        top = np.flatnonzero(todo)
+        top = top[_starts(m[top])]
+        by = np.full(P.n, -1)
+        by[m[top]] = top
+        c = np.flatnonzero(alive & (by[m] >= 0))
+        c = c[c != by[m[c]]]
+        k, mc = by[m[c]], m[c]
+        da = a[c]
+        da -= a[k]
+        tilt = np.vecdot(da, center[mc])
+        worst = np.vecdot(np.abs(da, out=da), radius[mc])
+        worst += tilt
+        worst += b[c] - b[k]
+        alive[c[worst <= -1e-12]] = False
+        todo[top] = False
+        todo &= alive
+    out = np.ones(P.b.size, dtype=bool)
+    out[t[~alive]] = False
+    return keep[out[keep]]
+
+
+def lp_active(pa, pb, C, d, margin=1e-9):
+    """Which pieces of max_i (pa_i.x + pb_i) on {Cx <= d} exceed every other
+    piece by more than `margin` at some point of the domain, each found by
+    the LP max s s.t. pa_i.x + pb_i >= pa_j.x + pb_j + s (j != i), s <= 1."""
+    k, dim = pa.shape
+    out = np.zeros(k, dtype=bool)
+    for i in range(k):
+        other = np.arange(k) != i
+        A = np.vstack([np.hstack([pa[other] - pa[i], np.ones((k - 1, 1))]),
+                       np.hstack([C, np.zeros((C.shape[0], 1))]),
+                       np.eye(1, dim + 1, dim)])
+        rhs = np.concatenate([pb[i] - pb[other], d, [1.0]])
+        res = solve_lp(-np.eye(1, dim + 1, dim)[0], A, rhs)
+        out[i] = res.status == "optimal" and -res.value > margin
+    return out
 
 
 def same_bits(x, y):
@@ -518,7 +580,9 @@ def same_fn(f, g):
 def _minimize_block(fn, over, nid):
     try:
         return partial_min(fn, over=over)
-    except (UnboundedBelow, NonLinearRecession) as exc:
+    except SolverError as exc:
+        if exc.node is not None:
+            raise
         raise type(exc)(str(exc), node=nid) from exc
 
 

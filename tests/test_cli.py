@@ -277,6 +277,10 @@ EXIT_2 = {
     "no LP entry": ("lp", "lagrange", lambda doc: _node(doc, "a")["data"].pop("W"), [],
                     "node 'a' is missing LP entries"),
     "d not an integer": ("lp", "lagrange", lambda doc: _set(doc, "d", "x"), [], "`d`"),
+    "d fractional": ("lp", "lagrange", lambda doc: _set(doc, "d", 2.5), [], "`d`"),
+    "d a string of digits": ("lp", "lagrange", lambda doc: _set(doc, "d", "2"), [], "`d`"),
+    "d a bool": ("lp", "lagrange", lambda doc: _set(doc, "d", True), [], "`d`"),
+    "d zero": ("lp", "lagrange", lambda doc: _set(doc, "d", 0), [], "`d`"),
     "T not numeric": ("lp", "lagrange", lambda doc: _set(_node(doc, "b")["data"], "T", [["x"]]),
                       [], "T at 'b'"),
     "cone not numeric": ("lp", "lagrange", lambda doc: _set(_node(doc, "a")["data"], "C", "x"),
@@ -537,4 +541,6 @@ def test_bench_tracer_keeps_the_forward_pass_spans():
     found = set(tracer.Tracer().boundaries())
     assert {"control.riccati_policy", "control.verify_oc_policy", "control.solve_oc",
             "bellman.extract_policy", "lagrange.lagrange_policy"} <= found
+    # the polyhedral stage stack's piece pruning, addition and projection
+    assert {"polyhedra._prune_index", "polyhedra._padd", "polyhedra.fm_project"} <= found
     assert set(tracer.TIMED) | set(tracer.COUNTED) <= found

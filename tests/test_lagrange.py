@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochbellman import convexfn, lagrange
+from stochbellman import convexfn, lagrange, polyhedra
 from stochbellman.bellman import build_flat, optimum_value, solve_be
 from stochbellman.control import as_stage_problem, lq_costs, solve_oc
 from stochbellman.convexfn import Inf, Polyhedral, Quadratic
@@ -15,7 +15,7 @@ from stochbellman.lagrange import (LagrangeInstance, check_lagrange_bounds,
 from stochbellman.tree import AdaptedProcess, PerpProcess, validate_tree
 
 import helpers
-from helpers import (binary_tree, chain_tree, same_bits, same_fn,
+from helpers import (binary_tree, chain_tree, lp_active, same_bits, same_fn,
                      two_stage_binary)
 
 
@@ -409,3 +409,32 @@ def test_inventory_lp_sweep_and_policy_solve_no_lp(monkeypatch):
     assert same_bits(got.value, want.value)
     for nid in tree.nodes:
         assert policy.decisions[nid] == pytest.approx(want_decisions[nid], abs=1e-12)
+
+
+def test_box_pruning_at_every_size_keeps_the_values_and_the_active_pieces(monkeypatch):
+    # the box-domination test once ran only on members with more than 32
+    # pieces; run at every size it gives the inventory's value and decisions
+    # bit for bit, no value function stores more pieces, the stored total
+    # falls, and every piece strictly the largest somewhere is kept
+    tree = random_tree(np.random.default_rng(0), 5, fixed=True)
+    data = _boxed_inventory(tree)
+    monkeypatch.setattr(polyhedra, "_prune_index", helpers.ref_gated_prune_index)
+    want = lp_recursion(tree, 2, data)
+    want_decisions = lagrange_policy(want).decisions
+    monkeypatch.undo()
+    got = lp_recursion(tree, 2, data)
+    decisions = lagrange_policy(got).decisions
+    assert same_bits(got.value, want.value)
+    assert list(decisions) == list(want_decisions)
+    for nid, x in want_decisions.items():
+        assert same_bits(decisions[nid], x)
+    for nid in tree.nodes:
+        f, g = want.post(nid), got.post(nid)
+        assert same_bits(g.C, f.C) and same_bits(g.d, f.d)
+        assert g.pieces_b.size <= f.pieces_b.size
+        kept = {(a.tobytes(), b.tobytes()) for a, b in zip(g.pieces_a, g.pieces_b)}
+        active = lp_active(f.pieces_a, f.pieces_b, f.C, f.d)
+        for a, b in zip(f.pieces_a[active], f.pieces_b[active]):
+            assert (a.tobytes(), b.tobytes()) in kept
+    stored = [sum(sol.post(nid).pieces_b.size for nid in tree.nodes) for sol in (got, want)]
+    assert stored[0] < stored[1]

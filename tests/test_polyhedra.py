@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from stochbellman.convexfn import _prune_pieces
 from stochbellman.errors import RowBlowup
-from stochbellman.polyhedra import (cone_from_generators, eliminate_one,
+from stochbellman.polyhedra import (_peval, _prune_index, _PStack,
+                                    cone_from_generators, eliminate_one,
                                     fm_project, is_infeasible_marker,
                                     normalize_rows, prune_rows)
 
-from helpers import (ref_eliminate_one, ref_normalize_rows, ref_prune_pieces,
-                     ref_prune_rows, same_bits)
+from helpers import (lp_active, ref_eliminate_one, ref_normalize_rows,
+                     ref_prune_pieces, ref_prune_rows, same_bits)
 
 
 def _contains(G, h, z, tol=1e-9):
@@ -132,7 +133,7 @@ def test_heavily_duplicated_rows_match_the_loop_version(seed):
        seed=st.integers(0, 2**32 - 1))
 def test_piece_pruning_matches_the_loop_version(k, d, box, seed):
     # duplicate gradients keep the highest offset, the first among ties;
-    # above 32 pieces a bounded box runs the domination test
+    # above one piece a bounded box runs the domination test
     rng = np.random.default_rng(seed)
     pa, pb = _messy_rows(rng, k, d)
     if box:
@@ -144,6 +145,47 @@ def test_piece_pruning_matches_the_loop_version(k, d, box, seed):
     # lists of rows are taken as arrays
     got = _prune_pieces(list(pa), list(pb), C, dd)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_piece_pruning_keeps_the_max_and_every_active_piece(n, d, seed):
+    # stacks of members with 1 to 60 pieces and duplicate gradients, on a
+    # box, on upper bounds only or on no rows: each member keeps the pieces
+    # of the loop version, the max keeps its bits at random points of the
+    # member's box and at its vertices, and no piece that exceeds all others
+    # by more than 1e-9 somewhere on the domain is dropped
+    rng = np.random.default_rng(seed)
+    pieces, rows, boxes = [], [], []
+    for _ in range(n):
+        # exact duplicates only: of gradients 1e-13 apart the rule keeps one,
+        # which moves the max by up to 1e-13 |x|
+        pa, pb = _messy_rows(rng, int(rng.integers(1, 61)), d)
+        pieces.append((np.round(pa, 12), pb))
+        hi = rng.integers(1, 4, d).astype(float)
+        lo = -rng.integers(1, 4, d).astype(float)
+        kind = rng.integers(3)
+        C = [np.vstack([np.eye(d), -np.eye(d)]), np.eye(d), np.zeros((0, d))][kind]
+        rows.append((C, np.concatenate([hi, -lo])[:C.shape[0]]))
+        boxes.append((lo, hi) if kind < 2 else (lo - 1.0, hi + 1.0))
+    count, width = [pa.shape[0] for pa, _ in pieces], [C.shape[0] for C, _ in rows]
+    P = _PStack(np.vstack([pa for pa, _ in pieces]), np.concatenate([pb for _, pb in pieces]),
+                np.repeat(np.arange(n), count), np.vstack([C for C, _ in rows]),
+                np.concatenate([dd for _, dd in rows]), np.repeat(np.arange(n), width), n)
+    keep = _prune_index(P)
+    kept = P._replace(a=P.a[keep], b=P.b[keep], pm=P.pm[keep])
+    start = np.cumsum(count) - count
+    for i, ((pa, pb), (C, dd)) in enumerate(zip(pieces, rows)):
+        want = ref_prune_pieces(pa, pb, C, dd)
+        mine = keep[P.pm[keep] == i]
+        assert same_bits(P.a[mine], want[0]) and same_bits(P.b[mine], want[1])
+        active = start[i] + np.flatnonzero(lp_active(pa, pb, C, dd))
+        assert np.isin(active, mine).all()
+    lo, hi = (np.array(x) for x in zip(*boxes))
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * d)).reshape(d, -1).T
+    for u in np.vstack([rng.random((20, d)), corners]):
+        X = lo + u * (hi - lo)
+        assert same_bits(_peval(kept, X), _peval(P, X))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
