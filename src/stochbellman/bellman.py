@@ -435,6 +435,13 @@ def _evals(layer, xs, failed, where=None):
     return out
 
 
+def _joined(S, D):
+    """The (state, decision) points of a stage: one stack if both are stacked."""
+    if isinstance(S, np.ndarray) and isinstance(D, np.ndarray):
+        return np.concatenate([S, D], axis=1)
+    return [np.concatenate(z) for z in zip(S, D)]
+
+
 def forward_sweep(tree, decide, x0=(), maps=None, states=None, check=None):
     """The forward pass, one stage at a time: (X, U, gaps, failed), the
     states and decisions as StageMaps of their stage stacks, and dicts by
@@ -455,8 +462,7 @@ def forward_sweep(tree, decide, x0=(), maps=None, states=None, check=None):
         nodes, bad = tree.stage_nodes[t], {}
         S = X[t] = _stacked(S if states is None else _stage_values(states, tree, t))
         D = U[t] = _stacked(decide(t, S))
-        stacked = isinstance(S, np.ndarray) and isinstance(D, np.ndarray)
-        Z = np.concatenate([S, D], axis=1) if stacked else [np.concatenate(z) for z in zip(S, D)]
+        Z = _joined(S, D)
         if check is not None:
             pre, post = check(t)
             has = np.zeros(len(nodes), dtype=bool)
@@ -488,16 +494,26 @@ def _verdict(order, gaps, failed, tol):
 
 
 def extract_policy(sol):
-    """Forward sweep through the recorded minimizer maps."""
+    """Forward sweep through the recorded minimizer maps.  The policy's value
+    is the flat program's at its decisions: each stage's costs evaluated as
+    one layer at the stage's (state, decision) stack, weighted by the nodes'
+    path probabilities, and summed in the flat program's term order."""
     problem, recs = sol.problem, sol.records
     tree = problem.tree
-    _, decisions, gaps, failed = forward_sweep(
+    states, decisions, gaps, failed = forward_sweep(
         tree, lambda t, S: _decisions(_stage_layers(recs, tree, t)[2], S),
         check=lambda t: _stage_layers(recs, tree, t)[:2])
     if failed:
         raise next(iter(failed.values()))
-    fp = build_flat(problem)
-    value = fp.eval(fp.pack(decisions))
+    value = 0.0
+    for t, nodes in enumerate(tree.stage_nodes):
+        width = problem._prev_dim(t) + problem.dims[t]
+        layer, bad = _cost_layer(problem.node_costs, t, nodes, width)
+        vals = _evals(layer, _joined(states.held[t], decisions.held[t]), bad)
+        if bad:
+            raise bad[min(bad)]
+        for nid, v in zip(nodes, vals.tolist()):
+            value += float(tree.prob(nid)) * v
     residuals = {nid: max(g, 0.0) for nid, g in gaps.items()}
     return Policy(problem, decisions, residuals, float(value))
 

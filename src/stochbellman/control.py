@@ -48,7 +48,8 @@ def _matrix(value, name, nid, shape):
 
 
 class ControlSystem:
-    """Dynamics matrices for stages 1..T, kept stacked a stage at a time in
+    """Dynamics matrices for stages 1..T, given by node id (dicts, or
+    StageMaps of each stage's entries) and kept stacked a stage at a time in
     stage_nodes order: A, B and W are StageMaps over the stacks, and
     `stage_maps(t)` makes ([I + A | B] of shape (n, N, N + M), W of shape
     (n, N)) from them.
@@ -63,7 +64,7 @@ class ControlSystem:
         for t in range(1, tree.T + 1):
             nodes = tree.stage_nodes[t]
             try:
-                stacks = [np.array([D[nid] for nid in nodes], dtype=float) for D in (A, B, W)]
+                stacks = [np.array(_stage_values(D, tree, t), dtype=float) for D in (A, B, W)]
             except (KeyError, TypeError, ValueError):
                 stacks = None
             if stacks is None or tuple(s.shape[1:] for s in stacks) != shapes:
@@ -180,23 +181,25 @@ class RiccatiData:
 
 
 def _weights(mats, nodes, name, n):
-    """The (n, n) weight matrices of `nodes`, stacked in that order; the
-    first non-numeric or wrong-shaped entry names its node."""
+    """The (n, n) weight matrices `mats` of `nodes`, as a new stack in that
+    order; the first non-numeric or wrong-shaped entry names its node."""
     try:
-        stack = np.array([mats[nid] for nid in nodes], dtype=float)
+        stack = np.array(mats, dtype=float)
         if stack.shape[1:] == (n, n):
             return stack
     except (TypeError, ValueError):
         pass
-    return np.array([_matrix(mats[nid], name, nid, (n, n)) for nid in nodes])
+    return np.array([_matrix(m, name, nid, (n, n)) for m, nid in zip(mats, nodes)])
 
 
 def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
     """Quadratic-cost recursion with exact conditional sums over children.
 
-    Stage costs are 1/2 X.Q X + 1/2 U.R U with PSD Q, R per node.  The
-    noise term W must have zero conditional mean for the offsets to be the
-    true values; a diagnostic records the residual coupling norms.  Each
+    Stage costs are 1/2 X.Q X + 1/2 U.R U with PSD Q, R per node, given by
+    node id (dicts, or StageMaps of each stage's matrices) and read a stage
+    at a time into new stacks, so the inputs are never changed.  The noise
+    term W must have zero conditional mean for the offsets to be the true
+    values; a diagnostic records the residual coupling norms.  Each
     stage runs as stacked arrays: each term is summed from the children into
     their parents by one np.add.at over the tree's stage map, in child
     order, with one svd and one inv per stage; the tables stay stage stacks.
@@ -207,10 +210,10 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
     diag = {"cross_norm": 0.0, "w_mean_norm": 0.0}
     for t in range(tree.T, -1, -1):
         nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
-        Ks = _weights(Qmats, nodes, "Q", N)
+        Ks = _weights(_stage_values(Qmats, tree, t), nodes, "Q", N)
         Ls, offs = np.zeros((n, M, N)), np.zeros(n)
         if t < tree.T:  # every node before the horizon has children
-            S2, S3 = np.zeros((n, N, M)), _weights(Rmats, nodes, "R", M)
+            S2, S3 = np.zeros((n, N, M)), _weights(_stage_values(Rmats, tree, t), nodes, "R", M)
             wmean, cross = np.zeros((n, N)), np.zeros((n, N))
             up, p, Kk = tree.up[t + 1], tree.branch[t + 1], K[t + 1]
             IA, B, W = np.eye(N) + sys.A.held[t + 1], sys.B.held[t + 1], sys.W.held[t + 1]
@@ -247,20 +250,19 @@ def riccati_policy(sys, rd, x0):
 def lq_costs(sys, Qmats, Rmats):
     """Quadratic stage costs matching the riccati data, for the symbolic
     driver: a StageMap of one rowless _Stack per stage, whose members are
-    made when read.  The PSD check is one eigvalsh over the stacked costs;
-    an error names the first failing node in tree order."""
+    made when read.  Q and R are read as riccati reads them.  The PSD check
+    is one eigvalsh over each stage's stacked costs; an error names the
+    first failing node in stage order."""
     tree, N, M = sys.tree, sys.N, sys.M
-    nodes, d = list(tree.nodes), sys.N + sys.M
-    big = np.zeros((len(nodes), d, d))
-    big[:, :N, :N] = _weights(Qmats, nodes, "Q", N)
-    big[:, N:, N:] = _weights(Rmats, nodes, "R", M)
-    Q, at = _forms(big, check_psd=True, names=nodes), {nid: i for i, nid in enumerate(nodes)}
-    held = {}
-    for t, stage in enumerate(tree.stage_nodes):
-        n = len(stage)
-        held[t] = [(np.arange(n), _Stack(Q[[at[nid] for nid in stage]], np.zeros((n, d)),
-                                         np.zeros(n), np.zeros((n, 0, d)), np.zeros((n, 0)),
-                                         np.ones(n, dtype=bool)))]
+    d, held = N + M, {}
+    for t, nodes in enumerate(tree.stage_nodes):
+        n = len(nodes)
+        big = np.zeros((n, d, d))
+        big[:, :N, :N] = _weights(_stage_values(Qmats, tree, t), nodes, "Q", N)
+        big[:, N:, N:] = _weights(_stage_values(Rmats, tree, t), nodes, "R", M)
+        held[t] = [(np.arange(n), _Stack(_forms(big, check_psd=True, names=nodes),
+                                         np.zeros((n, d)), np.zeros(n), np.zeros((n, 0, d)),
+                                         np.zeros((n, 0)), np.ones(n, dtype=bool)))]
     return StageMap(tree, held, _member)
 
 

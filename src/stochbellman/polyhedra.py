@@ -313,7 +313,7 @@ def _prune_index(P):
         # c lies below k on the whole box of their member
         mc, da = m[c], a[c] - a[k]
         worst = np.vecdot(np.abs(da), radius[mc]) + np.vecdot(da, center[mc])
-        return c[worst + (b[c] - b[k]) <= -1e-12]
+        return c[worst + (b[c] - b[k]) <= 0.0]
 
     alive, todo = np.ones(t.size, dtype=bool), np.ones(t.size, dtype=bool)
     while todo.any():

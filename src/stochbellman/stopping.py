@@ -78,16 +78,15 @@ def optimal_stop(R, S=None):
     if S is None:
         S = snell(R)
     tree = R.tree
-    stops = []
-
-    def walk(nid):
+    # depth first in child order, as a loop: a recursive closure would be a
+    # reference cycle left for the cyclic collector
+    stops, stack = [], [tree.root]
+    while stack:
+        nid = stack.pop()
         if float(R[nid]) >= continuation_value(R, S, nid):
             stops.append(nid)
-            return
-        for k in tree.children[nid]:
-            walk(k)
-
-    walk(tree.root)
+        else:
+            stack += reversed(tree.children[nid])
     st = StoppingTime(tree, stops)
     return st, st.value(R)
 

@@ -228,9 +228,11 @@ def validate_tree(raw, exact=False):
         if not isinstance(rec, dict) or "id" not in rec:
             raise ValidationError(f"node record {i} has no `id`")
         nid, prob, stage = str(rec["id"]), rec.get("prob"), rec.get("stage")
-        for key, value in (("prob", prob), ("stage", stage)):
-            if not isinstance(value, (int, float, numbers.Real)):  # the ABC check last: slow
-                raise ValidationError(f"node {nid!r} has no numeric `{key}`: {value!r}")
+        # a bool is an int; the ABC checks go last, they are slow
+        if isinstance(prob, bool) or not isinstance(prob, (float, int, numbers.Real)):
+            raise ValidationError(f"node {nid!r} has no numeric `prob` (a real number): {prob!r}")
+        if isinstance(stage, bool) or not isinstance(stage, (int, numbers.Integral)):
+            raise ValidationError(f"node {nid!r} has no numeric `stage` (an integer): {stage!r}")
         if exact and not isinstance(prob, Fraction):
             prob = Fraction(prob)
         nodes.append(Node(nid, None if rec.get("parent") is None else str(rec["parent"]),
@@ -385,18 +387,17 @@ def _quantize(value, tol):
 
 
 def _future_law(tree, R, nid, tol):
-    """Distribution of the future value path below nid, keys quantized."""
-    law = {}
-
-    def walk(cur, prob, path):
+    """Distribution of the future value path below nid, keys quantized.  The
+    walk is depth first in child order, on a stack: a recursive closure
+    would be a reference cycle per call, left for the cyclic collector."""
+    law, stack = {}, [(nid, 1.0, ())]
+    while stack:
+        cur, prob, path = stack.pop()
         kids = tree.children[cur]
         if not kids:
             law[path] = law.get(path, 0.0) + prob
-            return
-        for k in kids:
-            walk(k, prob * float(tree.nodes[k].prob), path + (_quantize(R[k], tol),))
-
-    walk(nid, 1.0, ())
+        stack += reversed([(k, prob * float(tree.nodes[k].prob), path + (_quantize(R[k], tol),))
+                           for k in kids])
     return law
 
 

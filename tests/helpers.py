@@ -14,6 +14,7 @@ from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  IterationLimit, NonLinearRecession, RowBlowup,
                                  SingularRiccati, SolverError, StochBellmanError,
                                  Unbounded, UnboundedBelow, ValidationError)
+from stochbellman.generators import random_tree
 from stochbellman.lagrange import (LagrangeInstance, ValueV, _empty_polyhedron,
                                    lp_costs)
 from stochbellman.polyhedra import _starts, first_minimal
@@ -27,6 +28,25 @@ def binary_tree(probs=(0.5, 0.5)):
         {"id": "a", "parent": "r", "prob": probs[0], "stage": 1},
         {"id": "b", "parent": "r", "prob": probs[1], "stage": 1},
     ])
+
+
+def inventory_lp(seed, T):
+    """(tree, d, data) of a two-product inventory LP on a binary tree of
+    horizon T, in the `lagrange` file form: demand floors near (1.0, 0.8),
+    capacity 4, joint capacity 3 and ramp limits |dx| <= 1.25 (4 at the
+    root), as T dx + W x - b >= 0, so unit rows box every decision."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, T, 2, fixed=True)
+    eye, zero, ones = np.eye(2), np.zeros((2, 2)), np.ones((1, 2))
+    W = np.vstack([eye, -eye, -ones, zero, zero]).tolist()
+    Tm = np.vstack([zero, zero, np.zeros((1, 2)), eye, -eye]).tolist()
+    data = {}
+    for nid in tree.nodes:
+        dem = np.array([1.0, 0.8]) + rng.uniform(-0.05, 0.05, 2)
+        r = 4.0 if tree.stage(nid) == 0 else 1.25
+        b = np.concatenate([dem, [-4.0, -4.0, -3.0], -r * np.ones(4)])
+        data[nid] = {"T": Tm, "W": W, "b": b.tolist(), "c": rng.uniform(0.2, 1.0, 2).tolist()}
+    return tree, 2, data
 
 
 def chain_tree(T):
@@ -430,7 +450,7 @@ def ref_prune_pieces(pa, pb, C, d):
         da = pa[cand] - pa[j][None, :]
         db = pb[cand] - pb[j]
         worst = np.abs(da) @ radius + da @ center + db
-        keep[cand[worst <= -1e-12]] = False
+        keep[cand[worst <= 0.0]] = False
     return pa[keep], pb[keep]
 
 

@@ -482,6 +482,32 @@ def test_forward_sweep_matches_the_node_by_node_loops(kind, seed):
                          outcome(ref_verify_optimality, p, sol, tol))
 
 
+@settings(max_examples=70, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["quad", "rows", "flat", "unbounded", "empty", "split", "poly"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_policy_value_is_the_flat_programs_at_its_decisions(kind, seed):
+    # the policy's value, each stage's costs evaluated as one layer, is the
+    # flat program's objective at the policy's decisions, and extract_policy
+    # builds no flat program to get it
+    rng = np.random.default_rng(seed)
+    T = int(rng.integers(1, 3 if kind == "poly" else 4))
+    tree = shuffled(rng, random_tree(rng, T, 3))
+    dims = [int(rng.integers(kind == "split", 3)) for _ in range(T + 1)]
+    costs = {nid: random_stage_cost(rng, dims[t - 1] if t else 0, dims[t], kind)
+             for t in range(T + 1) for nid in tree.stage_nodes[t]}
+    sp = StageProblem(tree, dims, node_costs=costs)
+    sol, err = outcome(solve_be, sp)
+    if err is not None:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bellman, "build_flat", None)
+        pol, err = outcome(extract_policy, sol)
+    if err is not None:
+        return
+    fp = build_flat(sp)
+    assert pol.value == pytest.approx(fp.eval(fp.pack(pol.decisions)), rel=1e-12, abs=0.0)
+
+
 def test_assumption_checks_take_a_bounded_number_of_svds_per_stage(monkeypatch):
     # the diagnostics run as stage stacks: on rowful quadratic problems of 3
     # and 4 stages, check_assumptions makes a bounded number of

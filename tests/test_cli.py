@@ -1,20 +1,24 @@
+import gc
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stochbellman import bellman, cli, hedging, treeio
+from stochbellman.bellman import check_assumptions
 from stochbellman.cli import main
 from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D
-from stochbellman.generators import random_tree, tracking_stage_problem
+from stochbellman.generators import markov_reward_tree, random_tree, tracking_stage_problem
+from stochbellman.lagrange import LagrangeInstance, lp_costs
 from stochbellman.tree import validate_tree
 
-from helpers import binary_tree, random_stage_cost, same_fn
+from helpers import binary_tree, inventory_lp, random_stage_cost, same_fn
 
 
 def run(capsys, *argv):
@@ -269,6 +273,12 @@ EXIT_2 = {
                  "node 'b' has no numeric `stage`"),
     "prob not numeric": ("problem", "solve", lambda doc: _set(_node(doc, "a"), "prob", "half"),
                          [], "node 'a' has no numeric `prob`"),
+    "prob a bool": ("lp", "lagrange", lambda doc: _set(_node(doc, "r"), "prob", True), [],
+                    "node 'r' has no numeric `prob`"),
+    "stage fractional": ("lp", "lagrange", lambda doc: _set(_node(doc, "a"), "stage", 1.5), [],
+                         "node 'a' has no numeric `stage`"),
+    "stage a bool": ("lp", "lagrange", lambda doc: _set(_node(doc, "r"), "stage", False), [],
+                     "node 'r' has no numeric `stage`"),
     "nodes not a list": ("problem", "solve", lambda doc: _set(doc, "nodes", 5), [], "`nodes`"),
     "no R": ("reward", "stop", lambda doc: _node(doc, "n1")["data"].pop("R"), [],
              "node 'n1' has no reward entry `R`"),
@@ -544,3 +554,119 @@ def test_bench_tracer_keeps_the_forward_pass_spans():
     # the polyhedral stage stack's piece pruning, addition and projection
     assert {"polyhedra._prune_index", "polyhedra._padd", "polyhedra.fm_project"} <= found
     assert set(tracer.TIMED) | set(tracer.COUNTED) <= found
+
+
+def _unbounded_problem(path):
+    tree = binary_tree()
+    costs = {"r": Quadratic([[0.0]], [1.0]),
+             "a": Quadratic(np.zeros((1, 1)), np.zeros(1)),
+             "b": Quadratic(np.zeros((1, 1)), np.zeros(1))}
+    overrides = {nid: {"cost": treeio.fn_to_record(fn)} for nid, fn in costs.items()}
+    treeio.save_tree(tree, path, extra={"dims": [1, 0]}, data_overrides=overrides)
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case, code", [("solve", 0), ("missing", 2), ("unbounded", 3),
+                                        ("no --input", None)])
+def test_a_session_leaves_the_callers_collector_setting(tmp_path, capsys, enabled, case, code):
+    # main pauses the cyclic collector while a command runs, and gives the
+    # caller back the setting it had, on every exit code and on an exception
+    argv = {"solve": ["solve", "--input", str(write_tracking(tmp_path))],
+            "missing": ["solve", "--input", str(tmp_path / "missing.json")],
+            "unbounded": ["solve", "--input", str(_unbounded_problem(tmp_path / "unb.json"))],
+            "no --input": ["solve"]}[case]
+    before = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if code is None:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if before else gc.disable()
+    capsys.readouterr()
+
+
+def test_a_command_runs_with_the_collector_paused(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(gc.isenabled()) or 0)
+    assert gc.isenabled()
+    assert main(["check", "--input", "unread.json"]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def _inventory_file(path, T):
+    tree, d, data = inventory_lp(1, T)
+    treeio.save_tree(tree, path, extra={"d": d}, data_overrides=data)
+
+
+def _reward_file(path, T):
+    tree, R = markov_reward_tree(3, T=T)
+    treeio.save_tree(tree, path, data_overrides={nid: {"R": float(R[nid])} for nid in tree.nodes})
+
+
+@pytest.mark.parametrize("command, write, sizes", [
+    ("lagrange", _inventory_file, (2, 6)),  # 7 and 127 nodes
+    ("stop", _reward_file, (3, 7))], ids=["lagrange", "stop"])  # 15 and 255 nodes
+def test_a_paused_session_leaves_as_many_cycles_at_any_input_size(
+        tmp_path, capsys, command, write, sizes):
+    # with the collector paused, what a session leaves unreachable is the
+    # same few objects on a small and a large input: memory cannot grow with
+    # the input's size
+    left = []
+    for T in sizes:
+        path = tmp_path / f"{command}{T}.json"
+        write(path, T)
+        gc.collect()
+        try:
+            gc.disable()
+            assert main([command, "--input", str(path), "--format", "structured"]) == 0
+            left.append(gc.collect())
+        finally:
+            gc.enable()
+    capsys.readouterr()
+    assert left[0] == left[1]
+
+
+def test_the_fifteen_node_inventory_check_returns_at_once(tmp_path, capsys):
+    # every recession domain row of this problem has right-hand side 0, so
+    # unit rows box each member to the point 0, where all pieces tie: the
+    # box test drops a piece that ties with an earlier one, and the recession
+    # sweep keeps a few pieces where it once summed 456,976 and never returned
+    tree, d, data = inventory_lp(1, 3)
+    sp = LagrangeInstance(tree, d, lp_costs(tree, d, data)).as_stage_problem()
+    path = tmp_path / "inventory.json"
+    treeio.save_tree(tree, path, extra={"dims": sp.dims}, data_overrides={
+        nid: {"cost": treeio.fn_to_record(fn)} for nid, fn in sp.node_costs.items()})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "stochbellman", "check", "--input", str(path),
+                           "--format", "structured"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    start = time.perf_counter()
+    report = check_assumptions(sp).summary()
+    assert time.perf_counter() - start < 1.0
+    assert len(tree.nodes) == 15 and set(report.values()) == {"PASS"}
+    assert json.loads(proc.stdout)["assumption_report"] == report
+    code, _, err = run(capsys, "solve", "--input", str(path))
+    assert code == 0, err
+
+
+def test_module_sessions_print_and_exit_as_in_process_ones(tmp_path, capsys):
+    # `python -m stochbellman` with bytecode writing off: stdout byte for
+    # byte as in process and the exit code passed through, so nothing that
+    # runs at interpreter exit loses buffered output
+    path = tmp_path / "lq.json"
+    run(capsys, "gen", "--kind", "lq", "--seed", "4", "--out", str(path))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv, code in ((["control", "--input", str(path), "--format", "structured"], 0),
+                       (["solve", "--input", str(_unbounded_problem(tmp_path / "unb.json"))], 3)):
+        proc = subprocess.run([sys.executable, "-m", "stochbellman", *argv], env=env,
+                              capture_output=True, timeout=120)
+        want, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            want, out.encode(), err.encode()) and want == code

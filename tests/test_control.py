@@ -16,7 +16,7 @@ from stochbellman.errors import (BackendClash, DimensionMismatch, SingularRiccat
 from stochbellman.extensive import solve_extensive
 from stochbellman.generators import binomial_market, lq_instance, random_tree
 from stochbellman.hedging import solve_alm
-from stochbellman.tree import validate_tree
+from stochbellman.tree import StageMap, validate_tree
 
 from helpers import (binary_tree, chain_tree, outcome, random_stage_cost,
                      ref_extract_oc_policy, ref_riccati, ref_riccati_policy,
@@ -375,6 +375,28 @@ def test_stage_maps_read_as_the_dicts_they_replace():
     assert list(X) == list(U) == up and dict(X).keys() == dict(U).keys()
     X2, U2 = extract_oc_policy(sys_, sol, [0.5, -0.3])
     assert list(X2) == list(U2) == up
+
+
+def test_riccati_and_lq_costs_share_stage_stacks_of_the_weights():
+    # Q and R as StageMaps of stacked arrays, read a stage at a time: riccati
+    # sums into a copy, so a second call gives the same K bit for bit, and
+    # lq_costs afterwards still reads the input weights
+    sys_, Qm, Rm = lq_instance(3, T=3, N=2, M=1, branching=3)
+    tree = sys_.tree
+    stacks = [StageMap(tree, {t: np.array([W[nid] for nid in nodes], dtype=float)
+                              for t, nodes in enumerate(tree.stage_nodes)}) for W in (Qm, Rm)]
+    kept = [{t: S.copy() for t, S in W.held.items()} for W in stacks]
+    first, second = riccati(sys_, *stacks), riccati(sys_, *stacks)
+    for t in range(tree.T + 1):
+        assert same_bits(first.K.held[t], second.K.held[t])
+    assert all(same_bits(W.held[t], k[t]) for W, k in zip(stacks, kept) for t in k)
+    costs, want = lq_costs(sys_, *stacks), lq_costs(sys_, Qm, Rm)
+    for nid in tree.nodes:
+        assert same_fn(costs[nid], want[nid])
+        assert same_bits(costs[nid].Q[:2, :2], np.asarray(Qm[nid], dtype=float))
+        assert same_bits(costs[nid].Q[2:, 2:], np.asarray(Rm[nid], dtype=float))
+    want_rd = riccati(sys_, Qm, Rm)
+    assert all(same_bits(first.K[nid], want_rd.K[nid]) for nid in tree.nodes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
