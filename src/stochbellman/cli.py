@@ -29,7 +29,7 @@ from .errors import SolverError, StochBellmanError, ValidationError
 from .extensive import solve_extensive
 from .hedging import MarketModel, exp_utility, na_check, solve_alm
 from .lagrange import lagrange_policy, lp_recursion
-from .stopping import markov_check, optimal_stop, snell
+from .stopping import _envelope_tables, optimal_stop, snell
 from .tree import AdaptedProcess, StageMap, is_markov
 
 
@@ -127,8 +127,7 @@ def cmd_stop(args):
     rule, value = optimal_stop(R, S)
     report = {"value": value, "stop_set": sorted(rule.stop_nodes)}
     if is_markov(R):
-        tables = markov_check(R)
-        report["psi"] = [{repr(k): v for k, v in tab.items()} for tab in tables]
+        report["psi"] = [{repr(k): v for k, v in tab.items()} for tab in _envelope_tables(R, S)]
     _emit(args, report)
     return 0
 
@@ -195,9 +194,9 @@ def cmd_lagrange(args):
         if "C" in node.data:
             entry["C"] = node.data["C"]
         data[nid] = entry
-    vv = lp_recursion(tree, d, data)
-    policy = lagrange_policy(vv)
-    report = {"value": vv.value,
+    sol = lp_recursion(tree, d, data)
+    policy = lagrange_policy(sol)
+    report = {"value": sol.value,
               "policy": {nid: [float(v) for v in policy.decisions[nid]] for nid in tree.nodes},
               "residual_max": policy.residual_max}
     _emit(args, report, _policy_rows(tree, policy))
@@ -313,8 +312,6 @@ def cmd_gen(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "csv", "structured"), default="text")
-    common.add_argument("--tol", type=float, default=1e-8)
-    common.add_argument("--seed", type=int, default=0)
     ap = argparse.ArgumentParser(prog="stochbellman",
                                  description="convex multistage solvers on scenario trees")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -328,6 +325,7 @@ def build_parser():
         p.set_defaults(func=fn)
         if needs_input:
             p.add_argument("--input", required=True)
+    sub.choices["oracle"].add_argument("--tol", type=float, default=1e-8)
     hedge = sub.choices["hedge"]
     hedge.add_argument("--rho", type=float, default=1.0)
     hedge.add_argument("--loss", default="quad")
@@ -336,6 +334,7 @@ def build_parser():
     gen = sub.choices["gen"]
     gen.add_argument("--kind", required=True)
     gen.add_argument("--out", default=None)
+    gen.add_argument("--seed", type=int, default=0)
     return ap
 
 

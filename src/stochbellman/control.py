@@ -25,6 +25,7 @@ from .bellman import (StageProblem, _decisions, _stage_layers, _stage_values, _v
 from .convexfn import Inf, Quadratic, _forms, _member, _Stack
 from .errors import DimensionMismatch, SingularRiccati, ValidationError
 from .tree import StageMap
+from .treeio import _numeric
 
 RICCATI_NOTE = (
     "K recursion uses the full Schur-complement cross term S2 S3^{-1} S2^T "
@@ -36,10 +37,7 @@ RICCATI_NOTE = (
 def _matrix(value, name, nid, shape):
     """value as a float array of the given shape; a ValidationError names
     the node otherwise."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} at {nid!r} is not a numeric array") from exc
+    arr = _numeric(value, f"{name} at {nid!r}")
     arr = np.atleast_1d(arr) if len(shape) == 1 else np.atleast_2d(arr)
     if arr.shape != shape:
         want = f"length {shape[0]}" if len(shape) == 1 else "x".join(map(str, shape))

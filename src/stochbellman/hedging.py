@@ -343,21 +343,20 @@ def _grid_sweep(market, sys_, loss_at, grid):
     return ControlSolution(sys_, records)
 
 
-def solve_alm(market, loss, wealth=0.0, driver="auto", grid=None,
-              refuse_arbitrage=True):
+def solve_alm(market, loss, wealth=0.0, grid=None, refuse_arbitrage=True):
     """Best hedge of the terminal claim under a loss on the shortfall.
 
     loss is a 1-D ConvexFn (Quadratic or Sampled1D), or a dict mapping
-    leaves to per-scenario losses.  The quadratic driver needs an
-    unconstrained market; anything else goes through the wealth grid
-    (default: 2001 points around `wealth`).  There every node carries a
-    value table on the grid.  With one asset each table is the exact
-    minimum at its knots, and only interpolation between knots (and
-    outside the grid, +inf) approximates; with several assets cyclic
-    coordinate steps of the same exact line search find it, and can stop
-    short of it.  An arbitrage market is refused by
-    default with the verdict attached; pass refuse_arbitrage=False to
-    force the solve.
+    leaves to per-scenario losses.  A Quadratic loss on a market without
+    position rows takes the exact quadratic recursion (solve_oc); anything
+    else goes through the wealth grid (default: 2001 points around
+    `wealth`).  There every node carries a value table on the grid.  With
+    one asset each table is the exact minimum at its knots, and only
+    interpolation between knots (and outside the grid, +inf) approximates;
+    with several assets cyclic coordinate steps of the same exact line
+    search find it, and can stop short of it.  An arbitrage market is
+    refused by default with the verdict attached; pass
+    refuse_arbitrage=False to force the solve.
     """
     verdict = na_check(market)
     if not verdict.passed and refuse_arbitrage:
@@ -365,18 +364,12 @@ def solve_alm(market, loss, wealth=0.0, driver="auto", grid=None,
     tree = market.tree
     J = market.J
     loss_at = loss.__getitem__ if isinstance(loss, dict) else (lambda leaf: loss)
-    probe = loss_at(tree.leaves()[0])
     # wealth X_k = X + r_k.U for every node k after the root
     later = [nid for t in range(1, tree.T + 1) for nid in tree.stage_nodes[t]]
     sys_ = ControlSystem(tree, 1, J, dict.fromkeys(later, np.zeros((1, 1))),
                          {nid: market.returns(nid).reshape(1, J) for nid in later},
                          dict.fromkeys(later, np.zeros(1)))
-    if driver == "auto":
-        driver = "quadratic" if isinstance(probe, Quadratic) and not market.D else "grid"
-
-    if driver == "quadratic":
-        if market.D:
-            raise ValidationError("quadratic driver requires an unconstrained market")
+    if isinstance(loss_at(tree.leaves()[0]), Quadratic) and not market.D:
         costs = {}
         for nid in tree.nodes:
             if tree.stage(nid) == tree.T:

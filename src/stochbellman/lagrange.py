@@ -54,39 +54,29 @@ class LagrangeInstance:
         return StageProblem(self.tree, [self.d] * (self.tree.T + 1), node_costs=node_costs)
 
 
-class ValueV:
-    """Per-node value functions of the incoming point, plus the solved base."""
-
-    def __init__(self, instance, solution):
-        self.instance = instance
-        self.solution = solution
-
-    @property
-    def value(self):
-        return self.solution.value
-
-    def V(self, nid):
-        """Continuation value at a node: expectation of children's tables."""
-        rec = self.solution.records[nid]
-        return rec["tail"]
-
-    def pre(self, nid):
-        return self.solution.records[nid]["pre"]
-
-    def post(self, nid):
-        return self.solution.records[nid]["post"]
-
-
 def solve_lagrange(instance):
-    """Backward sweep; raises with the offending node on unbounded or
-    one-sided recession cones."""
+    """Backward sweep of the instance's stage problem; returns its
+    BellmanSolution.
+
+    Only when the sweep fails are the Polyhedral stage constraints checked
+    for emptiness, in stage order: the error is Infeasible with the first
+    empty node, or else the sweep's own (Infeasible at the root when only
+    the joint system fails, Unbounded or NonLinearRecession).
+    """
     sp = instance.as_stage_problem()
-    sol = solve_be(sp)
-    return ValueV(instance, sol)
+    try:
+        return solve_be(sp)
+    except StochBellmanError:
+        for t in range(instance.tree.T + 1):
+            for nid in instance.tree.stage_nodes[t]:
+                fn = sp.node_costs[nid]
+                if isinstance(fn, Polyhedral) and _empty_polyhedron(fn):
+                    raise Infeasible("stage constraints are empty", node=nid) from None
+        raise
 
 
-def lagrange_policy(vv):
-    return extract_policy(vv.solution)
+def lagrange_policy(sol):
+    return extract_policy(sol)
 
 
 def _cone_rows(cone, nid):
@@ -135,25 +125,10 @@ def lp_costs(tree, d, data):
 
 
 def lp_recursion(tree, d, data):
-    """Linear stochastic program in block form; returns the solved ValueV.
-
-    Runs the backward sweep (solve_be).  Only when it fails are the nodes'
-    stage constraints checked for emptiness, in stage order: the error is
-    Infeasible with the first empty node, or else the sweep's own
-    (Infeasible at the root when only the joint system fails, Unbounded or
-    NonLinearRecession).
-    """
-    instance = LagrangeInstance(tree, d, lp_costs(tree, d, data))
-    sp = instance.as_stage_problem()
-    try:
-        sol = solve_be(sp)
-    except StochBellmanError:
-        for t in range(tree.T + 1):
-            for nid in tree.stage_nodes[t]:
-                if _empty_polyhedron(sp.node_costs[nid]):
-                    raise Infeasible("stage constraints are empty", node=nid) from None
-        raise
-    return ValueV(instance, sol)
+    """Linear stochastic program in block form: solve_lagrange of the
+    lp_costs instance, so it returns the BellmanSolution and raises as
+    solve_lagrange does."""
+    return solve_lagrange(LagrangeInstance(tree, d, lp_costs(tree, d, data)))
 
 
 def _empty_polyhedron(fn):

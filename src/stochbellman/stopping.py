@@ -12,7 +12,7 @@ import numpy as np
 from .bellman import StageProblem, solve_be
 from .convexfn import Polyhedral
 from .errors import NotMarkov, TreeTooLarge, ValidationError
-from .tree import AdaptedProcess, is_markov
+from .tree import AdaptedProcess, _quantize, is_markov
 
 ENUM_NODE_CAP = 63
 ENUM_RULE_CAP = 300000
@@ -219,14 +219,18 @@ def markov_check(R, tol=1e-12):
     ok, pair = is_markov(R, tol=tol, witness=True)
     if not ok:
         raise NotMarkov(f"future laws differ at same-value nodes {pair[0]!r}, {pair[1]!r}")
+    return _envelope_tables(R, snell(R), tol)
+
+
+def _envelope_tables(R, S, tol=1e-12):
+    """markov_check's tables from the envelope S of a reward already known
+    to be Markov; NotMarkov if S is not constant on a class."""
     tree = R.tree
-    S = snell(R)
     tables = []
     for t in range(tree.T + 1):
         classes = {}
         for nid in tree.stage_nodes[t]:
-            key = round(float(R[nid]) / tol) * tol
-            classes.setdefault(key, []).append(nid)
+            classes.setdefault(_quantize(R[nid], tol), []).append(nid)
         table = {}
         for key, members in classes.items():
             vals = [S[m] for m in members]

@@ -15,7 +15,7 @@ from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  SingularRiccati, SolverError, StochBellmanError,
                                  Unbounded, UnboundedBelow, ValidationError)
 from stochbellman.generators import random_tree
-from stochbellman.lagrange import (LagrangeInstance, ValueV, _empty_polyhedron,
+from stochbellman.lagrange import (LagrangeInstance, _empty_polyhedron,
                                    lp_costs)
 from stochbellman.polyhedra import _starts, first_minimal
 from stochbellman.simplex import LPResult, solve_lp
@@ -281,7 +281,7 @@ def ref_lp_recursion(tree, d, data):
         for nid in tree.stage_nodes[t]:
             if _empty_polyhedron(sp.node_costs[nid]):
                 raise Infeasible("stage constraints are empty", node=nid)
-    return ValueV(instance, solve_be(sp))
+    return solve_be(sp)
 
 
 def ref_normalize_rows(G, h):

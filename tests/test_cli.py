@@ -434,6 +434,55 @@ def test_hedge_exp_binding_floor(tmp_path, capsys):
     assert control / root["data"]["s"][0] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_hedge_quad_with_a_binding_root_row_takes_the_grid(tmp_path, capsys):
+    # one period, price 1 -> 0.5 or 2 with claim 0 or 1.5: the quadratic
+    # hedge holds x* = E[c ds] / E[ds^2] = 1.2 shares unconstrained; the
+    # root row x <= 0.5 binds, so the optimum is the loss at x = 0.5
+    path = tmp_path / "m.json"
+    p, s, c = np.array([0.5, 0.5]), np.array([0.5, 2.0]), np.array([0.0, 1.5])
+    treeio.save_tree(binary_tree(tuple(p)), path, data_overrides={
+        "r": {"s": [1.0], "D": {"G": [[1.0]], "g": [0.5]}},
+        "a": {"s": [s[0]], "c": c[0]}, "b": {"s": [s[1]], "c": c[1]}})
+    code, out, err = run(capsys, "hedge", "--input", str(path), "--loss", "quad",
+                         "--format", "structured")
+    assert code == 0, err
+    ds = s - 1.0
+    x = min(p @ (c * ds) / (p @ ds ** 2), 0.5)
+    assert x == 0.5
+    doc = json.loads(out)
+    assert doc["value"] == pytest.approx(p @ (c - x * ds) ** 2, rel=1e-4)
+    assert doc["controls"]["r"][0] == pytest.approx(x, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "check", "stop", "control",
+                                     "lagrange", "hedge", "gen"])
+def test_tol_is_an_oracle_flag_and_seed_a_gen_flag(tmp_path, capsys, command):
+    path = write_tracking(tmp_path)
+    argv = [command] + (["--kind", "lq"] if command == "gen" else ["--input", str(path)])
+    for flag, owner in (("--tol", "oracle"), ("--seed", "gen")):
+        if command != owner:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_oracle_reads_tol_and_gen_reads_seed(tmp_path, capsys):
+    path = write_tracking(tmp_path)
+    for tol, within in ((None, True), ("-1", False)):
+        code, out, err = run(capsys, "oracle", "--input", str(path), "--format", "structured",
+                             *(["--tol", tol] if tol else []))
+        assert code == 0, err
+        assert json.loads(out)["within_tol"] is within
+    for seed in (None, "5"):
+        code, out, err = run(capsys, "gen", "--kind", "lq", "--format", "structured",
+                             "--out", str(tmp_path / f"lq-{seed}.json"),
+                             *(["--seed", seed] if seed else []))
+        assert code == 0, err
+        assert json.loads(out)["seed"] == int(seed or 0)
+    assert (tmp_path / "lq-5.json").read_text() != (tmp_path / "lq-None.json").read_text()
+
+
 def test_check_subcommand(tmp_path, capsys):
     path = write_tracking(tmp_path)
     code, out, _ = run(capsys, "check", "--input", str(path))

@@ -644,7 +644,7 @@ def test_verify_oc_policy_rejects_a_nan_gap():
 def test_wealth_grid_solution_still_verifies():
     # the grid hedge keeps Q = None: every node is skipped, as before
     market = binomial_market(9, T=2)
-    res = solve_alm(market, Polyhedral([[1.0], [-1.0]], [0.0, 0.0]), 0.0, driver="grid",
+    res = solve_alm(market, Polyhedral([[1.0], [-1.0]], [0.0, 0.0]), 0.0,
                     grid=np.linspace(-3.0, 3.0, 61))
     sol = res.solution
     assert all(rec["Q"] is None for rec in sol.records.values())

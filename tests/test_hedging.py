@@ -110,7 +110,7 @@ def test_alm_value_nonincreasing_in_wealth():
     knots = np.linspace(-8.0, 8.0, 3201)
     hinge = Sampled1D(knots, np.maximum(knots, 0.0))
     grid = np.linspace(-6.0, 6.0, 1201)
-    vals = [solve_alm(market, hinge, wealth=w, driver="grid", grid=grid).value
+    vals = [solve_alm(market, hinge, wealth=w, grid=grid).value
             for w in (-0.5, 0.0, 0.5, 1.0)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-9
@@ -121,7 +121,7 @@ def test_alm_grid_controls_attain_node_tables():
     # table value at the wealth the path reaches, not only at the root
     market = binomial_market(4, T=2)
     knots = np.linspace(-8.0, 8.0, 1601)
-    res = solve_alm(market, Sampled1D(knots, np.abs(knots)), wealth=0.2, driver="grid")
+    res = solve_alm(market, Sampled1D(knots, np.abs(knots)), wealth=0.2)
     tree = market.tree
     X = {tree.root: 0.2}
     for t in range(tree.T):
@@ -165,7 +165,7 @@ def test_alm_grid_controls_attain_node_tables_two_assets():
     market = _two_asset_market(T=2)
     knots = np.linspace(-8.0, 8.0, 1601)
     grid = np.linspace(-2.0, 2.0, 41)
-    res = solve_alm(market, Sampled1D(knots, np.abs(knots)), wealth=0.0, driver="grid",
+    res = solve_alm(market, Sampled1D(knots, np.abs(knots)), wealth=0.0,
                     grid=grid)
     tree = market.tree
     records = res.solution.records
@@ -190,7 +190,7 @@ def test_alm_grid_two_asset_root_floor():
                                c={"a": 0.5, "b": -0.2, "c": 0.8})
     knots = np.linspace(-10.0, 10.0, 4001)
     w = 0.1
-    res = solve_alm(market, Sampled1D(knots, knots ** 2), wealth=w, driver="grid",
+    res = solve_alm(market, Sampled1D(knots, knots ** 2), wealth=w,
                     grid=w + np.linspace(-1.0, 1.0, 41))
     assert res.positions["r"][0] == pytest.approx(0.5, abs=1e-9)
     # with U_1 = 0.5 fixed, least squares in U_2; the grid value is above it
@@ -216,7 +216,7 @@ def test_alm_grid_position_rows_match_flat_lp():
     pieces_a, pieces_b = np.array([[-0.25], [1.0], [3.0]]), np.array([0.0, 0.0, -2.0])
     knots = np.linspace(-8.0, 8.0, 33)
     V = Sampled1D(knots, np.max(pieces_a[:, 0] * knots[:, None] + pieces_b, axis=1))
-    res = solve_alm(market, V, wealth=0.0, driver="grid", grid=np.linspace(-4.0, 4.0, 801))
+    res = solve_alm(market, V, wealth=0.0, grid=np.linspace(-4.0, 4.0, 801))
     Vpoly = Polyhedral(pieces_a, pieces_b, [[1.0], [-1.0]], [8.0, 8.0])
     G, g = market.D["r"]
     terms = [Term(float(market.tree.prob(leaf)), Vpoly, [0],
@@ -237,7 +237,7 @@ def test_alm_grid_arbitrage_forced_reaches_domain_end():
     market = always_up_market()
     knots = np.linspace(-8.0, 8.0, 161)
     hinge = Sampled1D(knots, np.maximum(knots + 3.0, 0.0))
-    res = solve_alm(market, hinge, wealth=0.0, driver="grid", refuse_arbitrage=False)
+    res = solve_alm(market, hinge, wealth=0.0, refuse_arbitrage=False)
     assert not res.verdict.passed
     tree = market.tree
     kids = [(float(tree.nodes[k].prob), float(market.returns(k)[0]), res.solution.records[k]["J"])
@@ -249,12 +249,19 @@ def test_alm_grid_arbitrage_forced_reaches_domain_end():
     assert u_ref == pytest.approx(1.0, abs=1e-12)
 
 
+def slack_root_row(market, bound=100.0):
+    """The market with the root position row x <= bound, far from every
+    optimum here: a Quadratic loss on it takes the wealth grid."""
+    return MarketModel(market.tree, market.s, D={market.tree.root: ([[1.0]], [bound])},
+                       c=market.c)
+
+
 def test_alm_grid_scale_gate_31_nodes():
     # ROADMAP scale gate: 31 nodes through the wealth grid, against the
     # exact quadratic driver
     market = binomial_market(9, T=4)
     exact = solve_alm(market, Quadratic([[2.0]], [0.0]), wealth=0.0)
-    grid = solve_alm(market, Quadratic([[2.0]], [0.0]), wealth=0.0, driver="grid")
+    grid = solve_alm(slack_root_row(market), Quadratic([[2.0]], [0.0]), wealth=0.0)
     assert grid.value == pytest.approx(exact.value, rel=1e-3)
 
 
@@ -269,7 +276,7 @@ def test_alm_refuses_arbitrage_unless_forced():
 def test_alm_grid_driver_close_to_exact():
     market = binomial()
     exact = solve_alm(market, Quadratic([[2.0]], [0.0]), wealth=0.0)
-    grid = solve_alm(market, Quadratic([[2.0]], [0.0]), wealth=0.0, driver="grid")
+    grid = solve_alm(slack_root_row(market), Quadratic([[2.0]], [0.0]), wealth=0.0)
     assert grid.value == pytest.approx(exact.value, rel=1e-4, abs=1e-6)
 
 
@@ -281,7 +288,7 @@ def test_alm_grid_vs_extensive_coordinate_descent():
     knots = np.linspace(-10.0, 10.0, 8001)
     V = Sampled1D(knots, knots ** 2)
     tree = market.tree
-    resg = solve_alm(market, V, wealth=0.0, driver="grid",
+    resg = solve_alm(market, V, wealth=0.0,
                      grid=np.linspace(-4.0, 4.0, 2001))
     terms = []
     for leaf in tree.leaves():
@@ -448,7 +455,7 @@ def test_alm_two_assets_matches_normal_equations():
     # quadratic loss: interpolation only overstates u^2, by at most
     # 0.005^2/4 + 0.1^2/4 < 2.6e-3 for the 0.005 knots and the 0.1 grid
     knots = np.linspace(-10.0, 10.0, 4001)
-    grid = solve_alm(market, Sampled1D(knots, knots ** 2), wealth=w, driver="grid",
+    grid = solve_alm(market, Sampled1D(knots, knots ** 2), wealth=w,
                      grid=w + np.linspace(-1.0, 1.0, 21))
     assert val - 1e-12 <= grid.value <= val + 2.6e-3
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochbellman import convexfn, lagrange, polyhedra
-from stochbellman.bellman import build_flat, optimum_value, solve_be
+from stochbellman.bellman import BellmanSolution, build_flat, optimum_value, solve_be
 from stochbellman.control import as_stage_problem, lq_costs, solve_oc
 from stochbellman.convexfn import Inf, Polyhedral, Quadratic
 from stochbellman.errors import (Infeasible, NotPerp, StochBellmanError,
@@ -10,7 +10,7 @@ from stochbellman.errors import (Infeasible, NotPerp, StochBellmanError,
 from stochbellman.extensive import solve_extensive
 from stochbellman.generators import quadratic_lagrange_instance, random_tree
 from stochbellman.lagrange import (LagrangeInstance, check_lagrange_bounds,
-                                   lagrange_policy, lp_recursion,
+                                   lagrange_policy, lp_costs, lp_recursion,
                                    solve_lagrange)
 from stochbellman.tree import AdaptedProcess, PerpProcess, validate_tree
 
@@ -74,7 +74,7 @@ def test_thousand_node_sweep_matches_the_flat_kkt_oracle():
     inst = quadratic_lagrange_instance(7, T=9)
     assert len(inst.tree.nodes) == 1023
     vv = solve_lagrange(inst)
-    assert vv.value == pytest.approx(optimum_value(vv.solution, 9), abs=1e-8)
+    assert vv.value == pytest.approx(optimum_value(vv, 9), abs=1e-8)
 
 
 def test_lp_single_stage_kink():
@@ -98,7 +98,7 @@ def test_lp_two_stage_vs_extensive():
         "b": {"T": [[0.0], [1.0]], "W": [[1.0], [0.0]], "b": [1.0, 0.0], "c": [0.5]},
     }
     vv = lp_recursion(tree, 1, data)
-    ext, _, _ = solve_extensive(build_flat(vv.instance.as_stage_problem()))
+    ext, _, _ = solve_extensive(build_flat(vv.problem))
     assert vv.value == pytest.approx(ext, abs=1e-9)
     # hand value: x0 = 1 serves branch b for free increment; branch a tops
     # up to 3: cost 1*1 + .5(.5*3 + .5*1) = 1 + 1 = 2... verified extensively
@@ -136,7 +136,7 @@ def test_bounds_strictly_convex_passes():
     assert rep.lower_bound_ok and rep.linearity_ok
     sol = solve_lagrange(inst)
     for nid in inst.tree.nodes:
-        assert sol.solution.records[nid]["N"].shape[1] == 0
+        assert sol.records[nid]["N"].shape[1] == 0
 
 
 def test_bounds_telescoping_certificates_zero():
@@ -285,12 +285,12 @@ def test_iid_tree_deterministic_value_functions():
     vv = solve_lagrange(inst)
     # continuation tables V_t at same-stage nodes coincide (iid subtrees)
     nodes = tree.stage_nodes[1]
-    ref = vv.V(nodes[0])
+    ref = vv.records[nodes[0]]["tail"]
     for nid in nodes[1:]:
         for x in (-1.0, 0.0, 1.0):
-            assert vv.V(nid).eval([x]) == pytest.approx(ref.eval([x]), abs=1e-10)
+            assert vv.records[nid]["tail"].eval([x]) == pytest.approx(ref.eval([x]), abs=1e-10)
     for leaf in tree.leaves():
-        assert vv.V(leaf) is None  # V at the horizon is identically zero
+        assert vv.records[leaf]["tail"] is None  # V at the horizon is identically zero
 
 
 def test_lp_value_function_kink():
@@ -304,7 +304,7 @@ def test_lp_value_function_kink():
     }
     vv = lp_recursion(tree, 1, data)
     assert vv.value == pytest.approx(b, abs=1e-9)
-    tilde = vv.post("n1")  # function of x0
+    tilde = vv.records["n1"]["post"]  # function of x0
     for x0 in (-1.0, 0.0, 1.0, 1.4):
         assert tilde.eval([x0]) == pytest.approx(2.0 * b, abs=1e-9)
     for x0 in (1.6, 2.5, 4.0):
@@ -350,8 +350,8 @@ def test_boxed_inventory_lp_solves_no_cone_lp(monkeypatch):
     assert calls == {"ref": 7, "convexfn": 0, "lagrange": 0}
     assert same_bits(got.value, want.value)
     for nid in tree.nodes:
-        assert same_fn(got.post(nid), want.post(nid))
-        assert same_bits(got.solution.records[nid]["N"], want.solution.records[nid]["N"])
+        assert same_fn(got.records[nid]["post"], want.records[nid]["post"])
+        assert same_bits(got.records[nid]["N"], want.records[nid]["N"])
 
 
 def _empty_at(data, nid):
@@ -384,6 +384,30 @@ def test_failing_lp_raises_what_the_emptiness_check_first_raised(empty, unbounde
     assert got.value.node == want.value.node == (empty or unbounded)[0]
 
 
+@pytest.mark.parametrize("empty", [[], ["u"], ["dd"], ["u", "dd"]])
+def test_solve_lagrange_names_the_first_empty_stage_constraint(empty):
+    # solve_lagrange is the one solve path: on an instance of polyhedral
+    # costs it returns the sweep's solution, and on a failing sweep names
+    # the first empty node in stage order, as checking every node before
+    # the sweep did
+    tree = two_stage_binary()
+    data = _boxed_inventory(tree)
+    for nid in empty:
+        _empty_at(data, nid)
+    instance = LagrangeInstance(tree, 2, lp_costs(tree, 2, data))
+    if not empty:
+        sol = solve_lagrange(instance)
+        assert type(sol) is type(lp_recursion(tree, 2, data)) is BellmanSolution
+        assert same_bits(sol.value, helpers.ref_lp_recursion(tree, 2, data).value)
+        return
+    with pytest.raises(Infeasible) as want:
+        helpers.ref_lp_recursion(tree, 2, data)
+    with pytest.raises(Infeasible) as got:
+        solve_lagrange(instance)
+    assert str(got.value) == str(want.value)
+    assert got.value.node == want.value.node == empty[0]
+
+
 def test_inventory_lp_sweep_and_policy_solve_no_lp(monkeypatch):
     # the boxed inventory's sweep makes no cone LP and, with no emptiness
     # LP after a sweep that succeeds and decisions by back-substitution
@@ -396,7 +420,7 @@ def test_inventory_lp_sweep_and_policy_solve_no_lp(monkeypatch):
     for module in (convexfn, lagrange, helpers):
         monkeypatch.setattr(module, "solve_lp", helpers.ref_lp(False, pivots))
     want = helpers.ref_lp_recursion(tree, 2, data)
-    want_decisions = helpers.ref_lp_decisions(want.solution)
+    want_decisions = helpers.ref_lp_decisions(want)
     monkeypatch.undo()
     assert len(pivots) == 2 * len(tree.nodes)
     calls = []
@@ -429,12 +453,13 @@ def test_box_pruning_at_every_size_keeps_the_values_and_the_active_pieces(monkey
     for nid, x in want_decisions.items():
         assert same_bits(decisions[nid], x)
     for nid in tree.nodes:
-        f, g = want.post(nid), got.post(nid)
+        f, g = want.records[nid]["post"], got.records[nid]["post"]
         assert same_bits(g.C, f.C) and same_bits(g.d, f.d)
         assert g.pieces_b.size <= f.pieces_b.size
         kept = {(a.tobytes(), b.tobytes()) for a, b in zip(g.pieces_a, g.pieces_b)}
         active = lp_active(f.pieces_a, f.pieces_b, f.C, f.d)
         for a, b in zip(f.pieces_a[active], f.pieces_b[active]):
             assert (a.tobytes(), b.tobytes()) in kept
-    stored = [sum(sol.post(nid).pieces_b.size for nid in tree.nodes) for sol in (got, want)]
+    stored = [sum(sol.records[nid]["post"].pieces_b.size for nid in tree.nodes)
+              for sol in (got, want)]
     assert stored[0] < stored[1]
