@@ -45,6 +45,8 @@ from .extensive import FlatProgram, Term, solve_extensive
 from .polyhedra import _padd, _pcat, _peval, _pick, _Picks, _pprecompose, _pscale, _PStack
 from .tree import StageMap, perp_check
 
+CERT_EPS = 0.1  # the lower-bound certificates' lambda: 1 - CERT_EPS, 1, 1 + CERT_EPS
+
 
 class StageProblem:
     """Problem data bound to a tree: stage costs plus per-stage decision dims.
@@ -482,13 +484,13 @@ def forward_sweep(tree, decide, x0=(), maps=None, states=None, check=None):
     return StageMap(tree, X), StageMap(tree, U), gaps, failed
 
 
-def _verdict(order, gaps, failed, tol):
+def _verdict(order, gaps, failed):
     """False at the first node of order whose gap is not finite or above
-    tol, True when there is none; an error of a node before it is raised."""
+    1e-8, True when there is none; an error of a node before it is raised."""
     for nid in order:
         if nid in failed:
             raise failed[nid]
-        if gaps[nid] is not None and not -Inf < gaps[nid] <= tol:
+        if gaps[nid] is not None and not -Inf < gaps[nid] <= 1e-8:
             return False
     return True
 
@@ -518,13 +520,13 @@ def extract_policy(sol):
     return Policy(problem, decisions, residuals, float(value))
 
 
-def verify_optimality(policy, sol, tol=1e-8):
-    """Nodewise argmin test of a policy against a solved recursion."""
+def verify_optimality(policy, sol):
+    """Nodewise argmin test of a policy against a solved recursion (gaps to 1e-8)."""
     tree, recs = sol.problem.tree, sol.records
     _, _, gaps, failed = forward_sweep(
         tree, lambda t, S: _stage_values(policy.decisions, tree, t),
         check=lambda t: _stage_layers(recs, tree, t)[:2])
-    return _verdict(gaps, gaps, failed, tol)
+    return _verdict(gaps, gaps, failed)
 
 
 def _tilt_vectors(tree, dims, v):
@@ -550,9 +552,9 @@ def _tilt_vectors(tree, dims, v):
     return tilts
 
 
-def tilt_by_p(problem, v, tol=1e-12):
-    """Stage costs tilted by -x_t . v_t for a family with E_t v_t = 0."""
-    if not perp_check(v, tol=tol):
+def tilt_by_p(problem, v):
+    """Stage costs tilted by -x_t . v_t for a family with E_t v_t = 0 (perp_check)."""
+    if not perp_check(v):
         raise NotPerp("tilt process fails E_t[v_t] = 0")
     tilts = _tilt_vectors(problem.tree, problem.dims, v)
     costs = {nid: fn if tilts[nid] is None else fn.tilt(-tilts[nid])
@@ -593,10 +595,10 @@ def recession_probe(problem):
     return True, ""
 
 
-def check_assumptions(problem, v=None, eps=0.1, solution=None):
+def check_assumptions(problem, v=None, solution=None):
     """Diagnostics, never gates: lower-bound certificates, a linearity
     verdict from the recession recursion, and a solve probe.  A node's
-    certificates are m = f*(lambda p) for lambda in (1 - eps, 1, 1 + eps),
+    certificates are m = f*(lambda p) for lambda in (0.9, 1, 1.1) (CERT_EPS),
     p its dual point from the perp family v: one stacked conjugate call
     over every (node, lambda) point, one point for a node without a tilt
     (p = 0 serves every lambda).  With no tilt, a solution already swept
@@ -604,7 +606,7 @@ def check_assumptions(problem, v=None, eps=0.1, solution=None):
     """
     base = problem if v is None else tilt_by_p(problem, v)
     tilts = {} if v is None else _tilt_vectors(problem.tree, problem.dims, v)
-    lams = (1.0 - eps, 1.0, 1.0 + eps)
+    lams = (1.0 - CERT_EPS, 1.0, 1.0 + CERT_EPS)
     points = [(nid, lam) for nid in problem.node_costs
               for lam in ((None,) if tilts.get(nid) is None else lams)]
     fns = [problem.node_costs[nid] for nid, _ in points]

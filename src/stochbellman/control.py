@@ -142,13 +142,13 @@ def extract_oc_policy(sys, solution, x0):
     return X, U
 
 
-def verify_oc_policy(sys, solution, X, U, tol=1e-8):
-    """Nodewise argmin residuals of a state/control assignment."""
+def verify_oc_policy(sys, solution, X, U):
+    """Nodewise argmin test of a state/control assignment (gaps to 1e-8)."""
     tree, recs = sys.tree, solution.records
     _, _, gaps, failed = forward_sweep(
         tree, lambda t, S: _stage_values(U, tree, t), states=X,
         check=lambda t: _stage_layers(recs, tree, t, "Q", "J")[:2])
-    return _verdict(tree.nodes, gaps, failed, tol)
+    return _verdict(tree.nodes, gaps, failed)
 
 
 class RiccatiData:
@@ -166,13 +166,13 @@ class RiccatiData:
         root = tree.root
         return float(0.5 * x0 @ self.K[root] @ x0 + self.offset[root])
 
-    def per_stage_tables(self, tree, tol=1e-9):
-        """Stage-indexed K and gain tables when constant across each stage."""
+    def per_stage_tables(self, tree):
+        """Stage-indexed K and gain tables when constant across each stage (to 1e-9)."""
         Ks, Ls = [], []
         for t in range(tree.T + 1):
             for table, out in ((self.K, Ks), (self.Lam, Ls)):
                 stack = table.held[t]
-                if np.any(np.max(np.abs(stack - stack[0]), axis=(1, 2)) > tol):
+                if np.any(np.max(np.abs(stack - stack[0]), axis=(1, 2)) > 1e-9):
                     return None
                 out.append(stack[0])
         return Ks, Ls
@@ -190,7 +190,7 @@ def _weights(mats, nodes, name, n):
     return np.array([_matrix(m, name, nid, (n, n)) for m, nid in zip(mats, nodes)])
 
 
-def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
+def riccati(sys, Qmats, Rmats):
     """Quadratic-cost recursion with exact conditional sums over children.
 
     Stage costs are 1/2 X.Q X + 1/2 U.R U with PSD Q, R per node, given by
@@ -201,6 +201,7 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
     stage runs as stacked arrays: each term is summed from the children into
     their parents by one np.add.at over the tree's stage map, in child
     order, with one svd and one inv per stage; the tables stay stage stacks.
+    A singular value below 1e-10 max(1, largest) raises SingularRiccati.
     """
     tree = sys.tree
     N, M = sys.N, sys.M
@@ -224,7 +225,7 @@ def riccati(sys, Qmats, Rmats, sv_tol=1e-10):
             np.add.at(wmean, up, p[:, None] * W)
             np.add.at(cross, up, np.matvec(pK, W))
             sv = np.linalg.svd(S3, compute_uv=False)
-            singular = sv[:, -1] < sv_tol * np.maximum(1.0, sv[:, 0])
+            singular = sv[:, -1] < 1e-10 * np.maximum(1.0, sv[:, 0])
             if np.any(singular):
                 raise SingularRiccati("control curvature matrix is singular",
                                       node=nodes[int(np.argmax(singular))])
@@ -260,7 +261,7 @@ def lq_costs(sys, Qmats, Rmats):
         big[:, N:, N:] = _weights(_stage_values(Rmats, tree, t), nodes, "R", M)
         held[t] = [(np.arange(n), _Stack(_forms(big, check_psd=True, names=nodes),
                                          np.zeros((n, d)), np.zeros(n), np.zeros((n, 0, d)),
-                                         np.zeros((n, 0)), np.ones(n, dtype=bool)))]
+                                         np.zeros((n, 0))))]
     return StageMap(tree, held, _member)
 
 
@@ -312,20 +313,20 @@ class IndependenceReport:
         self.deterministic_stages = deterministic_stages
 
 
-def independence_reduction(sys, costs, partitions=None, tol=1e-10, probes=None):
+def independence_reduction(sys, costs, partitions=None):
     """Check the value functions are measurable w.r.t. supplied partitions.
 
     partitions maps stage -> list of node-id cells (default: one cell per
-    stage, i.e. full independence: J_t deterministic).  Returns a report
-    with witness triples (stage, nodes, probe point) on failure.
+    stage, i.e. full independence: J_t deterministic), compared to 1e-10 at
+    the origin and four seed-0 normal probes.  Returns a report with
+    witness triples (stage, nodes, probe point) on failure.
     """
     tree = sys.tree
     sol = solve_oc(sys, costs)
     if partitions is None:
         partitions = {t: [list(tree.stage_nodes[t])] for t in range(tree.T + 1)}
-    if probes is None:
-        rng = np.random.default_rng(0)
-        probes = [np.zeros(sys.N)] + [rng.standard_normal(sys.N) for _ in range(4)]
+    rng = np.random.default_rng(0)
+    probes = [np.zeros(sys.N)] + [rng.standard_normal(sys.N) for _ in range(4)]
     witnesses = []
     deterministic = []
     for t, cells in partitions.items():
@@ -338,7 +339,7 @@ def independence_reduction(sys, costs, partitions=None, tol=1e-10, probes=None):
                     a, b = ref.eval(x), fn.eval(x)
                     if a == Inf and b == Inf:
                         continue
-                    if not np.isfinite(a - b) or abs(a - b) > tol:
+                    if not np.isfinite(a - b) or abs(a - b) > 1e-10:
                         witnesses.append((t, (cell[0], other), np.asarray(x)))
                         stage_ok = False
                         break

@@ -58,33 +58,31 @@ Inf = float("inf")
 PartialMin = namedtuple("PartialMin", "fn selector lineality")
 
 # Quadratics of one dim and row count as arrays with a leading member axis:
-# Q (n, d, d), q (n, d), c (n,), A (n, m, d), b (n, m), psd (n,) bool.
-_Stack = namedtuple("_Stack", "Q q c A b psd")
+# Q (n, d, d), q (n, d), c (n,), A (n, m, d), b (n, m).
+_Stack = namedtuple("_Stack", "Q q c A b")
 
 
-def _null_bases(A, rcond=1e-10):
+def _null_bases(A):
     """Orthonormal null-space basis (columns, possibly none) of each member
     of a stack of matrices; an all-zero member gets the identity, and a
-    nonzero column none."""
+    nonzero column none; rank counts singular values above 1e-10 max(r, d) s_max."""
     n, r, d = A.shape
-    live = (np.abs(A) > 0).any(axis=(1, 2)).tolist()
-    if not all(live):
-        out = [np.eye(d)] * n
-        idx = [i for i, x in enumerate(live) if x]
-        if idx:
-            for i, K in zip(idx, _null_bases(A[idx], rcond)):
-                out[i] = K
-        return out
-    if d == 1:  # a nonzero column has rank one
-        return [np.zeros((1, 0))] * n
-    u, s, vt = np.linalg.svd(A)
-    rank = (s > rcond * max(r, d) * s[:, :1]).sum(axis=1).tolist()
-    return [v[k:].T for v, k in zip(vt, rank)]
+    out = [np.eye(d)] * n
+    live = np.flatnonzero((np.abs(A) > 0).any(axis=(1, 2)))
+    if d == 1 or not live.size:  # a nonzero column has rank one
+        bases = [np.zeros((1, 0))] * live.size
+    else:
+        u, s, vt = np.linalg.svd(A if live.size == n else A[live])
+        rank = (s > 1e-10 * max(r, d) * s[:, :1]).sum(axis=1).tolist()
+        bases = [v[k:].T for v, k in zip(vt, rank)]
+    for i, K in zip(live.tolist(), bases):
+        out[i] = K
+    return out
 
 
-def _null_basis(A, rcond=1e-10):
+def _null_basis(A):
     """Orthonormal basis of the null space of A (columns), possibly empty."""
-    return _null_bases(np.atleast_2d(np.asarray(A, dtype=float))[None], rcond)[0]
+    return _null_bases(np.atleast_2d(np.asarray(A, dtype=float))[None])[0]
 
 
 def _canonical_stack(A, b):
@@ -161,11 +159,10 @@ def _stack(fs):
     """The arrays of Quadratics of one dim and row count, as a _Stack."""
     if len(fs) == 1:
         f = fs[0]
-        return _Stack(f.Q[None], f.q[None], np.array([f.c]), f.A[None], f.b[None],
-                      np.array([f.psd]))
+        return _Stack(f.Q[None], f.q[None], np.array([f.c]), f.A[None], f.b[None])
     return _Stack(np.array([f.Q for f in fs]), np.array([f.q for f in fs]),
                   np.array([f.c for f in fs]), np.array([f.A for f in fs]),
-                  np.array([f.b for f in fs]), np.array([f.psd for f in fs]))
+                  np.array([f.b for f in fs]))
 
 
 def _take(S, rows):
@@ -203,7 +200,7 @@ def _at(G, j):
         return _selector(G[0][j], G[1][j])
     f = Quadratic.__new__(Quadratic)
     f.dim, m = G.q.shape[1], G.A.shape[1]
-    f.Q, f.q, f.c, f.psd = G.Q[j], G.q[j], float(G.c[j]), bool(G.psd[j])
+    f.Q, f.q, f.c = G.Q[j], G.q[j], float(G.c[j])
     # no elements: a rowless member's rows are made, not viewed
     f.A, f.b = (G.A[j], G.b[j]) if m else (np.zeros((0, f.dim)), np.zeros(0))
     return f
@@ -243,7 +240,7 @@ def quadratics(Q, q, c=None, A=None, b=None, names=None):
     S = _forms(np.asarray(Q, dtype=float), check_psd=True, names=names)
     return _derived(_Stack(S, np.asarray(q, dtype=float), np.zeros(n) if c is None else c,
                            np.zeros((n, 0, d)) if A is None else A,
-                           np.zeros((n, 0)) if b is None else b, np.ones(n, dtype=bool)))
+                           np.zeros((n, 0)) if b is None else b))
 
 
 def _precompose(S, M, t):
@@ -253,25 +250,24 @@ def _precompose(S, M, t):
             else (np.zeros((len(M), 0, M.shape[2])), S.b))
     return _Stack(_forms(Mt @ S.Q @ M), np.matvec(Mt, np.matvec(S.Q, t) + S.q),
                   S.c + np.vecdot(S.q, t) + np.vecdot(np.vecmat(0.5 * t, S.Q), t),
-                  A, b, S.psd)
+                  A, b)
 
 
 def _scale(S, alpha):
     """alpha_i * f_i for every member; a zero factor leaves only the domain."""
     if alpha.min(initial=0.0) < 0:
         raise ValidationError("scale factor must be nonnegative")
-    Q, q, c, psd = alpha[:, None, None] * S.Q, alpha[:, None] * S.q, alpha * S.c, S.psd
+    Q, q, c = alpha[:, None, None] * S.Q, alpha[:, None] * S.q, alpha * S.c
     if not alpha.all():
         zero = alpha == 0
         Q[zero], q[zero], c[zero] = 0.0, 0.0, 0.0
-        psd = psd | zero
-    return _Stack(Q, q, c, S.A, S.b, psd)
+    return _Stack(Q, q, c, S.A, S.b)
 
 
 def _add(S, T):
     """f_i + g_i for every member; the rows are stacked, S's first."""
     return _Stack(S.Q + T.Q, S.q + T.q, S.c + T.c, np.concatenate([S.A, T.A], axis=1),
-                  np.concatenate([S.b, T.b], axis=1), S.psd & T.psd)
+                  np.concatenate([S.b, T.b], axis=1))
 
 
 def eval_stack(S, X):
@@ -436,9 +432,7 @@ class Quadratic(ConvexFn):
     The constructor puts (A, b) in canonical form with one SVD: orthonormal
     rows, at most dim of them, spanning the row space of the given rows.
     An inconsistent system is written as the single row 0.x = 1, so the
-    domain is empty and every value is +inf.  `psd` records that Q passed
-    the eigenvalue check, here or, for results of the algebra, in the
-    operands they were built from.
+    domain is empty and every value is +inf.
     """
 
     def __init__(self, Q, q, c=0.0, A=None, b=None, check_psd=True):
@@ -455,12 +449,8 @@ class Quadratic(ConvexFn):
         b = np.asarray(() if b is None else b, dtype=float).ravel()
         if A.shape != (b.size, d):
             raise DimensionMismatch("constraint block shapes disagree")
-        self.Q, self.q, self.c, self.psd = _forms(Q[None], check_psd)[0], q, float(c), check_psd
+        self.Q, self.q, self.c = _forms(Q[None], check_psd)[0], q, float(c)
         self.A, self.b = _canonical_rows(A, b) if b.size else (A, b)
-
-    @staticmethod
-    def constant(value, dim=0):
-        return Quadratic(np.zeros((dim, dim)), np.zeros(dim), value)
 
     @staticmethod
     def point_indicator(point):
@@ -545,6 +535,8 @@ class Polyhedral(ConvexFn):
         return G, np.concatenate([-self.pieces_b, self.d])
 
     def add(self, other):
+        if isinstance(other, Quadratic) and not np.any(other.Q):
+            other = _affine_as_polyhedral(other)
         if isinstance(other, Polyhedral):
             if other.dim != self.dim:
                 raise DimensionMismatch("dimension mismatch in add")
@@ -553,8 +545,6 @@ class Polyhedral(ConvexFn):
             if failed:
                 raise failed[0]
             return _at(S, 0)
-        if isinstance(other, Quadratic) and not np.any(other.Q):
-            return self.add(_affine_as_polyhedral(other))
         raise BackendClash(f"cannot add {type(other).__name__} to Polyhedral")
 
     def tilt(self, v):
@@ -622,16 +612,16 @@ def _prune_pieces(pa, pb, C, d):
     return pa[keep], pb[keep]
 
 
-def cond_expect_fn(children, tol=1e-12):
+def cond_expect_fn(children):
     """Probability-weighted sum of node functions; domain = intersection.
 
-    children is a sequence of (pi, fn) with pi > 0 summing to one.
+    children is a sequence of (pi, fn) with pi > 0 summing to one (to 1e-12).
     """
     children = list(children)
     if not children:
         raise ValidationError("no children supplied")
     total = sum(p for p, _ in children)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-12:
         raise ProbabilityMass(f"branch probabilities sum to {total!r}")
     dim = children[0][1].dim
     if any(fn.dim != dim for _, fn in children):
@@ -671,8 +661,7 @@ def _recessions(fns):
             k = len(idx)
             fs = _derived(_Stack(np.zeros((k, d, d)), S.q[idx], np.zeros(k),
                                  np.concatenate([S.A[idx], vt[idx, :r]], axis=1),
-                                 np.concatenate([b[idx], np.zeros((k, r))], axis=1),
-                                 np.ones(k, dtype=bool)))
+                                 np.concatenate([b[idx], np.zeros((k, r))], axis=1)))
             for i, f in zip(idx.tolist(), fs):
                 out[pos[i]] = f
     return out

@@ -13,7 +13,8 @@ The block-diagonal LP specialization builds polyhedral node costs from
 import numpy as np
 
 from . import treeio
-from .bellman import StageProblem, _tilt_vectors, extract_policy, recession_probe, solve_be
+from .bellman import (CERT_EPS, StageProblem, _tilt_vectors, extract_policy, recession_probe,
+                      solve_be)
 from .convexfn import Inf, Polyhedral, _conjugates, _recessions
 from .errors import Infeasible, NotPerp, StochBellmanError, ValidationError
 from .polyhedra import cone_from_generators, is_infeasible_marker
@@ -148,15 +149,15 @@ class LagrangeBoundsReport:
         self.linearity_detail = linearity_detail
 
 
-def check_lagrange_bounds(instance, v=None, y=None, eps=0.1):
+def check_lagrange_bounds(instance, v=None, y=None):
     """Certificates K_t(x, dx) >= x.(lambda p + dy) + dx.y - m, nodewise.
 
     v is a perp family supplying p (zero when omitted), read as
     check_assumptions reads it: an entry at stage t is the node's own, one
     at stage t + 1 the child's.  y is an adapted R^d process (zero when
     omitted), and dy = y_k - y_n, with y_k = 0 past a leaf.  The
-    certificate m of (node n, child k, lambda) is K_n*(lambda p + dy, y_n),
-    from one stacked conjugate call over every (node, child, lambda); the
+    certificate m of (node n, child k, lambda in {0.9, 1.1}) is K_n*(lambda
+    p + dy, y_n), from one stacked conjugate call over all of them; the
     linearity verdict reruns the sweep on the recession costs.
     """
     tree, d = instance.tree, instance.d
@@ -176,7 +177,7 @@ def check_lagrange_bounds(instance, v=None, y=None, eps=0.1):
             for k in tree.children[nid] or [None]:
                 p = own.get(nid, zero) + slot.get(k, zero)
                 dy = Y.get(k, zero) - Y[nid]
-                for lam in (1.0 - eps, 1.0 + eps):
+                for lam in (1.0 - CERT_EPS, 1.0 + CERT_EPS):
                     keys.append((nid, k, lam))
                     duals.append(np.concatenate([lam * p + dy, Y[nid]]))
     ms = _conjugates([instance.costs[nid] for nid, _, _ in keys], duals)

@@ -5,16 +5,19 @@ horizon) into the terminal layer, so the envelope dominates the positive
 part of the reward.  The relaxation route runs the generic backward engine
 on stage-additive polyhedral costs of the cumulative stopped mass and must
 reproduce the same value; rule enumeration is the brute-force oracle.
+Continuations come from `ScenarioTree.expect`, and rules and their count
+are stage passes, so a deep tree costs no recursion.
 """
+
+import math
 
 import numpy as np
 
 from .bellman import StageProblem, solve_be
 from .convexfn import Polyhedral
 from .errors import NotMarkov, TreeTooLarge, ValidationError
-from .tree import AdaptedProcess, _quantize, is_markov
+from .tree import CLASS_TOL, AdaptedProcess, _markov_pair, _quantize
 
-ENUM_NODE_CAP = 63
 ENUM_RULE_CAP = 300000
 
 
@@ -56,20 +59,41 @@ class StoppingTime:
 def snell(R):
     """Smallest supermartingale dominating the positive part of the reward."""
     tree = R.tree
-    S, cont = {}, 0.0
+    S = {}
     for t in range(tree.T, -1, -1):
         layer = tree.stage_nodes[t]
-        St = np.maximum([float(R[nid]) for nid in layer], cont)
+        St = np.maximum([float(R[nid]) for nid in layer], _continuations(tree, S, t))
         S.update(zip(layer, St.tolist()))
-        if t:
-            cont = tree.expect(t - 1, St)
     return AdaptedProcess(tree, S)
 
 
+def _continuations(tree, S, t):
+    """E_t S_{t+1} at the stage-t nodes (stage_nodes order), by
+    ScenarioTree.expect; 0 at the horizon, where the never-stop reward is."""
+    if t == tree.T:
+        return np.zeros(len(tree.stage_nodes[t]))
+    return tree.expect(t, [S[k] for k in tree.stage_nodes[t + 1]])
+
+
 def continuation_value(R, S, nid):
-    tree = R.tree
-    kids = tree.children[nid]
-    return sum(float(tree.nodes[k].prob) * S[k] for k in kids) if kids else 0.0
+    """E_t S_{t+1} at the stage-t node nid."""
+    t, i = R.tree.index[nid]
+    return float(_continuations(R.tree, S, t)[i])
+
+
+def _walk(tree, S, stops):
+    """(node, c, stops(node, c)) with c = E_t S_{t+1} at the node, for each
+    node a rule reaches, a stage at a time from the root: the rule goes on
+    below the nodes where stops is false."""
+    reached, t = [tree.root], 0
+    while reached:
+        cont, below = _continuations(tree, S, t), []
+        for nid in reached:
+            c = cont[tree.index[nid][1]]
+            stop = stops(nid, c)
+            yield nid, c, stop
+            below += [] if stop else tree.children[nid]
+        reached, t = below, t + 1
 
 
 def optimal_stop(R, S=None):
@@ -77,57 +101,39 @@ def optimal_stop(R, S=None):
     envelope.  Returns (StoppingTime, value)."""
     if S is None:
         S = snell(R)
-    tree = R.tree
-    # depth first in child order, as a loop: a recursive closure would be a
-    # reference cycle left for the cyclic collector
-    stops, stack = [], [tree.root]
-    while stack:
-        nid = stack.pop()
-        if float(R[nid]) >= continuation_value(R, S, nid):
-            stops.append(nid)
-        else:
-            stack += reversed(tree.children[nid])
-    st = StoppingTime(tree, stops)
+    st = StoppingTime(R.tree, [nid for nid, _, stop in _walk(
+        R.tree, S, lambda nid, c: float(R[nid]) >= c) if stop])
     return st, st.value(R)
 
 
-def is_optimal_rule(st, R, S=None, tol=1e-12):
+def is_optimal_rule(st, R, S=None):
     """Membership test for the optimal set: reward equals the envelope at
     stop nodes, and the envelope is its own continuation wherever the rule
-    keeps going."""
+    keeps going, both to 1e-12."""
     if S is None:
         S = snell(R)
-    tree = R.tree
-
-    def walk(nid):
-        if nid in st.stop_nodes:
-            return abs(float(R[nid]) - S[nid]) <= tol
-        if abs(S[nid] - continuation_value(R, S, nid)) > tol:
+    for nid, c, stop in _walk(R.tree, S, lambda nid, c: nid in st.stop_nodes):
+        if stop and not abs(float(R[nid]) - S[nid]) <= 1e-12:
             return False
-        return all(walk(k) for k in tree.children[nid])
-
-    return walk(tree.root)
+        if not stop and abs(S[nid] - c) > 1e-12:
+            return False
+    return True
 
 
 def count_stopping_times(tree):
-    """Exact number of consistent rules (stop-at-node or recurse product)."""
-
-    def count(nid):
-        kids = tree.children[nid]
-        if not kids:
-            return 2
-        prod = 1
-        for k in kids:
-            prod *= count(k)
-        return 1 + prod
-
-    return count(tree.root)
+    """Exact number of consistent rules (stop at a node, or the product of its
+    children's counts), a stage at a time from the horizon up."""
+    count = dict.fromkeys(tree.stage_nodes[tree.T], 2)
+    for layer in reversed(tree.stage_nodes[:-1]):
+        for nid in layer:
+            count[nid] = 1 + math.prod(count[k] for k in tree.children[nid])
+    return count[tree.root]
 
 
-def enumerate_stopping_times(tree, node_cap=ENUM_NODE_CAP, rule_cap=ENUM_RULE_CAP):
-    """Yield every consistent stopping rule exactly once."""
-    if tree.n_nodes() > node_cap:
-        raise TreeTooLarge(f"{tree.n_nodes()} nodes exceeds cap {node_cap}")
+def enumerate_stopping_times(tree, rule_cap=ENUM_RULE_CAP):
+    """Yield every consistent stopping rule exactly once (at most 63 nodes)."""
+    if tree.n_nodes() > 63:
+        raise TreeTooLarge(f"{tree.n_nodes()} nodes exceeds cap 63")
     total = count_stopping_times(tree)
     if total > rule_cap:
         raise TreeTooLarge(f"{total} rules exceeds enumeration cap {rule_cap}")
@@ -210,19 +216,19 @@ def extreme_policy(R, S=None):
     return alloc, st
 
 
-def markov_check(R, tol=1e-12):
+def markov_check(R):
     """Per-stage value tables keyed by reward value for a Markov reward.
 
-    Verifies the envelope is constant on every (stage, reward value) class
-    and returns the tables; raises NotMarkov with a witness pair otherwise.
+    Verifies the envelope is constant (to 1e-12) on every (stage, reward value)
+    class and returns the tables; raises NotMarkov with a witness pair otherwise.
     """
-    ok, pair = is_markov(R, tol=tol, witness=True)
-    if not ok:
+    pair = _markov_pair(R)
+    if pair is not None:
         raise NotMarkov(f"future laws differ at same-value nodes {pair[0]!r}, {pair[1]!r}")
-    return _envelope_tables(R, snell(R), tol)
+    return _envelope_tables(R, snell(R))
 
 
-def _envelope_tables(R, S, tol=1e-12):
+def _envelope_tables(R, S):
     """markov_check's tables from the envelope S of a reward already known
     to be Markov; NotMarkov if S is not constant on a class."""
     tree = R.tree
@@ -230,11 +236,11 @@ def _envelope_tables(R, S, tol=1e-12):
     for t in range(tree.T + 1):
         classes = {}
         for nid in tree.stage_nodes[t]:
-            classes.setdefault(_quantize(R[nid], tol), []).append(nid)
+            classes.setdefault(_quantize(R[nid]), []).append(nid)
         table = {}
         for key, members in classes.items():
             vals = [S[m] for m in members]
-            if max(vals) - min(vals) > tol:
+            if max(vals) - min(vals) > CLASS_TOL:
                 raise NotMarkov(
                     f"envelope not constant on stage-{t} class {key}: nodes {members}")
             table[key] = vals[0]

@@ -1,9 +1,9 @@
 """Finite filtered probability spaces as rooted scenario trees.
 
 A tree node carries its stage, its conditional branch probability, and an
-open data dict.  Unconditional probabilities are derived lazily from the
-root path, never stored.  Probabilities may be floats (default) or exact
-`fractions.Fraction` values when the tree is built with exact=True.
+open data dict.  Path probabilities are made a stage at a time down the
+stage map when the first is read, and kept.  Probabilities may be floats
+(default) or exact `fractions.Fraction` values when built with exact=True.
 
 Orthogonal-complement data (processes v with E_t[v_t] = 0) is represented
 by `PerpProcess`: a per-index family where entry t lives at a measurability
@@ -36,6 +36,7 @@ from .errors import (NotMarkov, OrphanNode, ProbabilityMass, StageGap,
                      StageOrder, ValidationError)
 
 PROB_TOL = 1e-12
+CLASS_TOL = 1e-12    # width of the value classes of is_markov and markov_check
 
 
 class Node:
@@ -74,7 +75,7 @@ class ScenarioTree:
                     raise OrphanNode(f"node {n.id!r} references missing parent {n.parent!r}")
                 self.children[n.parent].append(n.id)
         self._validate()
-        self._uncond = {}
+        self._paths = None
 
     def _validate(self):
         root = self.nodes[self.root]
@@ -136,13 +137,14 @@ class ScenarioTree:
 
     def prob(self, nid):
         """Unconditional probability: product of branch probabilities."""
-        if nid not in self._uncond:
-            n = self.nodes[nid]
-            if n.parent is None:
-                self._uncond[nid] = n.prob
-            else:
-                self._uncond[nid] = self.prob(n.parent) * n.prob
-        p = self._uncond[nid]
+        if self._paths is None:
+            paths = [[self.nodes[self.root].prob]]
+            for t, layer in enumerate(self.stage_nodes[1:], 1):
+                paths.append([paths[-1][i] * self.nodes[k].prob
+                              for i, k in zip(self.up[t].tolist(), layer)])
+            self._paths = paths
+        t, i = self.index[nid]
+        p = self._paths[t][i]
         if (p if self.exact else float(p)) <= 0:
             raise ProbabilityMass(f"node {nid!r} has nonpositive path probability")
         return p
@@ -355,8 +357,8 @@ def martingale_increments(proc):
     return PerpProcess(tree, entries)
 
 
-def perp_check(v, tol=1e-12):
-    """True iff every component of v_t conditions to zero at stage t."""
+def perp_check(v):
+    """True iff every component of v_t conditions to zero at stage t (to 1e-12)."""
     if isinstance(v, AdaptedProcess):
         v = PerpProcess.from_adapted(v)
     tree = v.tree
@@ -364,7 +366,7 @@ def perp_check(v, tol=1e-12):
         down = np.array([per_node[nid] for nid in tree.stage_nodes[stage]])
         if stage > t:
             down = tree.expect(t, down)
-        if np.max(np.abs(down), initial=0.0) > tol:
+        if np.max(np.abs(down), initial=0.0) > 1e-12:
             return False
     return True
 
@@ -382,11 +384,11 @@ def expected_pairing(tree, x, v):
     return float(level[0][0])
 
 
-def _quantize(value, tol):
-    return round(float(value) / tol) * tol
+def _quantize(value):
+    return round(float(value) / CLASS_TOL) * CLASS_TOL
 
 
-def _future_law(tree, R, nid, tol):
+def _future_law(tree, R, nid):
     """Distribution of the future value path below nid, keys quantized.  The
     walk is depth first in child order, on a stack: a recursive closure
     would be a reference cycle per call, left for the cyclic collector."""
@@ -396,7 +398,7 @@ def _future_law(tree, R, nid, tol):
         kids = tree.children[cur]
         if not kids:
             law[path] = law.get(path, 0.0) + prob
-        stack += reversed([(k, prob * float(tree.nodes[k].prob), path + (_quantize(R[k], tol),))
+        stack += reversed([(k, prob * float(tree.nodes[k].prob), path + (_quantize(R[k]),))
                            for k in kids])
     return law
 
@@ -407,35 +409,32 @@ def _laws_match(a, b):
     return all(abs(a[k] - b[k]) <= 1e-12 for k in a)
 
 
-def is_markov(R, tol=1e-12, witness=False):
-    """True iff equal same-stage values imply equal conditional future laws.
-
-    R is a real-valued adapted process over stages 0..T.  Value classes are
-    formed by quantizing at tol; future-path laws are compared per class.
-    With witness=True returns (flag, offending node pair or None).
-    """
+def _markov_pair(R):
+    """First same-stage, same-class node pair with different future laws, or None."""
     tree = R.tree
     for t in range(tree.T + 1):
         classes = {}
         for nid in tree.stage_nodes[t]:
-            classes.setdefault(_quantize(R[nid], tol), []).append(nid)
+            classes.setdefault(_quantize(R[nid]), []).append(nid)
         for key, members in classes.items():
             if len(members) < 2:
                 continue
-            ref = _future_law(tree, R, members[0], tol)
+            ref = _future_law(tree, R, members[0])
             for other in members[1:]:
-                if not _laws_match(ref, _future_law(tree, R, other, tol)):
-                    if witness:
-                        return False, (members[0], other)
-                    return False
-    if witness:
-        return True, None
-    return True
+                if not _laws_match(ref, _future_law(tree, R, other)):
+                    return members[0], other
+    return None
 
 
-def markov_witness(R, tol=1e-12):
+def is_markov(R):
+    """True iff equal same-stage values of the adapted process R, in classes
+    of width CLASS_TOL (1e-12), imply equal conditional future laws."""
+    return _markov_pair(R) is None
+
+
+def markov_witness(R):
     """Pair of same-stage, same-value nodes with different future laws."""
-    ok, pair = is_markov(R, tol=tol, witness=True)
-    if ok:
+    pair = _markov_pair(R)
+    if pair is None:
         raise NotMarkov("process is Markov; no witness exists")
     return pair

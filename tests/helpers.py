@@ -592,7 +592,7 @@ def same_fn(f, g):
     if isinstance(f, Quadratic):
         return isinstance(g, Quadratic) and all(
             same_bits(getattr(f, a), getattr(g, a)) for a in ("Q", "q", "A", "b")) \
-            and same_bits(f.c, g.c) and f.psd == g.psd
+            and same_bits(f.c, g.c)
     return type(f) is type(g) and all(same_bits(getattr(f, a), getattr(g, a))
                                       for a in ("pieces_a", "pieces_b", "C", "d"))
 
@@ -611,14 +611,14 @@ def _minimize_block(fn, over, nid):
 # stage-stacked code must give every node the same bits and raise the same
 # error at the same node.
 
-def ref_derived(psd, Q, q, c, A, b):
+def ref_derived(Q, q, c, A, b):
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if np.max(np.abs(Q - Q.T), initial=0.0) > 1e-8 * (1.0 + np.max(np.abs(Q), initial=0.0)):
         raise ValidationError("Q must be symmetric")
     out = Quadratic.__new__(Quadratic)
     out.Q = 0.5 * (Q + Q.T)
     out.q = np.asarray(q, dtype=float).ravel()
-    out.dim, out.c, out.psd = out.q.size, float(c), psd
+    out.dim, out.c = out.q.size, float(c)
     if len(A) == 0:
         out.A, out.b = np.zeros((0, out.dim)), np.zeros(0)
     else:
@@ -654,7 +654,7 @@ def ref_recession(f):
             V = vt[:int(np.sum(s > 1e-10 * f.dim * s[0]))].T
         rows = np.vstack([f.A, V.T]) if V.size else f.A
         rhs = np.zeros(rows.shape[0])
-    return ref_derived(True, np.zeros((f.dim, f.dim)), f.q, 0.0, rows, rhs)
+    return ref_derived(np.zeros((f.dim, f.dim)), f.q, 0.0, rows, rhs)
 
 
 def ref_quadratic_eval(f, x):
@@ -683,17 +683,17 @@ def ref_precompose(f, M, t):
     c2 = f.c + f.q @ t + 0.5 * t @ f.Q @ t
     A2 = f.A @ M
     b2 = f.b - f.A @ t
-    return ref_derived(f.psd, Q2, q2, float(c2), A2, b2)
+    return ref_derived(Q2, q2, float(c2), A2, b2)
 
 
 def ref_scale(f, alpha):
     if alpha == 0:
-        return ref_derived(True, np.zeros_like(f.Q), np.zeros_like(f.q), 0.0, f.A, f.b)
-    return ref_derived(f.psd, alpha * f.Q, alpha * f.q, alpha * f.c, f.A, f.b)
+        return ref_derived(np.zeros_like(f.Q), np.zeros_like(f.q), 0.0, f.A, f.b)
+    return ref_derived(alpha * f.Q, alpha * f.q, alpha * f.c, f.A, f.b)
 
 
 def ref_add(f, g):
-    return ref_derived(f.psd and g.psd, f.Q + g.Q, f.q + g.q, f.c + g.c,
+    return ref_derived(f.Q + g.Q, f.q + g.q, f.c + g.c,
                        np.vstack([f.A, g.A]), np.concatenate([f.b, g.b]))
 
 

@@ -124,9 +124,9 @@ def test_extract_policy_free_coordinate_zeroed():
 def test_verify_optimality_accepts_and_rejects():
     sol = solve_be(tracking_stage_problem())
     pol = extract_policy(sol)
-    assert verify_optimality(pol, sol, 1e-8)
+    assert verify_optimality(pol, sol)
     pol.decisions["r"] = pol.decisions["r"] + 0.1
-    assert not verify_optimality(pol, sol, 1e-8)
+    assert not verify_optimality(pol, sol)
 
 
 def test_verified_policy_value_near_optimum():
@@ -137,7 +137,7 @@ def test_verified_policy_value_near_optimum():
     sol = solve_be(sp)
     pol = extract_policy(sol)
     tol = 1e-8
-    assert verify_optimality(pol, sol, tol)
+    assert verify_optimality(pol, sol)
     assert abs(pol.value - sol.value) <= tol * (sp.tree.T + 1)
 
 
@@ -220,7 +220,7 @@ def test_tilt_equivalence_same_argmins():
                for t in range(tree.T)}
     entries[tree.T] = (tree.T, {nid: np.zeros(1) for nid in tree.stage_nodes[tree.T]})
     v = PerpProcess(tree, entries)
-    assert perp_check(v, tol=1e-10)
+    assert perp_check(v)
     tilted = tilt_by_p(sp, v)
     s0 = solve_be(sp)
     s1 = solve_be(tilted)
@@ -333,14 +333,14 @@ def test_certificates_require_tilt_for_unbounded_objective():
              "a": Polyhedral([[1.0 - 2.0], [-1.0 - 2.0]], [0.0, 0.0]),
              "b": Polyhedral([[1.0 + 2.0], [-1.0 + 2.0]], [0.0, 0.0])}
     sp = StageProblem(tree, [1, 0], node_costs=costs)
-    plain = check_assumptions(sp, v=None, eps=0.1)
+    plain = check_assumptions(sp, v=None)
     assert not plain.lower_bound_ok
 
     entries = {0: (1, {"a": np.array([-2.0]), "b": np.array([2.0])}),
                1: (1, {"a": np.zeros(0), "b": np.zeros(0)})}
     v = PerpProcess(tree, entries)
     assert perp_check(v)
-    tilted_report = check_assumptions(sp, v=v, eps=0.1)
+    tilted_report = check_assumptions(sp, v=v)
     assert tilted_report.lower_bound_ok
     assert tilted_report.linearity_ok
     assert tilted_report.feasibility_ok
@@ -381,7 +381,7 @@ def test_check_assumptions_conjugates_once_per_untilted_node(monkeypatch):
     monkeypatch.setattr(convexfn, "_selector", lambda *a: built.append(a))
     monkeypatch.setattr(AffineSelector, "__init__", lambda self, *a: built.append(a))
 
-    plain = check_assumptions(sp, v=None, eps=0.1)
+    plain = check_assumptions(sp, v=None)
     assert (sizes, len(lps), built) == ([1, 2, 2], 2, [])
     for nid, per_lambda in plain.certificates.items():
         assert list(per_lambda) == [0.9, 1.0, 1.1]
@@ -389,7 +389,7 @@ def test_check_assumptions_conjugates_once_per_untilted_node(monkeypatch):
         assert per_lambda[1.0] == pytest.approx(costs[nid].conjugate(np.zeros(costs[nid].dim)))
 
     sizes.clear(), lps.clear()
-    zero = check_assumptions(sp, v=PerpProcess.zero(tree, [1, 1, 1]), eps=0.1)
+    zero = check_assumptions(sp, v=PerpProcess.zero(tree, [1, 1, 1]))
     assert (sizes, len(lps), built) == ([3, 6, 6], 6, [])
     assert zero.certificates == plain.certificates
     assert zero.lower_bound_ok and plain.lower_bound_ok
@@ -477,9 +477,8 @@ def test_forward_sweep_matches_the_node_by_node_loops(kind, seed):
             cases.append({**pol.decisions, u: pol.decisions[u] + 1.0, v: np.zeros(3)})
     for dec in cases:
         p = Policy(sol.problem, dec, {}, 0.0)
-        for tol in (1e-8, 1e-3):
-            same_outcome(outcome(verify_optimality, p, sol, tol),
-                         outcome(ref_verify_optimality, p, sol, tol))
+        same_outcome(outcome(verify_optimality, p, sol),
+                     outcome(ref_verify_optimality, p, sol))
 
 
 @settings(max_examples=70, deadline=None, derandomize=True)

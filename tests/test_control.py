@@ -114,13 +114,13 @@ def test_feedback_policy_verifies_through_generic_engine():
     rd = riccati(sys_, Qm, Rm)
     X, U = riccati_policy(sys_, rd, [0.8])
     sol = solve_oc(sys_, lq_costs(sys_, Qm, Rm))
-    assert verify_oc_policy(sys_, sol, X, U, tol=1e-8)
+    assert verify_oc_policy(sys_, sol, X, U)
     sp = as_stage_problem(sys_, lq_costs(sys_, Qm, Rm), x0=[0.8])
     sbe = solve_be(sp)
     fp = build_flat(sp)
     dec = {nid: np.concatenate([X[nid], U[nid]]) for nid in sys_.tree.nodes}
     pol = Policy(sp, dec, {}, fp.eval(fp.pack(dec)))
-    assert verify_optimality(pol, sbe, tol=1e-8)
+    assert verify_optimality(pol, sbe)
     assert pol.value == pytest.approx(sbe.value, abs=1e-8)
 
 

@@ -221,7 +221,7 @@ def test_bounds_perp_family_certificates_by_hand():
              "dd": (1.0, 0.25, 0.5, 0.5, -1.0)}
     inst = LagrangeInstance(tree, 1, {nid: _diag_cost(*c) for nid, c in coefs.items()})
     y = AdaptedProcess(tree, {nid: np.array([val]) for nid, val in _Y.items()})
-    rep = check_lagrange_bounds(inst, v=PerpProcess(tree, _PERP), y=y, eps=0.1)
+    rep = check_lagrange_bounds(inst, v=PerpProcess(tree, _PERP), y=y)
     want = _pinned_certificates(tree, coefs, 0.1)
     assert list(rep.certificates) == list(tree.nodes)
     for nid, rows in rep.certificates.items():
@@ -240,7 +240,7 @@ def test_bounds_unbounded_dual_fails_the_lower_bound():
     coefs["r"] = coefs["u"] = (0.0, 1.0, 1.0, 0.0, 0.0)
     y = dict(_Y, r=0.0)
     inst = LagrangeInstance(tree, 1, {nid: _diag_cost(*c) for nid, c in coefs.items()})
-    rep = check_lagrange_bounds(inst, v=PerpProcess(tree, _PERP), eps=0.1,
+    rep = check_lagrange_bounds(inst, v=PerpProcess(tree, _PERP),
                                 y=AdaptedProcess(tree, {k: np.array([v]) for k, v in y.items()}))
     assert not rep.lower_bound_ok
     r, u = rep.certificates["r"], rep.certificates["u"]

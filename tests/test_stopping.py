@@ -214,3 +214,18 @@ def test_relaxation_value_invariance_across_stages():
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], abs=1e-10)
     assert -vals[0] == pytest.approx(val, abs=1e-10)
+
+
+def test_a_chain_deeper_than_the_recursion_limit():
+    # 1,500 stages, past the interpreter's default recursion limit of 1,000:
+    # path probabilities, the rule count and the optimality test run a stage
+    # at a time, and the leaf's path probability is read before any other
+    T = 1500
+    tree = chain_tree(T)
+    assert tree.prob(f"n{T}") == 1.0
+    assert count_stopping_times(tree) == T + 2
+    # an all-negative reward: the optimal rule never stops
+    R = AdaptedProcess(tree, {nid: -1.0 - tree.stage(nid) for nid in tree.nodes})
+    st, value = optimal_stop(R)
+    assert st.stop_nodes == frozenset() and value == 0.0
+    assert is_optimal_rule(st, R)

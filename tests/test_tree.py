@@ -203,7 +203,7 @@ def test_perp_lemma_pairing(rng):
         tree = two_stage_binary(((0.3, 0.7), (0.8, 0.2), (0.45, 0.55)))
         s = martingale_price(tree, rng)
         v = martingale_increments(s)
-        assert perp_check(v, tol=1e-10)
+        assert perp_check(v)
         x = {nid: rng.standard_normal(1) for nid in tree.nodes}
         assert abs(expected_pairing(tree, x, v)) <= 1e-10
 
