@@ -15,6 +15,7 @@ import argparse
 import atexit
 import gc
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,12 +37,11 @@ from .tree import AdaptedProcess, StageMap, is_markov
 def _emit(args, report, policy_rows=None):
     if args.format == "structured":
         print(json.dumps({"schema": 1, **report}, sort_keys=True))
-    elif args.format == "csv":
-        rows = policy_rows or []
-        width = max((len(r["x"]) for r in rows), default=0)
+    elif args.format == "csv":  # offered only by the commands with policy rows
+        width = max((len(r["x"]) for r in policy_rows), default=0)
         head = ",".join(f"x_{i}" for i in range(width))
         print(f"node_id,stage,{head},residual" if width else "node_id,stage,residual")
-        for row in rows:
+        for row in policy_rows:
             comps = [repr(v) for v in row["x"]] + [""] * (width - len(row["x"]))
             cells = [row["node_id"], str(row["stage"])] + comps + [repr(row["residual"])]
             print(",".join(cells))
@@ -122,6 +122,8 @@ def cmd_stop(args):
             values[nid] = float(node.data["R"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"reward `R` at {nid!r} is not a number") from exc
+        if not math.isfinite(values[nid]):
+            raise ValidationError(f"reward `R` at {nid!r} is not finite")
     R = AdaptedProcess(tree, values)
     S = snell(R)
     rule, value = optimal_stop(R, S)
@@ -156,10 +158,7 @@ def cmd_control(args):
     # and R; an error names the node
     sys_ = ControlSystem(tree, N, M, A, B, W)
     rd = riccati(sys_, Qm, Rm)
-    try:
-        x0 = np.asarray(doc.get("x0", [0.0] * N), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("`x0` is not a numeric array") from exc
+    x0 = treeio._numeric(doc.get("x0", [0.0] * N), "`x0`")
     if x0.shape != (N,):
         raise ValidationError(f"`x0` has shape {x0.shape}, expected ({N},)")
     sol = solve_oc(sys_, lq_costs(sys_, Qm, Rm))
@@ -309,9 +308,18 @@ def cmd_gen(args):
     return 0
 
 
+def _finite(text):
+    """A float option's value; NaN and the infinities are refused (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "csv", "structured"), default="text")
     ap = argparse.ArgumentParser(prog="stochbellman",
                                  description="convex multistage solvers on scenario trees")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -321,15 +329,19 @@ def build_parser():
             ("check", cmd_check, True), ("stop", cmd_stop, True),
             ("control", cmd_control, True), ("lagrange", cmd_lagrange, True),
             ("hedge", cmd_hedge, True), ("gen", cmd_gen, False)):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name)
         p.set_defaults(func=fn)
+        # csv prints per-node policy rows, which only solve and lagrange have
+        formats = ("text", "csv", "structured") if name in ("solve", "lagrange") else \
+            ("text", "structured")
+        p.add_argument("--format", choices=formats, default="text")
         if needs_input:
             p.add_argument("--input", required=True)
-    sub.choices["oracle"].add_argument("--tol", type=float, default=1e-8)
+    sub.choices["oracle"].add_argument("--tol", type=_finite, default=1e-8)
     hedge = sub.choices["hedge"]
-    hedge.add_argument("--rho", type=float, default=1.0)
+    hedge.add_argument("--rho", type=_finite, default=1.0)
     hedge.add_argument("--loss", default="quad")
-    hedge.add_argument("--wealth", type=float, default=0.0)
+    hedge.add_argument("--wealth", type=_finite, default=0.0)
     hedge.add_argument("--force", action="store_true")
     gen = sub.choices["gen"]
     gen.add_argument("--kind", required=True)

@@ -65,7 +65,8 @@ class ControlSystem:
                 stacks = [np.array(_stage_values(D, tree, t), dtype=float) for D in (A, B, W)]
             except (KeyError, TypeError, ValueError):
                 stacks = None
-            if stacks is None or tuple(s.shape[1:] for s in stacks) != shapes:
+            if (stacks is None or tuple(s.shape[1:] for s in stacks) != shapes
+                    or not all(np.isfinite(s).all() for s in stacks)):
                 # find the first faulty node, checked node by node
                 stacks = [np.array(x) for x in zip(*(self._dynamics(nid, A, B, W, shapes)
                                                      for nid in nodes))]
@@ -180,10 +181,11 @@ class RiccatiData:
 
 def _weights(mats, nodes, name, n):
     """The (n, n) weight matrices `mats` of `nodes`, as a new stack in that
-    order; the first non-numeric or wrong-shaped entry names its node."""
+    order; the first non-numeric, non-finite or wrong-shaped entry names its
+    node."""
     try:
         stack = np.array(mats, dtype=float)
-        if stack.shape[1:] == (n, n):
+        if stack.shape[1:] == (n, n) and np.isfinite(stack).all():
             return stack
     except (TypeError, ValueError):
         pass

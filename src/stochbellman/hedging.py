@@ -5,7 +5,10 @@ constraints per node; all positions close at the horizon.  Solving goes
 through the wealth-state control reduction: state = wealth, controls =
 cash invested per asset, per-child returns from price ratios.  On the
 wealth grid one exact line search serves every node: a single call for
-one asset, cyclic coordinate sweeps of it for several.  The
+one asset, cyclic coordinate sweeps of it for several.  It bisects over
+each child table's knot indices in turn, about ceil(log2 m) slope steps
+per child of m knots, and each node's table is then replaced by its
+greatest convex minorant in one pass over its knots.  The
 no-arbitrage test is a single LP over node positions: maximize expected
 terminal gains subject to nonnegative pathwise gains, recession-feasible
 positions and a sup-norm cap; the verdict is cap-invariant because the
@@ -167,11 +170,6 @@ def _position_interval(rows, U, j):
     return lo, hi
 
 
-# Halvings of the feasible interval: 64 take any interval under 1e3 wide
-# below 1e-16, so the bracket sits within one knot gap of every child.
-_BISECTIONS = 64
-
-
 def _line_min(base, kids, lo, hi):
     """Exact min over u in [lo, hi] of sum_k p_k J_k(base_k + r_k u), per point.
 
@@ -179,13 +177,15 @@ def _line_min(base, kids, lo, hi):
     (p_k, r_k, J_k) with a scalar return and a Sampled1D table; lo and hi
     are per-point arrays.  The objective is convex piecewise linear in u,
     so a minimizer is a child kink (kappa_kj - base_k) / r_k or an end of
-    the feasible interval.  A bisection vectorized over the points finds
-    the least-|u| point where the right slope turns nonnegative, with one
-    searchsorted per child per step; the objective is then evaluated there,
-    at the kinks next to it, at both interval ends and at u = 0 clipped
-    into the interval.  Ties go to the least |u| (the minimum-norm
-    convention).  Returns (values, controls): +inf and nan where no u is
-    feasible.
+    the feasible interval.  Each moving child in turn narrows a bracket
+    [a, b] around the least-|u| point where the right slope turns
+    nonnegative: a bisection over its knot indices inside the bracket,
+    vectorized over the points, about ceil(log2 m) steps for m knots, each
+    reading the right slope at one kink of the child (one searchsorted per
+    other child).  The objective is then evaluated at a, b, both interval
+    ends and u = 0 clipped into the interval.  Ties go to the least |u|
+    (the minimum-norm convention).  Returns (values, controls): +inf and
+    nan where no u is feasible.
     """
     L = np.array(lo, dtype=float)
     H = np.array(hi, dtype=float)
@@ -200,29 +200,32 @@ def _line_min(base, kids, lo, hi):
         L = np.maximum(L, first if r > 0 else last)
         H = np.minimum(H, last if r > 0 else first)
         slopes = np.diff(tab.values) / np.diff(kn) if kn.size > 1 else np.zeros(1)
-        moving.append((p, r, x, kn, slopes))
+        # searched as J(-y) on the negated knots when r < 0, so that the
+        # kinks increase with the index: the kinks and slope terms are the
+        # same numbers
+        moving.append((p, r, x, kn, slopes) if r > 0 else
+                      (p, -r, -x, -kn[::-1], -slopes[::-1]))
     ok &= L <= H
     L = np.where(ok, L, 0.0)
     H = np.where(ok, H, 0.0)
-    cands = [np.clip(0.0, L, H)]
-    if moving:
-        a, b = L, H
-        for _ in range(_BISECTIONS):
-            m = 0.5 * (a + b)
+    a, b = L, H
+    for k, (p, r, x, kn, slopes) in enumerate(moving):
+        i = np.searchsorted(kn, x + r * a) - 1  # last knot left of a
+        j = np.searchsorted(kn, x + r * b, side="right")  # first right of b
+        while (wide := j - i > 1).any():
+            mid = (i + j) // 2
+            u = (np.take(kn, mid, mode="clip") - x) / r
             slope = 0.0
-            for p, r, x, kn, slopes in moving:
-                # at a kink this reads one of the two one-sided slopes; both
-                # lead the bisection to the same point
-                i = np.searchsorted(kn, x + r * m) - 1
-                slope = slope + p * r * np.take(slopes, i, mode="clip")
-            left = (slope < 0.0) | ((slope == 0.0) & (m < 0.0))
-            a = np.where(left, m, a)
-            b = np.where(left, b, m)
-        cands += [b, L, H]
-        for _, r, x, kn, _ in moving:
-            i = np.searchsorted(kn, x + r * b)
-            for j in (i - 1, i):
-                cands.append((np.take(kn, j, mode="clip") - x) / r)
+            for c, (pc, rc, xc, knc, sc) in enumerate(moving):
+                # the right slope at u: child k's own segment from its index
+                seg = mid if c == k else np.searchsorted(knc, xc + rc * u, side="right") - 1
+                slope = slope + pc * rc * np.take(sc, seg, mode="clip")
+            right = (slope > 0.0) | ((slope == 0.0) & (u >= 0.0))
+            j = np.where(wide & right, mid, j)
+            i = np.where(wide & ~right, mid, i)
+        a = np.where(i >= 0, np.maximum(a, (np.take(kn, i, mode="clip") - x) / r), a)
+        b = np.where(j < kn.size, np.minimum(b, (np.take(kn, j, mode="clip") - x) / r), b)
+    cands = [np.clip(0.0, L, H)] + ([b, a, L, H] if moving else [])
     U = np.clip(np.stack(cands, axis=1), L[:, None], H[:, None])
     vals = np.zeros(U.shape)
     for x, (p, r, tab) in zip(base, kids):
@@ -290,17 +293,21 @@ def _tabulate(loss, u):
 
 def _convexify(knots, values):
     """Greatest convex minorant at the knots (repairs rounding-level dips;
-    with several assets it also covers coordinate-descent stalls)."""
+    with several assets it also covers coordinate-descent stalls): one
+    monotone-chain pass over the knots, each popped at most once."""
     x = np.asarray(knots, dtype=float)
     v = np.asarray(values, dtype=float)
     if v.size < 3:
         return v
+    # the monotone chain on Python floats: the IEEE arithmetic of numpy's
+    # scalars without their indexing cost
+    xs, vs = x.tolist(), v.tolist()
     hull = [0]
-    for i in range(1, v.size):
+    for i in range(1, len(vs)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # keep b only if it lies below the chord a -> i
-            if (v[b] - v[a]) * (x[i] - x[a]) <= (v[i] - v[a]) * (x[b] - x[a]):
+            if (vs[b] - vs[a]) * (xs[i] - xs[a]) <= (vs[i] - vs[a]) * (xs[b] - xs[a]):
                 break
             hull.pop()
         hull.append(i)

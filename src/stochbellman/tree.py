@@ -100,9 +100,9 @@ class ScenarioTree:
         stages = [n.stage for n in self.nodes.values()]
         self.T = max(stages)
         for n in self.nodes.values():
-            p = n.prob
-            if (p if self.exact else float(p)) <= 0 or (p if self.exact else float(p)) > 1:
-                raise ProbabilityMass(f"node {n.id!r} probability {p!r} outside (0, 1]")
+            p = n.prob if self.exact else float(n.prob)
+            if not 0 < p <= 1:  # NaN fails it too
+                raise ProbabilityMass(f"node {n.id!r} probability {n.prob!r} outside (0, 1]")
             if n.parent is not None:
                 pstage = self.nodes[n.parent].stage
                 if n.stage != pstage + 1:
@@ -113,7 +113,7 @@ class ScenarioTree:
                 if self.exact:
                     if total != one:
                         raise ProbabilityMass(f"children of {nid!r} sum to {total}")
-                elif abs(float(total) - 1.0) > PROB_TOL:
+                elif not abs(float(total) - 1.0) <= PROB_TOL:
                     raise ProbabilityMass(f"children of {nid!r} sum to {total!r}")
             else:
                 if self.nodes[nid].stage != self.T:

@@ -42,11 +42,15 @@ def fn_to_record(fn):
 
 
 def _numeric(value, what):
-    """value as a float array; ValidationError naming `what` if it is not numeric."""
+    """value as a float array; ValidationError naming `what` if it is not
+    numeric or holds a NaN or an infinity (JSON readers accept both)."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} is not a numeric array") from None
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+    return arr
 
 
 def fn_from_record(rec):
@@ -68,20 +72,23 @@ def fn_from_record(rec):
     except (TypeError, ValueError, IndexError, KeyError):
         raise ValidationError("`pieces` of a polyhedral record are not "
                               "[gradient, offset] pairs") from None
+    if not (np.isfinite(grads).all() and np.isfinite(offs).all()):
+        raise ValidationError("`pieces` of a polyhedral record have a non-finite entry")
     return Polyhedral(grads, offs, arr.get("C"), arr.get("d"))
 
 
 def fns_from_records(recs, names):
-    """fn_from_record of each record: quadratic records whose arrays stack in
-    one convexfn.quadratics call, an error naming names[i]; others one by
-    one, an error of a record naming its node."""
+    """fn_from_record of each record: quadratic records whose arrays stack,
+    all finite, in one convexfn.quadratics call, an error naming names[i];
+    others one by one, an error of a record naming its node."""
     try:
         if all(isinstance(rec, dict) and rec.get("kind") == "quadratic" for rec in recs):
             Q, q, c = (np.array([rec.get(k, 0.0) for rec in recs], dtype=float) for k in "Qqc")
             A, b = (np.array([rec.get(k) or [] for rec in recs], dtype=float) for k in "Ab")
             n, d = q.shape
             A = A if A.size else np.zeros((n, 0, d))
-            if (Q.shape, c.shape, A.shape[2:], b.shape) == ((n, d, d), (n,), (d,), A.shape[:2]):
+            if ((Q.shape, c.shape, A.shape[2:], b.shape) == ((n, d, d), (n,), (d,), A.shape[:2])
+                    and all(np.isfinite(arr).all() for arr in (Q, q, c, A, b))):
                 return quadratics(Q, q, c, A, b, names)
     except (TypeError, ValueError):
         pass

@@ -206,6 +206,21 @@ def test_csv_policy_columns(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "node_id,stage,x_0,residual"
     assert len(lines) == 4  # header + 3 nodes
+    assert out == "node_id,stage,x_0,residual\nr,0,1.0,0.0\na,1,,0.0\nb,1,,0.0\n"
+
+
+@pytest.mark.parametrize("command", ["hedge", "check", "oracle", "control", "stop", "gen"])
+def test_csv_only_on_commands_with_policy_rows(tmp_path, capsys, command):
+    # without per-node rows a csv would be a bare header that drops the result
+    path = write_tracking(tmp_path)
+    argv = [command, "--format", "csv"]
+    argv += ["--kind", "lq", "--out", str(tmp_path / "lq.json")] if command == "gen" else \
+        ["--input", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+    assert not (tmp_path / "lq.json").exists()
 
 
 def test_malformed_probability_exits_2(tmp_path, capsys):
@@ -328,14 +343,16 @@ EXIT_2.update({f"{case}, {command}": (
     for case, (nid, rec) in BAD_ROWS.items() for command in ("solve", "oracle", "check")})
 
 
-@pytest.mark.parametrize("case", list(EXIT_2))
-def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
-    # each case exits 2 with nothing on stdout and one `error:` line on
-    # stderr that names the node or the key, never a traceback
-    base, command, edit, extra, names = EXIT_2[case]
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"knots": [0.0, 1.0]}))
-    argv = [command] + [a.format(grid=grid) for a in extra]
+def _case_argv(tmp_path, capsys, base, command, edit, extra):
+    """The argument list of a case: its input file, written and edited, and
+    the extra arguments with the grid loss files filled in."""
+    grids = {"grid": {"knots": [0.0, 1.0]},
+             "loss": {"knots": [-50.0, 0.0, 50.0], "values": [0.0, 0.0, 50.0]},
+             "nanloss": {"knots": [-50.0, 0.0, 50.0], "values": [0.0, float("nan"), 50.0]}}
+    for name, spec in grids.items():
+        grids[name] = tmp_path / f"{name}.json"
+        grids[name].write_text(json.dumps(spec))
+    argv = [command] + [a.format(**grids) for a in extra]
     if base is not None:
         path = tmp_path / f"{base}.json"
         if base == "problem":
@@ -350,9 +367,75 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
             edit(doc)
             path.write_text(json.dumps(doc))
         argv += ["--input", str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("case", list(EXIT_2))
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    # each case exits 2 with nothing on stdout and one `error:` line on
+    # stderr that names the node or the key, never a traceback
+    base, command, edit, extra, names = EXIT_2[case]
+    argv = _case_argv(tmp_path, capsys, base, command, edit, extra)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _cost(nid, key, value):
+    return lambda doc: _set(_node(doc, nid)["data"]["cost"], key, value)
+
+
+# NaN and the infinities, which Python's json reads and writes, refused
+# where input enters: (input file, command, edit, extra arguments, the
+# node, key or flag named), as in EXIT_2
+NON_FINITE = {
+    **{f"q, {command}": ("problem", command, _cost("a", "q", [NAN]), [],
+                         "`q` of a quadratic record has a non-finite entry at node 'a'")
+       for command in ("solve", "oracle", "check")},
+    "Q infinite": ("problem", "solve", _cost("b", "Q", [[INF]]), [], "at node 'b'"),
+    "pieces": ("problem", "check", lambda doc: _set(_node(doc, "a")["data"], "cost", {
+        "kind": "polyhedral", "pieces": [[[NAN], 0.0]]}), [], "non-finite entry at node 'a'"),
+    "prob": ("problem", "solve", lambda doc: _set(_node(doc, "a"), "prob", NAN), [],
+             "node 'a' probability nan"),
+    "root prob": ("lp", "lagrange", lambda doc: _set(_node(doc, "r"), "prob", NAN), [],
+                  "node 'r' probability nan"),
+    "b, lagrange": ("lp", "lagrange", lambda doc: _set(_node(doc, "a")["data"], "b", [NAN]),
+                    [], "b at 'a' has a non-finite entry"),
+    "R, stop": ("reward", "stop", lambda doc: _set(_node(doc, "n1")["data"], "R", NAN), [],
+                "reward `R` at 'n1' is not finite"),
+    "x0, control": ("lq", "control", lambda doc: _set(doc, "x0", [NAN, 0.5]), [],
+                    "`x0` has a non-finite entry"),
+    "A, control": ("lq", "control", lambda doc: _set(
+        _node(doc, "n2")["data"], "A", [[INF, 0.0], [0.0, 0.0]]), [], "A at 'n2'"),
+    "Q, control": ("lq", "control", lambda doc: _set(
+        _node(doc, "n4")["data"], "Q", [[NAN, 0.0], [0.0, 1.0]]), [], "Q at 'n4'"),
+    "price, hedge": ("market", "hedge", lambda doc: _set(_node(doc, "n1")["data"], "s", [NAN]),
+                     [], "s at 'n1'"),
+    "claim, hedge": ("market", "hedge", lambda doc: _set(_node(doc, "n3")["data"], "c", INF),
+                     [], "claim `c` at 'n3'"),
+    "grid values": ("market", "hedge", None, ["--loss", "grid:{nanloss}"], "values in"),
+    "--wealth nan": ("market", "hedge", None, ["--wealth", "nan"], "argument --wealth"),
+    "--wealth inf, grid": ("market", "hedge", None, ["--loss", "grid:{loss}", "--wealth", "inf"],
+                           "argument --wealth"),
+    "--rho nan": ("market", "hedge", None, ["--loss", "exp", "--rho", "nan"], "argument --rho"),
+    "--tol inf": ("problem", "oracle", None, ["--tol", "inf"], "argument --tol"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_input_exits_2_naming_where(tmp_path, capsys, case):
+    base, command, edit, extra, names = NON_FINITE[case]
+    argv = _case_argv(tmp_path, capsys, base, command, edit, extra)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag's value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and names in err, err
+    assert "Traceback" not in err
 
 
 def test_unbounded_exits_3(tmp_path, capsys):

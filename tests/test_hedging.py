@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from stochbellman.errors import (ArbitrageRefusal, NonMonotone, UnboundedExp,
                                  ValidationError)
 from stochbellman.generators import (always_up_market, binomial_market,
                                      gaussian_return_market)
-from stochbellman.hedging import (MarketModel, _grid_min, _line_min, _position_interval,
-                                  _tabulate, ae_estimate, exp_utility, na_check,
+from stochbellman.hedging import (MarketModel, _convexify, _grid_min, _line_min,
+                                  _position_interval, _tabulate, ae_estimate, exp_utility, na_check,
                                   solve_alm)
 from stochbellman.tree import AdaptedProcess, validate_tree
 
@@ -463,8 +464,8 @@ def test_alm_two_assets_matches_normal_equations():
 # Dyadic data (quarter-step knots, integer slopes, returns, weights and
 # row coefficients that are powers of two) keep every kink, slope sum and
 # table value exact, so flat minima are exactly flat.
-def _child_table(draw):
-    n = draw(st.integers(1, 6))
+def _child_table(draw, most=6):
+    n = draw(st.integers(1, most))
     k0 = draw(st.integers(-16, 4)) / 4.0
     gaps = [draw(st.integers(1, 8)) / 4.0 for _ in range(n - 1)]
     knots = k0 + np.concatenate([[0.0], np.cumsum(gaps)])
@@ -475,10 +476,10 @@ def _child_table(draw):
 
 
 @st.composite
-def one_asset_nodes(draw):
+def one_asset_nodes(draw, most=6):
     kids = [(draw(st.sampled_from([0.125, 0.25, 0.5, 1.0])),
              draw(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])),
-             _child_table(draw))
+             _child_table(draw, most))
             for _ in range(draw(st.integers(1, 4)))]
     rows = [(draw(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])),
              draw(st.integers(-12, 12)) / 4.0)
@@ -518,6 +519,26 @@ def test_one_asset_kernel_matches_breakpoint_enumeration(node):
     else:
         lo, hi = _position_interval(None, held, 0)
     vals, U = _line_min([X] * len(kids), kids, lo, hi)
+    _check_one_asset(X, vals, U, kids, rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(node=one_asset_nodes(most=48))
+def test_one_asset_kernel_on_long_tables_matches_breakpoint_enumeration(node):
+    # tables of up to 48 knots: the line search takes several steps per child
+    kids, rows = node
+    X = np.arange(-24, 25) / 4.0
+    G, g = np.array([[G] for G, _ in rows]).reshape(-1, 1), np.array([g for _, g in rows])
+    lo, hi = _position_interval((G, g) if rows else None, np.zeros((X.size, 1)), 0)
+    vals, U = _line_min([X] * len(kids), kids, lo, hi)
+    _check_one_asset(X, vals, U, kids, rows)
+    # one point alone reproduces its bits from the whole grid
+    for i in range(0, X.size, 8):
+        v1, u1 = _line_min([X[i:i + 1]] * len(kids), kids, lo[i:i + 1], hi[i:i + 1])
+        assert v1[0] == vals[i] and np.array_equal(u1, U[i:i + 1], equal_nan=True)
+
+
+def _check_one_asset(X, vals, U, kids, rows):
     for x, v, u in zip(X, vals, U):
         best, u_ref = _brute_one_asset(x, kids, rows)
         if best == Inf:
@@ -588,6 +609,50 @@ def test_two_asset_grid_min_is_coordinatewise_optimal(node):
         v1, u1 = _grid_min(X[i:i + 1], kids, rows, "r")
         assert v1[0] == vals[i]
         assert np.array_equal(u1[0], U[i], equal_nan=True)
+
+
+@st.composite
+def raised_tables(draw):
+    """Dyadic (knots, values): a convex base with integer slopes on
+    quarter-step knots, raised at knots inside its segments by small steps
+    (dips in the secant slopes), by a concave bump, or not at all (collinear
+    runs).  The base's kinks and ends stay on it, so its exact lower hull
+    is the base, with dyadic values."""
+    x, v = [draw(st.integers(-8, 8)) / 4.0], [draw(st.integers(-8, 8)) / 4.0]
+    for slope in sorted(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4))):
+        gaps = np.cumsum([draw(st.integers(1, 4)) / 4.0 for _ in range(draw(st.integers(1, 4)))])
+        knots = x[-1] + gaps
+        kind = draw(st.sampled_from(["collinear", "dips", "concave"]))
+        if kind == "dips":
+            lift = [draw(st.sampled_from([0.0, 1.0 / 64])) for _ in gaps[:-1]] + [0.0]
+        elif kind == "concave":
+            lift = draw(st.integers(1, 4)) / 4.0 * (knots - x[-1]) * (knots[-1] - knots)
+        else:
+            lift = np.zeros(gaps.size)
+        v += list(v[-1] + slope * gaps + lift)
+        x += list(knots)
+    return np.array(x), np.array(v)
+
+
+def _brute_lower_hull(x, v):
+    """Greatest convex minorant at the knots by its definition: each knot's
+    least value over the chords of two knots that span it, in exact
+    rational arithmetic (O(n^2) chords per knot)."""
+    X, V = [Fraction(t) for t in x], [Fraction(t) for t in v]
+    return np.array([float(min([V[i]] + [V[a] + (V[b] - V[a]) * (X[i] - X[a]) / (X[b] - X[a])
+                                         for a in range(i) for b in range(i + 1, len(X))]))
+                     for i in range(len(X))])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(table=raised_tables())
+def test_convexify_is_the_lower_hull(table):
+    x, v = table
+    hull = _convexify(x, v)
+    assert np.array_equal(hull, _brute_lower_hull(x, v))
+    assert np.all(hull <= v)
+    slopes = np.diff(hull) / np.diff(x)
+    assert np.all(np.diff(slopes) >= 0.0)  # convex, exactly on dyadic data
 
 
 def test_tabulate_quadratic_matches_scalar_eval(rng):
