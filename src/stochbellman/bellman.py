@@ -14,10 +14,11 @@ is made when it is read.  Its mirror forward_sweep, over the same
 map, applies the recorded minimizers (affine maps, or back-substitution
 through the Polyhedral nodes' Fourier-Motzkin systems, no LP) and
 evaluates the nodewise optimality gaps, also a stage at a time, on the
-records' stacks, and returns its states and decisions as stage stacks
-too.  Both are held to the README's Numerical contract: bit-identical
-across runs, and within stated tolerances of independent oracles (the
-tests also hold every node to the bits of frozen node-by-node loops).
+records' stacks (the only form of a solution's records it reads), and
+returns its states and decisions as stage stacks too.  Both are held to
+the README's Numerical contract: bit-identical across runs, and within
+stated tolerances of independent oracles (the tests also hold every node
+to the bits of frozen node-by-node loops).
 
 At every node the sweep records the pre-minimization function, the value
 function after minimizing the node's own block, the minimizer map, and the
@@ -85,7 +86,7 @@ class StageProblem:
 class BellmanSolution:
     def __init__(self, problem, records, value):
         self.problem = problem
-        self.records = records  # node id -> dict(pre, post, selector, N, tail), a StageMap
+        self.records = records  # node id -> record dict: a StageMap of _Swept stages
         self.value = value
 
 
@@ -357,7 +358,7 @@ def optimum_value(sol, t):
     if t == tree.T:
         fp = build_flat(problem)
     else:
-        tails = _objects(_stage_layers(sol.records, tree, t)[3], len(tree.stage_nodes[t]))
+        tails = _objects(sol.records.held[t].tails, len(tree.stage_nodes[t]))
         fp = build_flat(problem, upto=t, tails=dict(zip(tree.stage_nodes[t], tails)))
     value, _, _ = solve_extensive(fp)
     return value
@@ -380,43 +381,27 @@ def _stage_values(values, tree, t):
     return [values[nid] for nid in tree.stage_nodes[t]]
 
 
-def _stage_layers(records, tree, t, pre="pre", post="post"):
-    """Stage t of a solution's records as (pre, post, selector, tail)
-    layers: a sweep's own, or one list group each of the records' entries."""
-    if isinstance(records, StageMap) and isinstance(records.held.get(t), _Swept):
-        s = records.held[t]
-        return s.pre, s.post, s.sel, s.tails
-    recs = [records[nid] for nid in tree.stage_nodes[t]]
-    idx = np.arange(len(recs))
-    layers = [[(idx, [r[k] for r in recs])] for k in (pre, post, "selector")]
-    return (*layers, [(idx, [r.get("tail") for r in recs])])
-
-
 def _decisions(sel, S):
-    """A stage's decisions at the states S from its selector layer: an
-    (F, g) stack as one F x + g and a _Picks as one back-substitution
-    (_pick) where S is stacked and of their width, each other selector one
-    by one."""
-    out, stacked = [None] * len(S), isinstance(S, np.ndarray)
+    """A stage's decisions at the states S (n, k) from its selector layer:
+    an (F, g) stack as one F x + g and a _Picks as one back-substitution
+    (_pick).  States of another width than the selectors' raise
+    DimensionMismatch."""
+    out = [None] * len(S)
     for idx, G in sel:
-        if isinstance(G, _Picks) and stacked and G.post.a.shape[1] == S.shape[1]:
-            vals = _pick(G, S[idx])
-        elif type(G) is tuple and stacked and G[0].shape[2] == S.shape[1]:
-            vals = np.matvec(G[0], S[idx]) + G[1]
-        else:
-            sels = G if isinstance(G, list) else _objects([(np.arange(len(idx)), G)], len(idx))
-            vals = [np.atleast_1d(f(S[i])) for i, f in zip(idx.tolist(), sels)]
+        width = G.post.a.shape[1] if isinstance(G, _Picks) else G[0].shape[2]
+        if S.shape[1] != width:
+            raise DimensionMismatch(f"expected dim {width}, got {S.shape[1]}")
+        vals = _pick(G, S[idx]) if isinstance(G, _Picks) else np.matvec(G[0], S[idx]) + G[1]
         for i, d in zip(idx.tolist(), vals):
             out[i] = d
     return out
 
 
-def _evals(layer, xs, failed, where=None):
-    """f_i(xs[i]) by position for the functions of a layer, 0.0 where there
-    is none: each _Stack or _PStack of the points' width as one eval_stack
-    or _peval, others one
-    by one where node i has not failed and where[i] holds (if given).  A
-    node's error is recorded in failed."""
+def _evals(layer, xs, failed):
+    """f_i(xs[i]) by position for the functions of a layer: each _Stack or
+    _PStack of the points' width as one eval_stack or _peval, others one
+    by one where node i has not failed.  A node's error is recorded in
+    failed."""
     out = np.zeros(len(xs))
     width = xs.shape[1] if isinstance(xs, np.ndarray) else None
     for idx, G in layer:
@@ -426,9 +411,8 @@ def _evals(layer, xs, failed, where=None):
         if isinstance(G, _PStack) and G.a.shape[1] == width:
             out[idx] = _peval(G, xs[idx])
             continue
-        fs = G if isinstance(G, list) else _objects([(np.arange(len(idx)), G)], len(idx))
-        for i, f in zip(idx.tolist(), fs):
-            if f is None or i in failed or (where is not None and not where[i]):
+        for i, f in zip(idx.tolist(), _objects([(np.arange(len(idx)), G)], len(idx))):
+            if i in failed:
                 continue
             try:
                 out[i] = f.eval(xs[i])
@@ -453,10 +437,10 @@ def forward_sweep(tree, decide, x0=(), maps=None, states=None, check=None):
     the parent's (state, decision) with m_k the child's step map from
     maps(t) = (M, W) stacked in stage order; states (node id -> state)
     replace them when given.  decide(t, S) gives the stage-t decisions at
-    the states S, stacked when they have one length.  With check(t) =
-    (pre, post) layers of stage t, a node's gap is pre(state, decision) -
-    post(state), None without pre, and an error of either is kept in
-    failed, in stage order.
+    the states S, stacked when they have one length.  With check(t) the
+    _Swept of stage t, a node's gap is pre(state, decision) - post(state),
+    None where either raised, and the error is kept in failed, in stage
+    order.
     """
     X, U, gaps, failed = {}, {}, {}, {}
     S = [np.atleast_1d(x0)]
@@ -466,13 +450,10 @@ def forward_sweep(tree, decide, x0=(), maps=None, states=None, check=None):
         D = U[t] = _stacked(decide(t, S))
         Z = _joined(S, D)
         if check is not None:
-            pre, post = check(t)
-            has = np.zeros(len(nodes), dtype=bool)
-            for idx, G in pre:
-                has[idx] = [f is not None for f in G] if isinstance(G, list) else True
-            vals = zip(_evals(pre, Z, bad).tolist(), _evals(post, S, bad, has).tolist())
-            gaps.update((nid, a - b if h and i not in bad else None)
-                        for i, (nid, h, (a, b)) in enumerate(zip(nodes, has.tolist(), vals)))
+            s = check(t)
+            vals = zip(_evals(s.pre, Z, bad).tolist(), _evals(s.post, S, bad).tolist())
+            gaps.update((nid, None if i in bad else a - b)
+                        for i, (nid, (a, b)) in enumerate(zip(nodes, vals)))
             failed.update((nodes[i], bad[i]) for i in sorted(bad))
         if t < tree.T and states is None:
             up = tree.up[t + 1]
@@ -490,7 +471,7 @@ def _verdict(order, gaps, failed):
     for nid in order:
         if nid in failed:
             raise failed[nid]
-        if gaps[nid] is not None and not -Inf < gaps[nid] <= 1e-8:
+        if not -Inf < gaps[nid] <= 1e-8:
             return False
     return True
 
@@ -503,8 +484,7 @@ def extract_policy(sol):
     problem, recs = sol.problem, sol.records
     tree = problem.tree
     states, decisions, gaps, failed = forward_sweep(
-        tree, lambda t, S: _decisions(_stage_layers(recs, tree, t)[2], S),
-        check=lambda t: _stage_layers(recs, tree, t)[:2])
+        tree, lambda t, S: _decisions(recs.held[t].sel, S), check=recs.held.get)
     if failed:
         raise next(iter(failed.values()))
     value = 0.0
@@ -522,10 +502,9 @@ def extract_policy(sol):
 
 def verify_optimality(policy, sol):
     """Nodewise argmin test of a policy against a solved recursion (gaps to 1e-8)."""
-    tree, recs = sol.problem.tree, sol.records
+    tree = sol.problem.tree
     _, _, gaps, failed = forward_sweep(
-        tree, lambda t, S: _stage_values(policy.decisions, tree, t),
-        check=lambda t: _stage_layers(recs, tree, t)[:2])
+        tree, lambda t, S: _stage_values(policy.decisions, tree, t), check=sol.records.held.get)
     return _verdict(gaps, gaps, failed)
 
 

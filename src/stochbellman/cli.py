@@ -1,9 +1,10 @@
 """Batch front door: ingestion, dispatch, seeded generators, reports.
 
-Exit codes: 0 success, 2 validation failure (malformed input), 3 solver
-failure (unbounded objective, one-sided recession cone, infeasibility,
-arbitrage refusal).  Structured output is versioned JSON (schema: 1) and
-is bit-identical across repeated runs with the same config and seed.
+Exit codes: 0 success, 2 validation failure (malformed or unreadable
+input, an unwritable output path), 3 solver failure (unbounded objective,
+one-sided recession cone, infeasibility, arbitrage refusal).  Structured
+output is versioned JSON (schema: 1) and is bit-identical across repeated
+runs with the same config and seed.
 
 A session is one `main` call: it pauses the cyclic garbage collector while
 the command runs, gives the caller its setting back, and freezes the heap
@@ -319,6 +320,16 @@ def _finite(text):
     return value
 
 
+def _seed(text):
+    """A generator seed; a negative one is refused (exit 2), as numpy refuses it."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="stochbellman",
                                  description="convex multistage solvers on scenario trees")
@@ -346,7 +357,7 @@ def build_parser():
     gen = sub.choices["gen"]
     gen.add_argument("--kind", required=True)
     gen.add_argument("--out", default=None)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     return ap
 
 
@@ -358,7 +369,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -15,12 +15,13 @@ stage.  The dynamics, lq_costs, the records, the Riccati tables and the
 forward states and controls stay stage stacks, read by node id through
 tree.StageMap; a node's matrices and objects are made when it is read.
 Sampled wealth tables are built by the hedging layer, which knows their cost structure
-(hedging.solve_alm); their records carry no symbolic Q factor.
+(hedging.solve_alm); their records carry no symbolic Q factor, and the
+functions that read the sweep's stage stacks refuse them.
 """
 
 import numpy as np
 
-from .bellman import (StageProblem, _decisions, _stage_layers, _stage_values, _verdict,
+from .bellman import (StageProblem, _decisions, _stage_values, _Swept, _verdict,
                       backward_sweep, forward_sweep)
 from .convexfn import Inf, Quadratic, _forms, _member, _Stack
 from .errors import DimensionMismatch, SingularRiccati, ValidationError
@@ -92,7 +93,8 @@ class ControlSolution:
     """Per-node records: Q (pre-min over (X,U)), J (post-min over X),
     selector, and lineality basis of the flat control directions; solve_oc
     gives them as a StageMap of the sweep's stacks.  A wealth-grid hedge
-    (hedging.solve_alm) keeps a dict of J, selector and Q = None only."""
+    (hedging.solve_alm) keeps a dict of J and selector only, which
+    extract_oc_policy, verify_oc_policy and q_factors refuse."""
 
     def __init__(self, sys, records):
         self.sys = sys
@@ -125,30 +127,34 @@ def solve_oc(sys, costs):
         maps=sys.stage_maps))
 
 
+def _sweep_records(solution):
+    """The solution's records, a sweep's StageMap of stage stacks; others (a
+    wealth-grid hedge's, with no Q factors) raise ValidationError."""
+    recs = solution.records
+    if not (isinstance(recs, StageMap) and all(isinstance(s, _Swept) for s in recs.held.values())):
+        raise ValidationError("the solution's records are no sweep's stage stacks "
+                              "(a wealth-grid solution carries no Q factors)")
+    return recs
+
+
 def q_factors(solution):
     """Per-node pre-minimization functions over (X, U)."""
-    out = {}
-    for nid, rec in solution.records.items():
-        if rec["Q"] is None:
-            raise ValidationError("wealth-grid solution carries no symbolic Q factors")
-        out[nid] = rec["Q"]
-    return out
+    return {nid: rec["Q"] for nid, rec in _sweep_records(solution).items()}
 
 
 def extract_oc_policy(sys, solution, x0):
     """Forward pass: per-node state and control under the recorded selectors."""
-    tree, recs = sys.tree, solution.records
-    X, U, _, _ = forward_sweep(tree, lambda t, S: _decisions(
-        _stage_layers(recs, tree, t, "Q", "J")[2], S), x0, sys.stage_maps)
+    recs = _sweep_records(solution)
+    X, U, _, _ = forward_sweep(sys.tree, lambda t, S: _decisions(recs.held[t].sel, S), x0,
+                               sys.stage_maps)
     return X, U
 
 
 def verify_oc_policy(sys, solution, X, U):
     """Nodewise argmin test of a state/control assignment (gaps to 1e-8)."""
-    tree, recs = sys.tree, solution.records
+    tree, recs = sys.tree, _sweep_records(solution)
     _, _, gaps, failed = forward_sweep(
-        tree, lambda t, S: _stage_values(U, tree, t), states=X,
-        check=lambda t: _stage_layers(recs, tree, t, "Q", "J")[:2])
+        tree, lambda t, S: _stage_values(U, tree, t), states=X, check=recs.held.get)
     return _verdict(tree.nodes, gaps, failed)
 
 

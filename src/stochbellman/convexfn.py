@@ -166,10 +166,8 @@ def _stack(fs):
 
 
 def _take(S, rows):
-    """The members `rows` (an index array) of a _Stack, a _PStack or a list."""
-    if isinstance(S, _PStack):
-        return _ptake(S, rows)
-    return _Stack(*(a[rows] for a in S)) if isinstance(S, _Stack) else [S[i] for i in rows]
+    """The members `rows` (an index array) of a _Stack or a _PStack."""
+    return _ptake(S, rows) if isinstance(S, _PStack) else _Stack(*(a[rows] for a in S))
 
 
 def _settled(S, new_rows=True):
@@ -188,9 +186,7 @@ def _settled(S, new_rows=True):
 def _at(G, j):
     """Member j of a group: a _Stack's as a Quadratic, a _PStack's as a
     Polyhedral, a _Picks' as a PolyhedralSelector, an (F, g) stack's as an
-    AffineSelector, a list's as it is."""
-    if isinstance(G, list):
-        return G[j]
+    AffineSelector."""
     if isinstance(G, _PStack):
         (a0, a1), (c0, c1) = (np.searchsorted(m, [j, j + 1]) for m in (G.pm, G.cm))
         return _polyhedral(G.a[a0:a1], G.b[a0:a1], G.C[c0:c1], G.d[c0:c1])

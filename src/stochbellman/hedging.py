@@ -17,6 +17,7 @@ arbitrage cone is positively homogeneous.
 
 import numpy as np
 
+from .bellman import forward_sweep
 from .control import ControlSolution, ControlSystem, extract_oc_policy, solve_oc
 from .convexfn import Inf, Quadratic, Sampled1D, _stack, eval_stack
 from .errors import (ArbitrageRefusal, Infeasible, IterationLimit, NonMonotone,
@@ -345,7 +346,7 @@ def _grid_sweep(market, sys_, loss_at, grid):
             if not finite.any():
                 raise SolverError("no feasible wealth level on the grid", node=nid)
             knots = grid[finite]
-            records[nid] = {"Q": None, "J": Sampled1D(knots, _convexify(knots, vals[finite])),
+            records[nid] = {"J": Sampled1D(knots, _convexify(knots, vals[finite])),
                             "selector": selector}
     return ControlSolution(sys_, records)
 
@@ -353,17 +354,18 @@ def _grid_sweep(market, sys_, loss_at, grid):
 def solve_alm(market, loss, wealth=0.0, grid=None, refuse_arbitrage=True):
     """Best hedge of the terminal claim under a loss on the shortfall.
 
-    loss is a 1-D ConvexFn (Quadratic or Sampled1D), or a dict mapping
-    leaves to per-scenario losses.  A Quadratic loss on a market without
-    position rows takes the exact quadratic recursion (solve_oc); anything
-    else goes through the wealth grid (default: 2001 points around
-    `wealth`).  There every node carries a value table on the grid.  With
-    one asset each table is the exact minimum at its knots, and only
-    interpolation between knots (and outside the grid, +inf) approximates;
-    with several assets cyclic coordinate steps of the same exact line
-    search find it, and can stop short of it.  An arbitrage market is
-    refused by default with the verdict attached; pass
-    refuse_arbitrage=False to force the solve.
+    loss is a 1-D ConvexFn (Quadratic, Polyhedral or Sampled1D), or a dict
+    mapping leaves to per-scenario losses.  A Quadratic loss on a market
+    without position rows takes the exact quadratic recursion (solve_oc)
+    and its forward pass (extract_oc_policy); anything else goes through
+    the wealth grid (default: 2001 points around `wealth`), whose forward
+    pass (bellman.forward_sweep) calls each node's table selector.  There
+    every node carries a value table on the grid.  With one asset each
+    table is the exact minimum at its knots, and only interpolation between
+    knots (and outside the grid, +inf) approximates; with several assets
+    cyclic coordinate steps of the same exact line search find it, and can
+    stop short of it.  An arbitrage market is refused by default with the
+    verdict attached; pass refuse_arbitrage=False to force the solve.
     """
     verdict = na_check(market)
     if not verdict.passed and refuse_arbitrage:
@@ -392,14 +394,16 @@ def solve_alm(market, loss, wealth=0.0, grid=None, refuse_arbitrage=True):
                 costs[nid] = Quadratic(np.zeros((1 + J, 1 + J)), np.zeros(1 + J))
         sol = solve_oc(sys_, costs)
         value = sol.value(wealth)
+        _, controls = extract_oc_policy(sys_, sol, [wealth])
     else:
         if grid is None:
             span = 2.0 + 2.0 * (max(abs(v) for v in market.c.values()) + abs(wealth))
             grid = np.linspace(wealth - span, wealth + span, 2001)
         sol = _grid_sweep(market, sys_, loss_at, np.asarray(grid, dtype=float))
         value = sol.records[tree.root]["J"].eval(wealth)
-
-    _, controls = extract_oc_policy(sys_, sol, [wealth])
+        _, controls, _, _ = forward_sweep(tree, lambda t, S: [
+            sol.control(nid, x) for nid, x in zip(tree.stage_nodes[t], S)], [wealth],
+            sys_.stage_maps)
     positions = {nid: U / market.price(nid) for nid, U in controls.items()}
     return ALMResult(float(value), positions, controls, verdict, sol)
 

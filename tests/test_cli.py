@@ -325,6 +325,14 @@ EXIT_2 = {
     "unknown loss": ("market", "hedge", None, ["--loss", "cubic"], "'cubic'"),
     "grid without values": ("market", "hedge", None, ["--loss", "grid:{grid}"], "`values`"),
     "unknown gen kind": (None, "gen", None, ["--kind", "maze", "--out", "{grid}.out"], "'maze'"),
+    "input a directory": (None, "solve", None, ["--input", "{dir}"], "Is a directory"),
+    "grid loss a directory": ("market", "hedge", None, ["--loss", "grid:{dir}"],
+                              "Is a directory"),
+    "input not UTF-8": (None, "stop", None, ["--input", "{latin1}"], "can't decode"),
+    "grid loss not UTF-8": ("market", "hedge", None, ["--loss", "grid:{latin1}"],
+                            "can't decode"),
+    "gen out a directory": (None, "gen", None, ["--kind", "lq", "--out", "{dir}"],
+                            "Is a directory"),
 }
 
 # domain rows without one right-hand side each: a cost record of the
@@ -345,14 +353,17 @@ EXIT_2.update({f"{case}, {command}": (
 
 def _case_argv(tmp_path, capsys, base, command, edit, extra):
     """The argument list of a case: its input file, written and edited, and
-    the extra arguments with the grid loss files filled in."""
+    the extra arguments with the grid loss files, a file that is not UTF-8
+    and a directory filled in."""
     grids = {"grid": {"knots": [0.0, 1.0]},
              "loss": {"knots": [-50.0, 0.0, 50.0], "values": [0.0, 0.0, 50.0]},
              "nanloss": {"knots": [-50.0, 0.0, 50.0], "values": [0.0, float("nan"), 50.0]}}
     for name, spec in grids.items():
         grids[name] = tmp_path / f"{name}.json"
         grids[name].write_text(json.dumps(spec))
-    argv = [command] + [a.format(**grids) for a in extra]
+    grids["latin1"] = tmp_path / "latin1.json"
+    grids["latin1"].write_bytes(b'{"nodes": [], "R": "\xe9"}')
+    argv = [command] + [a.format(**grids, dir=tmp_path) for a in extra]
     if base is not None:
         path = tmp_path / f"{base}.json"
         if base == "problem":
@@ -564,6 +575,16 @@ def test_oracle_reads_tol_and_gen_reads_seed(tmp_path, capsys):
         assert code == 0, err
         assert json.loads(out)["seed"] == int(seed or 0)
     assert (tmp_path / "lq-5.json").read_text() != (tmp_path / "lq-None.json").read_text()
+
+
+def test_gen_refuses_a_negative_seed(tmp_path, capsys):
+    # numpy's generators take no negative seed: argparse refuses it first
+    out = tmp_path / "lq.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "lq", "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: not a non-negative integer: '-1'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_subcommand(tmp_path, capsys):

@@ -608,6 +608,14 @@ def _deep_lq():
     return sys_, sol, X, U
 
 
+def test_extract_oc_policy_refuses_a_start_of_another_length():
+    # the stacked selectors take states of their own width only
+    sys_, sol, _, _ = _deep_lq()
+    for x0 in ([0.4], [0.4, -0.7, 0.0]):
+        with pytest.raises(DimensionMismatch, match=rf"^expected dim 2, got {len(x0)}$"):
+            extract_oc_policy(sys_, sol, x0)
+
+
 def test_verify_oc_policy_rejects_a_perturbed_deep_control():
     sys_, sol, X, U = _deep_lq()
     assert verify_oc_policy(sys_, sol, X, U) and ref_verify_oc_policy(sys_, sol, X, U)
@@ -641,16 +649,20 @@ def test_verify_oc_policy_rejects_a_nan_gap():
     assert ref_verify_oc_policy(sys_, sol, X, U) is False
 
 
-def test_wealth_grid_solution_still_verifies():
-    # the grid hedge keeps Q = None: every node is skipped, as before
+def test_wealth_grid_solution_is_refused_by_the_sweep_readers():
+    # the grid hedge's controls are its selectors' along the forward pass;
+    # its records are no sweep's stage stacks, so the readers of those refuse
+    # it, shifted controls included
     market = binomial_market(9, T=2)
     res = solve_alm(market, Polyhedral([[1.0], [-1.0]], [0.0, 0.0]), 0.0,
                     grid=np.linspace(-3.0, 3.0, 61))
     sol = res.solution
-    assert all(rec["Q"] is None for rec in sol.records.values())
-    X, U = extract_oc_policy(sol.sys, sol, [0.0])
     rX, rU = ref_extract_oc_policy(sol.sys, sol, [0.0])
-    _same_states(X, rX)
-    _same_states(U, rU)
-    assert verify_oc_policy(sol.sys, sol, X, U) is True
-    assert ref_verify_oc_policy(sol.sys, sol, X, U) is True
+    _same_states(res.controls, rU)
+    shifted = {nid: u + 5.0 for nid, u in rU.items()}
+    for call in (lambda: verify_oc_policy(sol.sys, sol, rX, rU),
+                 lambda: verify_oc_policy(sol.sys, sol, rX, shifted),
+                 lambda: extract_oc_policy(sol.sys, sol, [0.0]),
+                 lambda: q_factors(sol)):
+        with pytest.raises(ValidationError, match="no sweep's stage stacks"):
+            call()
