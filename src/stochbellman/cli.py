@@ -119,12 +119,7 @@ def cmd_stop(args):
     for nid, node in tree.nodes.items():
         if "R" not in node.data:
             raise ValidationError(f"node {nid!r} has no reward entry `R`")
-        try:
-            values[nid] = float(node.data["R"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"reward `R` at {nid!r} is not a number") from exc
-        if not math.isfinite(values[nid]):
-            raise ValidationError(f"reward `R` at {nid!r} is not finite")
+        values[nid] = float(treeio.node_entry(node.data["R"], "reward `R`", nid, ()))
     R = AdaptedProcess(tree, values)
     S = snell(R)
     rule, value = optimal_stop(R, S)
@@ -133,11 +128,6 @@ def cmd_stop(args):
         report["psi"] = [{repr(k): v for k, v in tab.items()} for tab in _envelope_tables(R, S)]
     _emit(args, report)
     return 0
-
-
-def _side(value, key, nid):
-    """Row count of a square weight matrix entry."""
-    return len(np.atleast_2d(treeio._numeric(value, f"{key} at {nid!r}")))
 
 
 def cmd_control(args):
@@ -152,17 +142,22 @@ def cmd_control(args):
             nid, key = next((nid, key) for nid, d in zip(nodes, data) for key in keys
                             if key not in d)
             raise ValidationError(f"node {nid!r} has no `{key}` entry") from None
-    Qm, Rm, A, B, W = (StageMap(tree, held[key]) for key in "QRABW")
-    N = _side(Qm[tree.root], "Q", tree.root)
-    M = _side(Rm[tree.root], "R", tree.root)
-    # ControlSystem checks the shapes of A, B and W and riccati those of Q
-    # and R; an error names the node
+    N, M = (len(treeio.node_entry(held[key][0][0], key, tree.root, (None, None)))
+            for key in "QR")
+    shapes = {"Q": (N, N), "R": (M, M), "A": (N, N), "B": (N, M), "W": (N,)}
+    # every entry is stacked once, the first faulty stage's first faulty
+    # node named; riccati and lq_costs share the Q and R stacks
+    for t, nodes in enumerate(tree.stage_nodes):
+        for key, stages in held.items():
+            if t in stages:
+                stages[t] = treeio.stage_stack(stages[t], key, nodes, shapes[key])
+    Qs, Rs, A, B, W = (StageMap(tree, held[key]) for key in "QRABW")
     sys_ = ControlSystem(tree, N, M, A, B, W)
-    rd = riccati(sys_, Qm, Rm)
+    rd = riccati(sys_, Qs, Rs)
     x0 = treeio._numeric(doc.get("x0", [0.0] * N), "`x0`")
     if x0.shape != (N,):
         raise ValidationError(f"`x0` has shape {x0.shape}, expected ({N},)")
-    sol = solve_oc(sys_, lq_costs(sys_, Qm, Rm))
+    sol = solve_oc(sys_, lq_costs(sys_, Qs, Rs))
     X, U = riccati_policy(sys_, rd, x0)
     tables = rd.per_stage_tables(tree)
     report = {
@@ -185,16 +180,7 @@ def cmd_lagrange(args):
     d = doc.get("d", 1)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ValidationError(f"`d` is not a positive integer: {d!r}")
-    data = {}
-    for nid, node in tree.nodes.items():
-        entry = {k: treeio._numeric(node.data[k], f"{k} at {nid!r}") for k in ("T", "W", "b", "c")
-                 if k in node.data}
-        if len(entry) != 4:
-            raise ValidationError(f"node {nid!r} is missing LP entries")
-        if "C" in node.data:
-            entry["C"] = node.data["C"]
-        data[nid] = entry
-    sol = lp_recursion(tree, d, data)
+    sol = lp_recursion(tree, d, {nid: node.data for nid, node in tree.nodes.items()})
     policy = lagrange_policy(sol)
     report = {"value": sol.value,
               "policy": {nid: [float(v) for v in policy.decisions[nid]] for nid in tree.nodes},
@@ -211,14 +197,14 @@ def _load_market(path):
     for nid, node in tree.nodes.items():
         if "s" not in node.data:
             raise ValidationError(f"node {nid!r} has no price entry `s`")
-        prices[nid] = np.atleast_1d(treeio._numeric(node.data["s"], f"s at {nid!r}"))
+        prices[nid] = treeio.node_entry(node.data["s"], "s", nid, (None,))
         if "D" in node.data:
             rows = node.data["D"]
             if not isinstance(rows, dict) or not {"G", "g"} <= rows.keys():
                 raise ValidationError(f"position rows `D` at {nid!r} need `G` and `g`")
             D[nid] = tuple(treeio._numeric(rows[k], f"`D`'s `{k}` at {nid!r}") for k in "Gg")
         if tree.stage(nid) == tree.T and "c" in node.data:
-            c[nid] = float(treeio._numeric(node.data["c"], f"claim `c` at {nid!r}"))
+            c[nid] = float(treeio.node_entry(node.data["c"], "claim `c`", nid, ()))
     return MarketModel(tree, AdaptedProcess(tree, prices), D=D or None, c=c)
 
 
@@ -233,8 +219,7 @@ def cmd_hedge(args):
             loss = Quadratic([[2.0]], [0.0])
         elif args.loss.startswith("grid:"):
             path = args.loss[5:]
-            with open(path) as fh:
-                spec = json.load(fh)
+            spec = treeio.read_json(path)
             if not isinstance(spec, dict) or not {"knots", "values"} <= spec.keys():
                 raise ValidationError(f"grid loss file {path!r} needs `knots` and `values`")
             loss = Sampled1D(*(treeio._numeric(spec[k], f"{k} in {path!r}")
@@ -369,7 +354,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValidationError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

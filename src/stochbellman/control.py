@@ -24,9 +24,9 @@ import numpy as np
 from .bellman import (StageProblem, _decisions, _stage_values, _Swept, _verdict,
                       backward_sweep, forward_sweep)
 from .convexfn import Inf, Quadratic, _forms, _member, _Stack
-from .errors import DimensionMismatch, SingularRiccati, ValidationError
+from .errors import SingularRiccati, ValidationError
 from .tree import StageMap
-from .treeio import _numeric
+from .treeio import stage_stack
 
 RICCATI_NOTE = (
     "K recursion uses the full Schur-complement cross term S2 S3^{-1} S2^T "
@@ -35,23 +35,12 @@ RICCATI_NOTE = (
 )
 
 
-def _matrix(value, name, nid, shape):
-    """value as a float array of the given shape; a ValidationError names
-    the node otherwise."""
-    arr = _numeric(value, f"{name} at {nid!r}")
-    arr = np.atleast_1d(arr) if len(shape) == 1 else np.atleast_2d(arr)
-    if arr.shape != shape:
-        want = f"length {shape[0]}" if len(shape) == 1 else "x".join(map(str, shape))
-        raise DimensionMismatch(f"{name} at {nid!r} is not {want}")
-    return arr
-
-
 class ControlSystem:
     """Dynamics matrices for stages 1..T, given by node id (dicts, or
     StageMaps of each stage's entries) and kept stacked a stage at a time in
-    stage_nodes order: A, B and W are StageMaps over the stacks, and
-    `stage_maps(t)` makes ([I + A | B] of shape (n, N, N + M), W of shape
-    (n, N)) from them.
+    stage_nodes order (treeio.stage_stack, so an error names the node): A,
+    B and W are StageMaps over the stacks, and `stage_maps(t)` makes
+    ([I + A | B] of shape (n, N, N + M), W of shape (n, N)) from them.
     """
 
     def __init__(self, tree, N, M, A, B, W):
@@ -63,24 +52,14 @@ class ControlSystem:
         for t in range(1, tree.T + 1):
             nodes = tree.stage_nodes[t]
             try:
-                stacks = [np.array(_stage_values(D, tree, t), dtype=float) for D in (A, B, W)]
-            except (KeyError, TypeError, ValueError):
-                stacks = None
-            if (stacks is None or tuple(s.shape[1:] for s in stacks) != shapes
-                    or not all(np.isfinite(s).all() for s in stacks)):
-                # find the first faulty node, checked node by node
-                stacks = [np.array(x) for x in zip(*(self._dynamics(nid, A, B, W, shapes)
-                                                     for nid in nodes))]
-            held[t] = stacks
+                entries = [_stage_values(D, tree, t) for D in (A, B, W)]
+            except KeyError:
+                nid = next(nid for nid in nodes if not all(nid in D for D in (A, B, W)))
+                raise ValidationError(f"missing dynamics at node {nid!r}") from None
+            held[t] = [stage_stack(e, name, nodes, shape)
+                       for e, name, shape in zip(entries, "ABW", shapes)]
         self.A, self.B, self.W = (StageMap(tree, {t: s[k] for t, s in held.items()})
                                   for k in range(3))
-
-    @staticmethod
-    def _dynamics(nid, A, B, W, shapes):
-        if nid not in A or nid not in B or nid not in W:
-            raise ValidationError(f"missing dynamics at node {nid!r}")
-        return tuple(_matrix(D[nid], name, nid, shape)
-                     for D, name, shape in zip((A, B, W), "ABW", shapes))
 
     def stage_maps(self, t):
         """Stacked step maps of the stage-t nodes (t >= 1), in stage order,
@@ -185,25 +164,13 @@ class RiccatiData:
         return Ks, Ls
 
 
-def _weights(mats, nodes, name, n):
-    """The (n, n) weight matrices `mats` of `nodes`, as a new stack in that
-    order; the first non-numeric, non-finite or wrong-shaped entry names its
-    node."""
-    try:
-        stack = np.array(mats, dtype=float)
-        if stack.shape[1:] == (n, n) and np.isfinite(stack).all():
-            return stack
-    except (TypeError, ValueError):
-        pass
-    return np.array([_matrix(m, name, nid, (n, n)) for m, nid in zip(mats, nodes)])
-
-
 def riccati(sys, Qmats, Rmats):
     """Quadratic-cost recursion with exact conditional sums over children.
 
     Stage costs are 1/2 X.Q X + 1/2 U.R U with PSD Q, R per node, given by
     node id (dicts, or StageMaps of each stage's matrices) and read a stage
-    at a time into new stacks, so the inputs are never changed.  The noise
+    at a time into new stacks by treeio.stage_stack, so the inputs are never
+    changed and a faulty entry names its node.  The noise
     term W must have zero conditional mean for the offsets to be the true
     values; a diagnostic records the residual coupling norms.  Each
     stage runs as stacked arrays: each term is summed from the children into
@@ -217,10 +184,11 @@ def riccati(sys, Qmats, Rmats):
     diag = {"cross_norm": 0.0, "w_mean_norm": 0.0}
     for t in range(tree.T, -1, -1):
         nodes, n = tree.stage_nodes[t], len(tree.stage_nodes[t])
-        Ks = _weights(_stage_values(Qmats, tree, t), nodes, "Q", N)
+        Ks = stage_stack(_stage_values(Qmats, tree, t), "Q", nodes, (N, N))
         Ls, offs = np.zeros((n, M, N)), np.zeros(n)
         if t < tree.T:  # every node before the horizon has children
-            S2, S3 = np.zeros((n, N, M)), _weights(_stage_values(Rmats, tree, t), nodes, "R", M)
+            S2 = np.zeros((n, N, M))
+            S3 = stage_stack(_stage_values(Rmats, tree, t), "R", nodes, (M, M))
             wmean, cross = np.zeros((n, N)), np.zeros((n, N))
             up, p, Kk = tree.up[t + 1], tree.branch[t + 1], K[t + 1]
             IA, B, W = np.eye(N) + sys.A.held[t + 1], sys.B.held[t + 1], sys.W.held[t + 1]
@@ -265,8 +233,8 @@ def lq_costs(sys, Qmats, Rmats):
     for t, nodes in enumerate(tree.stage_nodes):
         n = len(nodes)
         big = np.zeros((n, d, d))
-        big[:, :N, :N] = _weights(_stage_values(Qmats, tree, t), nodes, "Q", N)
-        big[:, N:, N:] = _weights(_stage_values(Rmats, tree, t), nodes, "R", M)
+        big[:, :N, :N] = stage_stack(_stage_values(Qmats, tree, t), "Q", nodes, (N, N))
+        big[:, N:, N:] = stage_stack(_stage_values(Rmats, tree, t), "R", nodes, (M, M))
         held[t] = [(np.arange(n), _Stack(_forms(big, check_psd=True, names=nodes),
                                          np.zeros((n, d)), np.zeros(n), np.zeros((n, 0, d)),
                                          np.zeros((n, 0))))]

@@ -92,8 +92,9 @@ def lq_instance(seed, T=3, N=2, M=1, branching=2, noisy=True):
     return sys_, Qm, Rm
 
 
-def binomial_market(seed, T=2, with_claim=True):
-    """Arbitrage-free single-asset market: each branch pair straddles one."""
+def binomial_market(seed, T=2):
+    """Arbitrage-free single-asset market: each branch pair straddles one,
+    with a call claim max(s - 1, 0) at every leaf."""
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, T, 2, fixed=True)
     prices = {tree.root: np.array([1.0])}
@@ -106,10 +107,7 @@ def binomial_market(seed, T=2, with_claim=True):
             for k, f in zip(kids, factors):
                 prices[k] = prices[nid] * f
     s = AdaptedProcess(tree, prices)
-    c = {}
-    if with_claim:
-        for leaf in tree.leaves():
-            c[leaf] = float(np.maximum(prices[leaf][0] - 1.0, 0.0))
+    c = {leaf: float(np.maximum(prices[leaf][0] - 1.0, 0.0)) for leaf in tree.leaves()}
     return MarketModel(tree, s, c=c)
 
 

@@ -101,23 +101,22 @@ def lp_costs(tree, d, data):
     data maps node -> dict with entries T, W, b, c and optional C
     (inequality rows or {"generators": [...]}).  The cone inequality
     G(T dx + W x - b) <= 0 lands on the (x, dx) block pair.  T and W must
-    be len(b) x d, c of length d and C of width len(b); a ValidationError
-    names the node otherwise.
+    be len(b) x d, c of length d and C of width len(b).  The nodes are read
+    by treeio.node_entry in stage order, so an error names the first faulty
+    node.
     """
-    costs = {}
-    for nid in tree.nodes:
+    costs = dict.fromkeys(tree.nodes)
+    for nid in (nid for nodes in tree.stage_nodes for nid in nodes):
         rec = data[nid]
-        Tm = np.atleast_2d(np.asarray(rec["T"], dtype=float))
-        Wm = np.atleast_2d(np.asarray(rec["W"], dtype=float))
-        b = np.atleast_1d(np.asarray(rec["b"], dtype=float))
-        c = np.atleast_1d(np.asarray(rec["c"], dtype=float))
+        if not {"T", "W", "b", "c"} <= rec.keys():
+            raise ValidationError(f"node {nid!r} is missing LP entries")
+        b = treeio.node_entry(rec["b"], "b", nid, (None,))
+        Tm, Wm = (treeio.node_entry(rec[k], k, nid, (b.size, d)) for k in "TW")
+        c = treeio.node_entry(rec["c"], "c", nid, (d,))
         G = _cone_rows(rec.get("C"), nid)
         if G is None:
             G = -np.eye(b.size)  # default cone: componentwise >= 0
-        for name, arr, shape in (("T", Tm, (b.size, d)), ("W", Wm, (b.size, d)), ("c", c, (d,)),
-                                 ("cone C", G, (G.shape[0], b.size))):
-            if arr.shape != shape:
-                raise ValidationError(f"{name} at {nid!r} has shape {arr.shape}, expected {shape}")
+        G = treeio.node_entry(G, "cone C", nid, (len(G), b.size))
         piece = np.concatenate([c, np.zeros(d)])
         rows = np.hstack([G @ Wm, G @ Tm])
         rhs = G @ b

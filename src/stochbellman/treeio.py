@@ -11,6 +11,13 @@ of lists), or tagged convex-function records:
     {"kind": "sampled1d", "knots": [...], "values": [...]}
 
 Probabilities are emitted with repr precision (17 significant digits).
+
+Every numeric per-node entry a command reads becomes a checked float array
+through one of two functions: `node_entry` converts one node's entry, and
+`stage_stack` stacks one entry of all of a stage's nodes, falling back to
+`node_entry` node by node to name the first faulty node.  A bare number
+stands for a length-1 vector or a 1x1 matrix.  Function records have their
+own reader (`fn_from_record`, `fns_from_records`).
 """
 
 import json
@@ -18,7 +25,7 @@ import json
 import numpy as np
 
 from .convexfn import Polyhedral, Quadratic, Sampled1D, quadratics
-from .errors import ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .tree import validate_tree
 
 
@@ -43,14 +50,49 @@ def fn_to_record(fn):
 
 def _numeric(value, what):
     """value as a float array; ValidationError naming `what` if it is not
-    numeric or holds a NaN or an infinity (JSON readers accept both)."""
+    numeric (a JSON null, which numpy reads as NaN, included) or holds a
+    NaN or an infinity (JSON readers accept both)."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} is not a numeric array") from None
     if not np.isfinite(arr).all():
+        if any(v is None for v in np.ravel(np.array(value, dtype=object))):
+            raise ValidationError(f"{what} is not a numeric array")
         raise ValidationError(f"{what} has a non-finite entry")
     return arr
+
+
+def node_entry(value, what, nid, shape):
+    """Entry `what` of node `nid` as a float array of `shape`: () for a
+    number, (n,) for a vector, (n, m) for a matrix, with None for a length
+    the entry sets.  A bare number stands for a length-1 vector or a 1x1
+    matrix.  A non-numeric or non-finite entry raises ValidationError, one
+    of another shape DimensionMismatch, each naming the node."""
+    arr = _numeric(value, f"{what} at {nid!r}")
+    if len(shape):
+        arr = np.atleast_1d(arr) if len(shape) == 1 else np.atleast_2d(arr)
+    if arr.ndim != len(shape) or any(k not in (None, s) for k, s in zip(shape, arr.shape)):
+        if None in shape or not shape:
+            want = ("a number", "a vector", "a matrix")[len(shape)]
+        else:
+            want = f"length {shape[0]}" if len(shape) == 1 else "x".join(map(str, shape))
+        raise DimensionMismatch(f"{what} at {nid!r} is not {want}")
+    return arr
+
+
+def stage_stack(values, what, nodes, shape):
+    """Entries `what` of a stage's nodes, `values` in `nodes` order, as one
+    new float array of shape (len(nodes), *shape); when they do not stack to
+    that shape with every entry finite, node_entry reads them one by one, so
+    the error names the first faulty node."""
+    try:
+        stack = np.array(values, dtype=float)
+        if stack.shape == (len(nodes), *shape) and np.isfinite(stack).all():
+            return stack
+    except (TypeError, ValueError):
+        pass
+    return np.array([node_entry(v, what, nid, shape) for v, nid in zip(values, nodes)])
 
 
 def fn_from_record(rec):
@@ -101,13 +143,19 @@ def fns_from_records(recs, names):
     return fns
 
 
-def load_tree(path_or_file):
+def read_json(path):
+    """The JSON document of the file at `path`; text that is not UTF-8 or
+    not JSON raises ValidationError naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read {str(path)!r}: {exc}") from None
+
+
+def load_tree(path):
     """Parse a tree file; returns (ScenarioTree, document dict)."""
-    if hasattr(path_or_file, "read"):
-        doc = json.load(path_or_file)
-    else:
-        with open(path_or_file) as fh:
-            doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise ValidationError("tree file has no `nodes` array")
     return validate_tree(doc["nodes"]), doc

@@ -258,6 +258,41 @@ def test_control_malformed_node_exits_2(tmp_path, capsys, node, key, value, mess
     assert message in err
 
 
+def test_control_reads_a_bare_number_as_a_1x1_weight(tmp_path, capsys):
+    # M = 1: every `R` written as a number gives the output of `[[R]]`
+    path, bare = tmp_path / "lq.json", tmp_path / "bare.json"
+    run(capsys, "gen", "--kind", "lq", "--seed", "5", "--out", str(path))
+    doc = json.loads(path.read_text())
+    for rec in doc["nodes"]:
+        (rec["data"]["R"],), = rec["data"]["R"]
+    bare.write_text(json.dumps(doc))
+    outs = [run(capsys, "control", "--input", str(p), "--format", "structured")
+            for p in (path, bare)]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+def test_control_stacks_q_and_r_once_for_riccati_and_lq_costs(tmp_path, capsys, monkeypatch):
+    # riccati and lq_costs get the same StageMaps of float stage stacks,
+    # not the file's nested lists
+    path = tmp_path / "lq.json"
+    run(capsys, "gen", "--kind", "lq", "--seed", "5", "--out", str(path))
+    seen = {}
+    for name in ("riccati", "lq_costs"):
+        def spy(sys_, Qm, Rm, name=name, real=getattr(cli, name)):
+            seen[name] = (Qm, Rm)
+            return real(sys_, Qm, Rm)
+        monkeypatch.setattr(cli, name, spy)
+    assert run(capsys, "control", "--input", str(path))[0] == 0
+    (Qm, Rm), other = seen["riccati"], seen["lq_costs"]
+    assert other[0] is Qm and other[1] is Rm
+    tree = Qm.tree
+    for W, k in ((Qm, 2), (Rm, 1)):
+        assert list(W.held) == list(range(tree.T + 1))
+        for t, stack in W.held.items():
+            assert type(stack) is np.ndarray and stack.dtype == float
+            assert stack.shape == (len(tree.stage_nodes[t]), k, k)
+
+
 def _node(doc, nid):
     return next(rec for rec in doc["nodes"] if rec["id"] == nid)
 
@@ -297,6 +332,11 @@ EXIT_2 = {
     "nodes not a list": ("problem", "solve", lambda doc: _set(doc, "nodes", 5), [], "`nodes`"),
     "no R": ("reward", "stop", lambda doc: _node(doc, "n1")["data"].pop("R"), [],
              "node 'n1' has no reward entry `R`"),
+    "R null": ("reward", "stop", lambda doc: _set(_node(doc, "n1")["data"], "R", None), [],
+               "reward `R` at 'n1' is not a numeric array"),
+    "A entry null": ("lq", "control", lambda doc: _set(
+        _node(doc, "n2")["data"], "A", [[None, 0.0], [0.0, 0.0]]), [],
+        "A at 'n2' is not a numeric array"),
     "x0 not numeric": ("lq", "control", lambda doc: _set(doc, "x0", "up"), [], "`x0`"),
     "x0 wrong shape": ("lq", "control", lambda doc: _set(doc, "x0", [0.5]), [], "`x0`"),
     "no LP entry": ("lp", "lagrange", lambda doc: _node(doc, "a")["data"].pop("W"), [],
@@ -315,11 +355,17 @@ EXIT_2 = {
     "cone generators not numeric": ("lp", "lagrange", lambda doc: _set(
         _node(doc, "r")["data"], "C", {"generators": [["x"]]}), [], "cone generators at 'r'"),
     "T taller than b": ("lp", "lagrange", lambda doc: _set(
-        _node(doc, "a")["data"], "T", [[0.0], [1.0]]), [], "T at 'a' has shape (2, 1)"),
+        _node(doc, "a")["data"], "T", [[0.0], [1.0]]), [], "T at 'a' is not 1x1"),
+    "c too long": ("lp", "lagrange", lambda doc: _set(_node(doc, "b")["data"], "c", [1.0, 2.0]),
+                   [], "c at 'b' is not length 1"),
+    "B wrong shape": ("lq", "control", lambda doc: _set(_node(doc, "n3")["data"], "B", [[1.0]]),
+                      [], "B at 'n3' is not 2x1"),
     "D without G": ("market", "hedge", lambda doc: _set(
         _node(doc, "n0")["data"], "D", {"g": [0.0]}), [], "`D` at 'n0' need `G` and `g`"),
     "D rows not numeric": ("market", "hedge", lambda doc: _set(
         _node(doc, "n0")["data"], "D", {"G": "x", "g": [0.0]}), [], "`G` at 'n0'"),
+    "price not numeric": ("market", "hedge", lambda doc: _set(
+        _node(doc, "n2")["data"], "s", ["x"]), [], "s at 'n2' is not a numeric array"),
     "claim not numeric": ("market", "hedge", lambda doc: _set(
         _node(doc, "n3")["data"], "c", "x"), [], "`c` at 'n3'"),
     "unknown loss": ("market", "hedge", None, ["--loss", "cubic"], "'cubic'"),
@@ -328,9 +374,14 @@ EXIT_2 = {
     "input a directory": (None, "solve", None, ["--input", "{dir}"], "Is a directory"),
     "grid loss a directory": ("market", "hedge", None, ["--loss", "grid:{dir}"],
                               "Is a directory"),
-    "input not UTF-8": (None, "stop", None, ["--input", "{latin1}"], "can't decode"),
+    "input not UTF-8": (None, "stop", None, ["--input", "{latin1}"],
+                        "latin1.json': 'utf-8' codec can't decode"),
     "grid loss not UTF-8": ("market", "hedge", None, ["--loss", "grid:{latin1}"],
-                            "can't decode"),
+                            "latin1.json': 'utf-8' codec can't decode"),
+    "input truncated": (None, "solve", None, ["--input", "{truncated}"],
+                        "truncated.json': Expecting value"),
+    "grid loss truncated": ("market", "hedge", None, ["--loss", "grid:{truncated}"],
+                            "truncated.json': Expecting value"),
     "gen out a directory": (None, "gen", None, ["--kind", "lq", "--out", "{dir}"],
                             "Is a directory"),
 }
@@ -353,8 +404,8 @@ EXIT_2.update({f"{case}, {command}": (
 
 def _case_argv(tmp_path, capsys, base, command, edit, extra):
     """The argument list of a case: its input file, written and edited, and
-    the extra arguments with the grid loss files, a file that is not UTF-8
-    and a directory filled in."""
+    the extra arguments with the grid loss files, a file that is not UTF-8,
+    a truncated JSON file and a directory filled in."""
     grids = {"grid": {"knots": [0.0, 1.0]},
              "loss": {"knots": [-50.0, 0.0, 50.0], "values": [0.0, 0.0, 50.0]},
              "nanloss": {"knots": [-50.0, 0.0, 50.0], "values": [0.0, float("nan"), 50.0]}}
@@ -363,6 +414,8 @@ def _case_argv(tmp_path, capsys, base, command, edit, extra):
         grids[name].write_text(json.dumps(spec))
     grids["latin1"] = tmp_path / "latin1.json"
     grids["latin1"].write_bytes(b'{"nodes": [], "R": "\xe9"}')
+    grids["truncated"] = tmp_path / "truncated.json"
+    grids["truncated"].write_text('{"nodes": [')
     argv = [command] + [a.format(**grids, dir=tmp_path) for a in extra]
     if base is not None:
         path = tmp_path / f"{base}.json"
@@ -413,16 +466,22 @@ NON_FINITE = {
              "node 'a' probability nan"),
     "root prob": ("lp", "lagrange", lambda doc: _set(_node(doc, "r"), "prob", NAN), [],
                   "node 'r' probability nan"),
+    "W, lagrange": ("lp", "lagrange", lambda doc: _set(_node(doc, "b")["data"], "W", [[INF]]),
+                    [], "W at 'b' has a non-finite entry"),
+    "c, lagrange": ("lp", "lagrange", lambda doc: _set(_node(doc, "r")["data"], "c", [NAN]),
+                    [], "c at 'r' has a non-finite entry"),
     "b, lagrange": ("lp", "lagrange", lambda doc: _set(_node(doc, "a")["data"], "b", [NAN]),
                     [], "b at 'a' has a non-finite entry"),
     "R, stop": ("reward", "stop", lambda doc: _set(_node(doc, "n1")["data"], "R", NAN), [],
-                "reward `R` at 'n1' is not finite"),
+                "reward `R` at 'n1' has a non-finite entry"),
     "x0, control": ("lq", "control", lambda doc: _set(doc, "x0", [NAN, 0.5]), [],
                     "`x0` has a non-finite entry"),
     "A, control": ("lq", "control", lambda doc: _set(
         _node(doc, "n2")["data"], "A", [[INF, 0.0], [0.0, 0.0]]), [], "A at 'n2'"),
     "Q, control": ("lq", "control", lambda doc: _set(
         _node(doc, "n4")["data"], "Q", [[NAN, 0.0], [0.0, 1.0]]), [], "Q at 'n4'"),
+    "R, control": ("lq", "control", lambda doc: _set(_node(doc, "n5")["data"], "R", [[INF]]),
+                   [], "R at 'n5' has a non-finite entry"),
     "price, hedge": ("market", "hedge", lambda doc: _set(_node(doc, "n1")["data"], "s", [NAN]),
                      [], "s at 'n1'"),
     "claim, hedge": ("market", "hedge", lambda doc: _set(_node(doc, "n3")["data"], "c", INF),
