@@ -202,7 +202,7 @@ def _load_market(path):
             rows = node.data["D"]
             if not isinstance(rows, dict) or not {"G", "g"} <= rows.keys():
                 raise ValidationError(f"position rows `D` at {nid!r} need `G` and `g`")
-            D[nid] = tuple(treeio._numeric(rows[k], f"`D`'s `{k}` at {nid!r}") for k in "Gg")
+            D[nid] = (rows["G"], rows["g"])
         if tree.stage(nid) == tree.T and "c" in node.data:
             c[nid] = float(treeio.node_entry(node.data["c"], "claim `c`", nid, ()))
     return MarketModel(tree, AdaptedProcess(tree, prices), D=D or None, c=c)
@@ -222,8 +222,12 @@ def cmd_hedge(args):
             spec = treeio.read_json(path)
             if not isinstance(spec, dict) or not {"knots", "values"} <= spec.keys():
                 raise ValidationError(f"grid loss file {path!r} needs `knots` and `values`")
-            loss = Sampled1D(*(treeio._numeric(spec[k], f"{k} in {path!r}")
-                               for k in ("knots", "values")))
+            knots, values = (treeio._numeric(spec[k], f"{k} in {path!r}")
+                             for k in ("knots", "values"))
+            try:
+                loss = Sampled1D(knots, values)
+            except ValidationError as exc:
+                raise ValidationError(f"grid loss file {path!r}: {exc}") from None
         else:
             raise ValidationError(f"unknown loss {args.loss!r}")
         res = solve_alm(market, loss, wealth=args.wealth,

@@ -3,16 +3,17 @@
 The market is an adapted price process with optional polyhedral position
 constraints per node; all positions close at the horizon.  Solving goes
 through the wealth-state control reduction: state = wealth, controls =
-cash invested per asset, per-child returns from price ratios.  On the
-wealth grid one exact line search serves every node: a single call for
-one asset, cyclic coordinate sweeps of it for several.  It bisects over
-each child table's knot indices in turn, about ceil(log2 m) slope steps
-per child of m knots, and each node's table is then replaced by its
-greatest convex minorant in one pass over its knots.  The
-no-arbitrage test is a single LP over node positions: maximize expected
-terminal gains subject to nonnegative pathwise gains, recession-feasible
-positions and a sup-norm cap; the verdict is cap-invariant because the
-arbitrage cone is positively homogeneous.
+cash invested per asset, per-child returns from price ratios.  The
+wealth grid hedges one asset: one exact line search per node serves the
+whole grid.  It bisects over each child table's knot indices in turn,
+about ceil(log2 m) slope steps per child of m knots, and each node's
+table is then replaced by its greatest convex minorant in one pass over
+its knots.  Several assets take the exact quadratic recursion or the
+exponential-loss recursion.  The no-arbitrage test is a single LP over
+node positions: maximize expected terminal gains subject to nonnegative
+pathwise gains, recession-feasible positions and a sup-norm cap; the
+verdict is cap-invariant because the arbitrage cone is positively
+homogeneous.
 """
 
 import numpy as np
@@ -20,10 +21,11 @@ import numpy as np
 from .bellman import forward_sweep
 from .control import ControlSolution, ControlSystem, extract_oc_policy, solve_oc
 from .convexfn import Inf, Quadratic, Sampled1D, _stack, eval_stack
-from .errors import (ArbitrageRefusal, Infeasible, IterationLimit, NonMonotone,
-                     SolverError, Unbounded, UnboundedExp, ValidationError)
-from .numeric import MAX_SWEEPS, VALUE_TOL, coordinate_descent
+from .errors import (ArbitrageRefusal, Infeasible, NonMonotone, SolverError,
+                     Unbounded, UnboundedExp, ValidationError)
+from .numeric import coordinate_descent
 from .simplex import solve_lp
+from .treeio import node_entry
 
 
 class MarketModel:
@@ -31,8 +33,10 @@ class MarketModel:
 
     s is an adapted R^J process with componentwise nonzero prices (the
     wealth reduction divides by them).  D maps a node at stage < T to
-    inequality rows (G, g) describing {x : Gx <= g}; positions at the
-    horizon are fixed to zero, so stage-T entries are rejected.
+    inequality rows (G, g) describing {x : Gx <= g}, G of J columns and g
+    one entry per row (treeio.node_entry converts and checks both, naming
+    the node); positions at the horizon are fixed to zero, so stage-T
+    entries are rejected.
     """
 
     def __init__(self, tree, s, D=None, c=None):
@@ -40,12 +44,12 @@ class MarketModel:
         self.s = s
         self.J = np.atleast_1d(np.asarray(s[tree.root], dtype=float)).size
         self.D = {}
-        for nid, rows in (D or {}).items():
+        for nid, (G, g) in (D or {}).items():
             if tree.stage(nid) >= tree.T:
-                raise ValidationError("terminal positions are fixed to zero")
-            G, g = rows
-            self.D[nid] = (np.atleast_2d(np.asarray(G, dtype=float)),
-                           np.atleast_1d(np.asarray(g, dtype=float)))
+                raise ValidationError(f"position rows `D` at {nid!r}: terminal "
+                                      "positions are fixed to zero")
+            G = node_entry(G, "`D`'s `G`", nid, (None, self.J))
+            self.D[nid] = (G, node_entry(g, "`D`'s `g`", nid, (len(G),)))
         self.c = {leaf: float((c or {}).get(leaf, 0.0)) for leaf in tree.leaves()}
         for nid in tree.nodes:
             price = np.atleast_1d(np.asarray(s[nid], dtype=float))
@@ -151,24 +155,17 @@ def _feasible_start(rows, J, nid):
     return res.x
 
 
-def _position_interval(rows, U, j):
-    """Per-point bounds (lo, hi) of coordinate j on the cash rows G U <= g,
-    the other coordinates held at U (one row per point); lo > hi if empty.
-
-    Rows without coordinate j are left out: every iterate satisfies them
-    (the sweeps start on the rows) and a step along j does not move them.
-    """
+def _cash_interval(rows):
+    """Bounds (lo, hi) of one asset's cash position on the rows G U <= g
+    (unbounded without rows); lo > hi when no position satisfies them."""
     if rows is None:
-        return np.full(U.shape[0], -Inf), np.full(U.shape[0], Inf)
+        return -Inf, Inf
     G, g = rows
-    rhs = np.broadcast_to(g, (U.shape[0], g.size))
-    for i in range(U.shape[1]):
-        if i != j:
-            rhs = rhs - U[:, i:i + 1] * G[:, i]
-    a = G[:, j]
-    lo = np.max(rhs[:, a < 0.0] / a[a < 0.0], axis=1, initial=-Inf)
-    hi = np.min(rhs[:, a > 0.0] / a[a > 0.0], axis=1, initial=Inf)
-    return lo, hi
+    a = G[:, 0]
+    if np.any(g[a == 0.0] < 0.0):
+        return Inf, -Inf
+    return (np.max(g[a < 0.0] / a[a < 0.0], initial=-Inf),
+            np.min(g[a > 0.0] / a[a > 0.0], initial=Inf))
 
 
 def _line_min(base, kids, lo, hi):
@@ -176,7 +173,7 @@ def _line_min(base, kids, lo, hi):
 
     base holds one array per child (entry i belongs to point i); kids lists
     (p_k, r_k, J_k) with a scalar return and a Sampled1D table; lo and hi
-    are per-point arrays.  The objective is convex piecewise linear in u,
+    bound every point's u.  The objective is convex piecewise linear in u,
     so a minimizer is a child kink (kappa_kj - base_k) / r_k or an end of
     the feasible interval.  Each moving child in turn narrows a bracket
     [a, b] around the least-|u| point where the right slope turns
@@ -188,8 +185,8 @@ def _line_min(base, kids, lo, hi):
     (the minimum-norm convention).  Returns (values, controls): +inf and
     nan where no u is feasible.
     """
-    L = np.array(lo, dtype=float)
-    H = np.array(hi, dtype=float)
+    L = np.full(base[0].shape, lo, dtype=float)
+    H = np.full(base[0].shape, hi, dtype=float)
     ok = np.ones(L.shape, dtype=bool)
     moving = []
     for x, (p, r, tab) in zip(base, kids):
@@ -237,50 +234,6 @@ def _line_min(base, kids, lo, hi):
     return np.where(ok, best, Inf), np.where(ok, U, np.nan)
 
 
-def _grid_min(X, kids, rows, nid):
-    """Min over cash positions U on the rows of sum_k p_k J_k(X + r_k . U), per X.
-
-    kids lists (p_k, r_k, J_k) with a return vector per child.  Cyclic
-    sweeps from a start on the rows (_feasible_start): each step is one
-    _line_min over the live points for one coordinate, the others held; a
-    point with no feasible u on the line keeps its position.  One asset is
-    a single step.  A point stops, frozen, once a sweep lowers its value by
-    at most VALUE_TOL (relative) or leaves it infeasible.  Child arguments
-    are elementwise sums, so a point's result does not depend on the other
-    points in the call, and the selector reproduces the table bits.
-    Coordinate descent can stop short of the minimum on these nonsmooth,
-    nonseparable objectives (Tseng 2001).  Returns (values, controls):
-    +inf and a nan row where no U was found.
-    """
-    X = np.asarray(X, dtype=float)
-    J = kids[0][1].size
-    U = np.tile(_feasible_start(rows, J, nid), (X.size, 1))
-    vals = np.full(X.size, Inf)
-    live = np.arange(X.size)
-    for _ in range(MAX_SWEEPS):
-        prev = vals[live]
-        for j in range(J):
-            held = U[live]
-            base = [X[live] + sum(r[i] * held[:, i] for i in range(J) if i != j)
-                    for _, r, _ in kids]
-            lo, hi = _position_interval(rows, held, j)
-            v, u = _line_min(base, [(p, r[j], tab) for p, r, tab in kids], lo, hi)
-            found = np.isfinite(v)
-            U[live[found], j] = u[found]
-            vals[live[found]] = v[found]
-        if J == 1:
-            break
-        cur = vals[live]
-        with np.errstate(invalid="ignore"):  # inf - inf: never feasible
-            live = live[prev - cur > VALUE_TOL * (1.0 + np.abs(cur))]
-        if not live.size:
-            break
-    else:
-        raise IterationLimit("wealth-grid coordinate descent hit the sweep limit", node=nid)
-    U[~np.isfinite(vals)] = np.nan
-    return vals, U
-
-
 def _tabulate(loss, u):
     """loss at each point of u, +inf outside its domain."""
     if isinstance(loss, Sampled1D):
@@ -293,9 +246,8 @@ def _tabulate(loss, u):
 
 
 def _convexify(knots, values):
-    """Greatest convex minorant at the knots (repairs rounding-level dips;
-    with several assets it also covers coordinate-descent stalls): one
-    monotone-chain pass over the knots, each popped at most once."""
+    """Greatest convex minorant at the knots (repairs rounding-level dips):
+    one monotone-chain pass over the knots, each popped at most once."""
     x = np.asarray(knots, dtype=float)
     v = np.asarray(values, dtype=float)
     if v.size < 3:
@@ -316,32 +268,37 @@ def _convexify(knots, values):
 
 
 def _grid_sweep(market, sys_, loss_at, grid):
-    """Value tables on the wealth grid, from the leaves to the root.
+    """Value tables on the wealth grid of a one-asset market, from the
+    leaves to the root.
 
     A leaf tabulates loss(c - X).  An interior node minimizes, over cash
-    positions U on its position rows, the expected child table value at
-    X + r_k . U (_grid_min: exact for one asset, coordinate descent of the
-    same exact line search for several).  Tables keep the finite grid
-    points, replaced by their greatest convex minorant.
+    positions U in its rows' interval, the expected child table value at
+    X + r_k U: one exact _line_min over the whole grid, and one more per
+    selector call on its one point.  A point's result does not depend on
+    the other points in the call, so the selector reproduces the table
+    bits.  Tables keep the finite grid points, replaced by their greatest
+    convex minorant.
     """
     tree = market.tree
-    J = market.J
     records = {}
     for t in range(tree.T, -1, -1):
         for nid in tree.stage_nodes[t]:
-            kids = [(float(tree.nodes[k].prob), market.returns(k), records[k]["J"])
+            kids = [(float(tree.nodes[k].prob), float(market.returns(k)[0]), records[k]["J"])
                     for k in tree.children[nid]]
-            rows = _hat_rows(market, nid)
             if not kids:
                 vals = _tabulate(loss_at(nid), market.c[nid] - grid)
 
                 def selector(X):
-                    return np.zeros(J)
+                    return np.zeros(1)
             else:
-                vals, _ = _grid_min(grid, kids, rows, nid)
+                lo, hi = _cash_interval(_hat_rows(market, nid))
+                if lo > hi:
+                    raise Infeasible("no cash position satisfies the position rows", node=nid)
+                vals, _ = _line_min([grid] * len(kids), kids, lo, hi)
 
-                def selector(X, kids=kids, rows=rows, nid=nid):
-                    return _grid_min(np.asarray(X, dtype=float)[:1], kids, rows, nid)[1][0]
+                def selector(X, kids=kids, lo=lo, hi=hi):
+                    X = np.asarray(X, dtype=float)[:1]
+                    return _line_min([X] * len(kids), kids, lo, hi)[1]
             finite = np.isfinite(vals)
             if not finite.any():
                 raise SolverError("no feasible wealth level on the grid", node=nid)
@@ -360,25 +317,30 @@ def solve_alm(market, loss, wealth=0.0, grid=None, refuse_arbitrage=True):
     and its forward pass (extract_oc_policy); anything else goes through
     the wealth grid (default: 2001 points around `wealth`), whose forward
     pass (bellman.forward_sweep) calls each node's table selector.  There
-    every node carries a value table on the grid.  With one asset each
-    table is the exact minimum at its knots, and only interpolation between
-    knots (and outside the grid, +inf) approximates; with several assets
-    cyclic coordinate steps of the same exact line search find it, and can
-    stop short of it.  An arbitrage market is refused by default with the
-    verdict attached; pass refuse_arbitrage=False to force the solve.
+    every node carries a value table on the grid, the exact minimum at its
+    knots; only interpolation between knots (and outside the grid, +inf)
+    approximates.  The grid hedges one asset: on a market with several, a
+    grid hedge raises ValidationError before the no-arbitrage LP.  An
+    arbitrage market is refused by default with the verdict attached; pass
+    refuse_arbitrage=False to force the solve.
     """
-    verdict = na_check(market)
-    if not verdict.passed and refuse_arbitrage:
-        raise ArbitrageRefusal(f"market admits arbitrage (gain {verdict.optimum:.3g})")
     tree = market.tree
     J = market.J
     loss_at = loss.__getitem__ if isinstance(loss, dict) else (lambda leaf: loss)
+    exact = isinstance(loss_at(tree.leaves()[0]), Quadratic) and not market.D
+    if not exact and J > 1:
+        raise ValidationError(f"the wealth grid hedges one asset, and the market has {J} "
+                              "(a quadratic loss without position rows, or the "
+                              "exponential loss, hedges several)")
+    verdict = na_check(market)
+    if not verdict.passed and refuse_arbitrage:
+        raise ArbitrageRefusal(f"market admits arbitrage (gain {verdict.optimum:.3g})")
     # wealth X_k = X + r_k.U for every node k after the root
     later = [nid for t in range(1, tree.T + 1) for nid in tree.stage_nodes[t]]
     sys_ = ControlSystem(tree, 1, J, dict.fromkeys(later, np.zeros((1, 1))),
                          {nid: market.returns(nid).reshape(1, J) for nid in later},
                          dict.fromkeys(later, np.zeros(1)))
-    if isinstance(loss_at(tree.leaves()[0]), Quadratic) and not market.D:
+    if exact:
         costs = {}
         for nid in tree.nodes:
             if tree.stage(nid) == tree.T:

@@ -73,7 +73,9 @@ def node_entry(value, what, nid, shape):
     if len(shape):
         arr = np.atleast_1d(arr) if len(shape) == 1 else np.atleast_2d(arr)
     if arr.ndim != len(shape) or any(k not in (None, s) for k, s in zip(shape, arr.shape)):
-        if None in shape or not shape:
+        if len(shape) == 2 and shape[0] is None and shape[1] is not None:
+            want = f"a matrix of width {shape[1]}"
+        elif None in shape or not shape:
             want = ("a number", "a vector", "a matrix")[len(shape)]
         else:
             want = f"length {shape[0]}" if len(shape) == 1 else "x".join(map(str, shape))

@@ -15,6 +15,7 @@ from stochbellman.errors import (BackendClash, DimensionMismatch, Infeasible,
                                  SingularRiccati, SolverError, StochBellmanError,
                                  Unbounded, UnboundedBelow, ValidationError)
 from stochbellman.generators import random_tree
+from stochbellman.hedging import MarketModel
 from stochbellman.lagrange import (LagrangeInstance, _empty_polyhedron,
                                    lp_costs)
 from stochbellman.polyhedra import _starts, first_minimal
@@ -28,6 +29,29 @@ def binary_tree(probs=(0.5, 0.5)):
         {"id": "a", "parent": "r", "prob": probs[0], "stage": 1},
         {"id": "b", "parent": "r", "prob": probs[1], "stage": 1},
     ])
+
+
+def two_asset_market(T=1, D=None, c=None):
+    """A two-asset market whose every node branches like the one-period
+    market of the normal-equations hedging test, so each admits the
+    martingale measure (1, 2, 8)/11; the claim defaults to S^1_T - 1."""
+    recs = [{"id": "r", "parent": None, "prob": 1.0, "stage": 0}]
+    prices = {"r": np.array([1.0, 2.0])}
+    factors = {"a": (0.3, [0.8, 1.3]), "b": (0.3, [1.3, 0.75]), "c": (0.4, [0.95, 1.025])}
+    frontier = ["r"]
+    for t in range(1, T + 1):
+        nxt = []
+        for nid in frontier:
+            for tag, (prob, f) in factors.items():
+                kid = tag if nid == "r" else nid + tag
+                recs.append({"id": kid, "parent": nid, "prob": prob, "stage": t})
+                prices[kid] = prices[nid] * np.array(f)
+                nxt.append(kid)
+        frontier = nxt
+    tree = validate_tree(recs)
+    if c is None:
+        c = {leaf: float(prices[leaf][0] - 1.0) for leaf in tree.leaves()}
+    return MarketModel(tree, AdaptedProcess(tree, prices), D=D, c=c)
 
 
 def inventory_lp(seed, T):

@@ -18,7 +18,7 @@ from stochbellman.generators import markov_reward_tree, random_tree, tracking_st
 from stochbellman.lagrange import LagrangeInstance, lp_costs
 from stochbellman.tree import validate_tree
 
-from helpers import binary_tree, inventory_lp, random_stage_cost, same_fn
+from helpers import binary_tree, inventory_lp, random_stage_cost, same_fn, two_asset_market
 
 
 def run(capsys, *argv):
@@ -364,12 +364,22 @@ EXIT_2 = {
         _node(doc, "n0")["data"], "D", {"g": [0.0]}), [], "`D` at 'n0' need `G` and `g`"),
     "D rows not numeric": ("market", "hedge", lambda doc: _set(
         _node(doc, "n0")["data"], "D", {"G": "x", "g": [0.0]}), [], "`G` at 'n0'"),
+    "D at a horizon node": ("market", "hedge", lambda doc: _set(
+        _node(doc, "n3")["data"], "D", {"G": [[1.0]], "g": [1.0]}), [], "`D` at 'n3'"),
     "price not numeric": ("market", "hedge", lambda doc: _set(
         _node(doc, "n2")["data"], "s", ["x"]), [], "s at 'n2' is not a numeric array"),
     "claim not numeric": ("market", "hedge", lambda doc: _set(
         _node(doc, "n3")["data"], "c", "x"), [], "`c` at 'n3'"),
     "unknown loss": ("market", "hedge", None, ["--loss", "cubic"], "'cubic'"),
     "grid without values": ("market", "hedge", None, ["--loss", "grid:{grid}"], "`values`"),
+    "grid knots not increasing": ("market", "hedge", None, ["--loss", "grid:{unsorted}"],
+                                  "unsorted.json': knot grid must be strictly increasing"),
+    "grid values one short": ("market", "hedge", None, ["--loss", "grid:{short}"],
+                              "short.json': knots and values must match"),
+    "grid table empty": ("market", "hedge", None, ["--loss", "grid:{empty}"],
+                         "empty.json': knots and values must match and be nonempty"),
+    "grid slopes decrease": ("market", "hedge", None, ["--loss", "grid:{concave}"],
+                             "concave.json': secant slopes must be nondecreasing"),
     "unknown gen kind": (None, "gen", None, ["--kind", "maze", "--out", "{grid}.out"], "'maze'"),
     "input a directory": (None, "solve", None, ["--input", "{dir}"], "Is a directory"),
     "grid loss a directory": ("market", "hedge", None, ["--loss", "grid:{dir}"],
@@ -401,13 +411,31 @@ EXIT_2.update({f"{case}, {command}": (
     [], f"block shapes disagree at node '{nid}'")
     for case, (nid, rec) in BAD_ROWS.items() for command in ("solve", "oracle", "check")})
 
+# position rows `D` at the root of the one-asset market whose `G` is not
+# r x 1 or whose `g` is not one entry per row, refused alike by the exact
+# quadratic and the exponential-loss hedge
+BAD_D = {
+    "G two columns": ({"G": [[1.0, 0.0]], "g": [1.0]}, "`G` at 'n0' is not a matrix of width 1"),
+    "g one short": ({"G": [[1.0], [-1.0]], "g": [1.0]}, "`g` at 'n0' is not length 2"),
+    "G three-dimensional": ({"G": [[[1.0]]], "g": [1.0]},
+                            "`G` at 'n0' is not a matrix of width 1"),
+}
+EXIT_2.update({f"{case}, --loss {loss}": (
+    "market", "hedge", lambda doc, rows=rows: _set(_node(doc, "n0")["data"], "D", rows),
+    ["--loss", loss], names) for case, (rows, names) in BAD_D.items() for loss in ("quad", "exp")})
+
 
 def _case_argv(tmp_path, capsys, base, command, edit, extra):
     """The argument list of a case: its input file, written and edited, and
-    the extra arguments with the grid loss files, a file that is not UTF-8,
+    the extra arguments with the grid loss files (valid, or with a faulty
+    table), a file that is not UTF-8,
     a truncated JSON file and a directory filled in."""
     grids = {"grid": {"knots": [0.0, 1.0]},
              "loss": {"knots": [-50.0, 0.0, 50.0], "values": [0.0, 0.0, 50.0]},
+             "unsorted": {"knots": [0.0, 2.0, 1.0], "values": [0.0, 0.0, 0.0]},
+             "short": {"knots": [0.0, 1.0, 2.0], "values": [0.0, 1.0]},
+             "empty": {"knots": [], "values": []},
+             "concave": {"knots": [0.0, 1.0, 2.0], "values": [0.0, 2.0, 3.0]},
              "nanloss": {"knots": [-50.0, 0.0, 50.0], "values": [0.0, float("nan"), 50.0]}}
     for name, spec in grids.items():
         grids[name] = tmp_path / f"{name}.json"
@@ -605,6 +633,39 @@ def test_hedge_quad_with_a_binding_root_row_takes_the_grid(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(p @ (c - x * ds) ** 2, rel=1e-4)
     assert doc["controls"]["r"][0] == pytest.approx(x, abs=1e-9)
+
+
+def test_hedge_grid_with_root_rows_no_position_satisfies_exits_3(tmp_path, capsys):
+    # x <= -1 and x >= 1 at the root: the wealth grid names the node
+    path, grid = tmp_path / "m.json", tmp_path / "loss.json"
+    run(capsys, "gen", "--kind", "market", "--seed", "9", "--out", str(path))
+    doc = json.loads(path.read_text())
+    _node(doc, "n0")["data"]["D"] = {"G": [[1.0], [-1.0]], "g": [-1.0, -1.0]}
+    path.write_text(json.dumps(doc))
+    grid.write_text(json.dumps({"knots": [-50.0, 0.0, 50.0], "values": [0.0, 0.0, 50.0]}))
+    code, out, err = run(capsys, "hedge", "--input", str(path), "--loss", f"grid:{grid}")
+    assert (code, out) == (3, "")
+    assert err == "solver error: no cash position satisfies the position rows (node n0)\n"
+
+
+@pytest.mark.parametrize("loss", ["quad", "exp", "grid"])
+def test_hedge_two_assets_takes_an_exact_route_or_exits_2(tmp_path, capsys, loss):
+    # the wealth grid hedges one asset; the quadratic hedge replicates the
+    # claim S^1_T - 1 with one share of asset 1 (root cash (1, 0)), value 0
+    path, grid = tmp_path / "m.json", tmp_path / "loss.json"
+    cli._gen_market(two_asset_market(T=2), path)
+    grid.write_text(json.dumps({"knots": [-50.0, 0.0, 50.0], "values": [0.0, 0.0, 50.0]}))
+    code, out, err = run(capsys, "hedge", "--input", str(path), "--format", "structured",
+                         "--loss", f"grid:{grid}" if loss == "grid" else loss)
+    if loss == "grid":
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "the market has 2" in err
+        return
+    assert code == 0, err
+    doc = json.loads(out)
+    if loss == "quad":
+        assert abs(doc["value"]) <= 1e-12
+        assert doc["controls"]["r"] == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "check", "stop", "control",
