@@ -12,8 +12,9 @@ Two backends are closed under the operations the backward recursion needs:
                  (no LP).
 
 Sampled1D is no backend: a validated convex knot table, +inf off its range,
-for losses, wealth grids and flat-program terms.  It only evaluates; its
-other operations raise BackendClash, and StageProblem refuses it as a cost.
+for hedge losses and wealth-grid tables.  It only evaluates; its other
+operations raise BackendClash, and StageProblem and the flat solver refuse
+it.
 
 Values are floats with +inf for points outside the effective domain; -inf
 never occurs because every backend tracks its domain explicitly.  All

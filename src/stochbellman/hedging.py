@@ -9,23 +9,28 @@ whole grid.  It bisects over each child table's knot indices in turn,
 about ceil(log2 m) slope steps per child of m knots, and each node's
 table is then replaced by its greatest convex minorant in one pass over
 its knots.  Several assets take the exact quadratic recursion or the
-exponential-loss recursion.  The no-arbitrage test is a single LP over
-node positions: maximize expected terminal gains subject to nonnegative
+exponential-loss recursion (damped Newton per node, each step one
+extensive._qp).  The no-arbitrage test is a single LP over node
+positions: maximize expected terminal gains subject to nonnegative
 pathwise gains, recession-feasible positions and a sup-norm cap; the
 verdict is cap-invariant because the arbitrage cone is positively
 homogeneous.
 """
+
+import math
 
 import numpy as np
 
 from .bellman import forward_sweep
 from .control import ControlSolution, ControlSystem, extract_oc_policy, solve_oc
 from .convexfn import Inf, Quadratic, Sampled1D, _stack, eval_stack
-from .errors import (ArbitrageRefusal, Infeasible, NonMonotone, SolverError,
-                     Unbounded, UnboundedExp, ValidationError)
-from .numeric import coordinate_descent
+from .errors import (ArbitrageRefusal, Infeasible, IterationLimit, NonMonotone, SolverError,
+                     UnboundedExp, ValidationError)
+from .extensive import _qp
 from .simplex import solve_lp
 from .treeio import node_entry
+
+MAX_NEWTON_STEPS = 100
 
 
 class MarketModel:
@@ -312,14 +317,14 @@ def solve_alm(market, loss, wealth=0.0, grid=None, refuse_arbitrage=True):
     """Best hedge of the terminal claim under a loss on the shortfall.
 
     loss is a 1-D ConvexFn (Quadratic, Polyhedral or Sampled1D), or a dict
-    mapping leaves to per-scenario losses.  A Quadratic loss on a market
-    without position rows takes the exact quadratic recursion (solve_oc)
-    and its forward pass (extract_oc_policy); anything else goes through
-    the wealth grid (default: 2001 points around `wealth`), whose forward
-    pass (bellman.forward_sweep) calls each node's table selector.  There
-    every node carries a value table on the grid, the exact minimum at its
-    knots; only interpolation between knots (and outside the grid, +inf)
-    approximates.  The grid hedges one asset: on a market with several, a
+    mapping leaves to per-scenario losses.  A Quadratic loss at every
+    leaf, on a market without position rows, takes the exact quadratic
+    recursion (solve_oc) and its forward pass (extract_oc_policy); anything
+    else goes through the wealth grid (default: 2001 points around
+    `wealth`), whose forward pass (bellman.forward_sweep) calls each node's
+    table selector.  There every node carries a value table on the grid,
+    the exact minimum at its knots; only interpolation between knots (and
+    outside the grid, +inf) approximates.  The grid hedges one asset: on a market with several, a
     grid hedge raises ValidationError before the no-arbitrage LP.  An
     arbitrage market is refused by default with the verdict attached; pass
     refuse_arbitrage=False to force the solve.
@@ -327,7 +332,7 @@ def solve_alm(market, loss, wealth=0.0, grid=None, refuse_arbitrage=True):
     tree = market.tree
     J = market.J
     loss_at = loss.__getitem__ if isinstance(loss, dict) else (lambda leaf: loss)
-    exact = isinstance(loss_at(tree.leaves()[0]), Quadratic) and not market.D
+    exact = not market.D and all(isinstance(loss_at(leaf), Quadratic) for leaf in tree.leaves())
     if not exact and J > 1:
         raise ValidationError(f"the wealth grid hedges one asset, and the market has {J} "
                               "(a quadratic loss without position rows, or the "
@@ -371,16 +376,76 @@ def solve_alm(market, loss, wealth=0.0, grid=None, refuse_arbitrage=True):
 
 
 class ExpUtilityResult:
-    def __init__(self, alpha, controls, rho):
-        self.alpha = alpha
+    def __init__(self, log_alpha, controls, rho):
+        self.log_alpha = log_alpha
+        with np.errstate(over="ignore"):  # +inf past the float range
+            self.alpha = {nid: float(np.exp(v)) for nid, v in log_alpha.items()}
         self.controls = controls
         self.rho = rho
 
     def value(self, tree, wealth):
-        return self.alpha[tree.root] * np.exp(-self.rho * wealth) / self.rho
+        return self.J(tree.root, wealth)
 
     def J(self, nid, X):
-        return self.alpha[nid] * np.exp(-self.rho * X) / self.rho
+        """alpha exp(-rho X) / rho from log alpha; SolverError past the float range."""
+        try:
+            return math.exp(self.log_alpha[nid] - self.rho * X - math.log(self.rho))
+        except OverflowError:
+            raise SolverError("the exponential-loss value exceeds the float range",
+                              node=nid) from None
+
+
+def _log_factor(logw, R, rho, U):
+    """phi(U) = log sum_k exp(logw_k - rho r_k.U), its gradient and Hessian,
+    and the weights q = softmax(logw - rho R U)."""
+    z = logw - rho * (R @ U)
+    e = np.exp(z - z.max())
+    q = e / e.sum()
+    m = q @ R
+    return z.max() + math.log(e.sum()), -rho * m, rho * rho * ((R.T * q) @ R - np.outer(m, m)), q
+
+
+def _exp_node(logw, R, rho, rows, nid):
+    """(phi, U): the minimum of phi(U) = log sum_k p_k alpha_k exp(-rho r_k.U)
+    over the node's rows G U <= g, and its minimizer.
+
+    An LP first looks for an arbitrage, R d >= 0 with R d != 0, G d <= 0 and
+    |d| <= 1, and raises UnboundedExp on one.  Damped Newton (Boyd &
+    Vandenberghe 2004, 9.5) then starts from _feasible_start.  Each step is
+    one _qp of the quadratic model on the rows and the trust rows
+    |rho r_k.d| <= reach (5, doubled after each full step up to 512), which
+    bound the model where a weight has underflowed.  A step is halved until
+    phi drops by a quarter of the Newton decrement of the representable
+    move (expm1 and log1p), and the search stops when that decrement is at
+    the rounding level of its terms: weights of exponents of phi's size.
+    """
+    K, J = R.shape
+    G, h = rows if rows is not None else (np.zeros((0, J)), np.zeros(0))
+    lp = solve_lp(-R.sum(axis=0), np.vstack([-R, G, np.eye(J), -np.eye(J)]),
+                  np.concatenate([np.zeros(K + G.shape[0]), np.ones(2 * J)]))
+    if -lp.value > 1e-9:  # the box bounds the LP, and d = 0 is feasible
+        raise UnboundedExp("exponential factor has no minimizer: the returns admit an "
+                           "arbitrage", node=nid)
+    U, reach = _feasible_start(rows, J, nid), 5.0
+    phi, grad, hess, q = _log_factor(logw, R, rho, U)
+    for _ in range(MAX_NEWTON_STEPS):
+        at = rho * (R @ U)
+        d = _qp(hess, grad - hess @ U, G[:0], h[:0], np.vstack([G, rho * R, -rho * R]),
+                np.concatenate([h, reach + at, reach - at]), U)[0] - U
+        t = 1.0
+        while True:
+            move = (U + t * d) - U
+            x = -rho * (R @ move)
+            dec = -(q @ x)  # -(grad @ move)
+            if not dec > 1e-14 * (1.0 + abs(phi)) * (q @ np.abs(x)):
+                return phi, U
+            if (v := q @ np.expm1(x)) <= -1.0 or math.log1p(v) <= -0.25 * dec:
+                break
+            t *= 0.5
+        reach = min(2.0 * reach, 512.0) if t == 1.0 else reach
+        U = U + move
+        phi, grad, hess, q = _log_factor(logw, R, rho, U)
+    raise IterationLimit("Newton's method hit its step limit", node=nid)
 
 
 def exp_utility(market, rho, c=None):
@@ -388,50 +453,28 @@ def exp_utility(market, rho, c=None):
 
     At each node the factor is the minimized expectation of the children's
     factors damped by exp(-rho R.U); the minimizing cash positions do not
-    depend on wealth.  Coordinate descent starts on the position rows
-    (at 0 when they allow it).  A vanishing infimum (positions running
-    away) raises UnboundedExp, which signals an arbitrage.
+    depend on wealth.  Factors are kept as logarithms, so none overflows;
+    each node is one _exp_node.  A vanishing infimum (an arbitrage on the
+    node's rows) raises UnboundedExp.
     """
     if rho <= 0:
         raise ValidationError("rho must be positive")
     tree = market.tree
     J = market.J
     claims = market.c if c is None else {leaf: float(c[leaf]) for leaf in tree.leaves()}
-    alpha = {}
+    log_alpha = {}
     controls = {}
     for t in range(tree.T, -1, -1):
         for nid in tree.stage_nodes[t]:
             if t == tree.T:
-                alpha[nid] = float(np.exp(rho * claims[nid]))
+                log_alpha[nid] = rho * claims[nid]
                 controls[nid] = np.zeros(J)
                 continue
             kids = tree.children[nid]
-            rets = [market.returns(k) for k in kids]
-            probs = [float(tree.nodes[k].prob) for k in kids]
-            avals = [alpha[k] for k in kids]
-            rows = _hat_rows(market, nid)
-
-            def f(U):
-                U = np.asarray(U, dtype=float)
-                if rows is not None:
-                    # the slack admits an LP start's rounding; the search
-                    # stops within it of a binding row
-                    G, g = rows
-                    if np.max(G @ U - g) > 1e-12 * (1.0 + np.max(np.abs(g), initial=0.0)):
-                        return Inf
-                with np.errstate(over="ignore"):
-                    acc = 0.0
-                    for p, a, r in zip(probs, avals, rets):
-                        acc += p * a * float(np.exp(-rho * float(r @ U)))
-                return acc
-
-            try:
-                U, val, _ = coordinate_descent(f, _feasible_start(rows, J, nid))
-            except Unbounded:
-                raise UnboundedExp("exponential factor has no minimizer", node=nid)
-            alpha[nid] = float(val)
-            controls[nid] = U
-    return ExpUtilityResult(alpha, controls, rho)
+            logw = np.array([math.log(tree.nodes[k].prob) + log_alpha[k] for k in kids])
+            R = np.array([market.returns(k) for k in kids])
+            log_alpha[nid], controls[nid] = _exp_node(logw, R, rho, _hat_rows(market, nid), nid)
+    return ExpUtilityResult(log_alpha, controls, rho)
 
 
 def support_function_diagnostics(market, y):

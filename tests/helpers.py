@@ -548,18 +548,24 @@ def same_bits(x, y):
 def random_stage_cost(rng, keep, own, kind):
     """A random cost over (kept block, own block) for the sweep property
     tests; kind picks plain, equality-row, flat, unbounded, empty, split or
-    mixed Polyhedral/Quadratic costs.  A split cost has the row x_j = 0 on
-    the first kept or the first own coordinate: where a node's tail brings
-    the same row, the cost addition drops one, so members of one stack end
-    with different row counts."""
+    Polyhedral/Quadratic costs (poly, or mixed for more curved Quadratics
+    that the sweep accepts next to Polyhedral nodes).  A split cost has the
+    row x_j = 0 on the first kept or the first own coordinate: where a
+    node's tail brings the same row, the cost addition drops one, so
+    members of one stack end with different row counts."""
     d = keep + own
     L = rng.standard_normal((d, d))
     Q, q = L @ L.T + 0.1 * np.eye(d), rng.standard_normal(d)
     A = b = None
-    if kind == "poly":
+    if kind in ("poly", "mixed"):
         # zero and curved Quadratics next to Polyhedral nodes; a curved one
-        # that meets a Polyhedral sum is a BackendClash
+        # that meets a Polyhedral sum is a BackendClash.  A mixed one is
+        # curved in the own block only, so its minimum over that block is
+        # affine and joins a Polyhedral parent's sum
         u = rng.random()
+        if kind == "mixed" and u < 0.4:
+            Q[:keep, :], Q[:, :keep] = 0.0, 0.0
+            return Quadratic(Q, q)
         if u < 0.15:
             return Quadratic(Q, q)
         if u < 0.5:
@@ -1028,3 +1034,27 @@ def exact_quadratic_min(Q, q, c):
         z[j] = (M[j][n] - sum(M[j][k] * z[k] for k in range(j + 1, n))) / M[j][j]
     value = Fraction(c) + sum(Fraction(v) * zj for v, zj in zip(q.tolist(), z)) / 2
     return float(value), np.array([float(zj) for zj in z])
+
+
+def kkt_certificate(grad, x, G, h, A=None, binding=1e-9):
+    """(residual, least multiplier) of the KKT conditions at x of a convex
+    problem min f over {A y = b, G y <= h}, grad the gradient of f at x.
+    The rows of G within `binding` of h bind; least squares gives the
+    multipliers lam, mu of grad + A'lam + G_B'mu = 0, and the residual is
+    that equation's norm.  The least multiplier is +inf when no row binds."""
+    B = h - G @ x <= binding * (1.0 + np.abs(h))
+    C = np.vstack([np.zeros((0, x.size)) if A is None else A, G[B]])
+    y = np.linalg.lstsq(C.T, -grad, rcond=None)[0] if C.shape[0] else np.zeros(0)
+    mu = y[C.shape[0] - int(B.sum()):]
+    return float(np.linalg.norm(grad + C.T @ y)), float(mu.min(initial=np.inf))
+
+
+def monotone_root(f, lo, hi):
+    """The sign change of an increasing f with f(lo) < 0 < f(hi), bisected
+    until no float lies between the bracket's ends."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid

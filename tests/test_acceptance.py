@@ -28,12 +28,13 @@ from stochbellman.hedging import (MarketModel, ae_estimate, exp_utility,
                                   na_check)
 from stochbellman.bellman import Policy
 from stochbellman.lagrange import solve_lagrange
-from stochbellman.numeric import golden_min
 from stochbellman.stopping import (enumerate_stopping_times, markov_check,
                                    optimal_stop, ros_as_bellman, snell)
 from stochbellman.tree import (AdaptedProcess, PerpProcess, cond_expect_scalar,
                                expected_pairing, martingale_increments,
                                perp_check, validate_tree)
+
+from helpers import monotone_root
 
 
 def report(n, text):
@@ -122,12 +123,12 @@ def test_criterion_4_exponential_utility():
     ref = res.controls[tree.root][0]
     spread = 0.0
     for X in np.linspace(-5.0, 5.0, 21):
-        def f(U):
-            return sum(p * a * math.exp(-1.5 * (X + r * U))
+        def slope(U):  # increasing: its root is the minimizer
+            return sum(-1.5 * r * p * a * math.exp(-1.5 * (X + r * U))
                        for p, a, r in data)
-        u, _ = golden_min(f, 0.0, span=1.0)
+        u = monotone_root(slope, -50.0, 50.0)
         spread = max(spread, abs(u - ref))
-        assert abs(u - ref) <= 1e-8
+        assert abs(u - ref) <= 1e-12
 
     # two-point closed form U = ln(p/(1-p)) / (2 r) at unit risk aversion
     e = math.e

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochbellman.bellman import StageProblem, build_flat, optimum_value, solve_be
-from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D
-from stochbellman.errors import Infeasible, Unbounded
-from stochbellman.extensive import FlatProgram, Term, solve_extensive
+from stochbellman.convexfn import Polyhedral, Quadratic, Sampled1D, _affine_as_polyhedral
+from stochbellman.errors import BackendClash, Infeasible, Unbounded
+from stochbellman.extensive import (FlatProgram, Term, _epigraph_rows, _quadratic_parts,
+                                    solve_extensive)
 from stochbellman.generators import (quadratic_lagrange_instance, random_tree,
                                      tracking_stage_problem)
 from stochbellman.tree import validate_tree
 
-from helpers import (binary_tree, exact_quadratic_min, outcome, random_stage_cost,
-                     ref_flat_kkt, ref_solve_quadratic, same_bits)
+from helpers import (binary_tree, exact_quadratic_min, kkt_certificate, outcome,
+                     random_stage_cost, ref_flat_kkt, ref_solve_quadratic, same_bits)
 
 
 def test_flatten_one_node_tree():
@@ -97,15 +98,20 @@ def test_embedded_stationarity_value():
     assert value == pytest.approx(-0.5, abs=1e-10)
 
 
+# The three programs below were once solved by coordinate descent. The flat
+# solver has no inexact path any more: a Sampled1D term, bare or behind an
+# affine map, is refused as StageProblem refuses it, whatever the other terms.
+_NO_FLAT_SOLVE = "a Sampled1D term has no flat solve; use Quadratic or Polyhedral"
+
+
 def test_coordinate_descent_sampled_path():
     # two sampled terms in one variable: (x-1)^2 and (x+1)^2 tables
     grid = np.linspace(-3.0, 3.0, 601)
     f = Sampled1D(grid, (grid - 1.0) ** 2)
     g = Sampled1D(grid, (grid + 1.0) ** 2)
     fp = FlatProgram(1, [Term(0.5, f, [0]), Term(0.5, g, [0])])
-    value, z, info = solve_extensive(fp)
-    assert value == pytest.approx(1.0, abs=1e-4)
-    assert z[0] == pytest.approx(0.0, abs=1e-3)
+    with pytest.raises(BackendClash, match=_NO_FLAT_SOLVE):
+        solve_extensive(fp)
 
 
 def test_coordinate_descent_affine_composition():
@@ -113,34 +119,73 @@ def test_coordinate_descent_affine_composition():
     grid = np.linspace(-4.0, 4.0, 1601)
     V = Sampled1D(grid, grid ** 2)
     fp = FlatProgram(1, [Term(1.0, V, [0], M=[[-1.0]], t=[1.5])])
-    value, z, info = solve_extensive(fp)
-    assert value == pytest.approx(0.0, abs=1e-8)
-    assert z[0] == pytest.approx(1.5, abs=1e-4)
+    with pytest.raises(BackendClash, match=_NO_FLAT_SOLVE):
+        solve_extensive(fp)
 
 
-def test_curved_quadratic_with_polyhedral_takes_coordinate_descent():
+def test_coordinate_descent_unbounded_direction():
+    # a sampled term next to an affine term that drifts to -inf along the
+    # second variable: the refusal comes before any search for a ray
+    grid = np.linspace(-1.0, 1.0, 3)
+    fp = FlatProgram(2, [Term(1.0, Sampled1D(grid, grid ** 2), [0]),
+                         Term(1.0, Quadratic([[0.0]], [-1.0]), [1])])
+    with pytest.raises(BackendClash, match=_NO_FLAT_SOLVE):
+        solve_extensive(fp)
+
+
+def test_curved_quadratic_with_polyhedral_takes_the_qp():
     # no Sampled1D anywhere: root |x0| on [-2, 2], children x1^2 + x0/2 - x1.
     # The sweep minimizes x1 out of each child, whose value x0/2 - 1/4 is
     # affine and joins the root's pieces; the flat program keeps the curved
-    # child terms next to a Polyhedral one, so it takes coordinate descent
+    # child terms next to a Polyhedral one, so it takes the active-set QP
     costs = {"r": Polyhedral([[1.0], [-1.0]], [0.0, 0.0], [[1.0], [-1.0]], [2.0, 2.0])}
     costs.update(dict.fromkeys("ab", Quadratic([[0.0, 0.0], [0.0, 2.0]], [0.5, -1.0])))
     problem = StageProblem(binary_tree(), [1, 1], node_costs=costs)
     sol = solve_be(problem)
     assert sol.value == pytest.approx(-0.25, abs=1e-12)
     value, z, info = solve_extensive(build_flat(problem))
-    assert "sweeps" in info
-    assert abs(value - sol.value) <= 1e-8
+    assert abs(value - sol.value) <= 1e-12
+    assert z == pytest.approx([0.0, 0.5, 0.5], abs=1e-12)
+    assert info["kkt_residual"] <= 1e-12
 
 
-def test_coordinate_descent_unbounded_direction():
-    # a sampled term keeps the program off the exact paths; the affine term
-    # drifts to -inf along the second variable
-    grid = np.linspace(-1.0, 1.0, 3)
-    fp = FlatProgram(2, [Term(1.0, Sampled1D(grid, grid ** 2), [0]),
-                         Term(1.0, Quadratic([[0.0]], [-1.0]), [1])])
-    with pytest.raises(Unbounded):
-        solve_extensive(fp)
+def test_mixed_flat_programs_match_the_sweep():
+    # derandomized: programs with curved Quadratic and Polyhedral terms that
+    # the sweep accepts; the QP's value is the sweep's, and its point, with
+    # each epigraph level at its term's value, passes an independent KKT
+    # check of the flat QP
+    accepted = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(1, 3))
+        tree = random_tree(rng, T, 2)
+        dims = [int(rng.integers(0, 3)) for _ in range(T + 1)]
+        costs = {nid: random_stage_cost(rng, dims[t - 1] if t else 0, dims[t], "mixed")
+                 for t in range(T + 1) for nid in tree.stage_nodes[t]}
+        if not (any(isinstance(f, Polyhedral) for f in costs.values())
+                and any(isinstance(f, Quadratic) and np.any(f.Q) for f in costs.values())):
+            continue
+        sp = StageProblem(tree, dims, node_costs=costs)
+        sol, err = outcome(solve_be, sp)
+        if err is not None:
+            continue
+        fp = build_flat(sp)
+        curved = [t for t in fp.terms if isinstance(t.fn, Quadratic) and np.any(t.fn.Q)]
+        poly = [t if isinstance(t.fn, Polyhedral) else Term(t.weight, _affine_as_polyhedral(t.fn),
+                                                             t.idx, t.M, t.t)
+                for t in fp.terms if not (isinstance(t.fn, Quadratic) and np.any(t.fn.Q))]
+        accepted += 1
+        value, z, info = solve_extensive(fp)
+        assert abs(value - sol.value) <= 1e-9 * (1.0 + abs(sol.value))
+        n = fp.nvars + len(poly)
+        cost, G, h = _epigraph_rows(poly, fp.nvars)
+        H, g, _, A, _ = _quadratic_parts(curved, n)
+        g += cost
+        x = np.concatenate([z, [t.fn.eval(t.arg(z)) for t in poly]])
+        residual, _ = kkt_certificate(H @ x + g, x, G, h, A)
+        bound = 1e-10 * (1.0 + np.linalg.norm(g))
+        assert residual <= bound and info["kkt_residual"] <= bound
+    assert accepted >= 60, accepted
 
 
 def test_affine_quadratic_with_polyhedral_takes_the_lp():

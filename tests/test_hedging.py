@@ -11,11 +11,11 @@ from stochbellman.errors import (ArbitrageRefusal, NonMonotone, UnboundedExp,
                                  ValidationError)
 from stochbellman.generators import (always_up_market, binomial_market,
                                      gaussian_return_market)
-from stochbellman.hedging import (MarketModel, _cash_interval, _convexify, _line_min,
+from stochbellman.hedging import (MarketModel, _cash_interval, _convexify, _hat_rows, _line_min,
                                   _tabulate, ae_estimate, exp_utility, na_check, solve_alm)
 from stochbellman.tree import AdaptedProcess, validate_tree
 
-from helpers import binary_tree, two_asset_market
+from helpers import binary_tree, kkt_certificate, monotone_root, two_asset_market
 
 
 def binomial(prices=(1.0, 0.5, 2.0), probs=(0.5, 0.5), claim=(0.0, 1.5)):
@@ -222,24 +222,35 @@ def test_alm_grid_driver_close_to_exact():
     assert grid.value == pytest.approx(exact.value, rel=1e-4, abs=1e-6)
 
 
-def test_alm_grid_vs_extensive_coordinate_descent():
-    # both inexact paths: the wealth-grid recursion against the flat
-    # coordinate-descent solve of the same sampled-loss objective
-    from stochbellman.extensive import FlatProgram, Term, solve_extensive
+def test_alm_grid_vs_breakpoint_enumeration():
+    # the wealth grid's root value and control are the exact minimum of its
+    # leaf tables over the root's cash position, near the continuous 0.225
     market = binomial()
     knots = np.linspace(-10.0, 10.0, 8001)
-    V = Sampled1D(knots, knots ** 2)
+    res = solve_alm(market, Sampled1D(knots, knots ** 2), wealth=0.0,
+                    grid=np.linspace(-4.0, 4.0, 2001))
     tree = market.tree
-    resg = solve_alm(market, V, wealth=0.0,
-                     grid=np.linspace(-4.0, 4.0, 2001))
-    terms = []
-    for leaf in tree.leaves():
-        ret = market.returns(leaf)
-        terms.append(Term(float(tree.prob(leaf)), V, [0],
-                          M=[[-ret[0]]], t=[market.c[leaf]]))
-    value_cd, z, _ = solve_extensive(FlatProgram(1, terms))
-    assert resg.value == pytest.approx(value_cd, rel=1e-4, abs=1e-6)
-    assert value_cd == pytest.approx(0.225, abs=1e-4)
+    kids = [(float(tree.nodes[k].prob), float(market.returns(k)[0]), res.solution.records[k]["J"])
+            for k in tree.children[tree.root]]
+    best, u_ref = _brute_one_asset(0.0, kids, [])
+    assert res.value == pytest.approx(best, abs=1e-12)
+    assert res.controls[tree.root][0] == pytest.approx(u_ref, abs=1e-12)
+    assert best == pytest.approx(0.225, abs=1e-4)
+
+
+def test_alm_per_leaf_losses_take_one_route_in_either_leaf_order():
+    # a Quadratic u^2 at one leaf and a knot table of u^2 at the other: the
+    # route does not hang on the first leaf's loss, so both orders take the
+    # wealth grid, whose knots hold the exact 0.225 at U = 1.2
+    market = binomial()
+    knots = np.linspace(-10.0, 10.0, 8001)
+    quad, table = Quadratic([[2.0]], [0.0]), Sampled1D(knots, knots ** 2)
+    grid = np.linspace(-4.0, 4.0, 2001)
+    res = [solve_alm(market, {"a": first, "b": second}, wealth=0.0, grid=grid)
+           for first, second in ((quad, table), (table, quad))]
+    for r in res:
+        assert r.value == pytest.approx(0.225, abs=1e-12)
+        assert r.controls["r"][0] == pytest.approx(1.2, abs=1e-12)
 
 
 def test_exp_utility_symmetric_two_point():
@@ -262,6 +273,8 @@ def test_exp_utility_two_point_closed_form():
 
 
 def test_exp_utility_wealth_independence_grid():
+    # at each wealth the root's control is the root of the objective's
+    # increasing derivative in U, bisected to the last float
     market = binomial_market(11, T=1)
     res = exp_utility(market, rho=1.5)
     tree = market.tree
@@ -269,14 +282,12 @@ def test_exp_utility_wealth_independence_grid():
     rets = [market.returns(k) for k in kids]
     probs = [float(tree.nodes[k].prob) for k in kids]
     alphas = [res.alpha[k] for k in kids]
-    from stochbellman.numeric import golden_min
     ref = res.controls[tree.root][0]
     for X in np.linspace(-5.0, 5.0, 21):
-        def f(U):
-            return sum(p * a * math.exp(1.5 * (-(X + r[0] * U)))
+        def slope(U):
+            return sum(-1.5 * r[0] * p * a * math.exp(-1.5 * (X + r[0] * U))
                        for p, a, r in zip(probs, alphas, rets))
-        u, _ = golden_min(f, 0.0, span=1.0)
-        assert u == pytest.approx(ref, abs=1e-8)
+        assert monotone_root(slope, -50.0, 50.0) == pytest.approx(ref, abs=1e-12)
 
 
 def test_exp_utility_scale_covariance():
@@ -304,6 +315,57 @@ def test_exp_utility_gaussian_discretization():
     target = mu / (sigma * sigma * rho)
     got = res.controls[market.tree.root][0]
     assert abs(got - target) / abs(target) <= 0.02
+
+
+def _two_point(probs, prices):
+    tree = binary_tree(probs)
+    return MarketModel(tree, AdaptedProcess(tree, {nid: np.array([v]) for nid, v in
+                                                   zip("rab", prices)}))
+
+
+def _floored(market, shares=2.0):
+    """The market with the root row x >= shares."""
+    return MarketModel(market.tree, market.s, c=market.c,
+                       D={market.tree.root: ([[-1.0]], [-shares])})
+
+
+# every exponential-loss input of the tests, as (market, rho)
+EXP_CASES = {
+    "symmetric": lambda: (_two_point((0.5, 0.5), (1.0, 1.3, 0.7)), 2.0),
+    "closed form": lambda: (_two_point((math.e / (1 + math.e), 1 / (1 + math.e)),
+                                       (1.0, 1.5, 0.5)), 1.0),
+    "binomial 11": lambda: (binomial_market(11, T=1), 1.5),
+    "claims": lambda: (binomial(claim=(0.3, 0.9)), 1.2),
+    "gaussian": lambda: (gaussian_return_market(0.05, 0.2, atoms=101), 2.0),
+    "market 5": lambda: (binomial_market(5), 2.0),
+    "market 9 floor": lambda: (_floored(binomial_market(9)), 2.0),
+    **{f"two assets T={T}": (lambda T=T: (two_asset_market(T=T), 1.0)) for T in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", list(EXP_CASES))
+def test_exp_utility_nodes_carry_kkt_certificates(case):
+    # at each interior node, with q proportional to p alpha exp(-rho r.U):
+    # E_q r vanishes where no row binds (the minimal-entropy martingale
+    # measure), and a binding row's multiplier is nonnegative
+    market, rho = EXP_CASES[case]()
+    res = exp_utility(market, rho=rho)
+    tree = market.tree
+    bound = set()
+    for nid in tree.nodes:
+        kids = tree.children[nid]
+        if not kids:
+            continue
+        R = np.array([market.returns(k) for k in kids])
+        z = np.array([math.log(tree.nodes[k].prob) + res.log_alpha[k] for k in kids])
+        z -= rho * (R @ res.controls[nid])
+        q = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+        G, h = _hat_rows(market, nid) or (np.zeros((0, market.J)), np.zeros(0))
+        residual, least = kkt_certificate(-(q @ R), res.controls[nid], G, h)
+        assert residual <= 1e-12 and least >= -1e-12, nid
+        if least < Inf:
+            bound.add(nid)
+    assert bound == ({tree.root} if case.endswith("floor") else set())
 
 
 def test_ae_exponential():
